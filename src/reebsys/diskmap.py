@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .numerics import _leggauss
+from .numerics import _leggauss, bracketed_roots, scan_roots
 from .topology import page_surface, signed_sweep_count
 
 TWO_PI = 2.0 * math.pi
@@ -362,15 +362,15 @@ class PeriodicPoint:
 
 def _radial_periodic_points(H: RadialHamiltonian, k_max: int,
                             grid_n: int) -> list:
-    from scipy.optimize import brentq
-
     pts = [PeriodicPoint((0.0, 0.0), 1, float(radial_action_exact(H, 0.0)),
                          float(radial_action_exact(H, 0.0)), s=0.0,
                          resonance=None)]
     s_grid = np.linspace(0.0, 1.0, max(grid_n, 64))
     omega = H.rotation_rate(s_grid)
     lo, hi = float(omega.min()), float(omega.max())
-    found = []
+    # scan every resonance omega(s) = 2 pi m / k, then refine all the
+    # bracketed roots in one batch
+    resonances, cells, targets = [], [], []
     for k in range(1, k_max + 1):
         m_lo = math.floor(k * lo / TWO_PI) - 1
         m_hi = math.ceil(k * hi / TWO_PI) + 1
@@ -384,20 +384,33 @@ def _radial_periodic_points(H: RadialHamiltonian, k_max: int,
                 roots.append(0.0)
             if abs(f[-1]) < 1e-12:
                 roots.append(1.0)
-            for i in np.nonzero(f[:-1] * f[1:] < 0)[0]:
-                roots.append(brentq(lambda s: float(H.rotation_rate(s) - target),
-                                    s_grid[i], s_grid[i + 1], xtol=1e-14))
-            for s_star in roots:
-                if s_star <= 1e-14:
-                    continue                 # the center is listed separately
-                if any(abs(s_star - s0) < 1e-10 and k == k0
-                       for s0, k0 in found):
-                    continue
-                found.append((s_star, k))
-                sig = float(radial_action_exact(H, s_star))
-                pts.append(PeriodicPoint((math.sqrt(s_star), 0.0), k,
-                                         k * sig, sig, s=float(s_star),
-                                         resonance=m))
+            nodes, inside = scan_roots(f)
+            roots += s_grid[nodes].tolist()
+            resonances.append((k, m, roots, len(inside)))
+            cells.append(inside)
+            targets.append(np.full(len(inside), target))
+    cells, targets = np.concatenate(cells), np.concatenate(targets)
+    f_lo = omega[cells] - targets
+    f_hi = omega[cells + 1] - targets
+    crossings = bracketed_roots(
+        lambda s, target: H.rotation_rate(s) - target, s_grid[cells],
+        s_grid[cells + 1], f_lo, f_hi, xtol=1e-14,
+        rtol=4 * np.finfo(float).eps, args=(targets,)).tolist()
+
+    found = []
+    start = 0
+    for k, m, roots, n_inside in resonances:
+        for s_star in roots + crossings[start:start + n_inside]:
+            if s_star <= 1e-14:
+                continue                     # the center is listed separately
+            if any(abs(s_star - s0) < 1e-10 and k == k0 for s0, k0 in found):
+                continue
+            found.append((s_star, k))
+            sig = float(radial_action_exact(H, s_star))
+            pts.append(PeriodicPoint((math.sqrt(s_star), 0.0), k,
+                                     k * sig, sig, s=float(s_star),
+                                     resonance=m))
+        start += n_inside
     pts.sort(key=lambda P: (P.k, P.s if P.s is not None else -1.0))
     return pts
 

@@ -1,13 +1,16 @@
-"""Quadrature helpers and shared tolerance settings.
+"""Quadrature, root finding, extremum refinement and shared tolerances.
 
 All 1D integrands in this package are smooth on closed intervals, so the
 workhorse is a composite Gauss-Legendre rule with panel doubling until two
 successive refinements agree.  A vectorized single-panel rule supports the
-cumulative sector-area tables used to invert area parametrizations.
+cumulative sector-area tables used to invert area parametrizations.  Roots
+are located by a grid scan and refined in one vectorized batch of
+bracketed steps; grid extrema are refined by golden-section search.
 """
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -102,8 +105,6 @@ def refine_extremum(f, xs, fs, mode: str, xtol: float = 1e-12):
     Returns (x, f(x)).  Falls back to the grid value when the extremum sits
     on the boundary or the bracket is degenerate (flat function).
     """
-    from scipy.optimize import minimize_scalar
-
     sign = 1.0 if mode == "min" else -1.0
     g = sign * np.asarray(fs, float)
     i = int(np.argmin(g))
@@ -111,17 +112,107 @@ def refine_extremum(f, xs, fs, mode: str, xtol: float = 1e-12):
         return float(xs[i]), float(fs[i])
     if not (g[i] < g[i - 1] and g[i] < g[i + 1]):
         return float(xs[i]), float(fs[i])
-    try:
-        res = minimize_scalar(lambda x: sign * float(f(x)),
-                              bracket=(xs[i - 1], xs[i], xs[i + 1]),
-                              method="golden", options={"xtol": xtol})
-        x_star = float(res.x)
-    except Exception:
-        return float(xs[i]), float(fs[i])
+    x_star = _golden_min(lambda x: sign * float(f(x)),
+                         float(xs[i - 1]), float(xs[i]), float(xs[i + 1]), xtol)
     if not np.isfinite(x_star):
         return float(xs[i]), float(fs[i])
     x_star = float(np.clip(x_star, xs[i - 1], xs[i + 1]))
     return x_star, float(f(x_star))
+
+
+_GOLDEN_R = 0.5 * (math.sqrt(5.0) - 1.0)
+_GOLDEN_C = 1.0 - _GOLDEN_R
+
+
+def _golden_min(f, xa: float, xb: float, xc: float, xtol: float) -> float:
+    """Golden-section search for a minimum of f bracketed by xa < xb < xc
+    with f(xb) below both ends; stops when the bracket is narrower than
+    xtol relative to the inner points."""
+    x0, x3 = xa, xc
+    if abs(xc - xb) > abs(xb - xa):
+        x1, x2 = xb, xb + _GOLDEN_C * (xc - xb)
+    else:
+        x1, x2 = xb - _GOLDEN_C * (xb - xa), xb
+    f1, f2 = f(x1), f(x2)
+    for _ in range(5000):
+        if abs(x3 - x0) <= xtol * (abs(x1) + abs(x2)):
+            break
+        if f2 < f1:
+            x0, x1, x2 = x1, x2, _GOLDEN_R * x2 + _GOLDEN_C * x3
+            f1, f2 = f2, f(x2)
+        else:
+            x3, x2, x1 = x2, x1, _GOLDEN_R * x1 + _GOLDEN_C * x0
+            f2, f1 = f1, f(x1)
+    return x1 if f1 < f2 else x2
+
+
+def scan_roots(fs):
+    """Roots of sampled values fs on a grid, located to grid resolution.
+
+    Returns (nodes, cells): indices i with fs[i] == 0 and no zero
+    neighbour, each an exact root at a grid node counted once, and
+    indices i with fs[i] * fs[i + 1] < 0, each a cell [x_i, x_i+1] with a
+    root strictly inside.  A run of zeros is a stretch where f vanishes,
+    not a root, and is not reported.
+    """
+    fs = np.asarray(fs, float)
+    zero = np.concatenate([[False], fs == 0.0, [False]])
+    isolated = zero[1:-1] & ~zero[:-2] & ~zero[2:]
+    return np.flatnonzero(isolated), np.flatnonzero(fs[:-1] * fs[1:] < 0)
+
+
+def bracketed_roots(f, a, b, fa, fb, xtol: float = 1e-15,
+                    rtol: float = 1e-15, args=()):
+    """Roots of f in the brackets [a_i, b_i], all refined together.
+
+    f(x, *args) is vectorized over x; each array in args holds one
+    parameter per bracket and reaches f restricted to the brackets still
+    being refined.  fa, fb are f at the bracket ends and must differ in
+    sign.  Steps are interpolate-truncate-project (ITP; Oliveira and
+    Takahashi, ACM TOMS 47, 2021): regula falsi nudged toward the
+    midpoint and kept within the bisection worst case plus one step, so
+    smooth roots converge superlinearly and no bracket stalls.  A bracket
+    is done when it is narrower than xtol + rtol * |x|; the end with the
+    smaller |f| is returned.
+    """
+    a = np.array(a, float, ndmin=1)
+    b = np.array(b, float, ndmin=1)
+    fa = np.array(fa, float, ndmin=1)
+    fb = np.array(fb, float, ndmin=1)
+    if np.any(fa * fb > 0):
+        raise ValueError("f must change sign across every bracket")
+    args = tuple(np.asarray(arg) for arg in args)
+    width = b - a
+    eps = 0.5 * (xtol + rtol * np.maximum(np.abs(a), np.abs(b)))
+    n_max = np.ceil(np.log2(np.maximum(width / (2.0 * eps), 1.0))) + 1.0
+    k1 = 0.2 / np.where(width > 0, width, 1.0)
+    live = np.flatnonzero((width > 2.0 * eps) & (fa != 0) & (fb != 0))
+    j = 0
+    while live.size:
+        A, B, FA, FB = a[live], b[live], fa[live], fb[live]
+        w = B - A
+        half = 0.5 * (A + B)
+        x_f = (FB * A - FA * B) / (FB - FA)
+        sigma = np.sign(half - x_f)
+        delta = k1[live] * w * w
+        x_t = np.where(delta <= np.abs(half - x_f), x_f + sigma * delta, half)
+        r = np.maximum(eps[live] * np.exp2(n_max[live] - j) - 0.5 * w, 0.0)
+        # stepping at least eps inside keeps a bracket from stalling at
+        # an end whose f is already at rounding level
+        x = np.clip(np.where(np.abs(x_t - half) <= r, x_t, half - sigma * r),
+                    A + eps[live], B - eps[live])
+        y = np.asarray(f(x, *(arg[live] for arg in args)), float)
+        keep_b = np.sign(y) == np.sign(FA)
+        hit = y == 0
+        a[live] = np.where(keep_b | hit, x, A)
+        fa[live] = np.where(keep_b | hit, y, FA)
+        b[live] = np.where(keep_b, B, x)
+        fb[live] = np.where(keep_b, FB, y)
+        j += 1
+        live = live[(b[live] - a[live] > 2.0 * eps[live]) & ~hit]
+        if j > 200:
+            raise NumericalError("bracketed root refinement did not converge")
+    return np.where(np.abs(fa) <= np.abs(fb), a, b)
 
 
 def wrap_angle(theta):

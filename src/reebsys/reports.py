@@ -12,6 +12,7 @@ import io
 import json
 import os
 import sys
+from functools import lru_cache
 from importlib import resources
 
 import numpy as np
@@ -95,15 +96,26 @@ def load_schema(command: str) -> dict:
     return json.loads(text)
 
 
-def validate_report(command: str, report: dict):
+@lru_cache(maxsize=None)
+def _validator(command: str):
+    """The compiled validator of a command's schema, checked against its
+    metaschema once per process."""
     import jsonschema
 
     schema = load_schema(command)
-    try:
-        jsonschema.validate(jsonable(report), schema)
-    except jsonschema.ValidationError as exc:
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def validate_report(command: str, report: dict):
+    import jsonschema
+
+    error = jsonschema.exceptions.best_match(
+        _validator(command).iter_errors(jsonable(report)))
+    if error is not None:
         raise ValidationError(
-            f"report for {command!r} violates its schema: {exc.message}") from exc
+            f"report for {command!r} violates its schema: {error.message}")
     return report
 
 

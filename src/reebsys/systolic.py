@@ -24,10 +24,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ValidationError
-from .numerics import adaptive_gauss, refine_extremum
+from .numerics import (adaptive_gauss, bracketed_roots, refine_extremum,
+                       scan_roots)
 from .profiles import HALF_PI, ToricProfile
 
 TWO_PI_SQ = 2.0 * math.pi * math.pi
@@ -157,44 +157,90 @@ def pairing_from_definition(profile: ToricProfile, orbit1, orbit2) -> float:
     return float(link * vol / (near.period * far.period))
 
 
+def _coprime_classes(max_pq: int):
+    """Coprime pairs 1 <= p, q <= max_pq, p-major, as arrays."""
+    p, q = np.divmod(np.arange(max_pq * max_pq), max_pq)
+    p, q = p + 1, q + 1
+    keep = np.gcd(p, q) == 1
+    return p[keep], q[keep]
+
+
 def enumerate_tori(profile: ToricProfile, max_pq: int, grid_n: int = 4096,
                    continuum_samples: int = 65):
     """All rational tori with coprime 1 <= p, q and max(p, q) <= max_pq.
 
-    Roots of q*D1F - p*D2F along the boundary are located by a sign-change
-    scan plus bracketed bisection; several roots per class may exist for
-    non-convex profiles.  When the class equation vanishes identically
-    (constant-gradient profiles with a commensurable direction) the family
-    is a continuum and equally spaced representatives are returned with
-    continuum=True.
+    A (p, q)-torus sits where h = q*D1F - p*D2F vanishes on the boundary.
+    All classes are found in one pass over a theta grid: the gradient is
+    evaluated once, and a cell can hold a root of class (p, q) only if
+    the class direction atan2(q, p) lies between the gradient angles
+    atan2(D2F, D1F) at its ends.  The Euler identity x*D1F + y*D2F = 1
+    keeps that angle in (-pi/2, pi), where the order of angles is the
+    sign of h, so one searchsorted of the grid angles in the sorted class
+    directions (widened by one class on each side against rounding)
+    shortlists the candidates.  The cells where h changes sign strictly
+    are kept, and all their roots are refined at once by bracketed_roots.
+    Several roots per class may exist for non-convex profiles.
+
+    When h vanishes identically for a class (constant-gradient profiles
+    with a commensurable direction), the family is a continuum and
+    continuum_samples equally spaced representatives are returned with
+    continuum=True.  Tori are sorted by (max(p, q), p, t).
     """
     if max_pq < 1:
         raise ValidationError("max_pq must be at least 1")
     theta = np.linspace(0.0, HALF_PI, grid_n)
     d1g, d2g = profile.gradient_theta(theta)
     scale = float(np.max(np.abs(d1g)) + np.max(np.abs(d2g)))
-    tori = []
-    for p in range(1, max_pq + 1):
-        for q in range(1, max_pq + 1):
-            if math.gcd(p, q) != 1:
-                continue
-            h = q * d1g - p * d2g
-            if np.max(np.abs(h)) <= 1e-12 * (p + q) * scale:
-                ts = np.linspace(0.0, profile.two_area, continuum_samples + 2)[1:-1]
-                period = math.pi * p / float(d1g[0])
-                tori.extend(RationalTorus(p, q, float(t), period, True) for t in ts)
-                continue
-            sign_change = np.nonzero(h[:-1] * h[1:] < 0)[0]
-            for i in sign_change:
-                f = lambda th: float(q * profile.gradient_theta(th)[0]
-                                     - p * profile.gradient_theta(th)[1])
-                root = brentq(f, theta[i], theta[i + 1], xtol=1e-15, rtol=1e-15)
-                d1r, d2r = profile.gradient_theta(root)
-                period = math.pi * p / float(d1r)
-                t_root = float(profile.t_of_theta(root))
-                tori.append(RationalTorus(p, q, t_root, period, False))
-    tori.sort(key=lambda T: (max(T.p, T.q), T.p, T.t))
-    return tori
+    p, q = _coprime_classes(max_pq)
+    tol = 1e-12 * (p + q) * scale
+
+    # continuum classes: shortlist all classes on the first grid value of
+    # the gradient (class directions are >= 1/max_pq^2 apart, far wider
+    # than tol, so few survive), then test the survivors on the whole grid
+    flat = np.flatnonzero(np.abs(q * d1g[0] - p * d2g[0]) <= tol)
+    h_flat = q[flat, None] * d1g - p[flat, None] * d2g
+    flat = flat[np.max(np.abs(h_flat), axis=1) <= tol[flat]]
+
+    directions = np.arctan2(q, p)
+    order = np.argsort(directions)
+    angle = np.arctan2(d2g, d1g)
+    lo = np.minimum(angle[:-1], angle[1:])
+    hi = np.maximum(angle[:-1], angle[1:])
+    first = np.maximum(np.searchsorted(directions[order], lo) - 1, 0)
+    stop = np.minimum(np.searchsorted(directions[order], hi, side="right") + 1,
+                      len(order))
+    counts = stop - first
+    cell = np.repeat(np.arange(grid_n - 1), counts)
+    offset = np.arange(len(cell)) - np.repeat(np.cumsum(counts) - counts, counts)
+    cls = order[first[cell] + offset]
+    h_lo = q[cls] * d1g[cell] - p[cls] * d2g[cell]
+    h_hi = q[cls] * d1g[cell + 1] - p[cls] * d2g[cell + 1]
+    keep = (h_lo * h_hi < 0) & ~np.isin(cls, flat)
+    cls, cell, h_lo, h_hi = cls[keep], cell[keep], h_lo[keep], h_hi[keep]
+
+    def h(th, pk, qk):
+        d1, d2 = profile.gradient_theta(th)
+        return qk * d1 - pk * d2
+
+    rp, rq = p[cls], q[cls]
+    roots = bracketed_roots(h, theta[cell], theta[cell + 1], h_lo, h_hi,
+                            args=(rp, rq))
+    d1r, _ = profile.gradient_theta(roots)
+    period = math.pi * rp / d1r
+    t = profile.t_of_theta(roots)
+
+    n_rep = continuum_samples
+    ts = np.linspace(0.0, profile.two_area, n_rep + 2)[1:-1]
+    p_all = np.concatenate([rp, np.repeat(p[flat], n_rep)])
+    q_all = np.concatenate([rq, np.repeat(q[flat], n_rep)])
+    t_all = np.concatenate([t, np.tile(ts, len(flat))])
+    period_all = np.concatenate(
+        [period, np.repeat(math.pi * p[flat] / float(d1g[0]), n_rep)])
+    continuum = np.arange(len(t_all)) >= len(t)
+    idx = np.lexsort((q_all, t_all, p_all, np.maximum(p_all, q_all)))
+    return [RationalTorus(*row) for row in zip(
+        p_all[idx].tolist(), q_all[idx].tolist(), t_all[idx].tolist(),
+        period_all[idx].tolist(), continuum[idx].tolist())]
 
 
 def _partials_on_grid(profile: ToricProfile, grid_n: int):
@@ -218,6 +264,12 @@ def systolic_interval(profile: ToricProfile, grid_n: int = 4096,
     extrema; those are located by a grid scan refined by golden-section
     search.  The enlarged interval is recomputed independently from the
     raw grid including the diagonal values g(t, t) and reported separately.
+
+    pairing_values summarizes the pairings of the first 40 non-continuum
+    tori with max(p, q) <= max_pq_witness (continuum representatives when
+    there are none) over their geometrically distinct pairs: D1F and D2F
+    are evaluated once at every torus, and each pair takes the closed form
+    of pairing_orbit_orbit from those arrays.
     """
     if grid_n < 8:
         raise ValidationError("grid_n must be at least 8")
@@ -253,15 +305,20 @@ def systolic_interval(profile: ToricProfile, grid_n: int = 4096,
             ("lo", "d1", th_m1, m1), ("lo", "d2", th_m2, m2),
             ("hi", "d1", th_M1, M1), ("hi", "d2", th_M2, M2)))
 
+    # the torus with the smaller t takes the D1F slot (pairing_orbit_orbit)
     pairing_values = {}
-    reps = [T for T in tori if not T.continuum] or list(tori)
-    reps = reps[:40]
-    vals = [pairing_orbit_orbit(profile, reps[i], reps[j])
-            for i in range(len(reps)) for j in range(i + 1, len(reps))
-            if abs(reps[i].t - reps[j].t) > 1e-9 * max(1.0, two_a)]
-    if vals:
-        pairing_values = {"count": len(vals), "min": float(min(vals)),
-                          "max": float(max(vals))}
+    reps = ([T for T in tori if not T.continuum] or list(tori))[:40]
+    ts = np.array([T.t for T in reps])
+    i, j = np.triu_indices(len(reps), 1)
+    distinct = np.abs(ts[i] - ts[j]) > 1e-9 * max(1.0, two_a)
+    i, j = i[distinct], j[distinct]
+    if len(i):
+        _, _, d1, d2 = profile.boundary_arrays(ts)
+        low = np.where(ts[i] < ts[j], i, j)
+        high = np.where(ts[i] < ts[j], j, i)
+        vals = 2.0 * profile.quadrant_area() * d1[low] * d2[high]
+        pairing_values = {"count": len(vals), "min": float(vals.min()),
+                          "max": float(vals.max())}
 
     return SystolicReport(
         volume=contact_volume(profile),
@@ -312,11 +369,11 @@ def _superlevel_fraction(profile: ToricProfile, values_of_theta, level: float,
     """
     theta = np.linspace(0.0, HALF_PI, grid_n)
     f = np.asarray(values_of_theta(theta), float) - level
-    roots = []
-    sign_change = np.nonzero(f[:-1] * f[1:] < 0)[0]
-    for i in sign_change:
-        g = lambda th: float(values_of_theta(th) - level)
-        roots.append(brentq(g, theta[i], theta[i + 1], xtol=1e-15, rtol=1e-15))
+    nodes, cells = scan_roots(f)
+    crossings = bracketed_roots(lambda th: values_of_theta(th) - level,
+                                theta[cells], theta[cells + 1],
+                                f[cells], f[cells + 1])
+    roots = np.concatenate([theta[nodes], crossings]).tolist()
     edges = [0.0] + sorted(roots) + [HALF_PI]
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):

@@ -129,6 +129,17 @@ class TestPeriodicPoints:
         assert len(two) == 1
         assert two[0].mean_action == pytest.approx(7 * PI / 16, abs=1e-12)
 
+    def test_quadratic_well_roots_on_scan_nodes_listed_once(self):
+        # the period-5 circles |z|^2 = 0.2, 0.4, 0.6, 0.8 fall on nodes of
+        # the 256-point scan grid, where the resonance equation is exactly 0
+        H = quadratic_well()
+        five = [p for p in periodic_points(H, 5) if p.k == 5]
+        for s in (0.2, 0.4, 0.6, 0.8):
+            on = [p for p in five if abs(p.s - s) < 1e-12]
+            assert len(on) == 1
+            assert on[0].mean_action == pytest.approx(
+                float(radial_action_exact(H, s)), abs=1e-12)
+
     def test_mean_action_period_invariant(self):
         # the s = 3/4 circle seen at period 2 and period 4 (resonance doubled)
         H = quadratic_well()

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from reebsys.errors import NumericalError, ValidationError
-from reebsys.numerics import (Numerics, adaptive_gauss, fixed_gauss,
-                              panel_gauss_many, refine_extremum, wrap_angle,
-                              wrap_to_pi)
+from reebsys.numerics import (Numerics, adaptive_gauss, bracketed_roots,
+                              fixed_gauss, panel_gauss_many, refine_extremum,
+                              scan_roots, wrap_angle, wrap_to_pi)
 
 
 def test_adaptive_gauss_known_integrals():
@@ -52,6 +52,55 @@ def test_refine_extremum_flat_returns_grid_value():
     xs = np.linspace(0.0, 1.0, 11)
     fs = np.ones(11)
     assert refine_extremum(lambda x: 1.0, xs, fs, "min") == (0.0, 1.0)
+
+
+def test_bracketed_roots_many_brackets_in_one_call():
+    k = np.arange(1, 51)
+    a, b = k * math.pi - 0.5, k * math.pi + 0.3
+    roots = bracketed_roots(lambda x: np.sin(x), a, b, np.sin(a), np.sin(b))
+    assert np.max(np.abs(roots - k * math.pi) / (k * math.pi)) < 4e-15
+    # per-bracket parameters reach f restricted to the live brackets
+    c = np.linspace(1.0, 100.0, 37)
+    cube = bracketed_roots(lambda x, c: x ** 3 - c, np.zeros_like(c),
+                           np.full_like(c, 5.0), -c, 125.0 - c, args=(c,))
+    assert np.max(np.abs(cube - np.cbrt(c)) / np.cbrt(c)) < 4e-15
+
+
+def test_bracketed_roots_never_slower_than_bisection_plus_one():
+    # a root of high multiplicity defeats interpolation; the projection
+    # step still bounds the evaluations by the bisection count plus one
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return (x - 0.3) ** 9
+
+    roots = bracketed_roots(f, [-1.0], [2.0], [(-1.3) ** 9], [1.7 ** 9])
+    eps = 0.5 * (1e-15 + 2e-15)
+    assert len(calls) <= math.ceil(math.log2(3.0 / (2 * eps))) + 1
+    assert abs(roots[0] - 0.3) <= 2 * eps
+
+
+def test_bracketed_roots_ends_and_sign_checks():
+    f = lambda x: x - 0.5
+    assert bracketed_roots(f, [0.5, 0.0], [1.0, 0.5], [0.0, -0.5],
+                           [0.5, 0.0]).tolist() == [0.5, 0.5]
+    assert bracketed_roots(f, [], [], [], []).size == 0
+    with pytest.raises(ValueError, match="change sign"):
+        bracketed_roots(f, [0.6], [1.0], [0.1], [0.5])
+
+
+def test_scan_roots_counts_node_zeros_once():
+    xs = np.linspace(0.0, 1.0, 9)
+    nodes, cells = scan_roots((xs - 0.25) * (xs - 0.6))
+    assert nodes.tolist() == [2]          # x = 0.25 is a grid node
+    assert cells.tolist() == [4]          # 0.6 lies inside (0.5, 0.625)
+    nodes, cells = scan_roots(np.cos(xs))
+    assert nodes.size == 0 and cells.size == 0
+    assert scan_roots(xs)[0].tolist() == [0]
+    # a function vanishing on a stretch has no isolated roots there
+    nodes, cells = scan_roots(np.maximum(xs - 0.5, 0.0))
+    assert nodes.size == 0 and cells.size == 0
 
 
 def test_wrap_helpers():

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -5,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from conftest import star_profiles
 from reebsys.errors import ValidationError
-from reebsys.profiles import EllipsoidProfile, perturbed_ellipsoid_profile
+from reebsys.profiles import (HALF_PI, EllipsoidProfile,
+                              perturbed_ellipsoid_profile)
 from reebsys.systolic import (RationalTorus, axis_orbit, average_identity_residual,
                               contact_volume, enumerate_tori,
                               pairing_from_definition, pairing_orbit_orbit,
@@ -83,7 +86,51 @@ class TestPairing:
                 assert lhs == pytest.approx(rhs, rel=1e-8)
 
 
+def reference_tori(profile, max_pq, grid_n=4096, continuum_samples=65):
+    """The per-class enumeration: for every coprime class, a sign-change
+    scan of q*D1F - p*D2F on the grid and one scalar brentq per root."""
+    theta = np.linspace(0.0, HALF_PI, grid_n)
+    d1g, d2g = profile.gradient_theta(theta)
+    scale = float(np.max(np.abs(d1g)) + np.max(np.abs(d2g)))
+    tori = []
+    for p in range(1, max_pq + 1):
+        for q in range(1, max_pq + 1):
+            if math.gcd(p, q) != 1:
+                continue
+            h = q * d1g - p * d2g
+            if np.max(np.abs(h)) <= 1e-12 * (p + q) * scale:
+                ts = np.linspace(0.0, profile.two_area,
+                                 continuum_samples + 2)[1:-1]
+                period = math.pi * p / float(d1g[0])
+                tori.extend(RationalTorus(p, q, float(t), period, True)
+                            for t in ts)
+                continue
+            for i in np.nonzero(h[:-1] * h[1:] < 0)[0]:
+                f = lambda th: float(q * profile.gradient_theta(th)[0]
+                                     - p * profile.gradient_theta(th)[1])
+                root = brentq(f, theta[i], theta[i + 1], xtol=1e-15, rtol=1e-15)
+                period = math.pi * p / float(profile.gradient_theta(root)[0])
+                tori.append(RationalTorus(p, q, float(profile.t_of_theta(root)),
+                                          period, False))
+    tori.sort(key=lambda T: (max(T.p, T.q), T.p, T.t))
+    return tori
+
+
 class TestEnumerate:
+    @pytest.mark.parametrize("max_pq", [12, 64])
+    def test_one_pass_matches_per_class_scan(self, profile_matrix, max_pq):
+        # t is compared relative to the parameter range 2A: roots of h are
+        # fixed only to its rounding level, ~1e-15 in theta where the
+        # gradient angle turns slowly, which is 2e-13 of a t near 0.03
+        bumpy = perturbed_ellipsoid_profile(1.0, 1.0, (0.06, -0.05), n=256)
+        for p in profile_matrix + [bumpy]:
+            got, ref = enumerate_tori(p, max_pq), reference_tori(p, max_pq)
+            assert [(T.p, T.q, T.continuum) for T in got] == \
+                [(T.p, T.q, T.continuum) for T in ref]
+            for T, R in zip(got, ref):
+                assert abs(T.t - R.t) <= 1e-13 * p.two_area
+                assert T.period == pytest.approx(R.period, rel=1e-13)
+
     def test_rational_ellipsoid_single_continuum_class(self, e12):
         tori = enumerate_tori(e12, 3)
         assert tori and all((t.p, t.q) == (2, 1) for t in tori)
@@ -193,6 +240,23 @@ class TestInterval:
             gaps.append(abs(pairing_orbit_orbit(round_p, near, far) - diag))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 1e-3
+
+    def test_pairing_values_match_scalar_pairings(self, profile_matrix):
+        for p in profile_matrix:
+            rep = systolic_interval(p, grid_n=1024)
+            reps = ([T for T in rep.tori if not T.continuum]
+                    or list(rep.tori))[:40]
+            vals = [pairing_orbit_orbit(p, a, b)
+                    for a, b in itertools.combinations(reps, 2)
+                    if abs(a.t - b.t) > 1e-9 * max(1.0, p.two_area)]
+            if not vals:
+                assert rep.pairing_values == {}
+                continue
+            assert rep.pairing_values["count"] == len(vals)
+            assert rep.pairing_values["min"] == pytest.approx(min(vals),
+                                                              rel=1e-13)
+            assert rep.pairing_values["max"] == pytest.approx(max(vals),
+                                                              rel=1e-13)
 
     def test_witnesses_cover_extrema(self, round_p):
         rep = systolic_interval(round_p, grid_n=2048)
