@@ -4,8 +4,10 @@ Subcommands mirror the library: toric-analyze, systole,
 verify-action-linking, equidistribute, diskmap-calabi, diskmap-dictionary,
 linking.  Each reads a JSON input file, writes a schema-validated JSON
 report (plus CSV dumps) into the output directory, and prints a one-line
-summary.  Exit codes: 0 success, 2 validation error, 3 numerical error,
-4 statistical inconsistency.  Diagnostics go to stderr.
+summary.  ``COMMANDS`` names the handler of each subcommand and the flags
+it reads; a flag a subcommand does not read is rejected.  Exit codes: 0
+success, 2 validation error (bad flags included), 3 numerical error, 4
+statistical inconsistency.  Diagnostics go to stderr.
 """
 from __future__ import annotations
 
@@ -14,7 +16,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,36 +28,7 @@ from .errors import (NumericalError, ReebsysError, StatisticalError,
                      ValidationError)
 from .profiles import profile_from_json
 
-COMMANDS = ("toric-analyze", "systole", "verify-action-linking",
-            "equidistribute", "diskmap-calabi", "diskmap-dictionary",
-            "linking")
-
 THREADS_ENV = "REEBSYS_THREADS"
-
-
-@dataclass
-class RunConfig:
-    command: str
-    input: str
-    output: str
-    seed: int = 0
-    samples: int = 100000
-    horizon: float = 1000.0
-    epsilon: float = 0.1
-    grid: int = 4096
-    max_pq: int = 12
-    n_tori: int = 64
-    quiet: bool = False
-    surface: str = "y"
-    orientation: int = 1
-    z_threshold: float = 4.0
-    return_tol: float = 0.1
-    suspension_c: float | None = None
-    k_max: int = 3
-    plot_grid: int = 128
-    dump_samples: bool = False
-    export_curves: bool = False
-    threads: int = 1
 
 
 def default_threads() -> int:
@@ -70,57 +42,58 @@ def default_threads() -> int:
     return n
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="reebsys",
-        description="systolic invariants and flow statistics of toric "
-                    "domain boundaries and disk-map suspensions")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--input", required=True, help="input JSON path")
-        p.add_argument("--output", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
-        p.add_argument("--samples", type=int, default=100000)
-        p.add_argument("--horizon", type=float, default=1000.0)
-        p.add_argument("--epsilon", type=float, default=0.1)
-        p.add_argument("--grid", type=int, default=None,
-                       help="grid/quadrature resolution (command-specific default)")
-        p.add_argument("--max-pq", type=int, default=12)
-        p.add_argument("--n-tori", type=int, default=64)
-        p.add_argument("--quiet", action="store_true")
-        p.add_argument("--surface", choices=("y", "x"), default="y",
-                       help="axis disk: bounded by the orbit over the y or x intercept")
-        p.add_argument("--orientation", type=int, choices=(1, -1), default=1)
-        p.add_argument("--z-threshold", type=float, default=4.0)
-        p.add_argument("--return-tol", type=float, default=0.1)
-        p.add_argument("--suspension-c", type=float, default=None)
-        p.add_argument("--k-max", type=int, default=3)
-        p.add_argument("--plot-grid", type=int, default=128)
-        p.add_argument("--dump-samples", action="store_true")
-        p.add_argument("--export-curves", action="store_true")
-        p.add_argument("--threads", type=int, default=None,
-                       help=f"worker threads (default from ${THREADS_ENV})")
-    return parser
+# ---------------------------------------------------------------------------
+# flags: each argparse spec and its validator are declared once
 
 
-def config_from_args(args) -> RunConfig:
-    grid_default = {"toric-analyze": 4096, "systole": 4096,
-                    "verify-action-linking": 4096, "equidistribute": 4096,
-                    "diskmap-calabi": 64, "diskmap-dictionary": 64,
-                    "linking": 2048}[args.command]
-    return RunConfig(
-        command=args.command, input=args.input, output=args.output,
-        seed=args.seed, samples=args.samples, horizon=args.horizon,
-        epsilon=args.epsilon,
-        grid=args.grid if args.grid is not None else grid_default,
-        max_pq=args.max_pq, n_tori=args.n_tori, quiet=args.quiet,
-        surface=args.surface, orientation=args.orientation,
-        z_threshold=args.z_threshold, return_tol=args.return_tol,
-        suspension_c=args.suspension_c, k_max=args.k_max,
-        plot_grid=args.plot_grid, dump_samples=args.dump_samples,
-        export_curves=args.export_curves,
-        threads=args.threads if args.threads is not None else default_threads())
+def _checked(convert, ok, bound: str):
+    """An argparse type that converts a flag value and checks its range."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+    return parse
+
+
+SEED = _checked(int, lambda v: 0 <= v < 2 ** 64, "in [0, 2^64)")
+COUNT = _checked(int, lambda v: v >= 1, ">= 1")
+POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0,
+                    "finite and > 0")
+NONNEGATIVE = _checked(float, lambda v: math.isfinite(v) and v >= 0,
+                       "finite and >= 0")
+OPEN_UNIT = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
+
+FLAGS = {
+    "input": dict(required=True, help="input JSON path"),
+    "output": dict(required=True, help="output directory"),
+    "seed": dict(type=SEED, help="64-bit RNG seed"),
+    "quiet": dict(action="store_true", help="no summary line or warnings"),
+    "grid": dict(type=COUNT, help="grid/quadrature resolution"),
+    "max-pq": dict(type=COUNT, help="largest p, q of the rational tori"),
+    "plot-grid": dict(type=COUNT, help="points per axis of the plot CSVs"),
+    "samples": dict(type=COUNT, help="Monte Carlo samples"),
+    "horizon": dict(type=POSITIVE, help="flow time of each sample"),
+    "surface": dict(choices=("y", "x"), help="axis disk: bounded by the "
+                    "orbit over the y or x intercept"),
+    "orientation": dict(type=int, choices=(1, -1)),
+    "z-threshold": dict(type=NONNEGATIVE, help="largest |z| (else exit 4)"),
+    "return-tol": dict(type=POSITIVE, help="near-return tolerance"),
+    "threads": dict(type=COUNT, help=f"default from ${THREADS_ENV}"),
+    "dump-samples": dict(action="store_true", help="write samples.csv"),
+    "n-tori": dict(type=COUNT, help="tori in the orbit set"),
+    "k-max": dict(type=COUNT, help="largest period of the periodic points"),
+    "epsilon": dict(type=OPEN_UNIT, help="pairing slack"),
+    "suspension-c": dict(type=float, help="default from the map"),
+    "export-curves": dict(action="store_true", help="write curve_*.csv"),
+}
+
+# flags every command reads, with their defaults
+COMMON = {"input": None, "output": None, "seed": 0, "quiet": False}
 
 
 def load_input(path: str) -> dict:
@@ -135,9 +108,19 @@ def load_input(path: str) -> dict:
             f"{exc.msg}") from exc
 
 
-def meta(config: RunConfig) -> dict:
-    return {"report_version": rp.REPORT_VERSION, "command": config.command,
-            "seed": int(config.seed), "rng": fl.RNG_NAME}
+def meta(args) -> dict:
+    return {"report_version": rp.REPORT_VERSION, "command": args.command,
+            "seed": int(args.seed), "rng": fl.RNG_NAME}
+
+
+def finish(args, report: dict, summary: str):
+    """Validate the report, write it to the output directory and print the
+    summary line."""
+    rp.validate_report(args.command, report)
+    path = os.path.join(args.output, f"{args.command}.json")
+    rp.write_report(path, report)
+    if not args.quiet:
+        print(f"{args.command}: {summary} -> {path}")
 
 
 def _torus_dict(t: sy.RationalTorus) -> dict:
@@ -149,10 +132,10 @@ def _torus_dict(t: sy.RationalTorus) -> dict:
 # command handlers
 
 
-def run_toric_analyze(config: RunConfig):
-    profile = profile_from_json(load_input(config.input))
+def run_toric_analyze(args):
+    profile = profile_from_json(load_input(args.input))
     ic = profile.intercepts()
-    rng = fl.rng_for_seed(config.seed)
+    rng = fl.rng_for_seed(args.seed)
     ts = rng.uniform(0.0, profile.two_area, 500)
     x, y, d1, d2 = profile.boundary_arrays(ts)
     euler = float(np.max(np.abs(x * d1 + y * d2 - 1.0)))
@@ -168,7 +151,7 @@ def run_toric_analyze(config: RunConfig):
     area_rate = float(np.max(np.abs(x0 * ydot - y0 * xdot - 1.0)))
     consistency = abs(ic.a * ic.d1_at_a - 1.0) + abs(ic.b * ic.d2_at_b - 1.0)
 
-    report = {**meta(config), "profile": profile.to_json(),
+    report = {**meta(args), "profile": profile.to_json(),
               "a": ic.a, "b": ic.b,
               "area": profile.quadrant_area(),
               "volume": sy.contact_volume(profile),
@@ -177,18 +160,20 @@ def run_toric_analyze(config: RunConfig):
                          "area_rate_max_residual": area_rate,
                          "intercept_consistency": float(consistency)},
               "tori": [_torus_dict(t)
-                       for t in sy.enumerate_tori(profile, config.max_pq)]}
-    ts_plot = np.linspace(0.0, profile.two_area, config.plot_grid)
+                       for t in sy.enumerate_tori(profile, args.max_pq)]}
+    finish(args, report,
+           f"a={ic.a:.6g} b={ic.b:.6g} area={report['area']:.6g}")
+    ts_plot = np.linspace(0.0, profile.two_area, args.plot_grid)
     bx, by, bd1, bd2 = profile.boundary_arrays(ts_plot)
-    files = {"boundary.csv": ("boundary", list(zip(ts_plot, bx, by, bd1, bd2)))}
-    summary = f"a={ic.a:.6g} b={ic.b:.6g} area={report['area']:.6g}"
-    return report, files, summary
+    rp.write_csv(os.path.join(args.output, "boundary.csv"),
+                 ("t", "x", "y", "d1", "d2"),
+                 list(zip(ts_plot, bx, by, bd1, bd2)))
 
 
-def run_systole(config: RunConfig):
-    profile = profile_from_json(load_input(config.input))
-    rep = sy.systolic_interval(profile, grid_n=config.grid,
-                               max_pq_witness=config.max_pq)
+def run_systole(args):
+    profile = profile_from_json(load_input(args.input))
+    rep = sy.systolic_interval(profile, grid_n=args.grid,
+                               max_pq_witness=args.max_pq)
     witnesses = []
     for w in rep.witnesses:
         witnesses.append({"extremum": w.extremum, "slot": w.slot, "t": w.t,
@@ -196,7 +181,7 @@ def run_systole(config: RunConfig):
                           "p": w.torus.p if w.torus else None,
                           "q": w.torus.q if w.torus else None,
                           "period": w.torus.period if w.torus else None})
-    report = {**meta(config), "profile": profile.to_json(),
+    report = {**meta(args), "profile": profile.to_json(),
               "volume": rep.volume,
               "interval": list(rep.interval),
               "enlarged_interval": list(rep.enlarged_interval),
@@ -204,70 +189,81 @@ def run_systole(config: RunConfig):
               "grid_n": rep.grid_n, "witnesses": witnesses,
               "tori": [_torus_dict(t) for t in rep.tori],
               "pairing_values": rep.pairing_values or None}
-    files = {"plots": ("systole-plots", profile)}
-    summary = (f"interval=[{rep.interval[0]:.9g}, {rep.interval[1]:.9g}] "
-               f"norm={rep.norm:.3g} contains_one={rep.contains_one}")
-    return report, files, summary
+    finish(args, report,
+           f"interval=[{rep.interval[0]:.9g}, {rep.interval[1]:.9g}] "
+           f"norm={rep.norm:.3g} contains_one={rep.contains_one}")
+    for kind in ("systolic-grid", "pairing-profile"):
+        rp.emit_plot_data(args.output, kind, (profile, args.plot_grid),
+                          args.quiet)
 
 
-def run_verify_action_linking(config: RunConfig):
-    profile = profile_from_json(load_input(config.input))
-    surface = tp.axis_disk(profile, config.surface, orientation=config.orientation)
-    rep = tp.action_linking_verify(profile, surface, config.samples,
-                                   config.horizon, config.seed,
-                                   return_tol=config.return_tol,
-                                   threads=config.threads)
-    report = {**meta(config), "profile": profile.to_json(),
-              "surface": {"kind": surface.kind, "axis": config.surface,
+def run_verify_action_linking(args):
+    profile = profile_from_json(load_input(args.input))
+    surface = tp.axis_disk(profile, args.surface, orientation=args.orientation)
+    rep = tp.action_linking_verify(profile, surface, args.samples,
+                                   args.horizon, args.seed,
+                                   return_tol=args.return_tol,
+                                   threads=args.threads)
+    report = {**meta(args), "profile": profile.to_json(),
+              "surface": {"kind": surface.kind, "axis": args.surface,
                           "angle": surface.angle,
                           "orientation": surface.orientation},
               "lhs": rep.lhs, "rhs": rep.rhs, "stderr": rep.stderr,
               "z": rep.z, "n_samples": rep.n_samples, "horizon": rep.horizon,
-              "n_fallback": rep.n_fallback, "return_tol": config.return_tol,
-              "z_threshold": config.z_threshold}
-    files = {}
-    if config.dump_samples:
-        files["samples.csv"] = ("samples", profile)
-    summary = (f"lhs={rep.lhs:.9g} rhs={rep.rhs:.9g} z={rep.z:.3g} "
-               f"fallback={rep.n_fallback}")
-    return report, files, summary, rep
+              "n_fallback": rep.n_fallback, "return_tol": args.return_tol,
+              "z_threshold": args.z_threshold}
+    finish(args, report,
+           f"lhs={rep.lhs:.9g} rhs={rep.rhs:.9g} z={rep.z:.3g} "
+           f"fallback={rep.n_fallback}")
+    if args.dump_samples:
+        rp.write_samples_csv(os.path.join(args.output, "samples.csv"),
+                             fl.liouville_sample(profile, args.samples,
+                                                 args.seed))
+    # the report and samples stay written for inspection when this raises
+    tp.check_statistical(rep, args.z_threshold)
 
 
-def run_equidistribute(config: RunConfig):
-    profile = profile_from_json(load_input(config.input))
-    oset = fl.approximate_liouville_by_orbits(profile, config.n_tori,
-                                              config.max_pq)
+def run_equidistribute(args):
+    profile = profile_from_json(load_input(args.input))
+    oset = fl.approximate_liouville_by_orbits(profile, args.n_tori,
+                                              args.max_pq)
     orbits = [{**_torus_dict(t), "weight": w}
               for t, w in zip(oset.orbits, oset.weights)]
-    report = {**meta(config), "profile": profile.to_json(),
-              "n_tori": config.n_tori, "max_pq": config.max_pq,
+    report = {**meta(args), "profile": profile.to_json(),
+              "n_tori": args.n_tori, "max_pq": args.max_pq,
               "discrepancy": oset.discrepancy, "orbits": orbits,
               "per_function": [{"name": n, "weighted_average": v, "target": m}
                                for n, v, m in oset.per_function]}
-    summary = f"n_tori={config.n_tori} discrepancy={oset.discrepancy:.6g}"
-    return report, {}, summary
+    finish(args, report,
+           f"n_tori={args.n_tori} discrepancy={oset.discrepancy:.6g}")
 
 
-def run_diskmap_calabi(config: RunConfig):
-    H = dm.hamiltonian_from_json(load_input(config.input))
-    cal = dm.calabi(H, config.grid)
-    residual = dm.calabi_eta_residual(H, max(16, config.grid // 2))
-    report = {**meta(config), "hamiltonian": H.to_json(), "calabi": cal,
-              "eta_shift_residual": residual, "quad_n": config.grid,
+def _write_action_spectrum(args, H):
+    rp.emit_plot_data(args.output, "action-spectrum",
+                      (H, dm.periodic_points(H, args.k_max), args.plot_grid),
+                      args.quiet)
+
+
+def run_diskmap_calabi(args):
+    H = dm.hamiltonian_from_json(load_input(args.input))
+    cal = dm.calabi(H, args.grid)
+    residual = dm.calabi_eta_residual(H, max(16, args.grid // 2))
+    report = {**meta(args), "hamiltonian": H.to_json(), "calabi": cal,
+              "eta_shift_residual": residual, "quad_n": args.grid,
               "boundary_flags": H.boundary_flags()}
-    files = {"action_spectrum.csv": ("action-spectrum", H)}
-    return report, files, f"calabi={cal:.12g}"
+    finish(args, report, f"calabi={cal:.12g}")
+    _write_action_spectrum(args, H)
 
 
-def run_diskmap_dictionary(config: RunConfig):
-    H = dm.hamiltonian_from_json(load_input(config.input))
-    rep = dm.suspension_dictionary(H, c=config.suspension_c,
-                                   k_max=config.k_max,
-                                   epsilon=config.epsilon,
-                                   quad_n=config.grid)
-    chk = dm.mean_action_theorem_check(H, config.epsilon,
-                                       k_max=max(config.k_max, 4),
-                                       quad_n=config.grid)
+def run_diskmap_dictionary(args):
+    H = dm.hamiltonian_from_json(load_input(args.input))
+    rep = dm.suspension_dictionary(H, c=args.suspension_c,
+                                   k_max=args.k_max,
+                                   epsilon=args.epsilon,
+                                   quad_n=args.grid)
+    chk = dm.mean_action_theorem_check(H, args.epsilon,
+                                       k_max=max(args.k_max, 4),
+                                       quad_n=args.grid)
 
     def point_dict(P):
         if P is None:
@@ -282,7 +278,7 @@ def run_diskmap_dictionary(config: RunConfig):
              "page_crossings": r.page_crossings, "pairing": r.pairing,
              "pairing_ge": r.pairing_ge, "mean_action_le": r.mean_action_le,
              "equivalence_ok": r.equivalence_ok} for r in rep.rows]
-    report = {**meta(config), "hamiltonian": H.to_json(), "c": rep.c,
+    report = {**meta(args), "hamiltonian": H.to_json(), "c": rep.c,
               "epsilon": rep.epsilon, "calabi": rep.calabi,
               "volume": rep.volume,
               "volume_quadrature": rep.volume_quadrature,
@@ -296,10 +292,10 @@ def run_diskmap_dictionary(config: RunConfig):
                   "boundary_rotation": chk.boundary_rotation,
                   "hypothesis_cal_lt_half_rotation":
                       chk.hypothesis_cal_lt_half_rotation}}
-    files = {"action_spectrum.csv": ("action-spectrum", H)}
-    summary = (f"c={rep.c:.6g} calabi={rep.calabi:.9g} "
-               f"points={len(rows)} vol_resid={rep.volume_residual:.2e}")
-    return report, files, summary
+    finish(args, report,
+           f"c={rep.c:.6g} calabi={rep.calabi:.9g} "
+           f"points={len(rows)} vol_resid={rep.volume_residual:.2e}")
+    _write_action_spectrum(args, H)
 
 
 def _curve_from_spec(spec, label: str):
@@ -348,8 +344,8 @@ def _curve_from_spec(spec, label: str):
         f"'axis_orbit'; got {sorted(keys)}")
 
 
-def run_linking(config: RunConfig):
-    doc = load_input(config.input)
+def run_linking(args):
+    doc = load_input(args.input)
     if not isinstance(doc, dict) or set(doc) != {"curves"}:
         raise ValidationError("linking input must be {'curves': [spec, spec]}")
     specs = doc["curves"]
@@ -358,68 +354,58 @@ def run_linking(config: RunConfig):
     c1, desc1 = _curve_from_spec(specs[0], "curves[0]")
     c2, desc2 = _curve_from_spec(specs[1], "curves[1]")
     res = tp.linking_number(c1, c2)
-    report = {**meta(config), "link": res.link, "residual": res.residual,
+    report = {**meta(args), "link": res.link, "residual": res.residual,
               "raw": res.raw, "pole_index": res.pole_index,
               "subdivisions": res.subdivisions, "curves": [desc1, desc2]}
-    files = {}
-    if config.export_curves:
-        files["curves"] = ("curves", (c1, c2))
-    return report, files, f"link={res.link} residual={res.residual:.3g}"
+    finish(args, report, f"link={res.link} residual={res.residual:.3g}")
+    if args.export_curves:
+        for i, curve in enumerate((c1, c2), start=1):
+            rp.write_curve_csv(os.path.join(args.output, f"curve_{i}.csv"),
+                               curve.points)
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 
+# command -> (handler, {flag: default} of the flags it reads besides COMMON)
+COMMANDS = {
+    "toric-analyze": (run_toric_analyze, {"max-pq": 12, "plot-grid": 128}),
+    "systole": (run_systole,
+                {"grid": 4096, "max-pq": 12, "plot-grid": 128}),
+    "verify-action-linking": (run_verify_action_linking, {
+        "samples": 100000, "horizon": 1000.0, "surface": "y",
+        "orientation": 1, "z-threshold": 4.0, "return-tol": 0.1,
+        "threads": None, "dump-samples": False}),
+    "equidistribute": (run_equidistribute, {"n-tori": 64, "max-pq": 12}),
+    "diskmap-calabi": (run_diskmap_calabi,
+                       {"grid": 64, "k-max": 3, "plot-grid": 128}),
+    "diskmap-dictionary": (run_diskmap_dictionary, {
+        "grid": 64, "k-max": 3, "epsilon": 0.1, "suspension-c": None,
+        "plot-grid": 128}),
+    "linking": (run_linking, {"export-curves": False}),
+}
 
-def run(config: RunConfig) -> int:
-    os.makedirs(config.output, exist_ok=True)
-    handlers = {
-        "toric-analyze": run_toric_analyze,
-        "systole": run_systole,
-        "verify-action-linking": run_verify_action_linking,
-        "equidistribute": run_equidistribute,
-        "diskmap-calabi": run_diskmap_calabi,
-        "diskmap-dictionary": run_diskmap_dictionary,
-        "linking": run_linking,
-    }
-    out = handlers[config.command](config)
-    report, files, summary = out[0], out[1], out[2]
-    rp.validate_report(config.command, report)
-    report_path = os.path.join(config.output, f"{config.command}.json")
-    rp.write_report(report_path, report)
 
-    for name, payload in files.items():
-        kind = payload[0]
-        if kind == "boundary":
-            rp.write_csv(os.path.join(config.output, "boundary.csv"),
-                         ("t", "x", "y", "d1", "d2"), payload[1])
-        elif kind == "systole-plots":
-            profile = payload[1]
-            rp.emit_plot_data(config.output, "systolic-grid",
-                             (profile, config.plot_grid), config.quiet)
-            rp.emit_plot_data(config.output, "pairing-profile",
-                             (profile, config.plot_grid), config.quiet)
-        elif kind == "samples":
-            samples = fl.liouville_sample(payload[1], config.samples, config.seed)
-            rp.write_samples_csv(os.path.join(config.output, "samples.csv"),
-                                 samples)
-        elif kind == "action-spectrum":
-            H = payload[1]
-            pts = dm.periodic_points(H, max(config.k_max, 1))
-            rp.emit_plot_data(config.output, "action-spectrum",
-                             (H, pts, config.plot_grid), config.quiet)
-        elif kind == "curves":
-            curves = payload[1]
-            rp.write_curve_csv(os.path.join(config.output, "curve_1.csv"),
-                               curves[0].points)
-            rp.write_curve_csv(os.path.join(config.output, "curve_2.csv"),
-                               curves[1].points)
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="reebsys",
+        description="systolic invariants and flow statistics of toric "
+                    "domain boundaries and disk-map suspensions")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, flags) in COMMANDS.items():
+        p = sub.add_parser(name)
+        for flag, default in {**COMMON, **flags}.items():
+            p.add_argument(f"--{flag}", default=default, **FLAGS[flag])
+    return parser
 
-    if not config.quiet:
-        print(f"{config.command}: {summary} -> {report_path}")
 
-    if config.command == "verify-action-linking":
-        tp.check_statistical(out[3], config.z_threshold)
+def run(args) -> int:
+    # REEBSYS_THREADS is read, and so validated, for every command that
+    # is not given --threads
+    if getattr(args, "threads", None) is None:
+        args.threads = default_threads()
+    os.makedirs(args.output, exist_ok=True)
+    COMMANDS[args.command][0](args)
     return 0
 
 
@@ -427,7 +413,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return run(config_from_args(args))
+        return run(args)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2

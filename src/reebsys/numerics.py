@@ -38,6 +38,17 @@ class Numerics:
         unknown = set(obj) - known
         if unknown:
             raise ValidationError(f"unknown numerics keys: {sorted(unknown)}")
+        for key, value in obj.items():
+            if key == "table_panels":
+                ok, need = type(value) is int and value >= 1, "an integer >= 1"
+            else:
+                ok = ((type(value) is int and value > 0)
+                      or (type(value) is float and math.isfinite(value)
+                          and value > 0))
+                need = "a finite number > 0"
+            if not ok:
+                raise ValidationError(
+                    f"numerics.{key} must be {need}, got {value!r}")
         return Numerics(**obj)
 
     def to_json(self) -> dict:

@@ -130,10 +130,6 @@ class ToricProfile:
         return self._area
 
     @property
-    def area(self) -> float:
-        return self.quadrant_area()
-
-    @property
     def two_area(self) -> float:
         return 2.0 * self.quadrant_area()
 

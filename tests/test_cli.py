@@ -179,6 +179,48 @@ class TestExitCodes:
         assert run(["systole", "--input", inp, "--output", tmp_path / "o"]) == 2
 
 
+    @pytest.mark.parametrize("numerics", [{"quad_tol": "x"},
+                                          {"table_panels": 0}])
+    def test_bad_numerics_rejected(self, tmp_path, capsys, numerics):
+        inp = write_json(tmp_path / "p.json", {**ROUND, "numerics": numerics})
+        assert run(["toric-analyze", "--input", inp,
+                    "--output", tmp_path / "o"]) == 2
+        assert "numerics." in capsys.readouterr().err
+
+
+class TestFlagValidation:
+    @pytest.mark.parametrize("command, doc, flags", [
+        ("systole", E12, ["--seed", -1]),
+        ("systole", E12, ["--seed", 2 ** 64]),
+        ("diskmap-calabi", WELL, ["--grid", 0]),
+        ("verify-action-linking", ROUND, ["--threads", 0]),
+        ("verify-action-linking", ROUND, ["--horizon", -1]),
+        ("verify-action-linking", ROUND, ["--z-threshold", "nan"]),
+        ("diskmap-dictionary", WELL, ["--epsilon", 1.5]),
+        # a flag the command does not read
+        ("linking", ROUND, ["--samples", 5]),
+    ], ids=["seed-negative", "seed-2^64", "calabi-grid-0", "threads-0",
+            "horizon-negative", "z-threshold-nan", "epsilon-1.5",
+            "linking-samples"])
+    def test_rejected_with_exit_2(self, tmp_path, capsys, command, doc,
+                                  flags):
+        inp = write_json(tmp_path / "in.json", doc)
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--input", inp, "--output", tmp_path / "o"] + flags)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_largest_seed_accepted(self, tmp_path):
+        inp = write_json(tmp_path / "p.json", ROUND)
+        assert run(["toric-analyze", "--input", inp, "--output",
+                    tmp_path / "o", "--max-pq", 2, "--plot-grid", 4,
+                    "--seed", 2 ** 64 - 1, "--quiet"]) == 0
+        assert load_report(tmp_path / "o", "toric-analyze")["seed"] == \
+            2 ** 64 - 1
+
+
 class TestReproducibility:
     def test_identical_seeds_byte_identical(self, tmp_path):
         inp = write_json(tmp_path / "p.json", ROUND)

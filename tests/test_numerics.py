@@ -117,3 +117,17 @@ def test_numerics_json():
         Numerics.from_json({"bogus": 1})
     with pytest.raises(ValidationError):
         Numerics.from_json([1, 2])
+
+
+@pytest.mark.parametrize("doc", [
+    {"quad_tol": "x"}, {"quad_tol": 0.0}, {"quad_tol": float("inf")},
+    {"curvature_bound": -1.0}, {"curvature_bound": None},
+    {"table_panels": 0}, {"table_panels": True}, {"table_panels": 64.0}])
+def test_numerics_json_rejects_bad_values(doc):
+    with pytest.raises(ValidationError, match="numerics."):
+        Numerics.from_json(doc)
+
+
+def test_numerics_json_accepts_integral_tolerances():
+    n = Numerics.from_json({"curvature_bound": 100, "table_panels": 64})
+    assert (n.curvature_bound, n.table_panels) == (100, 64)
