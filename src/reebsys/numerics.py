@@ -21,10 +21,9 @@ from .errors import NumericalError, ValidationError
 
 @dataclass(frozen=True)
 class Numerics:
-    """Tolerances controlling quadrature, root finding and validation."""
+    """Tolerances controlling quadrature, the area table and validation."""
 
     quad_tol: float = 1e-10       # absolute tolerance for adaptive quadrature
-    root_tol: float = 1e-13      # parameter tolerance for bracketed root finding
     curvature_bound: float = 1e4  # max |r''(theta)| accepted for sampled boundaries
     table_panels: int = 2048      # panels in the cached cumulative-area table
 

@@ -111,7 +111,7 @@ def test_wrap_helpers():
 
 def test_numerics_json():
     n = Numerics.from_json({"quad_tol": 1e-8})
-    assert n.quad_tol == 1e-8 and n.root_tol == Numerics().root_tol
+    assert n.quad_tol == 1e-8 and n.table_panels == Numerics().table_panels
     assert Numerics.from_json(None) == Numerics()
     with pytest.raises(ValidationError):
         Numerics.from_json({"bogus": 1})
@@ -122,7 +122,8 @@ def test_numerics_json():
 @pytest.mark.parametrize("doc", [
     {"quad_tol": "x"}, {"quad_tol": 0.0}, {"quad_tol": float("inf")},
     {"curvature_bound": -1.0}, {"curvature_bound": None},
-    {"table_panels": 0}, {"table_panels": True}, {"table_panels": 64.0}])
+    {"table_panels": 0}, {"table_panels": True}, {"table_panels": 64.0},
+    {"root_tol": 1e-13}])
 def test_numerics_json_rejects_bad_values(doc):
     with pytest.raises(ValidationError, match="numerics."):
         Numerics.from_json(doc)
