@@ -16,6 +16,7 @@ import math
 import os
 import shutil
 import sys
+import tempfile
 
 import pytest
 
@@ -107,8 +108,6 @@ def test_golden(case, tmp_path):
 
 
 def record():
-    import tempfile
-
     shutil.rmtree(GOLDEN, ignore_errors=True)
     for case in CASES:
         with tempfile.TemporaryDirectory() as work:
