@@ -298,6 +298,26 @@ def run_diskmap_dictionary(args):
     _write_action_spectrum(args, H)
 
 
+def _spec_int(o: dict, key: str, label: str, default=None) -> int:
+    """An integer field of a curve spec; required when there is no default."""
+    if key not in o:
+        if default is None:
+            raise ValidationError(f"{label}: orbit field {key!r} is missing")
+        return default
+    value = o[key]
+    if type(value) is not int:
+        raise ValidationError(
+            f"{label}: orbit field {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _spec_samples(o: dict, label: str, default: int) -> int:
+    n = _spec_int(o, "samples", label, default)
+    if n < 1:
+        raise ValidationError(f"{label}: 'samples' must be >= 1, got {n}")
+    return n
+
+
 def _curve_from_spec(spec, label: str):
     if not isinstance(spec, dict):
         raise ValidationError(f"{label}: curve spec must be an object")
@@ -311,20 +331,20 @@ def _curve_from_spec(spec, label: str):
         unknown = set(o) - {"profile", "p", "q", "samples", "index", "phase2"}
         if unknown:
             raise ValidationError(f"{label}: unknown orbit keys {sorted(unknown)}")
-        profile = profile_from_json(o["profile"])
-        p, q = int(o["p"]), int(o["q"])
+        profile = profile_from_json(o.get("profile"))
+        p, q = _spec_int(o, "p", label), _spec_int(o, "q", label)
         if p < 1 or q < 1 or math.gcd(p, q) != 1:
             raise ValidationError(f"{label}: (p, q) must be coprime positives")
         matches = [t for t in sy.enumerate_tori(profile, max(p, q))
                    if (t.p, t.q) == (p, q)]
         if not matches:
             raise ValidationError(f"{label}: profile has no ({p}, {q}) torus")
-        index = int(o.get("index", 0))
+        index = _spec_int(o, "index", label, 0)
         if not 0 <= index < len(matches):
             raise ValidationError(f"{label}: torus index {index} out of range "
                                   f"({len(matches)} roots)")
         torus = matches[index]
-        n = int(o.get("samples", 1024))
+        n = _spec_samples(o, label, 1024)
         curve = tp.toric_orbit_curve(profile, torus, n,
                                      phase2=float(o.get("phase2", 0.0)))
         return curve, {"p": p, "q": q, "t": torus.t, "period": torus.period,
@@ -334,9 +354,9 @@ def _curve_from_spec(spec, label: str):
         unknown = set(o) - {"profile", "axis", "samples"}
         if unknown:
             raise ValidationError(f"{label}: unknown axis-orbit keys {sorted(unknown)}")
-        profile = profile_from_json(o["profile"])
+        profile = profile_from_json(o.get("profile"))
         orbit = sy.axis_orbit(profile, o.get("axis", "y"))
-        n = int(o.get("samples", 256))
+        n = _spec_samples(o, label, 256)
         curve = tp.toric_orbit_curve(profile, orbit, n)
         return curve, {"axis": orbit.axis, "period": orbit.period, "samples": n}
     raise ValidationError(

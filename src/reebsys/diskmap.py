@@ -156,6 +156,14 @@ def hamiltonian_from_json(obj):
                 and isinstance(h.get("coeffs"), list)):
             raise ValidationError(
                 "radial Hamiltonian needs h = {'type': 'poly', 'coeffs': [...]}")
+        try:
+            finite = all(type(c) in (int, float) and math.isfinite(c)
+                         for c in h["coeffs"])
+        except OverflowError:       # an integer beyond the float range
+            finite = False
+        if not finite:
+            raise ValidationError("radial Hamiltonian coefficients must be "
+                                  f"finite numbers, got {h['coeffs']!r}")
         return RadialHamiltonian(h["coeffs"])
     raise ValidationError(f"unsupported Hamiltonian kind: {kind!r}")
 

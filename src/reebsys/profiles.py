@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .numerics import Numerics, adaptive_gauss, panel_gauss_many
 
 HALF_PI = math.pi / 2.0
@@ -113,12 +113,14 @@ class ToricProfile:
         return r * r
 
     def _area_table(self):
+        """(theta_j, t_j, dtheta/dt at theta_j) on a uniform theta grid."""
         if self._table is None:
             n = self.numerics.table_panels
             theta = np.linspace(0.0, HALF_PI, n + 1)
             inc = panel_gauss_many(self._sector_rate, theta[:-1], theta[1:])
             t = np.concatenate([[0.0], np.cumsum(inc)])
-            self._table = (theta, t)
+            # t' = r^2 because the swept sector area grows at rate r^2/2
+            self._table = (theta, t, 1.0 / self._sector_rate(theta))
         return self._table
 
     def quadrant_area(self):
@@ -137,11 +139,7 @@ class ToricProfile:
         """Forward map theta -> t = twice the swept sector area."""
         theta = np.asarray(theta, float)
         scalar = theta.ndim == 0
-        theta = np.atleast_1d(np.clip(theta, 0.0, HALF_PI))
-        nodes, tnodes = self._area_table()
-        j = np.clip(np.searchsorted(nodes, theta, side="right") - 1,
-                    0, len(nodes) - 2)
-        t = tnodes[j] + panel_gauss_many(self._sector_rate, nodes[j], theta)
+        t = self._t_of_theta(np.atleast_1d(np.clip(theta, 0.0, HALF_PI)))
         return float(t[0]) if scalar else t
 
     def theta_of_t(self, t):
@@ -149,36 +147,61 @@ class ToricProfile:
         t = np.asarray(t, float)
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
-        nodes, tnodes = self._area_table()
-        t_max = tnodes[-1]
-        slack = 1e-9 * max(1.0, t_max)
-        if np.any(t < -slack) or np.any(t > self.two_area + slack):
+        two_area = self.two_area
+        slack = 1e-9 * max(1.0, two_area)
+        if np.any(t < -slack) or np.any(t > two_area + slack):
             raise ValidationError(
-                f"area parameter out of range [0, {self.two_area:.12g}]")
+                f"area parameter out of range [0, {two_area:.12g}]")
+        th = self._theta_of_t(t)
+        return float(th[0]) if scalar else th
+
+    def _t_of_theta(self, theta):
+        nodes, tnodes, _ = self._area_table()
+        j = np.clip(np.searchsorted(nodes, theta, side="right") - 1,
+                    0, len(nodes) - 2)
+        return tnodes[j] + panel_gauss_many(self._sector_rate, nodes[j], theta)
+
+    def _theta_of_t(self, t):
+        """Cubic Hermite start on the area table, Newton where it misses.
+
+        A lane is returned once t_j + (integral of r^2 from theta_j to
+        theta) is within 1e-14 * max(1, t_max) of t; the Newton steps run
+        on the lanes that still miss, kept inside their table panel.
+        """
+        nodes, tnodes, slope = self._area_table()
+        t_max = tnodes[-1]
         tc = np.clip(t, 0.0, t_max)
         j = np.clip(np.searchsorted(tnodes, tc, side="right") - 1,
                     0, len(tnodes) - 2)
-        lo = nodes[j].copy()
-        hi = nodes[j + 1].copy()
+        lo = nodes[j]
+        hi = nodes[j + 1]
         tlo = tnodes[j]
-        width = tnodes[j + 1] - tlo
-        frac = np.where(width > 0, (tc - tlo) / np.where(width > 0, width, 1.0), 0.0)
-        th = lo + (hi - lo) * frac
-        base = nodes[j]
+        h = tnodes[j + 1] - tlo
+        s = (tc - tlo) / h
+        m0 = h * slope[j]
+        d = hi - lo
+        c2 = 3.0 * d - 2.0 * m0 - h * slope[j + 1]
+        c3 = m0 + h * slope[j + 1] - 2.0 * d
+        th = np.clip(lo + s * (m0 + s * (c2 + s * c3)), lo, hi)
+        base = lo.copy()
         tol = 1e-14 * max(1.0, t_max)
-        done = np.zeros(t.shape, dtype=bool)
+        live = np.arange(t.shape[0])
         for _ in range(80):
-            f = tlo + panel_gauss_many(self._sector_rate, base, th) - tc
-            done = np.abs(f) <= tol
-            if done.all():
-                break
-            hi = np.where(~done & (f > 0), th, hi)
-            lo = np.where(~done & (f < 0), th, lo)
-            step = f / np.maximum(self._sector_rate(th), 1e-300)
-            cand = th - step
-            bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
-            th = np.where(done, th, np.where(bad, 0.5 * (lo + hi), cand))
-        return float(th[0]) if scalar else th
+            f = (tlo[live] + panel_gauss_many(self._sector_rate, base[live],
+                                              th[live]) - tc[live])
+            miss = np.abs(f) > tol
+            live, f = live[miss], f[miss]
+            if live.size == 0:
+                return th
+            x = th[live]
+            hi[live] = np.where(f > 0, x, hi[live])
+            lo[live] = np.where(f < 0, x, lo[live])
+            cand = x - f / np.maximum(self._sector_rate(x), 1e-300)
+            inside = np.isfinite(cand) & (cand > lo[live]) & (cand < hi[live])
+            th[live] = np.where(inside, cand, 0.5 * (lo[live] + hi[live]))
+        raise NumericalError(
+            f"theta_of_t left {live.size} lanes above the residual "
+            f"tolerance {tol:.3g}")
 
     def boundary_arrays(self, t):
         """(x, y, d1, d2) along C(t); accepts scalars or arrays."""
@@ -251,6 +274,18 @@ class EllipsoidProfile(ToricProfile):
     def quadrant_area(self):
         return 0.5 * self.a * self.b
 
+    def intercepts(self) -> Intercepts:
+        return Intercepts(self.a, self.b, 1.0 / self.a, 1.0 / self.b)
+
+    def _theta_of_t(self, t):
+        # C(t) = (a - t/b, t/a): the triangle from the origin over [(a, 0),
+        # C(t)] has area a*y/2 = t/2
+        t = np.clip(t, 0.0, self.two_area)
+        return np.arctan2(t / self.a, (self.two_area - t) / self.b)
+
+    def _t_of_theta(self, theta):
+        return self.a * self.boundary_radius(theta) * np.sin(theta)
+
     def scaled(self, s: float):
         return EllipsoidProfile(self.a * s, self.b * s, self.numerics)
 
@@ -320,6 +355,26 @@ class LpProfile(ToricProfile):
         d2 = (y / self.b) ** (self.p - 1.0) / self.b
         return d1, d2
 
+    # p = 2 is the ellipse (a cos u, b sin u), whose swept sector area is
+    # a*b*u/2, so t = a*b*u and 2A = pi*a*b/2 in closed form
+
+    def quadrant_area(self):
+        if self.p == 2.0:
+            return 0.25 * math.pi * self.a * self.b
+        return super().quadrant_area()
+
+    def _theta_of_t(self, t):
+        if self.p != 2.0:
+            return super()._theta_of_t(t)
+        u = np.clip(t / (self.a * self.b), 0.0, HALF_PI)
+        return np.arctan2(self.b * np.sin(u), self.a * np.cos(u))
+
+    def _t_of_theta(self, theta):
+        if self.p != 2.0:
+            return super()._t_of_theta(theta)
+        u = np.arctan2(self.a * np.sin(theta), self.b * np.cos(theta))
+        return self.a * self.b * u
+
     def scaled(self, s: float):
         return LpProfile(self.p, self.a * s, self.b * s, self.numerics)
 
@@ -350,6 +405,8 @@ class SplineProfile(ToricProfile):
         pts = np.asarray(points, float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 4:
             raise ValidationError("sampled profile needs at least 4 (x, y) points")
+        if not np.all(np.isfinite(pts)):
+            raise ValidationError("sampled boundary points must be finite")
         if np.any(pts < -1e-12):
             raise ValidationError("sampled boundary points must lie in the first quadrant")
         pts = np.clip(pts, 0.0, None)
@@ -436,12 +493,20 @@ def profile_from_json(obj) -> ToricProfile:
     if unknown:
         raise ValidationError(f"unknown profile keys: {sorted(unknown)}")
     numerics = Numerics.from_json(obj.get("numerics"))
+
+    def number(key, default=None):
+        value = float(obj[key] if default is None else obj.get(key, default))
+        if not math.isfinite(value):
+            raise ValidationError(
+                f"profile field {key!r} must be finite, got {obj[key]!r}")
+        return value
+
     try:
         if kind == "ellipsoid":
-            return EllipsoidProfile(float(obj["a"]), float(obj["b"]), numerics)
+            return EllipsoidProfile(number("a"), number("b"), numerics)
         if kind == "lp":
-            return LpProfile(float(obj["p"]), float(obj.get("a", 1.0)),
-                             float(obj.get("b", 1.0)), numerics)
+            return LpProfile(number("p"), number("a", 1.0), number("b", 1.0),
+                             numerics)
         return SplineProfile(obj["points"], numerics)
     except KeyError as exc:
         raise ValidationError(f"profile field missing: {exc}") from exc

@@ -37,6 +37,10 @@ from .systolic import AxisOrbit, RationalTorus, axis_orbit, contact_volume
 from .flows import RNG_NAME, FlowPoint, Trajectory, liouville_sample
 
 TWO_PI = 2.0 * math.pi
+# Samples per _batch_rates call in action_linking_verify.  It bounds the
+# (20, block) quadrature temporaries of theta_of_t whatever the sample
+# count, and blocks are the unit dealt to worker threads.
+RATE_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -153,7 +157,8 @@ def _best_convergents(alpha, q_cap):
     """Largest continued-fraction convergent denominators q <= q_cap.
 
     alpha and q_cap are arrays.  Returns (p, q, err) with err = |q*alpha - p|;
-    lanes with q_cap < 1 come back with q = 0 (no admissible return).
+    lanes with q_cap < 1 come back with q = 0 (no admissible return).  Each
+    step works only on the lanes whose expansion is still running.
     """
     alpha = np.asarray(alpha, float)
     q_cap = np.asarray(q_cap, float)
@@ -165,24 +170,26 @@ def _best_convergents(alpha, q_cap):
     feasible = q_cap >= 1.0
     best_p = np.where(feasible, p_cur, 0.0)
     best_q = np.where(feasible, 1.0, 0.0)
-    active = feasible & (x > 1e-15)
+    live = np.flatnonzero(feasible & (x > 1e-15))
     for _ in range(80):
-        if not active.any():
+        if live.size == 0:
             break
-        inv = np.where(active, 1.0 / np.where(active, x, 1.0), 0.0)
+        inv = 1.0 / x[live]
         a = np.floor(inv)
-        x_next = inv - a
-        p_next = a * p_cur + p_prev
-        q_next = a * q_cur + q_prev
-        ok = active & (q_next <= q_cap)
-        best_p = np.where(ok, p_next, best_p)
-        best_q = np.where(ok, q_next, best_q)
-        p_prev = np.where(ok, p_cur, p_prev)
-        q_prev = np.where(ok, q_cur, q_prev)
-        p_cur = np.where(ok, p_next, p_cur)
-        q_cur = np.where(ok, q_next, q_cur)
-        x = np.where(ok, x_next, x)
-        active = ok & (x > 1e-15)
+        p_next = a * p_cur[live] + p_prev[live]
+        q_next = a * q_cur[live] + q_prev[live]
+        ok = q_next <= q_cap[live]
+        live = live[ok]
+        p_next, q_next = p_next[ok], q_next[ok]
+        best_p[live] = p_next
+        best_q[live] = q_next
+        p_prev[live] = p_cur[live]
+        q_prev[live] = q_cur[live]
+        p_cur[live] = p_next
+        q_cur[live] = q_next
+        x_next = (inv - a)[ok]
+        x[live] = x_next
+        live = live[x_next > 1e-15]
     err = np.abs(best_q * alpha - best_p)
     return best_p, best_q, err
 
@@ -198,7 +205,7 @@ def _batch_rates(profile, samples, surface, horizon, return_tol,
     bounded by 2/horizon.
     """
     t = samples[:, 0]
-    _, _, d1, d2 = profile.boundary_arrays(t)
+    d1, d2 = profile.gradient_theta(profile.theta_of_t(t))
     w1 = 2.0 * np.asarray(d1, float)
     w2 = 2.0 * np.asarray(d2, float)
 
@@ -301,7 +308,8 @@ def action_linking_verify(profile: ToricProfile, surface: SeifertSurfaceSpec,
     crossing rate over Liouville draws; rhs is the surface's contact area.
     The report carries the standard error of lhs and z = |lhs - rhs| over
     it.  A constant-rate profile (ellipsoid) has zero variance, in which
-    case z is 0 when the identity holds to 1e-9 and infinity otherwise.
+    case z is 0 when the identity holds to 1e-9 relative to the contact
+    area and infinity otherwise.
 
     Samples with no admissible near-return (tori near the axes, where one
     angular rate nearly vanishes) use the horizon-closed loop; their count
@@ -310,34 +318,35 @@ def action_linking_verify(profile: ToricProfile, surface: SeifertSurfaceSpec,
     samples = liouville_sample(profile, n_samples, seed)
     vol = contact_volume(profile)
     profile.boundary_arrays(0.0)   # build the profile caches before fan-out
-    chunks = max(1, int(threads))
-    bounds = np.linspace(0, len(samples), chunks + 1, dtype=int)
+    rates = np.empty(n_samples)
 
-    def work(lo, hi):
-        return _batch_rates(profile, samples[lo:hi], surface, horizon,
-                            return_tol, allow_fallback=True)
+    def work(lo):
+        hi = min(lo + RATE_BLOCK, n_samples)
+        rates[lo:hi], _, fallback = _batch_rates(
+            profile, samples[lo:hi], surface, horizon, return_tol,
+            allow_fallback=True)
+        return int(fallback.sum())
 
-    if chunks == 1:
-        parts = [work(0, len(samples))]
+    starts = range(0, n_samples, RATE_BLOCK)
+    workers = min(max(1, int(threads)), len(starts))
+    if workers == 1:
+        n_fallback = sum(map(work, starts))
     else:
         from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=chunks) as pool:
-            parts = list(pool.map(lambda ab: work(*ab),
-                                  zip(bounds[:-1], bounds[1:])))
-    rates = np.concatenate([p[0] for p in parts])
-    n_fallback = int(sum(int(p[2].sum()) for p in parts))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            n_fallback = sum(pool.map(work, starts))
 
-    mean = math.fsum(rates) / n_samples
+    mean = math.fsum(rates.tolist()) / n_samples
     lhs = vol * mean
     rhs = surface.contact_area
     if n_samples > 1:
-        var = math.fsum((r - mean) ** 2 for r in rates) / (n_samples - 1)
+        var = math.fsum(((rates - mean) ** 2).tolist()) / (n_samples - 1)
     else:
         var = 0.0
     stderr = vol * math.sqrt(var / n_samples)
     diff = abs(lhs - rhs)
     if stderr == 0.0:
-        z = 0.0 if diff <= 1e-9 else math.inf
+        z = 0.0 if diff <= 1e-9 * abs(rhs) else math.inf
     else:
         z = diff / stderr
     return ActionLinkingReport(float(lhs), float(rhs), float(stderr), float(z),

@@ -179,6 +179,52 @@ class TestExitCodes:
         assert run(["systole", "--input", inp, "--output", tmp_path / "o"]) == 2
 
 
+    def test_skewed_ellipsoid_verifies(self, tmp_path):
+        inp = write_json(tmp_path / "p.json",
+                         {"kind": "ellipsoid", "a": 1e-4, "b": 1e4})
+        out = tmp_path / "out"
+        assert run(["verify-action-linking", "--input", inp, "--output", out,
+                    "--samples", 1000, "--quiet"]) == 0
+        rep = load_report(out, "verify-action-linking")
+        assert rep["z"] == 0 and rep["rhs"] == PI * 1e4
+
+    @pytest.mark.parametrize("command", ["diskmap-calabi",
+                                         "diskmap-dictionary"])
+    @pytest.mark.parametrize("coeffs", [["a"], [1.0, None], [1e400]],
+                             ids=["string", "null", "inf"])
+    def test_bad_radial_coefficients(self, tmp_path, capsys, command, coeffs):
+        inp = write_json(tmp_path / "h.json",
+                         {"kind": "radial",
+                          "h": {"type": "poly", "coeffs": coeffs}})
+        assert run([command, "--input", inp, "--output", tmp_path / "o"]) == 2
+        assert "coefficients" in capsys.readouterr().err
+
+    def test_non_finite_profile_number(self, tmp_path, capsys):
+        inp = write_json(tmp_path / "p.json",
+                         {"kind": "ellipsoid", "a": "inf", "b": 1.0})
+        assert run(["toric-analyze", "--input", inp,
+                    "--output", tmp_path / "o"]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("orbit, axis_orbit, message", [
+        ({"p": 2, "samples": 64}, {}, "'q' is missing"),
+        ({"q": 3}, {}, "'p' is missing"),
+        ({"p": 2, "q": "three"}, {}, "'q' must be an integer"),
+        ({"p": 2, "q": 3, "samples": 2.5}, {}, "'samples' must be an integer"),
+        ({"p": 2, "q": 3, "index": "0"}, {}, "'index' must be an integer"),
+        ({"p": 2, "q": 3, "samples": -5}, {}, "'samples' must be >= 1"),
+        ({"p": 2, "q": 3}, {"samples": True}, "'samples' must be an integer"),
+    ], ids=["no-q", "no-p", "q-string", "samples-float", "index-string",
+            "samples-negative", "axis-samples-bool"])
+    def test_bad_linking_orbit(self, tmp_path, capsys, orbit, axis_orbit,
+                               message):
+        spec = {"curves": [
+            {"orbit": {"profile": ROUND, **orbit}},
+            {"axis_orbit": {"profile": ROUND, "axis": "y", **axis_orbit}}]}
+        inp = write_json(tmp_path / "l.json", spec)
+        assert run(["linking", "--input", inp, "--output", tmp_path / "o"]) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("numerics", [{"quad_tol": "x"},
                                           {"table_panels": 0}])
     def test_bad_numerics_rejected(self, tmp_path, capsys, numerics):

@@ -9,7 +9,7 @@ from conftest import star_profiles
 from reebsys.errors import ValidationError
 from reebsys.numerics import Numerics
 from reebsys.profiles import (EllipsoidProfile, LpProfile, SplineProfile,
-                              profile_from_json)
+                              ToricProfile, profile_from_json, round_profile)
 
 HALF_PI = math.pi / 2
 
@@ -176,6 +176,43 @@ class TestSampledProfiles:
             SplineProfile(doubled)  # repeated polar angle
 
 
+def closed_form_profiles():
+    """Fresh profiles whose t <-> theta maps have closed forms."""
+    return [EllipsoidProfile(1.0, 1.0), EllipsoidProfile(1.0, 2.0),
+            EllipsoidProfile(0.7, 1.9), round_profile(),
+            LpProfile(2.0, 0.8, 1.3)]
+
+
+class TestInversion:
+    def test_round_trip(self, profile_matrix):
+        for p in profile_matrix + [LpProfile(2.0, 0.8, 1.3)]:
+            t = np.linspace(0.0, p.two_area, 4001)
+            back = p.t_of_theta(p.theta_of_t(t))
+            assert np.max(np.abs(back - t)) <= 1e-14 * max(1.0, p.two_area)
+
+    def test_closed_forms_match_quadrature_table(self):
+        theta = np.linspace(0.0, HALF_PI, 1001)
+        for p in closed_form_profiles():
+            t = np.linspace(0.0, p.two_area, 1001)
+            assert np.max(np.abs(p.theta_of_t(t)
+                                 - ToricProfile._theta_of_t(p, t))) <= 1e-13
+            assert np.max(np.abs(p.t_of_theta(theta)
+                                 - ToricProfile._t_of_theta(p, theta))) <= 1e-13
+            assert ToricProfile.quadrant_area(p) == pytest.approx(
+                p.quadrant_area(), rel=1e-13)
+
+    def test_lanes_independent_of_batch(self, profile_matrix):
+        rng = np.random.default_rng(5)
+        for p in profile_matrix + [LpProfile(2.0, 0.8, 1.3)]:
+            t = rng.uniform(0.0, p.two_area, 3000)
+            parts = [p.theta_of_t(t[i:i + 700]) for i in range(0, len(t), 700)]
+            assert np.array_equal(p.theta_of_t(t), np.concatenate(parts))
+
+    def test_skewed_ellipsoid_intercepts_exact(self):
+        ic = EllipsoidProfile(1e-4, 1e4).intercepts()
+        assert (ic.a, ic.b) == (1e-4, 1e4)
+
+
 class TestJson:
     def test_roundtrip(self, profile_matrix):
         for p in profile_matrix:
@@ -196,6 +233,17 @@ class TestJson:
             profile_from_json({"kind": "lp", "p": 0.5})
         with pytest.raises(ValidationError):
             profile_from_json(["not", "an", "object"])
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "ellipsoid", "a": "inf", "b": 1.0},
+        {"kind": "lp", "p": 1e400},
+        {"kind": "lp", "p": 2.0, "b": "-inf"},
+        {"kind": "sampled",
+         "points": [[1.0, 0.0], [0.7, 0.7], ["inf", 1.0], [0.0, 1.0]]},
+    ], ids=["ellipsoid-a", "lp-p", "lp-b", "sampled-point"])
+    def test_non_finite_rejected(self, doc):
+        with pytest.raises(ValidationError, match="finite"):
+            profile_from_json(doc)
 
     def test_numerics_overrides(self):
         p = profile_from_json({"kind": "ellipsoid", "a": 1.0, "b": 1.0,

@@ -10,12 +10,60 @@ from reebsys.errors import (ResolutionError, StatisticalError,
 from reebsys.flows import FlowPoint, make_trajectory
 from reebsys.systolic import (axis_orbit, contact_volume, enumerate_tori,
                               pairing_orbit_orbit)
-from reebsys.topology import (ClosedCurve, action_linking_verify,
-                              asymptotic_rate, axis_disk, check_statistical,
-                              crossing_count, linking_number, page_surface,
+from reebsys.profiles import EllipsoidProfile
+from reebsys.topology import (RATE_BLOCK, ClosedCurve, _best_convergents,
+                              action_linking_verify, asymptotic_rate,
+                              axis_disk, check_statistical, crossing_count,
+                              linking_number, page_surface,
                               signed_sweep_count, toric_orbit_curve)
 
 PI = math.pi
+
+
+def dense_best_convergents(alpha, q_cap):
+    """Reference: every lane runs every step, masked by np.where."""
+    n = alpha.shape[0]
+    a0 = np.floor(alpha)
+    p_prev, q_prev = np.ones(n), np.zeros(n)
+    p_cur, q_cur = a0.copy(), np.ones(n)
+    x = alpha - a0
+    feasible = q_cap >= 1.0
+    best_p = np.where(feasible, p_cur, 0.0)
+    best_q = np.where(feasible, 1.0, 0.0)
+    active = feasible & (x > 1e-15)
+    for _ in range(80):
+        if not active.any():
+            break
+        inv = np.where(active, 1.0 / np.where(active, x, 1.0), 0.0)
+        a = np.floor(inv)
+        x_next = inv - a
+        p_next = a * p_cur + p_prev
+        q_next = a * q_cur + q_prev
+        ok = active & (q_next <= q_cap)
+        best_p = np.where(ok, p_next, best_p)
+        best_q = np.where(ok, q_next, best_q)
+        p_prev = np.where(ok, p_cur, p_prev)
+        q_prev = np.where(ok, q_cur, q_prev)
+        p_cur = np.where(ok, p_next, p_cur)
+        q_cur = np.where(ok, q_next, q_cur)
+        x = np.where(ok, x_next, x)
+        active = ok & (x > 1e-15)
+    err = np.abs(best_q * alpha - best_p)
+    return best_p, best_q, err
+
+
+def test_best_convergents_match_dense_loop():
+    rng = np.random.default_rng(17)
+    n = 100_000
+    alpha = rng.uniform(0.0, 4.0, n)
+    # rational ratios end their expansion early; q_cap < 1 is infeasible
+    alpha[:5000] = rng.integers(1, 60, 5000) / rng.integers(1, 60, 5000)
+    q_cap = rng.uniform(0.0, 3000.0, n)
+    q_cap[5000:6000] = rng.uniform(0.0, 1.0, 1000)
+    got = _best_convergents(alpha, q_cap)
+    want = dense_best_convergents(alpha, q_cap)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
 
 
 class TestCrossings:
@@ -160,6 +208,22 @@ class TestActionLinkingVerify:
                                   **kw)
         assert (a.lhs, a.stderr) == (b.lhs, b.stderr)
         assert (a.lhs, a.stderr) == (c.lhs, c.stderr)
+
+    def test_blocks_thread_invariant(self, spline_p):
+        # n is not a multiple of the block size: the last block is short
+        surface = axis_disk(spline_p, "y")
+        reps = [action_linking_verify(spline_p, surface, 2 * RATE_BLOCK + 777,
+                                      300.0, 13, threads=k)
+                for k in (1, 2, 3)]
+        assert reps[0] == reps[1] == reps[2]
+
+    def test_skewed_ellipsoid_zero_variance(self):
+        # 1e-4 x 1e4: rhs = pi*b must not pick up cos(pi/2) rounding
+        e = EllipsoidProfile(1e-4, 1e4)
+        rep = action_linking_verify(e, axis_disk(e, "y"), n_samples=1000,
+                                    horizon=1000.0, seed=3)
+        assert rep.rhs == PI * 1e4
+        assert rep.stderr == 0.0 and rep.z == 0.0
 
     def test_pairing_definition_cross_check(self, round_p, spline_p):
         # crossings * vol / (T * T(disk)) against the closed-form pairing
