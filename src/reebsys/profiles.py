@@ -13,6 +13,16 @@ sector area grows at the constant rate 1/2.  Under it the curve solves
 x' = -D2F, y' = D1F and satisfies x y' - y x' = 1, which is what makes t
 the natural coordinate for the induced circle-invariant flow on the
 boundary 3-sphere.
+
+The maps t <-> theta are closed forms for the ellipsoid, C(t) =
+(a - t/b, t/a), and for lp with p = 2, whose level set is the ellipse
+(a cos u, b sin u) with t = a b u.  Other profiles use a cached table of
+t at uniform theta nodes: theta -> t adds one Gauss panel to the node
+below, and t -> theta starts from the cubic Hermite interpolant in t
+with the exact node slopes dtheta/dt = 1/r^2, then takes Newton steps
+only on the lanes whose panel residual still exceeds 1e-14 * max(1, 2A).
+Every lane it returns has passed that test, and each lane is computed
+independently of the others in its batch.
 """
 from __future__ import annotations
 

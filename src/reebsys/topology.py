@@ -16,7 +16,11 @@ contribution is included and bounded by one.
 
 The Liouville-averaged crossing rate with a surface, scaled by the contact
 volume, recovers the contact area of the surface; action_linking_verify
-checks this identity by seeded Monte Carlo and reports a z score.
+checks this identity by seeded Monte Carlo and reports a z score.  It
+computes the rates in blocks of RATE_BLOCK samples dealt to the worker
+threads, so the working memory beyond the samples and their rates is
+bounded by the block size, not the sample count; each rate depends on
+its own sample only, so the report is the same for any thread count.
 
 Linking numbers of closed curves on the 3-sphere are computed by
 stereographic projection followed by the exact solid-angle (Gauss) sum
