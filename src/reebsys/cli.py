@@ -318,6 +318,20 @@ def _spec_samples(o: dict, label: str, default: int) -> int:
     return n
 
 
+def _spec_phase(o: dict, label: str) -> float:
+    """The optional finite 'phase2' of an orbit spec (a bool is no number)."""
+    value = o.get("phase2", 0.0)
+    try:
+        ok = type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:           # an integer beyond the float range
+        ok = False
+    if not ok:
+        raise ValidationError(
+            f"{label}: orbit field 'phase2' must be a finite number, "
+            f"got {value!r}")
+    return float(value)
+
+
 def _curve_from_spec(spec, label: str):
     if not isinstance(spec, dict):
         raise ValidationError(f"{label}: curve spec must be an object")
@@ -333,6 +347,7 @@ def _curve_from_spec(spec, label: str):
             raise ValidationError(f"{label}: unknown orbit keys {sorted(unknown)}")
         profile = profile_from_json(o.get("profile"))
         p, q = _spec_int(o, "p", label), _spec_int(o, "q", label)
+        phase2 = _spec_phase(o, label)
         if p < 1 or q < 1 or math.gcd(p, q) != 1:
             raise ValidationError(f"{label}: (p, q) must be coprime positives")
         matches = [t for t in sy.enumerate_tori(profile, max(p, q))
@@ -346,7 +361,7 @@ def _curve_from_spec(spec, label: str):
         torus = matches[index]
         n = _spec_samples(o, label, 1024)
         curve = tp.toric_orbit_curve(profile, torus, n,
-                                     phase2=float(o.get("phase2", 0.0)))
+                                     phase2=phase2)
         return curve, {"p": p, "q": q, "t": torus.t, "period": torus.period,
                        "samples": n}
     if keys == {"axis_orbit"}:

@@ -163,27 +163,6 @@ class OrbitSet:
             raise ValidationError("orbit-set weights must sum to 1")
 
 
-def _constant_gradient_direction(profile, max_pq, grid_n=2048):
-    """For constant-gradient profiles, the commensurable direction if any.
-
-    Returns (p, q) or raises: a constant gradient with no rational
-    direction up to max_pq has no closed orbits off the axes, so no
-    orbit set can approximate the invariant measure.
-    """
-    theta = np.linspace(0.0, math.pi / 2, grid_n)
-    d1, d2 = profile.gradient_theta(theta)
-    scale = float(np.max(np.abs(d1)) + np.max(np.abs(d2)))
-    if (d1.max() - d1.min()) > 1e-12 * scale or (d2.max() - d2.min()) > 1e-12 * scale:
-        return None
-    for p in range(1, max_pq + 1):
-        for q in range(1, max_pq + 1):
-            if math.gcd(p, q) == 1 and abs(q * d1[0] - p * d2[0]) <= 1e-9 * scale:
-                return (p, q)
-    raise ValidationError(
-        "constant-gradient profile with no commensurable direction up to "
-        f"max_pq={max_pq}: interior tori carry no closed orbits")
-
-
 def approximate_liouville_by_orbits(profile: ToricProfile, n_tori: int,
                                     max_pq: int, weights=None,
                                     orbit_nodes: int = 1024) -> OrbitSet:
@@ -193,13 +172,18 @@ def approximate_liouville_by_orbits(profile: ToricProfile, n_tori: int,
     enumerated torus with the smallest max(p, q) is selected, ties broken
     toward the subinterval center.  Weights default to equal.  The
     discrepancy is the maximum over the fixed test-function family of
-    |weighted orbit average - invariant average|.
+    |weighted orbit average - invariant average|.  A profile with no
+    torus at all up to max_pq (for instance a constant gradient in an
+    irrational direction) is a ValidationError.
     """
     if n_tori < 1:
         raise ValidationError("n_tori must be at least 1")
-    _constant_gradient_direction(profile, max_pq)
     tori = enumerate_tori(profile, max_pq,
                           continuum_samples=max(129, 4 * n_tori + 1))
+    if not tori:
+        raise ValidationError(
+            f"no torus with max(p, q) <= max_pq={max_pq}: the gradient has "
+            "no commensurable direction there, so no closed orbits")
     edges = np.linspace(0.0, profile.two_area, n_tori + 1)
     chosen = []
     for k in range(n_tori):

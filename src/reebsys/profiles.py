@@ -23,6 +23,12 @@ with the exact node slopes dtheta/dt = 1/r^2, then takes Newton steps
 only on the lanes whose panel residual still exceeds 1e-14 * max(1, 2A).
 Every lane it returns has passed that test, and each lane is computed
 independently of the others in its batch.
+
+Sampled profiles interpolate r(theta) with an in-house PCHIP table
+(pchip_table): one row each of c0..c3 per knot interval, from which r,
+r' and r'' are evaluated.  Its end slopes follow the same one-sided rule
+as the reference PCHIP implementations, so it reproduces their values
+bit for bit; the test suite checks that against an external oracle.
 """
 from __future__ import annotations
 
@@ -30,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import NumericalError, ValidationError
 from .numerics import Numerics, adaptive_gauss, panel_gauss_many
@@ -398,14 +403,54 @@ def round_profile(numerics: Numerics | None = None) -> LpProfile:
     return LpProfile(2.0, 1.0, 1.0, numerics)
 
 
+def _end_slope(h0, h1, m0, m1):
+    """One-sided three-point slope at an end node, clamped to keep shape."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def pchip_table(x, y):
+    """Coefficients (c0, c1, c2, c3) of the monotone cubic Hermite (PCHIP)
+    interpolant through (x, y): on [x_j, x_j+1] it is
+    c0 + c1 s + c2 s^2 + c3 s^3 with s = x - x_j.
+
+    Interior node slopes are the weighted harmonic mean of the adjacent
+    secants (Fritsch & Carlson 1980, SIAM J. Numer. Anal. 17), and 0 where
+    the secants differ in sign or one of them is 0.  End slopes use the
+    one-sided three-point formula with the shape-preserving clamps of
+    Moler's pchiptx.  The operations and their order are those of the
+    reference PCHIP implementations, so the table equals their piecewise
+    polynomial coefficients bit for bit.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    w1 = 2.0 * h[1:] + h[:-1]
+    w2 = h[1:] + 2.0 * h[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        harmonic = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+    d = np.empty_like(y)
+    d[1:-1] = np.where(flat, 0.0, harmonic)
+    d[0] = _end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
+    tau = (d[:-1] + d[1:] - 2.0 * m) / h
+    return np.stack([y[:-1], d[:-1], (m - d[:-1]) / h - tau, tau / h])
+
+
 class SplineProfile(ToricProfile):
     """Boundary given by sampled points, interpolated by a monotone cubic
-    (PCHIP) spline of the polar radius in the polar angle.
+    (PCHIP, see pchip_table) spline of the polar radius in the polar angle.
 
     The samples must be star-shaped (strictly increasing polar angle),
     cover the whole quadrant from the positive x-axis to the positive
     y-axis, and be free of corner-like kinks: construction rejects data
     whose spline second derivative exceeds the configured curvature bound.
+    r, r' and r'' come from one in-house coefficient table over the sorted
+    polar angles, whose end slopes are the reference PCHIP's.
     """
 
     kind = "sampled"
@@ -434,23 +479,52 @@ class SplineProfile(ToricProfile):
                                   "[0, pi/2] including both axes")
         theta[0], theta[-1] = 0.0, HALF_PI
         self._points = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
-        self._spline = PchipInterpolator(theta, r, extrapolate=False)
-        self._spline_d1 = self._spline.derivative(1)
-        self._spline_d2 = self._spline.derivative(2)
-        dense = np.linspace(0.0, HALF_PI, 4096)
-        curv = np.abs(self._spline_d2(dense))
+        self._knots = theta
+        self._coef = pchip_table(theta, r)
+        # interval lookup: each cell of a uniform grid over [0, pi/2] holds
+        # the interval of the previous cell's left edge, a lower bound for
+        # every angle in the cell, from which _segments steps up knot by
+        # knot; cells at most half the closest knot spacing keep that short
+        cells = int(min(1 << 16, max(4 * theta.size,
+                                     2.0 * HALF_PI / np.diff(theta).min())))
+        self._cell_scale = cells / HALF_PI
+        self._cell_start = np.searchsorted(
+            theta[1:-1], (np.arange(cells) - 1) / self._cell_scale,
+            side="right")
+        self._next_knot = np.append(theta[1:-1], np.inf)
+        curv = np.abs(self._radius_deriv2(np.linspace(0.0, HALF_PI, 4096)))
         if np.nanmax(curv) > self.numerics.curvature_bound:
             raise ValidationError(
                 f"boundary curvature {np.nanmax(curv):.3g} exceeds bound "
                 f"{self.numerics.curvature_bound:.3g}; data looks cornered")
 
-    def boundary_radius(self, theta):
+    def _segments(self, theta):
+        """Offsets s from the knot below each angle and the interval
+        indices j; the last interval is closed on the right."""
         theta = np.clip(np.asarray(theta, float), 0.0, HALF_PI)
-        return self._spline(theta)
+        cell = np.fmin(theta * self._cell_scale, self._cell_start.size - 1)
+        j = self._cell_start[cell.astype(np.intp)]
+        while True:
+            up = theta >= self._next_knot[j]
+            if not up.any():
+                return theta - self._knots[j], j
+            j = j + up
+
+    def boundary_radius(self, theta):
+        s, j = self._segments(theta)
+        c0, c1, c2, c3 = self._coef
+        s2 = s * s
+        return c0[j] + c1[j] * s + c2[j] * s2 + c3[j] * (s2 * s)
 
     def boundary_radius_deriv(self, theta):
-        theta = np.clip(np.asarray(theta, float), 0.0, HALF_PI)
-        return self._spline_d1(theta)
+        s, j = self._segments(theta)
+        _, c1, c2, c3 = self._coef
+        return c1[j] + 2.0 * c2[j] * s + 3.0 * c3[j] * (s * s)
+
+    def _radius_deriv2(self, theta):
+        s, j = self._segments(theta)
+        _, _, c2, c3 = self._coef
+        return 2.0 * c2[j] + 6.0 * c3[j] * s
 
     def scaled(self, s: float):
         return SplineProfile(self._points * s, self.numerics)

@@ -18,9 +18,10 @@ The Liouville-averaged crossing rate with a surface, scaled by the contact
 volume, recovers the contact area of the surface; action_linking_verify
 checks this identity by seeded Monte Carlo and reports a z score.  It
 computes the rates in blocks of RATE_BLOCK samples dealt to the worker
-threads, so the working memory beyond the samples and their rates is
-bounded by the block size, not the sample count; each rate depends on
-its own sample only, so the report is the same for any thread count.
+threads, and sums the rates (math.fsum, exactly rounded) block by block,
+so the working memory beyond the samples and their rates is bounded by
+the block size, not the sample count; each rate depends on its own
+sample only, so the report is the same for any thread count.
 
 Linking numbers of closed curves on the 3-sphere are computed by
 stereographic projection followed by the exact solid-angle (Gauss) sum
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -340,11 +342,16 @@ def action_linking_verify(profile: ToricProfile, surface: SeifertSurfaceSpec,
         with ThreadPoolExecutor(max_workers=workers) as pool:
             n_fallback = sum(pool.map(work, starts))
 
-    mean = math.fsum(rates.tolist()) / n_samples
+    # fsum is exactly rounded, so feeding it block by block keeps lhs and
+    # stderr bit-identical while only one block's list is alive
+    mean = math.fsum(chain.from_iterable(
+        rates[lo:lo + RATE_BLOCK].tolist() for lo in starts)) / n_samples
     lhs = vol * mean
     rhs = surface.contact_area
     if n_samples > 1:
-        var = math.fsum(((rates - mean) ** 2).tolist()) / (n_samples - 1)
+        var = math.fsum(chain.from_iterable(
+            ((rates[lo:lo + RATE_BLOCK] - mean) ** 2).tolist()
+            for lo in starts)) / (n_samples - 1)
     else:
         var = 0.0
     stderr = vol * math.sqrt(var / n_samples)

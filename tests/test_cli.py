@@ -1,10 +1,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import reebsys
 from reebsys.cli import main
 from reebsys.diskmap import GeneralHamiltonian
 from reebsys.reports import emit_plot_data, read_curve_csv, validate_report
@@ -225,6 +228,26 @@ class TestExitCodes:
         assert run(["linking", "--input", inp, "--output", tmp_path / "o"]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("phase2", ["x", None, True, 1e400, 10 ** 400],
+                             ids=["string", "null", "bool", "inf", "huge-int"])
+    def test_bad_linking_phase(self, tmp_path, capsys, phase2):
+        spec = {"curves": [
+            {"orbit": {"profile": ROUND, "p": 2, "q": 3, "phase2": phase2}},
+            {"axis_orbit": {"profile": ROUND, "axis": "y"}}]}
+        inp = write_json(tmp_path / "l.json", spec)
+        assert run(["linking", "--input", inp, "--output", tmp_path / "o"]) == 2
+        assert "'phase2' must be a finite number" in capsys.readouterr().err
+
+    def test_no_torus_up_to_max_pq_is_validation(self, tmp_path, capsys):
+        from reebsys.profiles import perturbed_ellipsoid_points
+        pts = perturbed_ellipsoid_points(1.0, 2.0, (0.01,), n=128)
+        inp = write_json(tmp_path / "p.json",
+                         {"kind": "sampled", "points": pts.tolist()})
+        assert run(["equidistribute", "--input", inp,
+                    "--output", tmp_path / "o", "--n-tori", 4,
+                    "--max-pq", 1]) == 2
+        assert "commensurable" in capsys.readouterr().err
+
     @pytest.mark.parametrize("numerics", [{"quad_tol": "x"},
                                           {"table_panels": 0}])
     def test_bad_numerics_rejected(self, tmp_path, capsys, numerics):
@@ -314,3 +337,16 @@ class TestPlotEmission:
         from reebsys.errors import ValidationError
         with pytest.raises(ValidationError):
             emit_plot_data(str(tmp_path), "nope", None)
+
+
+def test_cli_import_loads_no_scipy():
+    """The package runs on numpy and jsonschema alone; scipy is only a
+    test oracle."""
+    src = os.path.dirname(os.path.dirname(reebsys.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    code = ("import sys, reebsys.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -10,7 +10,7 @@ from reebsys.flows import (FlowPoint, OrbitSet, approximate_liouville_by_orbits,
                            flow, invariance_test_suite, liouville_sample,
                            liouville_total_mass, make_trajectory, orbit_average,
                            reeb_rates)
-from reebsys.profiles import EllipsoidProfile
+from reebsys.profiles import EllipsoidProfile, perturbed_ellipsoid_profile
 from reebsys.systolic import contact_volume, enumerate_tori
 
 TWO_PI = 2 * math.pi
@@ -157,6 +157,15 @@ class TestOrbitSets:
         with pytest.raises(ValidationError, match="commensurable"):
             approximate_liouville_by_orbits(
                 EllipsoidProfile(1.0, math.sqrt(2)), 8, 16)
+
+    def test_no_torus_up_to_max_pq_rejected(self):
+        # D1F > D2F everywhere on a slightly perturbed 1 x 2 ellipsoid, so
+        # no (1, 1)-torus exists: that is invalid input, not a coverage gap
+        profile = perturbed_ellipsoid_profile(1.0, 2.0, (0.01,), n=128)
+        assert enumerate_tori(profile, 1) == []
+        with pytest.raises(ValidationError, match="commensurable") as exc:
+            approximate_liouville_by_orbits(profile, 4, 1)
+        assert "max_pq=1" in str(exc.value)
 
     def test_coverage_error_names_interval(self, round_p):
         with pytest.raises(CoverageError, match="subinterval"):

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
-from conftest import star_profiles
+from conftest import SPLINE_ARGS, random_star_profile, star_profiles
 from reebsys.errors import ValidationError
 from reebsys.numerics import Numerics
 from reebsys.profiles import (EllipsoidProfile, LpProfile, SplineProfile,
-                              ToricProfile, profile_from_json, round_profile)
+                              ToricProfile, perturbed_ellipsoid_points,
+                              profile_from_json, round_profile)
 
 HALF_PI = math.pi / 2
 
@@ -174,6 +176,111 @@ class TestSampledProfiles:
         doubled = np.vstack([pts, pts[25]])
         with pytest.raises(ValidationError):
             SplineProfile(doubled)  # repeated polar angle
+
+
+def polar_knots(points):
+    """The sorted polar angles and radii SplineProfile interpolates."""
+    pts = np.clip(np.asarray(points, float), 0.0, None)
+    r = np.hypot(pts[:, 0], pts[:, 1])
+    theta = np.arctan2(pts[:, 1], pts[:, 0])
+    order = np.argsort(theta)
+    theta, r = theta[order], r[order]
+    theta[0], theta[-1] = 0.0, HALF_PI
+    return theta, r
+
+
+def polar_points(theta, r):
+    theta, r = np.asarray(theta), np.asarray(r)
+    return np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+
+
+# knots (theta, r) whose secants hit every slope branch of PCHIP: a tiny
+# first secant under a steep second one (start slope clamped to 0), a
+# sign change at the third knot, an exactly zero secant between mirrored
+# points (hypot is symmetric), and a shallow last secant after a steep
+# fall (end slope clamped to 3 times the last secant)
+BRANCH_THETA = [0.0, 0.2, 0.4, 0.7, HALF_PI - 0.7, 1.1, 1.3, HALF_PI]
+BRANCH_R = [1.0, 1.002, 1.2, 1.1, 1.1, 1.1865, 0.9865, 1.0]
+
+
+def branch_points(radii):
+    pts = polar_points(BRANCH_THETA, radii)
+    pts[4] = pts[3, ::-1]          # the mirror image of the 0.7 point
+    return pts
+
+
+class TestPchipOracle:
+    """r, r' and r'' of SplineProfile equal scipy's PchipInterpolator and
+    its derivatives bit for bit, on the knots and between them."""
+
+    def assert_matches_scipy(self, points):
+        sp = SplineProfile(points)
+        theta, r = polar_knots(points)
+        assert np.array_equal(sp._knots, theta)
+        ref = PchipInterpolator(theta, r, extrapolate=False)
+        assert np.array_equal(sp._coef, ref.c[::-1])
+        grid = np.concatenate([
+            np.linspace(0.0, HALF_PI, 2001), theta,
+            np.random.default_rng(3).uniform(0.0, HALF_PI, 1000)])
+        assert np.array_equal(sp.boundary_radius(grid), ref(grid))
+        assert np.array_equal(sp.boundary_radius_deriv(grid),
+                              ref.derivative(1)(grid))
+        assert np.array_equal(sp._radius_deriv2(grid), ref.derivative(2)(grid))
+        for th in (0.0, 0.5, HALF_PI):
+            assert sp.boundary_radius(th) == ref(th)
+            assert sp.boundary_radius_deriv(th) == ref.derivative(1)(th)
+        # angles outside the quadrant are clamped to it
+        assert np.array_equal(sp.boundary_radius([-1.0, 2.0]),
+                              ref([0.0, HALF_PI]))
+        assert np.isnan(sp.boundary_radius(np.nan))
+        return sp, theta, r, ref
+
+    def test_conftest_spline(self):
+        self.assert_matches_scipy(perturbed_ellipsoid_points(*SPLINE_ARGS))
+
+    def test_random_star_profiles(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(20):
+            points = random_star_profile(rng).to_json()["points"]
+            self.assert_matches_scipy(points)
+
+    def test_clustered_knots(self):
+        # 300 knots within 1e-4 rad: dozens per cell of the interval lookup
+        theta = np.concatenate([np.linspace(0.0, 1e-4, 300),
+                                np.linspace(0.05, HALF_PI, 12)])
+        self.assert_matches_scipy(polar_points(theta, 1.0 + 0.1 * np.sin(theta)))
+
+    @pytest.mark.parametrize("radii, zero_end", [(BRANCH_R, 0),
+                                                 (BRANCH_R[::-1], 1)],
+                             ids=["forward", "reversed"])
+    def test_every_slope_branch(self, radii, zero_end):
+        _, theta, r, ref = self.assert_matches_scipy(branch_points(radii))
+        h, m = np.diff(theta), np.diff(r) / np.diff(theta)
+        assert np.any(np.sign(m[1:]) * np.sign(m[:-1]) < 0)
+        assert np.count_nonzero(m == 0) == 1
+        # (slope, unclamped one-sided estimate, end secant, next secant)
+        ends = [(ref.derivative(1)(x), ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1),
+                 m0, m1)
+                for x, h0, h1, m0, m1 in [(0.0, h[0], h[1], m[0], m[1]),
+                                          (HALF_PI, h[-1], h[-2], m[-1], m[-2])]]
+        d, raw, m0, _ = ends[zero_end]
+        assert np.sign(raw) != np.sign(m0)
+        assert d == pytest.approx(0.0, abs=1e-12)
+        d, raw, m0, m1 = ends[1 - zero_end]
+        assert np.sign(m0) != np.sign(m1) and abs(raw) > 3 * abs(m0)
+        assert d == pytest.approx(3.0 * m0, rel=1e-12)
+
+    def test_curvature_rejection_message(self):
+        theta = np.linspace(0.0, HALF_PI, 400)
+        r = 1.0 / np.maximum(np.cos(theta), np.sin(theta))  # kink at pi/4
+        points = polar_points(theta, r)
+        ref = PchipInterpolator(*polar_knots(points), extrapolate=False)
+        curv = np.nanmax(np.abs(ref.derivative(2)(
+            np.linspace(0.0, HALF_PI, 4096))))
+        with pytest.raises(ValidationError) as exc:
+            SplineProfile(points, Numerics(curvature_bound=100.0))
+        assert str(exc.value) == (f"boundary curvature {curv:.3g} exceeds "
+                                  f"bound 100; data looks cornered")
 
 
 def closed_form_profiles():
