@@ -18,8 +18,8 @@ from .topology import (ClosedCurve, CrossingRecord, SeifertSurfaceSpec,
                        action_linking_verify, asymptotic_rate, axis_disk,
                        crossing_count, linking_number, page_surface,
                        toric_orbit_curve)
-from .diskmap import (GeneralHamiltonian, PeriodicPoint, RadialHamiltonian,
-                      action, calabi, flow_map, hamiltonian_from_json,
+from .diskmap import (PeriodicPoint, RadialHamiltonian, action, calabi,
+                      flow_map, hamiltonian_from_json,
                       mean_action_theorem_check, periodic_points,
                       suspension_dictionary)
 

@@ -67,12 +67,13 @@ POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0,
 NONNEGATIVE = _checked(float, lambda v: math.isfinite(v) and v >= 0,
                        "finite and >= 0")
 OPEN_UNIT = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
+FINITE = _checked(float, math.isfinite, "finite")
 
 FLAGS = {
     "input": dict(required=True, help="input JSON path"),
     "output": dict(required=True, help="output directory"),
     "seed": dict(type=SEED, help="64-bit RNG seed"),
-    "quiet": dict(action="store_true", help="no summary line or warnings"),
+    "quiet": dict(action="store_true", help="no summary line"),
     "grid": dict(type=COUNT, help="grid/quadrature resolution"),
     "max-pq": dict(type=COUNT, help="largest p, q of the rational tori"),
     "plot-grid": dict(type=COUNT, help="points per axis of the plot CSVs"),
@@ -88,7 +89,7 @@ FLAGS = {
     "n-tori": dict(type=COUNT, help="tori in the orbit set"),
     "k-max": dict(type=COUNT, help="largest period of the periodic points"),
     "epsilon": dict(type=OPEN_UNIT, help="pairing slack"),
-    "suspension-c": dict(type=float, help="default from the map"),
+    "suspension-c": dict(type=FINITE, help="default from the map"),
     "export-curves": dict(action="store_true", help="write curve_*.csv"),
 }
 
@@ -193,8 +194,7 @@ def run_systole(args):
            f"interval=[{rep.interval[0]:.9g}, {rep.interval[1]:.9g}] "
            f"norm={rep.norm:.3g} contains_one={rep.contains_one}")
     for kind in ("systolic-grid", "pairing-profile"):
-        rp.emit_plot_data(args.output, kind, (profile, args.plot_grid),
-                          args.quiet)
+        rp.emit_plot_data(args.output, kind, (profile, args.plot_grid))
 
 
 def run_verify_action_linking(args):
@@ -240,8 +240,7 @@ def run_equidistribute(args):
 
 def _write_action_spectrum(args, H):
     rp.emit_plot_data(args.output, "action-spectrum",
-                      (H, dm.periodic_points(H, args.k_max), args.plot_grid),
-                      args.quiet)
+                      (H, dm.periodic_points(H, args.k_max), args.plot_grid))
 
 
 def run_diskmap_calabi(args):

@@ -19,9 +19,11 @@ pi*(CAL + c).  The pairing of such an orbit with the page,
 k * volume / (period * pi), compares the mean action against the Calabi
 invariant; this module evaluates both sides of that comparison.
 
-Radial Hamiltonians h(|z|^2) are integrable and every quantity above has
-a closed form, so they anchor the tests; general Hamiltonians exercise
-the Runge-Kutta integration path.
+Every function here takes a radial Hamiltonian H(z) = h(|z|^2).  Its flow
+rotates each circle |z|^2 = s rigidly, so trajectories are exact
+rotations, the action has the closed form h(s) - s h'(s), and periodic
+points are the circles whose rotation angle is a rational multiple of
+2 pi.  No differential equation is integrated.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 from .numerics import _leggauss, bracketed_roots, scan_roots
 from .topology import page_surface, signed_sweep_count
 
@@ -38,7 +40,7 @@ TWO_PI = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------
-# Hamiltonian kinds
+# Hamiltonians
 
 
 class RadialHamiltonian:
@@ -48,16 +50,22 @@ class RadialHamiltonian:
     -2 h'(s), so trajectories, actions and periodic points are explicit.
     """
 
-    kind = "radial"
-
     def __init__(self, coeffs):
         coeffs = [float(c) for c in np.atleast_1d(coeffs)]
         if not coeffs:
             raise ValidationError("radial profile needs polynomial coefficients")
         self._poly = np.polynomial.Polynomial(coeffs)
         self._dpoly = self._poly.deriv()
-        self._ddpoly = self._dpoly.deriv()
         self.coeffs = tuple(coeffs)
+        # rotation rates, actions, the Calabi invariant and the suspension
+        # volume pi (CAL + c) are all bounded by 2 pi (|h| + 2 |h'|)
+        s = np.linspace(0.0, 1.0, 4097)
+        with np.errstate(all="ignore"):
+            bound = TWO_PI * (np.abs(self.h(s)) + 2.0 * np.abs(self.h_prime(s)))
+        if not np.all(np.isfinite(bound)):
+            raise ValidationError(
+                f"radial Hamiltonian coefficients {coeffs!r} make h or "
+                "h' overflow on [0, 1]")
 
     def h(self, s):
         return self._poly(np.asarray(s, float))
@@ -68,9 +76,6 @@ class RadialHamiltonian:
     def rotation_rate(self, s):
         """Angular speed of the circle |z|^2 = s."""
         return -2.0 * self.h_prime(s)
-
-    def value(self, t, x, y):
-        return self.h(np.asarray(x, float) ** 2 + np.asarray(y, float) ** 2)
 
     def boundary_rotation_number(self) -> float:
         """Rotation angle of the time-one map on the boundary circle."""
@@ -90,60 +95,9 @@ class RadialHamiltonian:
         return {"kind": "radial", "h": {"type": "poly", "coeffs": list(self.coeffs)}}
 
 
-class GeneralHamiltonian:
-    """H given by a callable of (t, x, y), 1-periodic in t.
-
-    The Hamiltonian vector field (dH/dy, -dH/dx) is formed from supplied
-    partials or central differences and integrated with a classical
-    fixed-step fourth-order Runge-Kutta scheme.
-    """
-
-    kind = "general"
-
-    def __init__(self, func, grad=None, fd_step: float = 1e-6):
-        self._func = func
-        self._grad = grad
-        self._fd = float(fd_step)
-
-    def value(self, t, x, y):
-        return np.asarray(self._func(t, np.asarray(x, float),
-                                     np.asarray(y, float)), float)
-
-    def gradient(self, t, x, y):
-        if self._grad is not None:
-            gx, gy = self._grad(t, x, y)
-            return np.asarray(gx, float), np.asarray(gy, float)
-        e = self._fd
-        gx = (self.value(t, x + e, y) - self.value(t, x - e, y)) / (2 * e)
-        gy = (self.value(t, x, y + e) - self.value(t, x, y - e)) / (2 * e)
-        return gx, gy
-
-    def boundary_flags(self):
-        ang = np.linspace(0.0, TWO_PI, 64, endpoint=False)
-        ts = np.linspace(0.0, 1.0, 17)
-        worst = max(float(np.max(np.abs(self.value(t, np.cos(ang), np.sin(ang)))))
-                    for t in ts)
-        return {"boundary_zero": worst < 1e-9, "rigid_near_boundary": False}
-
-    def min_value(self) -> float:
-        ts = np.linspace(0.0, 1.0, 17)
-        rr = np.linspace(0.0, 1.0, 65)
-        ang = np.linspace(0.0, TWO_PI, 64, endpoint=False)
-        R, A = np.meshgrid(rr, ang)
-        x, y = R * np.cos(A), R * np.sin(A)
-        return min(float(self.value(t, x, y).min()) for t in ts)
-
-    def to_json(self):
-        raise ValidationError("general Hamiltonians given as callables "
-                              "have no JSON form")
-
-
-DiskHamiltonian = (RadialHamiltonian, GeneralHamiltonian)
-
-
-def hamiltonian_from_json(obj):
-    """Build a Hamiltonian from {"kind": "radial", "h": {"type": "poly",
-    "coeffs": [...]}}.  Only the radial kind has a file form."""
+def hamiltonian_from_json(obj) -> RadialHamiltonian:
+    """Build a radial Hamiltonian from {"kind": "radial", "h": {"type":
+    "poly", "coeffs": [...]}}, the coefficients of h in increasing degree."""
     if not isinstance(obj, dict):
         raise ValidationError("Hamiltonian specification must be a JSON object")
     kind = obj.get("kind")
@@ -172,118 +126,50 @@ def hamiltonian_from_json(obj):
 # flow
 
 
-def _rk4(H: GeneralHamiltonian, z0: np.ndarray, t0: float, t1: float,
-         n_steps: int) -> np.ndarray:
-    """Fixed-step RK4 for dz/dt = (dH/dy, -dH/dx); z0 is (..., 2)."""
-    z = np.array(z0, float)
-    hstep = (t1 - t0) / n_steps
-
-    def rhs(t, zz):
-        gx, gy = H.gradient(t, zz[..., 0], zz[..., 1])
-        return np.stack([gy, -gx], axis=-1)
-
-    t = t0
-    for _ in range(n_steps):
-        k1 = rhs(t, z)
-        k2 = rhs(t + hstep / 2, z + hstep / 2 * k1)
-        k3 = rhs(t + hstep / 2, z + hstep / 2 * k2)
-        k4 = rhs(t + hstep, z + hstep * k3)
-        z = z + hstep / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += hstep
-    return z
-
-
-def flow_map(H, z, t0: float, t1: float, n_steps: int | None = None,
-             tol: float = 1e-10):
+def flow_map(H, z, t0: float, t1: float):
     """Advance points of the disk from time t0 to t1 along the isotopy.
 
-    z is a point (x, y) or an (..., 2) array.  Radial Hamiltonians rotate
-    exactly; general ones use RK4 with the step count doubled until two
-    refinements agree within tol (or the supplied fixed n_steps).  Points
-    escaping the closed disk beyond 1e-9 indicate a vector field that is
-    not tangent to the boundary and raise a validation error.
+    z is a point (x, y) or an (..., 2) array.  The circle |z|^2 = s turns
+    by the exact angle -2 h'(s) (t1 - t0).
     """
     z = np.asarray(z, float)
     scalar = z.ndim == 1
     zz = np.atleast_2d(z)
     if np.any(np.hypot(zz[..., 0], zz[..., 1]) > 1.0 + 1e-9):
         raise ValidationError("points must lie in the closed unit disk")
-    if isinstance(H, RadialHamiltonian):
-        s = zz[..., 0] ** 2 + zz[..., 1] ** 2
-        ang = H.rotation_rate(s) * (t1 - t0)
-        c, sn = np.cos(ang), np.sin(ang)
-        out = np.stack([c * zz[..., 0] - sn * zz[..., 1],
-                        sn * zz[..., 0] + c * zz[..., 1]], axis=-1)
-    else:
-        if n_steps is not None:
-            out = _rk4(H, zz, t0, t1, n_steps)
-        else:
-            n = max(64, int(32 * abs(t1 - t0)) or 64)
-            out = _rk4(H, zz, t0, t1, n)
-            while n < 1 << 16:
-                n *= 2
-                nxt = _rk4(H, zz, t0, t1, n)
-                if float(np.max(np.abs(nxt - out))) <= tol:
-                    out = nxt
-                    break
-                out = nxt
-            else:
-                raise NumericalError("integrator failed to stabilize the flow map")
-        radius = np.hypot(out[..., 0], out[..., 1])
-        if np.any(radius > 1.0 + 1e-6):
-            raise ValidationError(
-                "trajectory escaped the disk; the Hamiltonian vector field "
-                "is not tangent to the boundary")
-        scale = np.where(radius > 1.0, radius, 1.0)
-        out = out / scale[..., None]
+    s = zz[..., 0] ** 2 + zz[..., 1] ** 2
+    ang = H.rotation_rate(s) * (t1 - t0)
+    c, sn = np.cos(ang), np.sin(ang)
+    out = np.stack([c * zz[..., 0] - sn * zz[..., 1],
+                    sn * zz[..., 0] + c * zz[..., 1]], axis=-1)
     return out[0] if scalar else out
 
 
-def _action_integrand(H, t, zz):
-    gx, gy = (H.gradient(t, zz[..., 0], zz[..., 1])
-              if isinstance(H, GeneralHamiltonian)
-              else _radial_grad(H, zz))
-    xdot, ydot = gy, -gx
-    eta = 0.5 * (zz[..., 0] * ydot - zz[..., 1] * xdot)
-    return eta + H.value(t, zz[..., 0], zz[..., 1])
-
-
-def _radial_grad(H: RadialHamiltonian, zz):
-    s = zz[..., 0] ** 2 + zz[..., 1] ** 2
+def _action_integrand(H, zz):
+    """eta(velocity) + H at points zz of the flow, whose velocity is
+    (dH/dy, -dH/dx)."""
+    x, y = zz[..., 0], zz[..., 1]
+    s = x ** 2 + y ** 2
     hp = H.h_prime(s)
-    return 2.0 * zz[..., 0] * hp, 2.0 * zz[..., 1] * hp
+    xdot, ydot = 2.0 * y * hp, -2.0 * x * hp
+    eta = 0.5 * (x * ydot - y * xdot)
+    return eta + H.h(s)
 
 
-def action(H, z, order: int = 48, n_steps: int = 1024):
+def action(H, z, order: int = 48):
     """Action of a point: line integral of eta along its time-one arc plus
     the time integral of H along the arc.
 
-    The integrand is evaluated along the flow at Gauss-Legendre times (the
-    trajectory at those times comes from the exact rotation for radial
-    kinds, from RK4 otherwise).  For a radial profile the value equals
-    h(s) - s h'(s).
+    The integrand is evaluated along the exact rotation at Gauss-Legendre
+    times.  The value equals h(s) - s h'(s).
     """
     z = np.asarray(z, float)
     scalar = z.ndim == 1
     zz = np.atleast_2d(z)
     x, w = _leggauss(order)
-    nodes = 0.5 * (x + 1.0)
-    weights = 0.5 * w
     total = np.zeros(zz.shape[0])
-    if isinstance(H, RadialHamiltonian):
-        for tn, wn in zip(nodes, weights):
-            zt = flow_map(H, zz, 0.0, tn)
-            total += wn * _action_integrand(H, tn, zt)
-    else:
-        # march once through [0, 1], sampling the Gauss nodes in order
-        order_idx = np.argsort(nodes)
-        zt = zz
-        t_prev = 0.0
-        per_node = max(8, n_steps // order)
-        for i in order_idx:
-            zt = _rk4(H, zt, t_prev, nodes[i], per_node)
-            t_prev = nodes[i]
-            total += weights[i] * _action_integrand(H, t_prev, zt)
+    for tn, wn in zip(0.5 * (x + 1.0), 0.5 * w):
+        total += wn * _action_integrand(H, flow_map(H, zz, 0.0, tn))
     return float(total[0]) if scalar else total
 
 
@@ -308,28 +194,15 @@ def action_with_shifted_primitive(H, z, shift_scale: float = 0.37, **kw):
 
 
 def calabi(H, quad_n: int = 64) -> float:
-    """Calabi invariant: the action averaged over the disk area over pi.
-
-    Tensor-product quadrature, Gauss-Legendre in s = radius^2 and the
-    trapezoid rule in the angle (radial kinds skip the angle sum).
-    """
+    """Calabi invariant: the action averaged over the disk area over pi,
+    i.e. the closed-form action integrated over s = radius^2 in [0, 1] by
+    Gauss-Legendre quadrature."""
     x, w = _leggauss(quad_n)
-    s_nodes = 0.5 * (x + 1.0)
-    s_weights = 0.5 * w
-    if isinstance(H, RadialHamiltonian):
-        vals = radial_action_exact(H, s_nodes)
-        return float(np.dot(s_weights, vals))
-    total = 0.0
-    ang = np.linspace(0.0, TWO_PI, quad_n, endpoint=False)
-    for sn, sw in zip(s_nodes, s_weights):
-        r = math.sqrt(sn)
-        pts = np.column_stack([r * np.cos(ang), r * np.sin(ang)])
-        total += sw * float(np.mean(action(H, pts)))
-    return total
+    return float(np.dot(0.5 * w, radial_action_exact(H, 0.5 * (x + 1.0))))
 
 
-def calabi_eta_residual(H, quad_n: int = 32, shift_scale: float = 0.37,
-                        n_steps: int = 512) -> float:
+def calabi_eta_residual(H, quad_n: int = 32,
+                        shift_scale: float = 0.37) -> float:
     """|Calabi recomputed with a shifted primitive - Calabi|.
 
     The shift changes per-point actions but not their disk average, since
@@ -345,7 +218,7 @@ def calabi_eta_residual(H, quad_n: int = 32, shift_scale: float = 0.37,
         r = math.sqrt(sn)
         pts = np.column_stack([r * np.cos(ang), r * np.sin(ang)])
         sig = action(H, pts)
-        ends = flow_map(H, pts, 0.0, 1.0, n_steps=n_steps)
+        ends = flow_map(H, pts, 0.0, 1.0)
         g0 = shift_scale * pts[:, 0] * pts[:, 1]
         g1 = shift_scale * ends[:, 0] * ends[:, 1]
         base += sw * float(np.mean(sig))
@@ -363,13 +236,19 @@ class PeriodicPoint:
     k: int
     action_k: float       # accumulated action over the orbit
     mean_action: float    # action_k / k, independent of the period used
-    s: float | None = None          # radius^2 of the invariant circle (radial)
-    resonance: int | None = None    # net turns over k map iterations (radial)
-    residual: float = 0.0           # |h^k(z) - z| for Newton-found points
+    s: float              # radius^2 of the invariant circle
+    resonance: int | None   # net turns over k map iterations; None at the center
 
 
-def _radial_periodic_points(H: RadialHamiltonian, k_max: int,
-                            grid_n: int) -> list:
+def periodic_points(H, k_max: int, grid_n: int = 256):
+    """Periodic points of the time-one map up to period k_max.
+
+    Solves the rotation-resonance equation omega(s) = 2 pi m / k per
+    invariant circle and returns one representative per circle plus the
+    center, with accumulated and mean actions.
+    """
+    if k_max < 1:
+        raise ValidationError("k_max must be at least 1")
     pts = [PeriodicPoint((0.0, 0.0), 1, float(radial_action_exact(H, 0.0)),
                          float(radial_action_exact(H, 0.0)), s=0.0,
                          resonance=None)]
@@ -419,97 +298,7 @@ def _radial_periodic_points(H: RadialHamiltonian, k_max: int,
                                      k * sig, sig, s=float(s_star),
                                      resonance=m))
         start += n_inside
-    pts.sort(key=lambda P: (P.k, P.s if P.s is not None else -1.0))
-    return pts
-
-
-def _newton_periodic_points(H: GeneralHamiltonian, k_max: int, grid_n: int,
-                            n_steps: int = 256, tol: float = 1e-10):
-    """Newton search for fixed points of the k-th iterate from a grid of
-    starting points, run as one batch per iteration, deduplicating points
-    on a common orbit."""
-
-    def iterate(Z, k):
-        out = np.atleast_2d(np.asarray(Z, float))
-        for _ in range(k):
-            out = _rk4(H, out, 0.0, 1.0, n_steps)
-        return out
-
-    eps = 1e-7
-    shifts = np.array([[0.0, 0.0], [eps, 0.0], [-eps, 0.0],
-                       [0.0, eps], [0.0, -eps]])
-    points = []
-    skipped = 0
-    xs = np.linspace(-0.9, 0.9, grid_n)
-    starts = np.array([(x, y) for x in xs for y in xs
-                       if math.hypot(x, y) < 0.95])
-    for k in range(1, k_max + 1):
-        Z = starts.copy()
-        active = np.ones(len(Z), bool)
-        done = np.zeros(len(Z), bool)
-        for _ in range(30):
-            idx = np.nonzero(active)[0]
-            if len(idx) == 0:
-                break
-            Za = Z[idx]
-            n = len(Za)
-            batch = (Za[None, :, :] + shifts[:, None, :]).reshape(-1, 2)
-            out = iterate(batch, k).reshape(5, n, 2)
-            F = out[0] - Za
-            ok = np.linalg.norm(F, axis=1) < tol
-            done[idx[ok]] = True
-            active[idx[ok]] = False
-            jx = (out[1] - out[2]) / (2 * eps)
-            jy = (out[3] - out[4]) / (2 * eps)
-            a = jx[:, 0] - 1.0
-            b = jy[:, 0]
-            c = jx[:, 1]
-            d = jy[:, 1] - 1.0
-            det = a * d - b * c
-            solvable = np.abs(det) > 1e-14
-            step_x = np.where(solvable, (d * F[:, 0] - b * F[:, 1]) / det, 0.0)
-            step_y = np.where(solvable, (-c * F[:, 0] + a * F[:, 1]) / det, 0.0)
-            Znew = Za - np.column_stack([step_x, step_y])
-            lost = ~solvable | (np.hypot(Znew[:, 0], Znew[:, 1]) > 1.05)
-            active[idx[lost]] = False
-            keep = ~ok & ~lost
-            Z[idx[keep]] = Znew[keep]
-        skipped += int(active.sum())
-        for z in Z[done]:
-            if math.hypot(*z) > 1.0 + 1e-9:
-                continue
-            orbit = [z] + [iterate(z, i)[0] for i in range(1, k)]
-            if any(np.linalg.norm(orbit[i] - z) < 1e-8 for i in range(1, k)):
-                continue                     # primitive period smaller than k
-            duplicate = False
-            for P in points:
-                if P.k != k:
-                    continue
-                if min(np.linalg.norm(np.asarray(P.z) - o) for o in orbit) < 1e-6:
-                    duplicate = True
-                    break
-            if duplicate:
-                continue
-            sig_k = float(math.fsum(float(action(H, o)) for o in orbit))
-            res = float(np.linalg.norm(iterate(z, k)[0] - z))
-            points.append(PeriodicPoint((float(z[0]), float(z[1])), k, sig_k,
-                                        sig_k / k, residual=res))
-    return points, skipped
-
-
-def periodic_points(H, k_max: int, grid_n: int = 256):
-    """Periodic points of the time-one map up to period k_max.
-
-    Radial kinds solve the rotation-resonance equation per invariant
-    circle and return one representative per circle plus the center;
-    general kinds run the Newton search.  Results carry accumulated and
-    mean actions.
-    """
-    if k_max < 1:
-        raise ValidationError("k_max must be at least 1")
-    if isinstance(H, RadialHamiltonian):
-        return _radial_periodic_points(H, k_max, grid_n)
-    pts, _skipped = _newton_periodic_points(H, k_max, min(grid_n, 32))
+    pts.sort(key=lambda P: (P.k, P.s))
     return pts
 
 
@@ -560,7 +349,7 @@ def suspension_period_integral(H, z, k: int, c: float, order: int = 64) -> float
         pts = np.atleast_2d(flow_map(H, z, 0.0, float(wrap)))
         for tn, wn in zip(0.5 * (x + 1.0), 0.5 * w):
             zt = np.atleast_2d(flow_map(H, pts[0], 0.0, tn))
-            total += wn * float(_action_integrand(H, tn, zt)[0] + c)
+            total += wn * float(_action_integrand(H, zt)[0] + c)
     return total
 
 
@@ -568,27 +357,13 @@ def suspension_volume_quadrature(H, c: float, quad_n: int = 64) -> float:
     """Total volume of the suspension by direct quadrature.
 
     The density against dt and the area form is (H + c) - (x Hx + y Hy)/2,
-    integrated over one time period and the disk.
+    which is h(s) + c - s h'(s) on the circle |z|^2 = s; it is integrated
+    over s by Gauss-Legendre quadrature.
     """
     x, w = _leggauss(quad_n)
     s_nodes = 0.5 * (x + 1.0)
-    s_weights = 0.5 * w
-    if isinstance(H, RadialHamiltonian):
-        integ = H.h(s_nodes) + c - s_nodes * H.h_prime(s_nodes)
-        return math.pi * float(np.dot(s_weights, integ))
-    ts = np.linspace(0.0, 1.0, quad_n, endpoint=False)
-    ang = np.linspace(0.0, TWO_PI, quad_n, endpoint=False)
-    total = 0.0
-    for sn, sw in zip(s_nodes, s_weights):
-        r = math.sqrt(sn)
-        xs, ys = r * np.cos(ang), r * np.sin(ang)
-        for t in ts:
-            gx, gy = (H.gradient(t, xs, ys)
-                      if isinstance(H, GeneralHamiltonian)
-                      else _radial_grad(H, np.column_stack([xs, ys])))
-            vals = H.value(t, xs, ys) + c - 0.5 * (xs * gx + ys * gy)
-            total += sw * float(np.mean(vals)) / len(ts)
-    return math.pi * total
+    integ = H.h(s_nodes) + c - s_nodes * H.h_prime(s_nodes)
+    return math.pi * float(np.dot(0.5 * w, integ))
 
 
 def suspension_dictionary(H, c: float | None = None, k_max: int = 3,
@@ -639,8 +414,8 @@ class MeanActionCheck:
     found_high: bool
     witness_low: PeriodicPoint | None
     witness_high: PeriodicPoint | None
-    boundary_rotation: float | None
-    hypothesis_cal_lt_half_rotation: bool | None
+    boundary_rotation: float
+    hypothesis_cal_lt_half_rotation: bool
     boundary_flags: dict
 
 
@@ -650,24 +425,23 @@ def mean_action_theorem_check(H, epsilon: float, k_max: int = 8,
     """Search periodic points for mean actions on both sides of Calabi.
 
     Reports a witness with mean action <= CAL + epsilon and one with
-    mean action >= CAL - epsilon, when they exist among the points found.
-    This is an empirical check of the equidistribution conclusion, not a
-    proof; whether the stronger rotation-number hypothesis holds is
-    reported alongside but not required.
+    mean action >= CAL - epsilon, when they exist among the points found
+    (the center is always among them).  This is an empirical check of the
+    equidistribution conclusion, not a proof; whether the stronger
+    rotation-number hypothesis holds is reported alongside but not
+    required.
     """
     if epsilon <= 0:
         raise ValidationError("epsilon must be positive")
     cal = calabi(H, quad_n)
     pts = periodic_points(H, k_max, grid_n)
-    low = min(pts, key=lambda P: P.mean_action) if pts else None
-    high = max(pts, key=lambda P: P.mean_action) if pts else None
-    found_low = low is not None and low.mean_action <= cal + epsilon
-    found_high = high is not None and high.mean_action >= cal - epsilon
-    rot = (H.boundary_rotation_number()
-           if isinstance(H, RadialHamiltonian) else None)
-    hyp = (cal < rot / 2.0) if rot is not None else None
+    low = min(pts, key=lambda P: P.mean_action)
+    high = max(pts, key=lambda P: P.mean_action)
+    found_low = low.mean_action <= cal + epsilon
+    found_high = high.mean_action >= cal - epsilon
+    rot = H.boundary_rotation_number()
     return MeanActionCheck(float(cal), float(epsilon), bool(found_low),
                            bool(found_high),
                            low if found_low else None,
                            high if found_high else None,
-                           rot, hyp, H.boundary_flags())
+                           rot, bool(cal < rot / 2.0), H.boundary_flags())

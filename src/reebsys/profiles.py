@@ -587,12 +587,17 @@ def profile_from_json(obj) -> ToricProfile:
 
     try:
         if kind == "ellipsoid":
-            return EllipsoidProfile(number("a"), number("b"), numerics)
-        if kind == "lp":
-            return LpProfile(number("p"), number("a", 1.0), number("b", 1.0),
-                             numerics)
-        return SplineProfile(obj["points"], numerics)
+            profile = EllipsoidProfile(number("a"), number("b"), numerics)
+        elif kind == "lp":
+            profile = LpProfile(number("p"), number("a", 1.0),
+                                number("b", 1.0), numerics)
+        else:
+            profile = SplineProfile(obj["points"], numerics)
     except KeyError as exc:
         raise ValidationError(f"profile field missing: {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"bad profile field: {exc}") from exc
+    if not math.isfinite(profile.two_area):
+        raise ValidationError(
+            f"profile area must be finite, got 2A = {profile.two_area!r}")
+    return profile

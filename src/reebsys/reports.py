@@ -11,7 +11,6 @@ import csv
 import io
 import json
 import os
-import sys
 from functools import lru_cache
 from importlib import resources
 
@@ -28,10 +27,10 @@ def jsonable(obj):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     if isinstance(obj, np.ndarray):
         return [jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (np.floating, np.integer)):
+        obj = obj.item()
     if isinstance(obj, float) and obj != obj:
         raise ValidationError("NaN is not representable in reports")
     return obj
@@ -84,7 +83,10 @@ def read_curve_csv(path: str) -> np.ndarray:
             raise ValidationError(f"{path}: non-numeric curve data: {exc}") from exc
     if len(rows) < 4:
         raise ValidationError(f"{path}: too few curve points")
-    return np.asarray(rows, float)
+    pts = np.asarray(rows, float)
+    if not np.all(np.isfinite(pts)):
+        raise ValidationError(f"{path}: curve data must be finite")
+    return pts
 
 
 def load_schema(command: str) -> dict:
@@ -119,24 +121,18 @@ def validate_report(command: str, report: dict):
     return report
 
 
-def warn(message: str, quiet: bool = False):
-    if not quiet:
-        print(f"warning: {message}", file=sys.stderr)
-
-
 # ---------------------------------------------------------------------------
 # plot-ready CSV emitters
 
 
-def emit_plot_data(outdir: str, kind: str, payload, quiet: bool = False):
+def emit_plot_data(outdir: str, kind: str, payload):
     """Write plot-ready CSV files for a computed report.
 
     kinds: 'systolic-grid' wants (profile, grid_n) and writes the
     (t, t_hat, g) table; 'pairing-profile' wants (profile, n) and writes
     pairings against the two axis disks along the curve; 'action-spectrum'
     wants (hamiltonian, periodic points, n) and writes the radial mean
-    action curve with the located points.  Empty payloads produce a
-    warning and no file.
+    action curve with the located points.
     """
     paths = []
     if kind == "systolic-grid":
@@ -164,17 +160,12 @@ def emit_plot_data(outdir: str, kind: str, payload, quiet: bool = False):
         paths.append(path)
     elif kind == "action-spectrum":
         hamiltonian, points, n = payload
-        from .diskmap import RadialHamiltonian, radial_action_exact
-        rows = []
-        if isinstance(hamiltonian, RadialHamiltonian):
-            ss = np.linspace(0.0, 1.0, n)
-            rows = [(float(s), float(v), "")
-                    for s, v in zip(ss, radial_action_exact(hamiltonian, ss))]
+        from .diskmap import radial_action_exact
+        ss = np.linspace(0.0, 1.0, n)
+        rows = [(float(s), float(v), "")
+                for s, v in zip(ss, radial_action_exact(hamiltonian, ss))]
         rows += [(float((P.z[0] ** 2 + P.z[1] ** 2)), float(P.mean_action), P.k)
                  for P in points]
-        if not rows:
-            warn("no action data to plot; skipping CSV", quiet)
-            return []
         path = os.path.join(outdir, "action_spectrum.csv")
         write_csv(path, ("s", "mean_action", "k"), rows)
         paths.append(path)

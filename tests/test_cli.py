@@ -9,7 +9,6 @@ import pytest
 
 import reebsys
 from reebsys.cli import main
-from reebsys.diskmap import GeneralHamiltonian
 from reebsys.reports import emit_plot_data, read_curve_csv, validate_report
 
 PI = math.pi
@@ -193,8 +192,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["diskmap-calabi",
                                          "diskmap-dictionary"])
-    @pytest.mark.parametrize("coeffs", [["a"], [1.0, None], [1e400]],
-                             ids=["string", "null", "inf"])
+    @pytest.mark.parametrize("coeffs", [["a"], [1.0, None], [1e400],
+                                        [1e308, 1e308]],
+                             ids=["string", "null", "inf", "overflow"])
     def test_bad_radial_coefficients(self, tmp_path, capsys, command, coeffs):
         inp = write_json(tmp_path / "h.json",
                          {"kind": "radial",
@@ -208,6 +208,19 @@ class TestExitCodes:
         assert run(["toric-analyze", "--input", inp,
                     "--output", tmp_path / "o"]) == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["toric-analyze", "systole",
+                                         "verify-action-linking"])
+    @pytest.mark.parametrize("doc", [
+        {"kind": "ellipsoid", "a": 1e300, "b": 1e300},
+        {"kind": "lp", "p": 2, "a": 1e300, "b": 1e300}],
+        ids=["ellipsoid", "lp2"])
+    def test_profile_area_overflow(self, tmp_path, capsys, command, doc):
+        inp = write_json(tmp_path / "p.json", doc)
+        assert run([command, "--input", inp, "--output", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert "finite" in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "o" / f"{command}.json").exists()
 
     @pytest.mark.parametrize("orbit, axis_orbit, message", [
         ({"p": 2, "samples": 64}, {}, "'q' is missing"),
@@ -266,11 +279,13 @@ class TestFlagValidation:
         ("verify-action-linking", ROUND, ["--horizon", -1]),
         ("verify-action-linking", ROUND, ["--z-threshold", "nan"]),
         ("diskmap-dictionary", WELL, ["--epsilon", 1.5]),
+        ("diskmap-dictionary", WELL, ["--suspension-c", "inf"]),
+        ("diskmap-dictionary", WELL, ["--suspension-c", "nan"]),
         # a flag the command does not read
         ("linking", ROUND, ["--samples", 5]),
     ], ids=["seed-negative", "seed-2^64", "calabi-grid-0", "threads-0",
             "horizon-negative", "z-threshold-nan", "epsilon-1.5",
-            "linking-samples"])
+            "suspension-c-inf", "suspension-c-nan", "linking-samples"])
     def test_rejected_with_exit_2(self, tmp_path, capsys, command, doc,
                                   flags):
         inp = write_json(tmp_path / "in.json", doc)
@@ -326,13 +341,6 @@ class TestReproducibility:
 
 
 class TestPlotEmission:
-    def test_empty_action_spectrum_warns(self, tmp_path, capsys):
-        H = GeneralHamiltonian(lambda t, x, y: 0.0 * x)
-        paths = emit_plot_data(str(tmp_path), "action-spectrum", (H, [], 16))
-        assert paths == []
-        assert "skipping" in capsys.readouterr().err
-        assert not (tmp_path / "action_spectrum.csv").exists()
-
     def test_unknown_kind_rejected(self, tmp_path):
         from reebsys.errors import ValidationError
         with pytest.raises(ValidationError):

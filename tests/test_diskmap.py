@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from reebsys.diskmap import (GeneralHamiltonian, RadialHamiltonian, action,
+from reebsys.diskmap import (RadialHamiltonian, action,
                              action_with_shifted_primitive, calabi,
                              calabi_eta_residual, default_suspension_constant,
                              flow_map, hamiltonian_from_json,
@@ -30,10 +30,6 @@ def zero_h():
     return RadialHamiltonian([0.0])
 
 
-def general_quadratic():
-    return GeneralHamiltonian(lambda t, x, y: PI * (1 - (x ** 2 + y ** 2)) ** 2)
-
-
 class TestFlowMap:
     def test_full_turn_time_one_identity(self):
         H = full_turn()
@@ -44,24 +40,6 @@ class TestFlowMap:
     def test_zero_hamiltonian_identity(self):
         out = flow_map(zero_h(), np.array([0.5, -0.2]), 0.0, 0.37)
         assert np.allclose(out, [0.5, -0.2], atol=1e-15)
-
-    def test_general_integrator_matches_radial_rotation(self):
-        rng = np.random.default_rng(3)
-        pts = rng.uniform(-0.65, 0.65, (100, 2))
-        exact = flow_map(quadratic_well(), pts, 0.0, 1.0)
-        rk4 = flow_map(general_quadratic(), pts, 0.0, 1.0, n_steps=2048)
-        assert float(np.max(np.abs(rk4 - exact))) < 1e-8
-
-    def test_adaptive_step_control(self):
-        z = np.array([0.55, 0.1])
-        auto = flow_map(general_quadratic(), z, 0.0, 1.0)
-        exact = flow_map(quadratic_well(), z, 0.0, 1.0)
-        assert np.max(np.abs(auto - exact)) < 1e-8
-
-    def test_non_tangent_field_rejected(self):
-        drift = GeneralHamiltonian(lambda t, x, y: x + 0.0 * y)
-        with pytest.raises(ValidationError, match="tangent|escaped"):
-            flow_map(drift, np.array([0.0, -0.95]), 0.0, 1.0, n_steps=256)
 
     def test_points_outside_disk_rejected(self):
         with pytest.raises(ValidationError, match="disk"):
@@ -86,15 +64,6 @@ class TestAction:
     def test_zero_hamiltonian(self):
         assert action(zero_h(), np.array([0.3, 0.1])) == 0.0
 
-    def test_general_matches_radial_closed_form(self):
-        Hg = general_quadratic()
-        rng = np.random.default_rng(8)
-        for _ in range(12):
-            z = rng.uniform(-0.6, 0.6, 2)
-            s = float(z @ z)
-            assert float(action(Hg, z)) == pytest.approx(
-                PI * (1 - s * s), abs=1e-7)
-
 
 class TestCalabi:
     def test_reference_values(self):
@@ -105,11 +74,6 @@ class TestCalabi:
 
     def test_primitive_independence(self):
         assert calabi_eta_residual(quadratic_well()) < 1e-8
-        assert calabi_eta_residual(general_quadratic(), quad_n=16) < 1e-6
-
-    def test_general_kind_matches_radial(self):
-        assert calabi(general_quadratic(), quad_n=24) == pytest.approx(
-            2 * PI / 3, abs=1e-6)
 
 
 class TestPeriodicPoints:
@@ -145,12 +109,6 @@ class TestPeriodicPoints:
         H = quadratic_well()
         sig = radial_action_exact(H, 0.75)
         assert (2 * sig) / 2 == pytest.approx((4 * sig) / 4, abs=1e-10)
-        # general kind: the center fixed point at periods 1 and 2
-        Hg = general_quadratic()
-        center = np.array([0.0, 0.0])
-        a1 = float(action(Hg, center))
-        a2 = a1 + float(action(Hg, flow_map(Hg, center, 0.0, 1.0)))
-        assert a1 / 1 == pytest.approx(a2 / 2, abs=1e-10)
 
     def test_orbit_action_independent_of_primitive(self):
         # summed over a closed orbit the primitive shift telescopes away
@@ -160,13 +118,6 @@ class TestPeriodicPoints:
         plain = sum(float(action(H, p)) for p in orbit)
         shifted = sum(action_with_shifted_primitive(H, p) for p in orbit)
         assert shifted == pytest.approx(plain, abs=1e-9)
-
-    def test_newton_search_finds_center(self):
-        pts = periodic_points(general_quadratic(), 1, grid_n=7)
-        assert pts
-        best = min(pts, key=lambda p: p.z[0] ** 2 + p.z[1] ** 2)
-        assert math.hypot(*best.z) < 1e-3
-        assert best.mean_action == pytest.approx(PI, abs=1e-5)
 
 
 class TestSuspension:
@@ -208,8 +159,6 @@ class TestSuspension:
         # independent volume integral against pi (CAL + c)
         vol = suspension_volume_quadrature(quadratic_well(), 2.0)
         assert vol == pytest.approx(PI * (2 * PI / 3 + 2.0), abs=1e-10)
-        volg = suspension_volume_quadrature(general_quadratic(), 2.0, quad_n=32)
-        assert volg == pytest.approx(vol, abs=1e-5)
 
     def test_period_integral_matches_action_route(self):
         H = quadratic_well()
@@ -279,5 +228,3 @@ class TestJson:
             hamiltonian_from_json({"kind": "radial", "h": {"type": "poly",
                                                            "coeffs": [1.0]},
                                    "extra": 1})
-        with pytest.raises(ValidationError):
-            general_quadratic().to_json()

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ def test_jsonable_converts_numpy_types():
 def test_jsonable_rejects_nan():
     with pytest.raises(ValidationError, match="NaN"):
         jsonable({"x": float("nan")})
+    with pytest.raises(ValidationError, match="NaN"):
+        jsonable({"x": np.float64("nan")})
 
 
 def test_render_is_key_order_independent():
@@ -56,6 +59,15 @@ def test_curve_csv_roundtrip_and_validation(tmp_path):
     bad_value.write_text("x1,y1,x2,y2\n1,2,three,4\n" * 5)
     with pytest.raises(ValidationError, match="non-numeric"):
         read_curve_csv(str(bad_value))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_curve_csv_rejects_non_finite(tmp_path, value):
+    path = tmp_path / "c.csv"
+    path.write_text("x1,y1,x2,y2\n" + "0.5,0.5,0.5,0.5\n" * 4
+                    + f"0.5,{value},0.5,0.5\n")
+    with pytest.raises(ValidationError, match=re.escape(f"{path}: ") + ".*finite"):
+        read_curve_csv(str(path))
 
 
 def test_write_csv_floats_round_trip(tmp_path):
