@@ -66,7 +66,8 @@ def test_curve_csv_rejects_non_finite(tmp_path, value):
     path = tmp_path / "c.csv"
     path.write_text("x1,y1,x2,y2\n" + "0.5,0.5,0.5,0.5\n" * 4
                     + f"0.5,{value},0.5,0.5\n")
-    with pytest.raises(ValidationError, match=re.escape(f"{path}: ") + ".*finite"):
+    message = re.escape(f"{path}: ") + ".*finite"
+    with pytest.raises(ValidationError, match=message):
         read_curve_csv(str(path))
 
 
