@@ -126,17 +126,23 @@ def hamiltonian_from_json(obj) -> RadialHamiltonian:
 # flow
 
 
+def _disk_points(z):
+    """(points as an (n, 2) array, whether z was a single point); points
+    outside the closed unit disk are rejected."""
+    z = np.asarray(z, float)
+    zz = np.atleast_2d(z)
+    if np.any(np.hypot(zz[..., 0], zz[..., 1]) > 1.0 + 1e-9):
+        raise ValidationError("points must lie in the closed unit disk")
+    return zz, z.ndim == 1
+
+
 def flow_map(H, z, t0: float, t1: float):
     """Advance points of the disk from time t0 to t1 along the isotopy.
 
     z is a point (x, y) or an (..., 2) array.  The circle |z|^2 = s turns
     by the exact angle -2 h'(s) (t1 - t0).
     """
-    z = np.asarray(z, float)
-    scalar = z.ndim == 1
-    zz = np.atleast_2d(z)
-    if np.any(np.hypot(zz[..., 0], zz[..., 1]) > 1.0 + 1e-9):
-        raise ValidationError("points must lie in the closed unit disk")
+    zz, scalar = _disk_points(z)
     s = zz[..., 0] ** 2 + zz[..., 1] ** 2
     ang = H.rotation_rate(s) * (t1 - t0)
     c, sn = np.cos(ang), np.sin(ang)
@@ -145,31 +151,21 @@ def flow_map(H, z, t0: float, t1: float):
     return out[0] if scalar else out
 
 
-def _action_integrand(H, zz):
-    """eta(velocity) + H at points zz of the flow, whose velocity is
-    (dH/dy, -dH/dx)."""
+def action(H, z):
+    """Action of a point: line integral of eta along its time-one arc plus
+    the time integral of H along the arc.
+
+    The integrand eta(X_H) + H, with X_H = (dH/dy, -dH/dx), depends on
+    |z|^2 only, so it is constant along the rotation and the integral over
+    unit time is its value at z.  It equals h(s) - s h'(s), which
+    radial_action_exact evaluates by the other route.
+    """
+    zz, scalar = _disk_points(z)
     x, y = zz[..., 0], zz[..., 1]
     s = x ** 2 + y ** 2
     hp = H.h_prime(s)
     xdot, ydot = 2.0 * y * hp, -2.0 * x * hp
-    eta = 0.5 * (x * ydot - y * xdot)
-    return eta + H.h(s)
-
-
-def action(H, z, order: int = 48):
-    """Action of a point: line integral of eta along its time-one arc plus
-    the time integral of H along the arc.
-
-    The integrand is evaluated along the exact rotation at Gauss-Legendre
-    times.  The value equals h(s) - s h'(s).
-    """
-    z = np.asarray(z, float)
-    scalar = z.ndim == 1
-    zz = np.atleast_2d(z)
-    x, w = _leggauss(order)
-    total = np.zeros(zz.shape[0])
-    for tn, wn in zip(0.5 * (x + 1.0), 0.5 * w):
-        total += wn * _action_integrand(H, flow_map(H, zz, 0.0, tn))
+    total = 0.5 * (x * ydot - y * xdot) + H.h(s)
     return float(total[0]) if scalar else total
 
 
@@ -179,18 +175,22 @@ def radial_action_exact(H: RadialHamiltonian, s):
     return H.h(s) - s * H.h_prime(s)
 
 
-def action_with_shifted_primitive(H, z, shift_scale: float = 0.37, **kw):
-    """Action of a single point with the primitive eta + d(shift_scale*x*y).
+# coefficient of the exact form d(x y) added to eta to test that
+# orbit actions and the Calabi invariant do not depend on the primitive
+SHIFT_SCALE = 0.37
+
+
+def action_with_shifted_primitive(H, z):
+    """Action of a single point with the primitive eta + d(SHIFT_SCALE*x*y).
 
     Differs from the standard action by the boundary terms of the exact
     form; used to check that periodic-orbit actions do not depend on the
     choice of primitive.
     """
     z = np.asarray(z, float)
-    base = float(action(H, z, **kw))
     z1 = np.asarray(flow_map(H, z, 0.0, 1.0), float)
-    g = lambda p: shift_scale * float(p[0]) * float(p[1])
-    return base + g(z1) - g(z)
+    g = lambda p: SHIFT_SCALE * float(p[0]) * float(p[1])
+    return float(action(H, z)) + g(z1) - g(z)
 
 
 def calabi(H, quad_n: int = 64) -> float:
@@ -201,29 +201,22 @@ def calabi(H, quad_n: int = 64) -> float:
     return float(np.dot(0.5 * w, radial_action_exact(H, 0.5 * (x + 1.0))))
 
 
-def calabi_eta_residual(H, quad_n: int = 32,
-                        shift_scale: float = 0.37) -> float:
+def calabi_eta_residual(H, quad_n: int = 32) -> float:
     """|Calabi recomputed with a shifted primitive - Calabi|.
 
-    The shift changes per-point actions but not their disk average, since
-    the map is area preserving.
+    The shift adds SHIFT_SCALE (x'y' - xy) to the action of each point z,
+    z' its image, and nothing else, so the residual is the disk average of
+    that boundary term: Gauss-Legendre in s = radius^2 times the mean over
+    quad_n equally spaced angles.  It vanishes because the map is area
+    preserving.
     """
     x, w = _leggauss(quad_n)
-    s_nodes = 0.5 * (x + 1.0)
-    s_weights = 0.5 * w
+    r = np.sqrt(0.5 * (x + 1.0))[:, None]
     ang = np.linspace(0.0, TWO_PI, quad_n, endpoint=False)
-    base = 0.0
-    shifted = 0.0
-    for sn, sw in zip(s_nodes, s_weights):
-        r = math.sqrt(sn)
-        pts = np.column_stack([r * np.cos(ang), r * np.sin(ang)])
-        sig = action(H, pts)
-        ends = flow_map(H, pts, 0.0, 1.0)
-        g0 = shift_scale * pts[:, 0] * pts[:, 1]
-        g1 = shift_scale * ends[:, 0] * ends[:, 1]
-        base += sw * float(np.mean(sig))
-        shifted += sw * float(np.mean(sig + g1 - g0))
-    return abs(shifted - base)
+    pts = np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1)
+    ends = flow_map(H, pts, 0.0, 1.0)
+    shift = ends[..., 0] * ends[..., 1] - pts[..., 0] * pts[..., 1]
+    return abs(SHIFT_SCALE * float(np.dot(0.5 * w, shift.mean(axis=1))))
 
 
 # ---------------------------------------------------------------------------
@@ -339,18 +332,14 @@ def default_suspension_constant(H) -> float:
     return max(0.0, -H.min_value()) + 1.0
 
 
-def suspension_period_integral(H, z, k: int, c: float, order: int = 64) -> float:
+def suspension_period_integral(H, z, k, c: float):
     """Period of the closed suspension orbit through (time 0, z): the line
-    integral of (H + c) dt + eta along k passes of the isotopy arc."""
-    z = np.asarray(z, float)
-    x, w = _leggauss(order)
-    total = 0.0
-    for wrap in range(k):
-        pts = np.atleast_2d(flow_map(H, z, 0.0, float(wrap)))
-        for tn, wn in zip(0.5 * (x + 1.0), 0.5 * w):
-            zt = np.atleast_2d(flow_map(H, pts[0], 0.0, tn))
-            total += wn * float(_action_integrand(H, zt)[0] + c)
-    return total
+    integral of (H + c) dt + eta along k passes of the isotopy arc.
+
+    The integrand is constant along the orbit, so each pass contributes
+    action(z) + c.  z may be an (n, 2) array with k an array of n periods.
+    """
+    return k * (action(H, z) + c)
 
 
 def suspension_volume_quadrature(H, c: float, quad_n: int = 64) -> float:
@@ -387,9 +376,11 @@ def suspension_dictionary(H, c: float | None = None, k_max: int = 3,
     vol = math.pi * (cal + c)
     vol_quad = suspension_volume_quadrature(H, c, quad_n)
     page = page_surface(angle=0.5)
+    points = periodic_points(H, k_max, grid_n)
+    periods = suspension_period_integral(
+        H, np.array([P.z for P in points]), np.array([P.k for P in points]), c)
     rows = []
-    for P in periodic_points(H, k_max, grid_n):
-        period = suspension_period_integral(H, P.z, P.k, c)
+    for P, period in zip(points, periods.tolist()):
         resid = abs(period - (P.action_k + P.k * c))
         crossings = int(signed_sweep_count(0.0, float(P.k), page.angle,
                                            period=1.0))

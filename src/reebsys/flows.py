@@ -137,16 +137,18 @@ def invariance_test_suite():
     return suite
 
 
-def orbit_average(profile: ToricProfile, torus: RationalTorus, fn: TestFunction,
-                  nodes: int = 1024) -> float:
+def orbit_average(profile: ToricProfile, torus: RationalTorus,
+                  fn: TestFunction) -> float:
     """Time average of fn over one primitive period of an orbit started at
-    angles (0, 0).  The trapezoid rule on the periodic integrand is exact
-    for harmonics of order below the node count."""
-    u = np.arange(nodes) / nodes
-    theta1 = TWO_PI * torus.p * u
-    theta2 = TWO_PI * torus.q * u
-    vals = fn(profile.two_area, np.full(nodes, torus.t), theta1, theta2)
-    return float(np.mean(vals))
+    angles (0, 0).
+
+    Along the orbit the phase m1 theta1 + m2 theta2 is 2 pi (m1 p + m2 q) u
+    for u in [0, 1), so the harmonic averages to 0 unless m1 p + m2 q = 0,
+    when it is constant and the average is fn at the start (t, 0, 0).
+    """
+    if fn.m1 * torus.p + fn.m2 * torus.q != 0:
+        return 0.0
+    return float(fn(profile.two_area, torus.t, 0.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -164,8 +166,7 @@ class OrbitSet:
 
 
 def approximate_liouville_by_orbits(profile: ToricProfile, n_tori: int,
-                                    max_pq: int, weights=None,
-                                    orbit_nodes: int = 1024) -> OrbitSet:
+                                    max_pq: int, weights=None) -> OrbitSet:
     """Equidistributed orbit set with a weak* discrepancy score.
 
     [0, 2A] is split into n_tori equal subintervals; in each, the
@@ -209,7 +210,7 @@ def approximate_liouville_by_orbits(profile: ToricProfile, n_tori: int,
     per_function = []
     disc = 0.0
     for fn in invariance_test_suite():
-        avgs = [orbit_average(profile, T, fn, orbit_nodes) for T in chosen]
+        avgs = [orbit_average(profile, T, fn) for T in chosen]
         weighted = math.fsum(w * a for w, a in zip(weights, avgs))
         per_function.append((fn.name, weighted, fn.liouville_mean))
         disc = max(disc, abs(weighted - fn.liouville_mean))
