@@ -27,6 +27,7 @@ points are the circles whose rotation angle is a rational multiple of
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -90,6 +91,11 @@ class RadialHamiltonian:
     def min_value(self) -> float:
         s = np.linspace(0.0, 1.0, 4097)
         return float(self.h(s).min())
+
+    def min_action(self) -> float:
+        """Minimum over [0, 1] of the action h(s) - s h'(s) of a circle."""
+        s = np.linspace(0.0, 1.0, 4097)
+        return float((self.h(s) - s * self.h_prime(s)).min())
 
     def to_json(self):
         return {"kind": "radial", "h": {"type": "poly", "coeffs": list(self.coeffs)}}
@@ -233,18 +239,10 @@ class PeriodicPoint:
     resonance: int | None   # net turns over k map iterations; None at the center
 
 
-def periodic_points(H, k_max: int, grid_n: int = 256):
-    """Periodic points of the time-one map up to period k_max.
-
-    Solves the rotation-resonance equation omega(s) = 2 pi m / k per
-    invariant circle and returns one representative per circle plus the
-    center, with accumulated and mean actions.
-    """
-    if k_max < 1:
-        raise ValidationError("k_max must be at least 1")
-    pts = [PeriodicPoint((0.0, 0.0), 1, float(radial_action_exact(H, 0.0)),
-                         float(radial_action_exact(H, 0.0)), s=0.0,
-                         resonance=None)]
+def _resonant_circles(H, k_max: int, grid_n: int):
+    """Yield (s, k, m) for every root s > 0 of the rotation-resonance
+    equation omega(s) = 2 pi m / k, k <= k_max with m / k in lowest terms,
+    in scan order.  A root on a scan node can be yielded twice."""
     s_grid = np.linspace(0.0, 1.0, max(grid_n, 64))
     omega = H.rotation_rate(s_grid)
     lo, hi = float(omega.min()), float(omega.max())
@@ -276,21 +274,37 @@ def periodic_points(H, k_max: int, grid_n: int = 256):
         lambda s, target: H.rotation_rate(s) - target, s_grid[cells],
         s_grid[cells + 1], f_lo, f_hi, xtol=1e-14,
         rtol=4 * np.finfo(float).eps, args=(targets,)).tolist()
-
-    found = []
     start = 0
     for k, m, roots, n_inside in resonances:
         for s_star in roots + crossings[start:start + n_inside]:
-            if s_star <= 1e-14:
-                continue                     # the center is listed separately
-            if any(abs(s_star - s0) < 1e-10 and k == k0 for s0, k0 in found):
-                continue
-            found.append((s_star, k))
-            sig = float(radial_action_exact(H, s_star))
-            pts.append(PeriodicPoint((math.sqrt(s_star), 0.0), k,
-                                     k * sig, sig, s=float(s_star),
-                                     resonance=m))
+            if s_star > 1e-14:               # the center is listed separately
+                yield s_star, k, m
         start += n_inside
+
+
+def periodic_points(H, k_max: int, grid_n: int = 256):
+    """Periodic points of the time-one map up to period k_max.
+
+    Solves the rotation-resonance equation omega(s) = 2 pi m / k per
+    invariant circle and returns one representative per circle plus the
+    center, with accumulated and mean actions.
+    """
+    if k_max < 1:
+        raise ValidationError("k_max must be at least 1")
+    found, seen = [], {}                     # seen: k -> sorted s of found
+    for s_star, k, m in _resonant_circles(H, k_max, grid_n):
+        near = seen.setdefault(k, [])
+        # some kept s lies within 1e-10 of s_star iff a sorted neighbour does
+        i = bisect.bisect_left(near, s_star)
+        if not any(abs(s_star - near[j]) < 1e-10
+                   for j in (i - 1, i) if 0 <= j < len(near)):
+            near.insert(i, s_star)
+            found.append((s_star, k, m))
+    sig = radial_action_exact(H, [0.0] + [f[0] for f in found]).tolist()
+    pts = [PeriodicPoint((0.0, 0.0), 1, sig[0], sig[0], s=0.0, resonance=None)]
+    pts += [PeriodicPoint((math.sqrt(s_star), 0.0), k, k * sg, sg, s=s_star,
+                          resonance=m)
+            for (s_star, k, m), sg in zip(found, sig[1:])]
     pts.sort(key=lambda P: (P.k, P.s))
     return pts
 
@@ -328,8 +342,9 @@ class SuspensionReport:
 
 
 def default_suspension_constant(H) -> float:
-    """Smallest convenient c with H + c > 0: max(0, -min H) + 1."""
-    return max(0.0, -H.min_value()) + 1.0
+    """Smallest convenient c with H + c > 0 and h - s h' + c > 0:
+    max(0, -min H, -min(h - s h')) + 1."""
+    return max(0.0, -H.min_value(), -H.min_action()) + 1.0
 
 
 def suspension_period_integral(H, z, k, c: float):
@@ -372,6 +387,13 @@ def suspension_dictionary(H, c: float | None = None, k_max: int = 3,
     if min_h + c <= 0:
         raise ValidationError(
             f"suspension needs H + c > 0 everywhere; min H = {min_h:g}, c = {c:g}")
+    # the orbit periods k (h - s h' + c) and the volume density
+    # h + c - s h' must be positive too
+    min_sigma = H.min_action()
+    if min_sigma + c <= 0:
+        raise ValidationError(
+            "suspension needs h - s h' + c > 0 on [0, 1]; "
+            f"min(h - s h') = {min_sigma:g}, c = {c:g}")
     cal = calabi(H, quad_n)
     vol = math.pi * (cal + c)
     vol_quad = suspension_volume_quadrature(H, c, quad_n)

@@ -597,6 +597,14 @@ def profile_from_json(obj) -> ToricProfile:
         raise ValidationError(f"profile field missing: {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"bad profile field: {exc}") from exc
+    # the area quadrature integrates r^2 / 2; huge finite intercepts make
+    # r overflow (or its level function underflow) before it can
+    with np.errstate(all="ignore"):
+        r2 = profile.boundary_radius(np.linspace(0.0, HALF_PI, 257)) ** 2
+    if not np.all(np.isfinite(r2) & (r2 > 0)):
+        raise ValidationError(
+            f"{kind} profile radius squared must be finite and positive on "
+            "[0, pi/2]; its numbers are out of range")
     if not math.isfinite(profile.two_area):
         raise ValidationError(
             f"profile area must be finite, got 2A = {profile.two_area!r}")

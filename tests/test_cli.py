@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -221,6 +222,41 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "finite" in err and len(err.splitlines()) == 1
         assert not (tmp_path / "o" / f"{command}.json").exists()
+
+    @pytest.mark.parametrize("command", ["toric-analyze", "systole",
+                                         "equidistribute"])
+    @pytest.mark.parametrize("kind", ["lp3", "sampled"])
+    def test_profile_radius_overflow(self, tmp_path, capsys, command, kind):
+        # lp p=3 with a = b = 1e300: the level function underflows to 0 and
+        # r = inf before the area quadrature runs
+        if kind == "lp3":
+            doc = {"kind": "lp", "p": 3, "a": 1e300, "b": 1e300}
+        else:
+            from reebsys.profiles import perturbed_ellipsoid_points
+            pts = perturbed_ellipsoid_points(1.15, 0.85, (0.018,)) * 1e300
+            doc = {"kind": "sampled", "points": pts.tolist()}
+        inp = write_json(tmp_path / "p.json", doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run([command, "--input", inp, "--output", tmp_path / "o"])
+        assert code == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not (tmp_path / "o" / f"{command}.json").exists()
+
+    def test_suspension_needs_positive_periods(self, tmp_path, capsys):
+        # h = 3 s^2: H + 1 > 0, but the periods k (h - s h' + 1) are not
+        inp = write_json(tmp_path / "h.json", {
+            "kind": "radial", "h": {"type": "poly", "coeffs": [0, 0, 3]}})
+        out = tmp_path / "out"
+        assert run(["diskmap-dictionary", "--input", inp, "--output", out,
+                    "--quiet"]) == 0
+        rep = load_report(out, "diskmap-dictionary")
+        assert rep["c"] == 4.0 and rep["volume"] > 0
+        assert rep["rows"] and all(r["period"] > 0 for r in rep["rows"])
+        assert run(["diskmap-dictionary", "--input", inp, "--output",
+                    tmp_path / "o1", "--suspension-c", 1]) == 2
+        err = capsys.readouterr().err
+        assert "h - s h' + c > 0" in err and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("orbit, axis_orbit, message", [
         ({"p": 2, "samples": 64}, {}, "'q' is missing"),

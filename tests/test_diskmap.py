@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from reebsys.diskmap import (RadialHamiltonian, action,
+from reebsys.diskmap import (RadialHamiltonian, _resonant_circles, action,
                              action_with_shifted_primitive, calabi,
                              calabi_eta_residual, default_suspension_constant,
                              flow_map, hamiltonian_from_json,
@@ -28,6 +28,50 @@ def quadratic_well():
 
 def zero_h():
     return RadialHamiltonian([0.0])
+
+
+def integrand(H, p):
+    """eta(X_H) + H at the point p, with X_H = (dH/dy, -dH/dx)."""
+    x, y = p
+    s = x * x + y * y
+    hp = float(H.h_prime(s))
+    return 0.5 * (x * (-2.0 * x * hp) - y * (2.0 * y * hp)) + float(H.h(s))
+
+
+def gauss_action(H, z, order=48):
+    """Oracle: the integrand summed at Gauss-Legendre times along flow_map."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    return sum(wn * integrand(H, flow_map(H, z, 0.0, tn))
+               for tn, wn in zip(0.5 * (x + 1.0), 0.5 * w))
+
+
+def gauss_period(H, z, k, c, order=64):
+    """Oracle: (H + c) dt + eta integrated pass by pass over k map periods."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    total = 0.0
+    for wrap in range(k):
+        start = flow_map(H, z, 0.0, float(wrap))
+        for tn, wn in zip(0.5 * (x + 1.0), 0.5 * w):
+            total += wn * (integrand(H, flow_map(H, start, 0.0, tn)) + c)
+    return total
+
+
+def oracle_cases():
+    """(H, z, k) on the well, the full turn and 20 seeded random cubics."""
+    rng = np.random.default_rng(7)
+    hams = [quadratic_well(), full_turn()]
+    hams += [RadialHamiltonian(rng.uniform(-2.0, 2.0, 4)) for _ in range(20)]
+    cases = []
+    for H in hams:
+        for _ in range(3):
+            r, ang = math.sqrt(rng.uniform()), rng.uniform(0.0, 2 * PI)
+            cases.append((H, np.array([r * math.cos(ang), r * math.sin(ang)]),
+                          int(rng.integers(1, 6))))
+    return cases
+
+
+def within(value, oracle):
+    return abs(value - oracle) <= 1e-13 * max(1.0, abs(oracle))
 
 
 class TestFlowMap:
@@ -63,6 +107,16 @@ class TestAction:
 
     def test_zero_hamiltonian(self):
         assert action(zero_h(), np.array([0.3, 0.1])) == 0.0
+
+    def test_matches_gauss_quadrature_along_the_flow(self):
+        for H, z, _ in oracle_cases():
+            assert within(action(H, z), gauss_action(H, z))
+        H, z = quadratic_well(), np.array([[0.3, 0.4], [-0.9, 0.1]])
+        assert np.array_equal(action(H, z), [action(H, p) for p in z])
+
+    def test_points_outside_disk_rejected(self):
+        with pytest.raises(ValidationError, match="disk"):
+            action(full_turn(), np.array([0.8, 0.7]))
 
 
 class TestCalabi:
@@ -103,6 +157,25 @@ class TestPeriodicPoints:
             assert len(on) == 1
             assert on[0].mean_action == pytest.approx(
                 float(radial_action_exact(H, s)), abs=1e-12)
+
+    @pytest.mark.parametrize("coeffs, k_max", [([0.0, 0.0, 300.0], 3),
+                                               ([PI, -2 * PI, PI], 5)],
+                             ids=["steep-300", "well-k5"])
+    def test_duplicate_rule_matches_pairwise_scan(self, coeffs, k_max):
+        # oracle: keep a root unless an earlier kept root of the same
+        # period lies within 1e-10 of it, tested against every kept root
+        H = RadialHamiltonian(coeffs)
+        circles = list(_resonant_circles(H, k_max, 256))
+        kept = []
+        for s, k, m in circles:
+            if not any(abs(s - s0) < 1e-10 and k == k0 for s0, k0, _ in kept):
+                kept.append((s, k, m))
+        kept.sort(key=lambda f: (f[1], f[0]))
+        pts = periodic_points(H, k_max)
+        assert pts[0].s == 0.0 and pts[0].resonance is None
+        assert [(P.s, P.k, P.resonance) for P in pts[1:]] == kept
+        if k_max == 5:
+            assert len(kept) < len(circles)      # scan-node roots repeat
 
     def test_mean_action_period_invariant(self):
         # the s = 3/4 circle seen at period 2 and period 4 (resonance doubled)
@@ -160,6 +233,11 @@ class TestSuspension:
         vol = suspension_volume_quadrature(quadratic_well(), 2.0)
         assert vol == pytest.approx(PI * (2 * PI / 3 + 2.0), abs=1e-10)
 
+    def test_period_matches_pass_by_pass_quadrature(self):
+        for H, z, k in oracle_cases():
+            assert within(suspension_period_integral(H, z, k, 1.5),
+                          gauss_period(H, z, k, 1.5))
+
     def test_period_integral_matches_action_route(self):
         H = quadratic_well()
         z = np.array([0.5, 0.0])  # s = 1/4 point, not periodic; k = 1 arc
@@ -170,10 +248,22 @@ class TestSuspension:
         with pytest.raises(ValidationError, match="H \\+ c > 0"):
             suspension_dictionary(quadratic_well(), c=0.0, k_max=1)
 
+    def test_negative_period_precondition(self):
+        # h = 3 s^2 > 0 on the disk, but h - s h' = -3 s^2: with c = 1 the
+        # outer circles would have negative periods
+        with pytest.raises(ValidationError, match="h - s h' \\+ c > 0"):
+            suspension_dictionary(RadialHamiltonian([0.0, 0.0, 3.0]), c=1.0)
+
     def test_default_constant(self):
         assert default_suspension_constant(zero_h()) == pytest.approx(1.0)
+        assert default_suspension_constant(quadratic_well()) == 1.0
         dipped = RadialHamiltonian([-0.5, 0.0])
         assert default_suspension_constant(dipped) == pytest.approx(1.5)
+        steep = RadialHamiltonian([0.0, 0.0, 3.0])
+        assert default_suspension_constant(steep) == pytest.approx(4.0)
+        rep = suspension_dictionary(steep, k_max=3)
+        assert rep.c == pytest.approx(4.0) and rep.volume > 0
+        assert rep.rows and all(row.period > 0 for row in rep.rows)
 
 
 class TestMeanActionCheck:

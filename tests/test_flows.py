@@ -11,9 +11,18 @@ from reebsys.flows import (FlowPoint, OrbitSet, approximate_liouville_by_orbits,
                            liouville_total_mass, make_trajectory, orbit_average,
                            reeb_rates)
 from reebsys.profiles import EllipsoidProfile, perturbed_ellipsoid_profile
-from reebsys.systolic import contact_volume, enumerate_tori
+from reebsys.systolic import RationalTorus, contact_volume, enumerate_tori
 
 TWO_PI = 2 * math.pi
+
+
+def trapezoid_average(profile, torus, fn, nodes=1024):
+    """Oracle: fn averaged over `nodes` equally spaced times of one period
+    of the orbit started at angles (0, 0); exact while the harmonic order
+    |m1 p + m2 q| stays below `nodes`."""
+    u = np.arange(nodes) / nodes
+    return float(np.mean(fn(profile.two_area, np.full(nodes, torus.t),
+                            TWO_PI * torus.p * u, TWO_PI * torus.q * u)))
 
 
 def angle_dist(a, b):
@@ -126,6 +135,31 @@ class TestOrbitAverages:
         fn = [f for f in suite.values() if (f.m1, f.m2) == (1, 0)][0]
         for torus in enumerate_tori(round_p, 3):
             assert orbit_average(round_p, torus, fn) == pytest.approx(0.0, abs=1e-13)
+
+
+    @pytest.mark.parametrize("name", ["round_p", "spline_p"])
+    def test_closed_form_matches_trapezoid(self, request, name):
+        profile = request.getfixturevalue(name)
+        suite = invariance_test_suite()
+        for torus in enumerate_tori(profile, 64):
+            for fn in suite:
+                oracle = trapezoid_average(profile, torus, fn)
+                assert abs(orbit_average(profile, torus, fn) - oracle) <= \
+                    1e-13 * max(1.0, abs(oracle))
+
+    @pytest.mark.parametrize("p, q, m1, m2", [(1023, 1, 1, 1), (509, 6, 2, 1)])
+    def test_high_order_harmonic_not_aliased(self, round_p, p, q, m1, m2):
+        # m1 p + m2 q = 1024: a 1024-node trapezoid sees a constant phase.
+        # On the round profile the gradient at polar angle theta points
+        # along theta, so the (p, q)-torus sits at theta = atan2(q, p).
+        theta = math.atan2(q, p)
+        d1, _ = round_p.gradient_theta(theta)
+        torus = RationalTorus(p, q, float(round_p.t_of_theta(theta)),
+                              math.pi * p / float(d1))
+        fn = [f for f in invariance_test_suite()
+              if (f.j, f.m1, f.m2, f.kind) == (0, m1, m2, "cos")][0]
+        assert trapezoid_average(round_p, torus, fn) == pytest.approx(1.0)
+        assert orbit_average(round_p, torus, fn) == 0.0
 
 
 class TestOrbitSets:
