@@ -12,7 +12,8 @@ whose disk average against area/pi is the Calabi invariant.  A k-periodic
 point of h accumulates the action sigma_k(z) over its orbit and carries
 the mean action sigma_k(z)/k, independent of the period used.
 
-Suspending by a constant c with H + c > 0 turns R/Z x D into a flow whose
+Suspending by a constant c with H + c > 0 and h - s h' + c > 0 (below)
+turns R/Z x D into a flow whose
 closed orbits through k-periodic points have period sigma_k(z) + k c,
 cross the page {t = const} exactly k times, and whose total volume is
 pi*(CAL + c).  The pairing of such an orbit with the page,
@@ -23,7 +24,9 @@ Every function here takes a radial Hamiltonian H(z) = h(|z|^2).  Its flow
 rotates each circle |z|^2 = s rigidly, so trajectories are exact
 rotations, the action has the closed form h(s) - s h'(s), and periodic
 points are the circles whose rotation angle is a rational multiple of
-2 pi.  No differential equation is integrated.
+2 pi.  No differential equation is integrated, and no quadrature runs
+along an orbit: the action integrand eta(X_H) + H is constant on each
+circle, so actions and suspension periods are values at a point.
 """
 from __future__ import annotations
 
@@ -319,7 +322,7 @@ class DictionaryRow:
     k: int
     action_k: float
     mean_action: float
-    period: float             # directly integrated period of the closed orbit
+    period: float             # k (action(z) + c), from the action integrand
     period_residual: float    # |period - (action_k + k c)|
     page_crossings: int
     pairing: float            # crossings * volume / (period * page area)
@@ -375,9 +378,10 @@ def suspension_dictionary(H, c: float | None = None, k_max: int = 3,
                           quad_n: int = 64) -> SuspensionReport:
     """Per-periodic-point dictionary between the disk map and its suspension.
 
-    For every periodic point: the directly integrated orbit period against
-    action_k + k c, the page crossing count against k, and the pairing with
-    the page against the mean-action comparison it is equivalent to,
+    For every periodic point: the orbit period from the action integrand
+    at z against action_k + k c from the closed form, the page crossing
+    count against k, and the pairing with the page against the
+    mean-action comparison it is equivalent to,
 
         pairing >= 1 - eps   iff   mean action <= CAL/(1-eps) + eps c/(1-eps).
     """

@@ -8,6 +8,10 @@ volume form has constant density 1/4, hence the normalized invariant
 measure is the uniform distribution on [0, 2A] x [0, 2pi)^2 and its total
 mass (1/4)(2A)(2pi)^2 reproduces the contact volume 2*pi^2*A.
 
+Orbit averages of the test functions are closed forms too: along a
+(p, q)-orbit the harmonic of (m1, m2) winds m1 p + m2 q times, so its
+average is 0 unless that count is 0.
+
 Monte Carlo draws use a counter-based generator (Philox) keyed by an
 explicit 64-bit seed so every report is bit-reproducible.
 """
