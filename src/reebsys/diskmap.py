@@ -12,11 +12,10 @@ whose disk average against area/pi is the Calabi invariant.  A k-periodic
 point of h accumulates the action sigma_k(z) over its orbit and carries
 the mean action sigma_k(z)/k, independent of the period used.
 
-Suspending by a constant c with H + c > 0 and h - s h' + c > 0 (below)
-turns R/Z x D into a flow whose
-closed orbits through k-periodic points have period sigma_k(z) + k c,
-cross the page {t = const} exactly k times, and whose total volume is
-pi*(CAL + c).  The pairing of such an orbit with the page,
+Suspending by a constant c with H + c > 0 and h - s h' + c > 0 turns
+R/Z x D into a flow whose closed orbits through k-periodic points have
+period sigma_k(z) + k c, cross the page {t = const} exactly k times, and
+whose total volume is pi*(CAL + c).  The pairing of such an orbit with the page,
 k * volume / (period * pi), compares the mean action against the Calabi
 invariant; this module evaluates both sides of that comparison.
 
