@@ -167,8 +167,7 @@ def run_toric_analyze(args):
     ts_plot = np.linspace(0.0, profile.two_area, args.plot_grid)
     bx, by, bd1, bd2 = profile.boundary_arrays(ts_plot)
     rp.write_csv(os.path.join(args.output, "boundary.csv"),
-                 ("t", "x", "y", "d1", "d2"),
-                 list(zip(ts_plot, bx, by, bd1, bd2)))
+                 ("t", "x", "y", "d1", "d2"), (ts_plot, bx, by, bd1, bd2))
 
 
 def run_systole(args):

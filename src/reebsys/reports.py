@@ -8,7 +8,6 @@ seed and generator.  Files are written atomically (write then rename).
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 from functools import lru_cache
@@ -40,35 +39,55 @@ def render_report(report: dict) -> bytes:
     return (json.dumps(jsonable(report), indent=2, sort_keys=True) + "\n").encode()
 
 
-def atomic_write_bytes(path: str, data: bytes):
+def atomic_write(path: str, chunks):
+    """Write an iterable of byte strings to path.tmp, then rename it to
+    path."""
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
-        fh.write(data)
+        for chunk in chunks:
+            fh.write(chunk)
     os.replace(tmp, path)
 
 
 def write_report(path: str, report: dict):
-    atomic_write_bytes(path, render_report(report))
+    atomic_write(path, (render_report(report),))
 
 
-def write_csv(path: str, header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating))
-                         else v for v in row])
-    atomic_write_bytes(path, buf.getvalue().encode())
+CSV_CHUNK_ROWS = 1 << 15      # rows formatted and written at a time
+
+
+def write_csv(path: str, header, columns):
+    """Write equal-length columns under a header line, atomically.
+
+    A numpy column is converted with tolist() one chunk of rows at a
+    time; a list column is taken as it is.  Each line comes from one
+    format string, so a float cell is its shortest round-trip repr, an
+    int its str and a string itself (callers pass already formatted
+    text that way).  Cells are not quoted: no value may hold a comma, a
+    quote or a newline.
+    """
+    n = len(columns[0])
+    if any(len(col) != n for col in columns):
+        raise ValueError("CSV columns must have equal lengths")
+    line = ",".join(["{}"] * len(columns)) + "\n"
+
+    def chunks():
+        yield (",".join(header) + "\n").encode()
+        for lo in range(0, n, CSV_CHUNK_ROWS):
+            cells = [col[lo:lo + CSV_CHUNK_ROWS] for col in columns]
+            cells = [c.tolist() if isinstance(c, np.ndarray) else c
+                     for c in cells]
+            yield "".join(map(line.format, *cells)).encode()
+
+    atomic_write(path, chunks())
 
 
 def write_samples_csv(path: str, samples: np.ndarray):
-    write_csv(path, ("t", "theta1", "theta2"),
-              ((float(r[0]), float(r[1]), float(r[2])) for r in samples))
+    write_csv(path, ("t", "theta1", "theta2"), np.asarray(samples, float).T)
 
 
 def write_curve_csv(path: str, points: np.ndarray):
-    write_csv(path, ("x1", "y1", "x2", "y2"),
-              (tuple(float(v) for v in row) for row in points))
+    write_csv(path, ("x1", "y1", "x2", "y2"), np.asarray(points, float).T)
 
 
 def read_curve_csv(path: str) -> np.ndarray:
@@ -140,10 +159,12 @@ def emit_plot_data(outdir: str, kind: str, payload):
         ts = np.linspace(0.0, profile.two_area, n)
         _, _, d1, d2 = profile.boundary_arrays(ts)
         g = 2.0 * profile.quadrant_area() * np.outer(d1, d2)
-        rows = ((float(ts[i]), float(ts[j]), float(g[i, j]))
-                for i in range(n) for j in range(n))
+        # row i*n + j is (ts[i], ts[j], g[i, j]): the axis values are
+        # formatted once and repeated as text
+        labels = np.array([repr(t) for t in ts.tolist()], dtype=object)
         path = os.path.join(outdir, "systolic_grid.csv")
-        write_csv(path, ("t", "t_hat", "g"), rows)
+        write_csv(path, ("t", "t_hat", "g"),
+                  (np.repeat(labels, n), np.tile(labels, n), g.ravel()))
         paths.append(path)
     elif kind == "pairing-profile":
         profile, n = payload
@@ -155,19 +176,21 @@ def emit_plot_data(outdir: str, kind: str, payload):
         rho_y = area2 * d1 * ic.d2_at_b
         rho_x = area2 * d2 * ic.d1_at_a
         path = os.path.join(outdir, "pairing_profile.csv")
-        write_csv(path, ("t", "rho_y_disk", "rho_x_disk"),
-                  zip(map(float, ts), map(float, rho_y), map(float, rho_x)))
+        write_csv(path, ("t", "rho_y_disk", "rho_x_disk"), (ts, rho_y, rho_x))
         paths.append(path)
     elif kind == "action-spectrum":
         hamiltonian, points, n = payload
         from .diskmap import radial_action_exact
         ss = np.linspace(0.0, 1.0, n)
-        rows = [(float(s), float(v), "")
-                for s, v in zip(ss, radial_action_exact(hamiltonian, ss))]
-        rows += [(float((P.z[0] ** 2 + P.z[1] ** 2)), float(P.mean_action), P.k)
-                 for P in points]
+        s_col = np.concatenate(
+            [ss, [P.z[0] ** 2 + P.z[1] ** 2 for P in points]])
+        action_col = np.concatenate(
+            [radial_action_exact(hamiltonian, ss),
+             [P.mean_action for P in points]])
+        # the curve rows leave k empty
+        k_col = [""] * n + [P.k for P in points]
         path = os.path.join(outdir, "action_spectrum.csv")
-        write_csv(path, ("s", "mean_action", "k"), rows)
+        write_csv(path, ("s", "mean_action", "k"), (s_col, action_col, k_col))
         paths.append(path)
     else:
         raise ValidationError(f"unknown plot kind: {kind!r}")
