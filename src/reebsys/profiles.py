@@ -94,6 +94,11 @@ class ToricProfile:
         """Profile whose defining function is F/s, i.e. boundary dilated by s."""
         raise NotImplementedError
 
+    def kink_angles(self) -> np.ndarray:
+        """Polar angles where r'' may jump, so that the gradient has kinks
+        there.  Smooth profiles have none."""
+        return np.empty(0)
+
     def to_json(self) -> dict:
         raise NotImplementedError
 
@@ -525,6 +530,9 @@ class SplineProfile(ToricProfile):
         s, j = self._segments(theta)
         _, _, c2, c3 = self._coef
         return 2.0 * c2[j] + 6.0 * c3[j] * s
+
+    def kink_angles(self):
+        return self._knots
 
     def scaled(self, s: float):
         return SplineProfile(self._points * s, self.numerics)

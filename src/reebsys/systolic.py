@@ -262,7 +262,8 @@ def systolic_interval(profile: ToricProfile, grid_n: int = 4096,
     g(t, t^) = 2A * D1F(C(t)) * D2F(C(t^)) is separable with nonnegative
     factors, so its extrema over the parameter square are products of 1D
     extrema; those are located by a grid scan refined by golden-section
-    search.  The enlarged interval is recomputed independently from the
+    search, and compared with the values at the profile's kink angles
+    (spline knots).  The enlarged interval is recomputed independently from the
     raw grid including the diagonal values g(t, t) and reported separately.
 
     pairing_values summarizes the pairings of the first 40 non-continuum
@@ -277,12 +278,26 @@ def systolic_interval(profile: ToricProfile, grid_n: int = 4096,
     theta, d1g, d2g = _partials_on_grid(profile, grid_n)
     two_a = profile.two_area
 
-    f1 = lambda th: float(profile.gradient_theta(th)[0])
-    f2 = lambda th: float(profile.gradient_theta(th)[1])
-    th_m1, m1 = refine_extremum(f1, theta, d1g, "min")
-    th_M1, M1 = refine_extremum(f1, theta, d1g, "max")
-    th_m2, m2 = refine_extremum(f2, theta, d2g, "min")
-    th_M2, M2 = refine_extremum(f2, theta, d2g, "max")
+    # the partials have kinks where r'' jumps; an extremum on a kink can
+    # fall between scan nodes, so the kink values compete with the
+    # refined grid extrema
+    kinks = profile.kink_angles()
+    d1k, d2k = profile.gradient_theta(kinks)
+
+    def extremum(slot, fs, fk, mode):
+        th, val = refine_extremum(
+            lambda x: float(profile.gradient_theta(x)[slot]), theta, fs, mode)
+        sign = 1.0 if mode == "min" else -1.0
+        if len(kinks):
+            i = int(np.argmin(sign * fk))
+            if sign * fk[i] < sign * val:
+                return float(kinks[i]), float(fk[i])
+        return th, val
+
+    th_m1, m1 = extremum(0, d1g, d1k, "min")
+    th_M1, M1 = extremum(0, d1g, d1k, "max")
+    th_m2, m2 = extremum(1, d2g, d2k, "min")
+    th_M2, M2 = extremum(1, d2g, d2k, "max")
     lo = two_a * m1 * m2
     hi = two_a * M1 * M2
 

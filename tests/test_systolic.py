@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from conftest import star_profiles
+from conftest import random_star_profile, star_profiles
 from reebsys.errors import ValidationError
 from reebsys.profiles import (HALF_PI, EllipsoidProfile,
                               perturbed_ellipsoid_profile)
@@ -347,6 +347,40 @@ class TestFormulaInvariances:
         rep_s = systolic_interval(spline_p.scaled(0.6), grid_n=1024)
         assert rep_s.interval[0] == pytest.approx(rep.interval[0], abs=1e-8)
         assert rep_s.interval[1] == pytest.approx(rep.interval[1], abs=1e-8)
+
+
+@pytest.fixture(scope="module")
+def seeded_stars():
+    rng = np.random.default_rng(5)
+    return [random_star_profile(rng) for _ in range(27)]
+
+
+# (star index, grid) where a partial's extremum sits on a spline knot
+# between scan nodes and the refined grid extremum lies in another basin
+@pytest.mark.parametrize("index, grid_n", [(4, 256), (20, 4096), (26, 4096)])
+def test_interval_reaches_extrema_on_spline_knots(seeded_stars, index, grid_n):
+    profile = seeded_stars[index]
+    rep = systolic_interval(profile, grid_n=grid_n, max_pq_witness=2)
+    theta = np.concatenate([np.linspace(0.0, HALF_PI, 1 << 18),
+                            profile.kink_angles()])
+    d1, d2 = profile.gradient_theta(theta)
+    lo = profile.two_area * d1.min() * d2.min()
+    hi = profile.two_area * d1.max() * d2.max()
+    assert rep.interval[0] <= lo * (1.0 + 1e-12)
+    assert rep.interval[1] >= hi * (1.0 - 1e-12)
+    # the witnesses of the widened ends sit on knots
+    on_knot = {float(profile.t_of_theta(th)) for th in profile.kink_angles()}
+    assert any(w.t in on_knot for w in rep.witnesses)
+
+
+def test_only_sampled_profiles_have_kinks(profile_matrix):
+    for profile in profile_matrix:
+        kinks = profile.kink_angles()
+        if profile.kind == "sampled":
+            assert kinks[0] == 0.0 and kinks[-1] == HALF_PI
+            assert np.all(np.diff(kinks) > 0)
+        else:
+            assert kinks.size == 0
 
 
 @given(star_profiles())
