@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import re
@@ -5,10 +7,20 @@ import re
 import numpy as np
 import pytest
 
+from reebsys import diskmap as dm
+from reebsys.cli import main
 from reebsys.errors import ValidationError
-from reebsys.reports import (jsonable, load_schema, read_curve_csv,
-                             render_report, validate_report, write_csv,
-                             write_curve_csv, write_report)
+from reebsys.flows import liouville_sample
+from reebsys.profiles import profile_from_json
+from reebsys.reports import (CSV_CHUNK_ROWS, emit_plot_data, jsonable,
+                             load_schema, read_curve_csv, render_report,
+                             validate_report, write_csv, write_curve_csv,
+                             write_report, write_samples_csv)
+from reebsys.systolic import enumerate_tori
+from reebsys.topology import toric_orbit_curve
+
+WELL = {"kind": "radial", "h": {"type": "poly",
+                                "coeffs": [math.pi, -2 * math.pi, math.pi]}}
 
 
 def test_jsonable_converts_numpy_types():
@@ -74,9 +86,124 @@ def test_curve_csv_rejects_non_finite(tmp_path, value):
 def test_write_csv_floats_round_trip(tmp_path):
     path = str(tmp_path / "v.csv")
     value = 1.0 / 3.0
-    write_csv(path, ("x",), [(value,)])
+    write_csv(path, ("x",), (np.array([value]),))
     text = open(path).read().splitlines()
     assert float(text[1]) == value
+
+
+# ---------------------------------------------------------------------------
+# the column-wise writer against the row-wise csv.writer it replaced
+
+
+def rows_csv(header, rows) -> bytes:
+    """The bytes of the former row-wise writer, kept as the oracle."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating))
+                         else v for v in row])
+    return buf.getvalue().encode()
+
+
+def read_bytes(path) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def test_write_csv_edge_floats_match_row_writer(tmp_path):
+    values = [-0.0, 5e-324, 1e16, 1e22, 1.0 / 3.0, 0.0, -1e-300, 2.5e15]
+    path = str(tmp_path / "e.csv")
+    write_csv(path, ("x", "neg", "k", "label"),
+              (np.array(values), -np.array(values), list(range(len(values))),
+               ["a"] * len(values)))
+    rows = [(v, -np.float64(v), k, "a") for k, v in enumerate(values)]
+    assert read_bytes(path) == rows_csv(("x", "neg", "k", "label"), rows)
+
+
+def test_write_csv_without_rows_writes_the_header(tmp_path):
+    path = str(tmp_path / "h.csv")
+    write_csv(path, ("a", "b"), (np.empty(0), []))
+    assert read_bytes(path) == b"a,b\n"
+
+
+def test_write_csv_rejects_ragged_columns(tmp_path):
+    with pytest.raises(ValueError, match="equal lengths"):
+        write_csv(str(tmp_path / "r.csv"), ("a", "b"),
+                  (np.zeros(3), np.zeros(2)))
+
+
+def test_systolic_grid_and_pairing_profile_match_row_writer(tmp_path,
+                                                            profile_matrix):
+    n = 128
+    for profile in profile_matrix:
+        grid, pairing = emit_plot_data(str(tmp_path), "systolic-grid",
+                                       (profile, n)) + emit_plot_data(
+            str(tmp_path), "pairing-profile", (profile, n))
+
+        ts = np.linspace(0.0, profile.two_area, n)
+        _, _, d1, d2 = profile.boundary_arrays(ts)
+        g = 2.0 * profile.quadrant_area() * np.outer(d1, d2)
+        rows = ((float(ts[i]), float(ts[j]), float(g[i, j]))
+                for i in range(n) for j in range(n))
+        assert read_bytes(grid) == rows_csv(("t", "t_hat", "g"), rows)
+
+        ts = np.linspace(0.0, profile.two_area, n + 2)[1:-1]
+        _, _, d1, d2 = profile.boundary_arrays(ts)
+        area2 = 2.0 * profile.quadrant_area()
+        ic = profile.intercepts()
+        rows = zip(map(float, ts), map(float, area2 * d1 * ic.d2_at_b),
+                   map(float, area2 * d2 * ic.d1_at_a))
+        assert read_bytes(pairing) == rows_csv(
+            ("t", "rho_y_disk", "rho_x_disk"), rows)
+
+
+def test_boundary_csv_matches_row_writer(tmp_path, profile_matrix):
+    n = 128
+    for i, profile in enumerate(profile_matrix):
+        inp = tmp_path / f"p{i}.json"
+        inp.write_text(json.dumps(profile.to_json()))
+        out = tmp_path / f"out{i}"
+        assert main(["toric-analyze", "--input", str(inp), "--output",
+                     str(out), "--max-pq", "2", "--plot-grid", str(n)]) == 0
+        profile = profile_from_json(json.loads(inp.read_text()))
+        ts = np.linspace(0.0, profile.two_area, n)
+        rows = zip(ts, *profile.boundary_arrays(ts))
+        assert read_bytes(out / "boundary.csv") == rows_csv(
+            ("t", "x", "y", "d1", "d2"), rows)
+
+
+def test_action_spectrum_matches_row_writer(tmp_path):
+    H = dm.hamiltonian_from_json(WELL)
+    points = dm.periodic_points(H, 4)
+    assert points
+    n = 50
+    (path,) = emit_plot_data(str(tmp_path), "action-spectrum", (H, points, n))
+    ss = np.linspace(0.0, 1.0, n)
+    rows = [(float(s), float(v), "")
+            for s, v in zip(ss, dm.radial_action_exact(H, ss))]
+    rows += [(float((P.z[0] ** 2 + P.z[1] ** 2)), float(P.mean_action), P.k)
+             for P in points]
+    expected = rows_csv(("s", "mean_action", "k"), rows)
+    assert read_bytes(path) == expected
+    assert expected.count(b",\n") == n           # the empty k cells
+
+
+def test_samples_and_curve_csv_match_row_writer(tmp_path, spline_p, round_p):
+    # one full chunk and a partial one
+    samples = liouville_sample(spline_p, CSV_CHUNK_ROWS + 3, 11)
+    path = str(tmp_path / "samples.csv")
+    write_samples_csv(path, samples)
+    assert read_bytes(path) == rows_csv(
+        ("t", "theta1", "theta2"),
+        ((float(r[0]), float(r[1]), float(r[2])) for r in samples))
+
+    curve = toric_orbit_curve(round_p, enumerate_tori(round_p, 3)[-1], n=257)
+    path = str(tmp_path / "curve.csv")
+    write_curve_csv(path, curve.points)
+    assert read_bytes(path) == rows_csv(
+        ("x1", "y1", "x2", "y2"),
+        (tuple(float(v) for v in row) for row in curve.points))
 
 
 def test_schema_registry():

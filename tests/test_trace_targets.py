@@ -6,21 +6,30 @@ tracer.  This test reads the same table and resolves each entry the way
 ``Tracer.install`` does.
 """
 import importlib
+import inspect
 import os
 import sys
+
+import numpy as np
+
+from reebsys.reports import write_csv
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def load_targets():
+def load_spans():
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     dont_write = sys.dont_write_bytecode
     sys.dont_write_bytecode = True        # leave the benchmark tree as it is
     try:
-        return importlib.import_module("spans").TARGETS
+        return importlib.import_module("spans")
     finally:
         sys.dont_write_bytecode = dont_write
         sys.path.pop(0)
+
+
+def load_targets():
+    return load_spans().TARGETS
 
 
 def resolve(modname, target):
@@ -42,3 +51,14 @@ def test_every_trace_target_resolves():
                if not (found := resolve(modname, target))
                or not all(callable(fn) for fn in found)]
     assert missing == []
+
+
+def test_write_csv_rows_are_counted_from_its_path_argument(tmp_path):
+    # the reports.write_csv.rows metric reads the written file through
+    # the first argument, positional or named path
+    assert next(iter(inspect.signature(write_csv).parameters)) == "path"
+    rows_info = load_spans()._rows_info
+    path = str(tmp_path / "c.csv")
+    write_csv(path, ("a", "b"), (np.arange(5.0), list("vwxyz")))
+    assert rows_info((path, ("a", "b"), None), {}, None) == {"rows": 5}
+    assert rows_info((), {"path": path}, None) == {"rows": 5}
