@@ -28,10 +28,6 @@ def load_spans():
         sys.path.pop(0)
 
 
-def load_targets():
-    return load_spans().TARGETS
-
-
 def resolve(modname, target):
     """The callables a TARGETS entry wraps: "name", "Class.name" or
     "*.name" (every class of the module that defines name)."""
@@ -45,7 +41,7 @@ def resolve(modname, target):
 
 
 def test_every_trace_target_resolves():
-    targets = load_targets()
+    targets = load_spans().TARGETS
     assert targets
     missing = [f"{modname}.{target}" for modname, target, _ in targets
                if not (found := resolve(modname, target))
