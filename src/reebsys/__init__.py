@@ -2,7 +2,6 @@
 
 from .errors import (CoverageError, NumericalError, ReebsysError,
                      ResolutionError, StatisticalError, ValidationError)
-from .numerics import Numerics
 from .profiles import (BoundaryPoint, EllipsoidProfile, LpProfile,
                        SplineProfile, ToricProfile, profile_from_json,
                        round_profile)

@@ -237,11 +237,6 @@ def run_equidistribute(args):
            f"n_tori={args.n_tori} discrepancy={oset.discrepancy:.6g}")
 
 
-def _write_action_spectrum(args, H):
-    rp.emit_plot_data(args.output, "action-spectrum",
-                      (H, dm.periodic_points(H, args.k_max), args.plot_grid))
-
-
 def run_diskmap_calabi(args):
     H = dm.hamiltonian_from_json(load_input(args.input))
     cal = dm.calabi(H, args.grid)
@@ -250,7 +245,8 @@ def run_diskmap_calabi(args):
               "eta_shift_residual": residual, "quad_n": args.grid,
               "boundary_flags": H.boundary_flags()}
     finish(args, report, f"calabi={cal:.12g}")
-    _write_action_spectrum(args, H)
+    rp.emit_plot_data(args.output, "action-spectrum",
+                      (H, dm.periodic_points(H, args.k_max), args.plot_grid))
 
 
 def run_diskmap_dictionary(args):
@@ -293,7 +289,10 @@ def run_diskmap_dictionary(args):
     finish(args, report,
            f"c={rep.c:.6g} calabi={rep.calabi:.9g} "
            f"points={len(rows)} vol_resid={rep.volume_residual:.2e}")
-    _write_action_spectrum(args, H)
+    # the rows are the periodic points up to k_max, with their z, k and
+    # mean action, in the order periodic_points returns them
+    rp.emit_plot_data(args.output, "action-spectrum",
+                      (H, rep.rows, args.plot_grid))
 
 
 def _spec_int(o: dict, key: str, label: str, default=None) -> int:

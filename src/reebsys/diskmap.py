@@ -40,6 +40,7 @@ from .numerics import _leggauss, bracketed_roots, scan_roots
 from .topology import page_surface, signed_sweep_count
 
 TWO_PI = 2.0 * math.pi
+RESONANCE_SCAN_N = 256    # nodes of the rotation-rate scan for resonant circles
 
 
 # ---------------------------------------------------------------------------
@@ -241,11 +242,11 @@ class PeriodicPoint:
     resonance: int | None   # net turns over k map iterations; None at the center
 
 
-def _resonant_circles(H, k_max: int, grid_n: int):
+def _resonant_circles(H, k_max: int):
     """Yield (s, k, m) for every root s > 0 of the rotation-resonance
     equation omega(s) = 2 pi m / k, k <= k_max with m / k in lowest terms,
     in scan order.  A root on a scan node can be yielded twice."""
-    s_grid = np.linspace(0.0, 1.0, max(grid_n, 64))
+    s_grid = np.linspace(0.0, 1.0, RESONANCE_SCAN_N)
     omega = H.rotation_rate(s_grid)
     lo, hi = float(omega.min()), float(omega.max())
     # scan every resonance omega(s) = 2 pi m / k, then refine all the
@@ -284,7 +285,7 @@ def _resonant_circles(H, k_max: int, grid_n: int):
         start += n_inside
 
 
-def periodic_points(H, k_max: int, grid_n: int = 256):
+def periodic_points(H, k_max: int):
     """Periodic points of the time-one map up to period k_max.
 
     Solves the rotation-resonance equation omega(s) = 2 pi m / k per
@@ -294,7 +295,7 @@ def periodic_points(H, k_max: int, grid_n: int = 256):
     if k_max < 1:
         raise ValidationError("k_max must be at least 1")
     found, seen = [], {}                     # seen: k -> sorted s of found
-    for s_star, k, m in _resonant_circles(H, k_max, grid_n):
+    for s_star, k, m in _resonant_circles(H, k_max):
         near = seen.setdefault(k, [])
         # some kept s lies within 1e-10 of s_star iff a sorted neighbour does
         i = bisect.bisect_left(near, s_star)
@@ -373,7 +374,7 @@ def suspension_volume_quadrature(H, c: float, quad_n: int = 64) -> float:
 
 
 def suspension_dictionary(H, c: float | None = None, k_max: int = 3,
-                          epsilon: float = 0.1, grid_n: int = 256,
+                          epsilon: float = 0.1,
                           quad_n: int = 64) -> SuspensionReport:
     """Per-periodic-point dictionary between the disk map and its suspension.
 
@@ -401,7 +402,7 @@ def suspension_dictionary(H, c: float | None = None, k_max: int = 3,
     vol = math.pi * (cal + c)
     vol_quad = suspension_volume_quadrature(H, c, quad_n)
     page = page_surface(angle=0.5)
-    points = periodic_points(H, k_max, grid_n)
+    points = periodic_points(H, k_max)
     periods = suspension_period_integral(
         H, np.array([P.z for P in points]), np.array([P.k for P in points]), c)
     rows = []
@@ -436,7 +437,6 @@ class MeanActionCheck:
 
 
 def mean_action_theorem_check(H, epsilon: float, k_max: int = 8,
-                              grid_n: int = 256,
                               quad_n: int = 64) -> MeanActionCheck:
     """Search periodic points for mean actions on both sides of Calabi.
 
@@ -450,7 +450,7 @@ def mean_action_theorem_check(H, epsilon: float, k_max: int = 8,
     if epsilon <= 0:
         raise ValidationError("epsilon must be positive")
     cal = calabi(H, quad_n)
-    pts = periodic_points(H, k_max, grid_n)
+    pts = periodic_points(H, k_max)
     low = min(pts, key=lambda P: P.mean_action)
     high = max(pts, key=lambda P: P.mean_action)
     found_low = low.mean_action <= cal + epsilon

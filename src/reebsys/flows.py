@@ -170,12 +170,12 @@ class OrbitSet:
 
 
 def approximate_liouville_by_orbits(profile: ToricProfile, n_tori: int,
-                                    max_pq: int, weights=None) -> OrbitSet:
+                                    max_pq: int) -> OrbitSet:
     """Equidistributed orbit set with a weak* discrepancy score.
 
     [0, 2A] is split into n_tori equal subintervals; in each, the
     enumerated torus with the smallest max(p, q) is selected, ties broken
-    toward the subinterval center.  Weights default to equal.  The
+    toward the subinterval center.  The orbits are weighted equally.  The
     discrepancy is the maximum over the fixed test-function family of
     |weighted orbit average - invariant average|.  A profile with no
     torus at all up to max_pq (for instance a constant gradient in an
@@ -204,12 +204,7 @@ def approximate_liouville_by_orbits(profile: ToricProfile, n_tori: int,
             # every parameter carries the class, so center the representative
             pick = RationalTorus(pick.p, pick.q, float(center), pick.period, True)
         chosen.append(pick)
-    if weights is None:
-        weights = tuple(1.0 / n_tori for _ in range(n_tori))
-    else:
-        weights = tuple(float(w) for w in weights)
-        if len(weights) != n_tori or any(w <= 0 for w in weights):
-            raise ValidationError("weights must be positive, one per subinterval")
+    weights = tuple(1.0 / n_tori for _ in range(n_tori))
 
     per_function = []
     disc = 0.0

@@ -1,4 +1,4 @@
-"""Quadrature, root finding, extremum refinement and shared tolerances.
+"""Quadrature, root finding and extremum refinement.
 
 All 1D integrands in this package are smooth on closed intervals, so the
 workhorse is a composite Gauss-Legendre rule with panel doubling until two
@@ -9,49 +9,12 @@ bracketed steps; grid extrema are refined by golden-section search.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
-
-
-@dataclass(frozen=True)
-class Numerics:
-    """Tolerances controlling quadrature, the area table and validation."""
-
-    quad_tol: float = 1e-10       # absolute tolerance for adaptive quadrature
-    curvature_bound: float = 1e4  # max |r''(theta)| accepted for sampled boundaries
-    table_panels: int = 2048      # panels in the cached cumulative-area table
-
-    @staticmethod
-    def from_json(obj) -> "Numerics":
-        if obj is None:
-            return Numerics()
-        if not isinstance(obj, dict):
-            raise ValidationError("'numerics' must be an object")
-        known = {f.name for f in dataclasses.fields(Numerics)}
-        unknown = set(obj) - known
-        if unknown:
-            raise ValidationError(f"unknown numerics keys: {sorted(unknown)}")
-        for key, value in obj.items():
-            if key == "table_panels":
-                ok, need = type(value) is int and value >= 1, "an integer >= 1"
-            else:
-                ok = ((type(value) is int and value > 0)
-                      or (type(value) is float and math.isfinite(value)
-                          and value > 0))
-                need = "a finite number > 0"
-            if not ok:
-                raise ValidationError(
-                    f"numerics.{key} must be {need}, got {value!r}")
-        return Numerics(**obj)
-
-    def to_json(self) -> dict:
-        return dataclasses.asdict(self)
+from .errors import NumericalError
 
 
 @lru_cache(maxsize=None)

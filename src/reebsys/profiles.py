@@ -38,9 +38,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .numerics import Numerics, adaptive_gauss, panel_gauss_many
+from .numerics import adaptive_gauss, panel_gauss_many
 
 HALF_PI = math.pi / 2.0
+AREA_QUAD_TOL = 1e-10       # absolute tolerance of the adaptive area quadrature
+AREA_TABLE_PANELS = 2048    # panels of the cumulative-area table
+CURVATURE_BOUND = 1e4       # largest |r''| / r accepted at sampled-boundary knots
 
 
 @dataclass(frozen=True)
@@ -77,8 +80,7 @@ class ToricProfile:
 
     kind = "abstract"
 
-    def __init__(self, numerics: Numerics | None = None):
-        self.numerics = numerics or Numerics()
+    def __init__(self):
         self._table = None
         self._area = None
 
@@ -135,8 +137,7 @@ class ToricProfile:
     def _area_table(self):
         """(theta_j, t_j, dtheta/dt at theta_j) on a uniform theta grid."""
         if self._table is None:
-            n = self.numerics.table_panels
-            theta = np.linspace(0.0, HALF_PI, n + 1)
+            theta = np.linspace(0.0, HALF_PI, AREA_TABLE_PANELS + 1)
             inc = panel_gauss_many(self._sector_rate, theta[:-1], theta[1:])
             t = np.concatenate([[0.0], np.cumsum(inc)])
             # t' = r^2 because the swept sector area grows at rate r^2/2
@@ -147,7 +148,7 @@ class ToricProfile:
         """Area A of {F <= 1} in the first quadrant, by adaptive quadrature."""
         if self._area is None:
             val, _res = adaptive_gauss(lambda th: 0.5 * self._sector_rate(th),
-                                       0.0, HALF_PI, tol=self.numerics.quad_tol)
+                                       0.0, HALF_PI, tol=AREA_QUAD_TOL)
             self._area = float(val)
         return self._area
 
@@ -262,8 +263,8 @@ class EllipsoidProfile(ToricProfile):
 
     kind = "ellipsoid"
 
-    def __init__(self, a: float, b: float, numerics: Numerics | None = None):
-        super().__init__(numerics)
+    def __init__(self, a: float, b: float):
+        super().__init__()
         if not (a > 0 and b > 0):
             raise ValidationError("ellipsoid intercepts must be positive")
         self.a = float(a)
@@ -307,11 +308,10 @@ class EllipsoidProfile(ToricProfile):
         return self.a * self.boundary_radius(theta) * np.sin(theta)
 
     def scaled(self, s: float):
-        return EllipsoidProfile(self.a * s, self.b * s, self.numerics)
+        return EllipsoidProfile(self.a * s, self.b * s)
 
     def to_json(self):
-        return {"kind": "ellipsoid", "a": self.a, "b": self.b,
-                "numerics": self.numerics.to_json()}
+        return {"kind": "ellipsoid", "a": self.a, "b": self.b}
 
 
 class LpProfile(ToricProfile):
@@ -323,9 +323,8 @@ class LpProfile(ToricProfile):
 
     kind = "lp"
 
-    def __init__(self, p: float, a: float = 1.0, b: float = 1.0,
-                 numerics: Numerics | None = None):
-        super().__init__(numerics)
+    def __init__(self, p: float, a: float = 1.0, b: float = 1.0):
+        super().__init__()
         if not p >= 1.0:
             raise ValidationError("lp exponent must satisfy p >= 1")
         if not (a > 0 and b > 0):
@@ -396,16 +395,15 @@ class LpProfile(ToricProfile):
         return self.a * self.b * u
 
     def scaled(self, s: float):
-        return LpProfile(self.p, self.a * s, self.b * s, self.numerics)
+        return LpProfile(self.p, self.a * s, self.b * s)
 
     def to_json(self):
-        return {"kind": "lp", "p": self.p, "a": self.a, "b": self.b,
-                "numerics": self.numerics.to_json()}
+        return {"kind": "lp", "p": self.p, "a": self.a, "b": self.b}
 
 
-def round_profile(numerics: Numerics | None = None) -> LpProfile:
+def round_profile() -> LpProfile:
     """The radius-one round profile F = sqrt(x^2 + y^2)."""
-    return LpProfile(2.0, 1.0, 1.0, numerics)
+    return LpProfile(2.0, 1.0, 1.0)
 
 
 def _end_slope(h0, h1, m0, m1):
@@ -453,15 +451,16 @@ class SplineProfile(ToricProfile):
     The samples must be star-shaped (strictly increasing polar angle),
     cover the whole quadrant from the positive x-axis to the positive
     y-axis, and be free of corner-like kinks: construction rejects data
-    whose spline second derivative exceeds the configured curvature bound.
+    where |r''| / r exceeds CURVATURE_BOUND.  The ratio does not change
+    when the boundary is dilated, so the same shape passes at every size.
     r, r' and r'' come from one in-house coefficient table over the sorted
     polar angles, whose end slopes are the reference PCHIP's.
     """
 
     kind = "sampled"
 
-    def __init__(self, points, numerics: Numerics | None = None):
-        super().__init__(numerics)
+    def __init__(self, points):
+        super().__init__()
         pts = np.asarray(points, float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 4:
             raise ValidationError("sampled profile needs at least 4 (x, y) points")
@@ -483,7 +482,8 @@ class SplineProfile(ToricProfile):
             raise ValidationError("samples must cover the polar angle range "
                                   "[0, pi/2] including both axes")
         theta[0], theta[-1] = 0.0, HALF_PI
-        self._points = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+        # kept as given, so that to_json rebuilds the same knots bit for bit
+        self._points = pts[order]
         self._knots = theta
         self._coef = pchip_table(theta, r)
         # interval lookup: each cell of a uniform grid over [0, pi/2] holds
@@ -497,11 +497,16 @@ class SplineProfile(ToricProfile):
             theta[1:-1], (np.arange(cells) - 1) / self._cell_scale,
             side="right")
         self._next_knot = np.append(theta[1:-1], np.inf)
-        curv = np.abs(self._radius_deriv2(np.linspace(0.0, HALF_PI, 4096)))
-        if np.nanmax(curv) > self.numerics.curvature_bound:
+        # r'' = 2 c2 + 6 c3 s is linear on each interval, so its extremes
+        # are the one-sided values at the knots
+        _, _, c2, c3 = self._coef
+        curv = np.max(np.maximum(
+            np.abs(2.0 * c2) / r[:-1],
+            np.abs(2.0 * c2 + 6.0 * c3 * np.diff(theta)) / r[1:]))
+        if not curv <= CURVATURE_BOUND:
             raise ValidationError(
-                f"boundary curvature {np.nanmax(curv):.3g} exceeds bound "
-                f"{self.numerics.curvature_bound:.3g}; data looks cornered")
+                f"boundary curvature |r''|/r = {curv:.3g} exceeds bound "
+                f"{CURVATURE_BOUND:.3g}; data looks cornered")
 
     def _segments(self, theta):
         """Offsets s from the knot below each angle and the interval
@@ -526,20 +531,14 @@ class SplineProfile(ToricProfile):
         _, c1, c2, c3 = self._coef
         return c1[j] + 2.0 * c2[j] * s + 3.0 * c3[j] * (s * s)
 
-    def _radius_deriv2(self, theta):
-        s, j = self._segments(theta)
-        _, _, c2, c3 = self._coef
-        return 2.0 * c2[j] + 6.0 * c3[j] * s
-
     def kink_angles(self):
         return self._knots
 
     def scaled(self, s: float):
-        return SplineProfile(self._points * s, self.numerics)
+        return SplineProfile(self._points * s)
 
     def to_json(self):
-        return {"kind": "sampled", "points": self._points.tolist(),
-                "numerics": self.numerics.to_json()}
+        return {"kind": "sampled", "points": self._points.tolist()}
 
 
 def perturbed_ellipsoid_points(a: float, b: float, coeffs, n: int = 256):
@@ -555,15 +554,15 @@ def perturbed_ellipsoid_points(a: float, b: float, coeffs, n: int = 256):
     return np.column_stack([r * np.cos(theta), r * np.sin(theta)])
 
 
-def perturbed_ellipsoid_profile(a: float, b: float, coeffs, n: int = 256,
-                                numerics: Numerics | None = None) -> SplineProfile:
-    return SplineProfile(perturbed_ellipsoid_points(a, b, coeffs, n), numerics)
+def perturbed_ellipsoid_profile(a: float, b: float, coeffs,
+                                n: int = 256) -> SplineProfile:
+    return SplineProfile(perturbed_ellipsoid_points(a, b, coeffs, n))
 
 
 _PROFILE_KEYS = {
-    "ellipsoid": {"kind", "a", "b", "numerics"},
-    "lp": {"kind", "p", "a", "b", "numerics"},
-    "sampled": {"kind", "points", "numerics"},
+    "ellipsoid": {"kind", "a", "b"},
+    "lp": {"kind", "p", "a", "b"},
+    "sampled": {"kind", "points"},
 }
 
 
@@ -574,7 +573,6 @@ def profile_from_json(obj) -> ToricProfile:
       {"kind": "ellipsoid", "a": 1.0, "b": 2.0}
       {"kind": "lp", "p": 2.0, "a": 1.0, "b": 1.0}
       {"kind": "sampled", "points": [[x, y], ...]}
-    each with an optional "numerics" object of tolerance overrides.
     """
     if not isinstance(obj, dict):
         raise ValidationError("profile specification must be a JSON object")
@@ -584,8 +582,6 @@ def profile_from_json(obj) -> ToricProfile:
     unknown = set(obj) - _PROFILE_KEYS[kind]
     if unknown:
         raise ValidationError(f"unknown profile keys: {sorted(unknown)}")
-    numerics = Numerics.from_json(obj.get("numerics"))
-
     def number(key, default=None):
         value = float(obj[key] if default is None else obj.get(key, default))
         if not math.isfinite(value):
@@ -595,12 +591,12 @@ def profile_from_json(obj) -> ToricProfile:
 
     try:
         if kind == "ellipsoid":
-            profile = EllipsoidProfile(number("a"), number("b"), numerics)
+            profile = EllipsoidProfile(number("a"), number("b"))
         elif kind == "lp":
             profile = LpProfile(number("p"), number("a", 1.0),
-                                number("b", 1.0), numerics)
+                                number("b", 1.0))
         else:
-            profile = SplineProfile(obj["points"], numerics)
+            profile = SplineProfile(obj["points"])
     except KeyError as exc:
         raise ValidationError(f"profile field missing: {exc}") from exc
     except (TypeError, ValueError) as exc:

@@ -150,8 +150,9 @@ def emit_plot_data(outdir: str, kind: str, payload):
     kinds: 'systolic-grid' wants (profile, grid_n) and writes the
     (t, t_hat, g) table; 'pairing-profile' wants (profile, n) and writes
     pairings against the two axis disks along the curve; 'action-spectrum'
-    wants (hamiltonian, periodic points, n) and writes the radial mean
-    action curve with the located points.
+    wants (hamiltonian, points, n), the points being periodic points or
+    dictionary rows (anything with z, k and mean_action), and writes the
+    radial mean action curve with the located points.
     """
     paths = []
     if kind == "systolic-grid":

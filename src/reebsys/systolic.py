@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ValidationError
 from .numerics import (adaptive_gauss, bracketed_roots, refine_extremum,
                        scan_roots)
-from .profiles import HALF_PI, ToricProfile
+from .profiles import AREA_QUAD_TOL, HALF_PI, ToricProfile
 
 TWO_PI_SQ = 2.0 * math.pi * math.pi
 
@@ -358,9 +358,9 @@ def average_identity_residual(profile: ToricProfile) -> float:
     """
     rate = profile._sector_rate
     i1, _ = adaptive_gauss(lambda th: profile.gradient_theta(th)[0] * rate(th),
-                           0.0, HALF_PI, tol=profile.numerics.quad_tol)
+                           0.0, HALF_PI, tol=AREA_QUAD_TOL)
     i2, _ = adaptive_gauss(lambda th: profile.gradient_theta(th)[1] * rate(th),
-                           0.0, HALF_PI, tol=profile.numerics.quad_tol)
+                           0.0, HALF_PI, tol=AREA_QUAD_TOL)
     ic = profile.intercepts()
     return float(abs(i1 * i2 - ic.a * ic.b))
 

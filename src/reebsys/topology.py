@@ -442,6 +442,13 @@ def toric_orbit_curve(profile: ToricProfile, orbit, n: int = 1024,
     return ClosedCurve.from_points(pts, chord_bound=1.0)
 
 
+# Curves closer than LINK_MIN_SEPARATION have no linking number; a Gauss
+# sum farther than LINK_RESIDUAL_TOL from an integer is retried with other
+# poles and subdivided curves.
+LINK_MIN_SEPARATION = 1e-6
+LINK_RESIDUAL_TOL = 0.1
+GAUSS_BLOCK = 64        # segments of Q per vectorized pass of the Gauss sum
+
 # Candidate projection poles avoid the coordinate circles (where the axis
 # orbits live); the asymmetric ones also miss every torus curve with equal
 # circle radii, which passes through all symmetric sign patterns.
@@ -473,7 +480,7 @@ def _stereographic(points: np.ndarray, pole: np.ndarray) -> np.ndarray:
     return rotated[:, :3] / denom[:, None]
 
 
-def _gauss_linking_sum(P: np.ndarray, Q: np.ndarray, block: int = 64) -> float:
+def _gauss_linking_sum(P: np.ndarray, Q: np.ndarray) -> float:
     """Exact linking number of two closed polylines in R^3.
 
     Sums, over all segment pairs, the signed solid angle subtended by one
@@ -482,9 +489,9 @@ def _gauss_linking_sum(P: np.ndarray, Q: np.ndarray, block: int = 64) -> float:
     """
     total = 0.0
     segs_p0, segs_p1 = P[:-1], P[1:]
-    for start in range(0, len(Q) - 1, block):
-        q0 = Q[start:start + block + 1][:-1]
-        q1 = Q[start + 1:start + block + 1]
+    for start in range(0, len(Q) - 1, GAUSS_BLOCK):
+        q0 = Q[start:start + GAUSS_BLOCK + 1][:-1]
+        q1 = Q[start + 1:start + GAUSS_BLOCK + 1]
         a = segs_p0[None, :, :] - q0[:, None, :]
         b = segs_p0[None, :, :] - q1[:, None, :]
         c = segs_p1[None, :, :] - q1[:, None, :]
@@ -515,9 +522,7 @@ class LinkResult:
     subdivisions: int
 
 
-def linking_number(curve1: ClosedCurve, curve2: ClosedCurve,
-                   min_separation: float = 1e-6,
-                   residual_tol: float = 0.1) -> LinkResult:
+def linking_number(curve1: ClosedCurve, curve2: ClosedCurve) -> LinkResult:
     """Linking number of two disjoint closed curves on the 3-sphere.
 
     The pole for stereographic projection is chosen among the eight
@@ -532,10 +537,10 @@ def linking_number(curve1: ClosedCurve, curve2: ClosedCurve,
         blockp = p1[start:start + 512]
         diff = blockp[:, None, :] - p2[None, :, :]
         min_dist = min(min_dist, float(np.sqrt((diff ** 2).sum(axis=2)).min()))
-    if min_dist < min_separation:
+    if min_dist < LINK_MIN_SEPARATION:
         raise ValidationError(
             f"curves come within {min_dist:.3g} of each other "
-            f"(bound {min_separation:g}); linking is undefined")
+            f"(bound {LINK_MIN_SEPARATION:g}); linking is undefined")
 
     scores = []
     for i, pole in enumerate(_POLES):
@@ -556,13 +561,13 @@ def linking_number(curve1: ClosedCurve, curve2: ClosedCurve,
             raw = _gauss_linking_sum(P, Q)
             residual = abs(raw - round(raw))
             best_residual = min(best_residual, residual)
-            if residual < residual_tol:
+            if residual < LINK_RESIDUAL_TOL:
                 return LinkResult(int(round(raw)), float(residual), float(raw),
                                   i, level)
         c1, c2 = c1.subdivided(), c2.subdivided()
     raise NumericalError(
-        f"Gauss sum residual {best_residual:.3g} still above {residual_tol:g} "
-        "after pole changes and curve refinement")
+        f"Gauss sum residual {best_residual:.3g} still above "
+        f"{LINK_RESIDUAL_TOL:g} after pole changes and curve refinement")
 
 
 def check_statistical(report: ActionLinkingReport, z_threshold: float = 4.0):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import reebsys
+from conftest import SPLINE_ARGS
 from reebsys.cli import main
 from reebsys.reports import emit_plot_data, read_curve_csv, validate_report
 
@@ -298,12 +299,34 @@ class TestExitCodes:
         assert "commensurable" in capsys.readouterr().err
 
     @pytest.mark.parametrize("numerics", [{"quad_tol": "x"},
-                                          {"table_panels": 0}])
+                                          {"table_panels": 0}, {}])
     def test_bad_numerics_rejected(self, tmp_path, capsys, numerics):
+        # the tolerances are constants; any numerics block is an unknown key
         inp = write_json(tmp_path / "p.json", {**ROUND, "numerics": numerics})
         assert run(["toric-analyze", "--input", inp,
                     "--output", tmp_path / "o"]) == 2
-        assert "numerics." in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "validation error: unknown profile keys: ['numerics']\n")
+
+    def test_curvature_bound_is_scale_free(self, tmp_path, capsys):
+        from reebsys.profiles import perturbed_ellipsoid_points
+        # |r''|/r is 4.57 at every size of the conftest spline
+        pts = perturbed_ellipsoid_points(*SPLINE_ARGS) * 3000.0
+        inp = write_json(tmp_path / "big.json",
+                         {"kind": "sampled", "points": pts.tolist()})
+        assert run(["systole", "--input", inp, "--output", tmp_path / "o",
+                    "--grid", 256, "--plot-grid", 6, "--quiet"]) == 0
+        # a corner sampled densely: 5.1e4 at the knots beside the kink
+        theta = np.linspace(0.0, PI / 2, 20000)
+        r = 1.0 / np.maximum(np.cos(theta), np.sin(theta))
+        inp = write_json(tmp_path / "corner.json", {
+            "kind": "sampled",
+            "points": np.column_stack([r * np.cos(theta),
+                                       r * np.sin(theta)]).tolist()})
+        assert run(["toric-analyze", "--input", inp,
+                    "--output", tmp_path / "c"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "|r''|/r = 5.09e+04" in err[0]
 
 
 class TestFlagValidation:

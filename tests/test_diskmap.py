@@ -165,7 +165,7 @@ class TestPeriodicPoints:
         # oracle: keep a root unless an earlier kept root of the same
         # period lies within 1e-10 of it, tested against every kept root
         H = RadialHamiltonian(coeffs)
-        circles = list(_resonant_circles(H, k_max, 256))
+        circles = list(_resonant_circles(H, k_max))
         kept = []
         for s, k, m in circles:
             if not any(abs(s - s0) < 1e-10 and k == k0 for s0, k0, _ in kept):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from reebsys.errors import NumericalError, ValidationError
-from reebsys.numerics import (Numerics, adaptive_gauss, bracketed_roots,
-                              fixed_gauss, panel_gauss_many, refine_extremum,
-                              scan_roots, wrap_angle, wrap_to_pi)
+from reebsys.numerics import (adaptive_gauss, bracketed_roots, fixed_gauss,
+                              panel_gauss_many, refine_extremum, scan_roots,
+                              wrap_angle, wrap_to_pi)
+from reebsys.profiles import profile_from_json
 
 
 def test_adaptive_gauss_known_integrals():
@@ -109,26 +110,14 @@ def test_wrap_helpers():
     assert wrap_to_pi(-0.1) == pytest.approx(-0.1)
 
 
-def test_numerics_json():
-    n = Numerics.from_json({"quad_tol": 1e-8})
-    assert n.quad_tol == 1e-8 and n.table_panels == Numerics().table_panels
-    assert Numerics.from_json(None) == Numerics()
-    with pytest.raises(ValidationError):
-        Numerics.from_json({"bogus": 1})
-    with pytest.raises(ValidationError):
-        Numerics.from_json([1, 2])
-
-
 @pytest.mark.parametrize("doc", [
     {"quad_tol": "x"}, {"quad_tol": 0.0}, {"quad_tol": float("inf")},
     {"curvature_bound": -1.0}, {"curvature_bound": None},
     {"table_panels": 0}, {"table_panels": True}, {"table_panels": 64.0},
     {"root_tol": 1e-13}])
 def test_numerics_json_rejects_bad_values(doc):
-    with pytest.raises(ValidationError, match="numerics."):
-        Numerics.from_json(doc)
-
-
-def test_numerics_json_accepts_integral_tolerances():
-    n = Numerics.from_json({"curvature_bound": 100, "table_panels": 64})
-    assert (n.curvature_bound, n.table_panels) == (100, 64)
+    # the tolerances are constants: a profile document that still carries
+    # a block of overrides, well formed or not, is rejected by its key
+    with pytest.raises(ValidationError,
+                       match=r"^unknown profile keys: \['numerics'\]$"):
+        profile_from_json({"kind": "lp", "p": 2.0, "numerics": doc})

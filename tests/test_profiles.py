@@ -8,7 +8,6 @@ from scipy.interpolate import PchipInterpolator
 
 from conftest import SPLINE_ARGS, random_star_profile, star_profiles
 from reebsys.errors import ValidationError
-from reebsys.numerics import Numerics
 from reebsys.profiles import (EllipsoidProfile, LpProfile, SplineProfile,
                               ToricProfile, perturbed_ellipsoid_points,
                               profile_from_json, round_profile)
@@ -159,14 +158,12 @@ class TestSampledProfiles:
         assert np.max(np.abs(d1s - d1r)) < 1e-4
 
     def test_corner_data_rejected_with_curvature_bound(self):
-        theta = np.linspace(0.0, HALF_PI, 400)
-        r = 1.0 / np.maximum(np.cos(theta), np.sin(theta))  # kink at pi/4
-        pts = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
-        strict = Numerics(curvature_bound=100.0)
+        # |r''| sampled at 4096 angles stays near 4 on this corner; at the
+        # knots next to the kink |r''|/r is 5.1e4
         with pytest.raises(ValidationError, match="curvature"):
-            SplineProfile(pts, strict)
-        smooth = np.column_stack([np.cos(theta), np.sin(theta)])
-        SplineProfile(smooth, strict)  # smooth data passes the same bound
+            SplineProfile(corner_points(20000))
+        theta = np.linspace(0.0, HALF_PI, 20000)
+        SplineProfile(polar_points(theta, np.ones_like(theta)))  # smooth passes
 
     def test_star_shape_violations_rejected(self):
         theta = np.linspace(0.0, HALF_PI, 50)
@@ -192,6 +189,13 @@ def polar_knots(points):
 def polar_points(theta, r):
     theta, r = np.asarray(theta), np.asarray(r)
     return np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+
+
+def corner_points(n):
+    """n samples of the square's edge r = 1 / max(cos, sin), kinked at
+    pi/4."""
+    theta = np.linspace(0.0, HALF_PI, n)
+    return polar_points(theta, 1.0 / np.maximum(np.cos(theta), np.sin(theta)))
 
 
 # knots (theta, r) whose secants hit every slope branch of PCHIP: a tiny
@@ -225,7 +229,6 @@ class TestPchipOracle:
         assert np.array_equal(sp.boundary_radius(grid), ref(grid))
         assert np.array_equal(sp.boundary_radius_deriv(grid),
                               ref.derivative(1)(grid))
-        assert np.array_equal(sp._radius_deriv2(grid), ref.derivative(2)(grid))
         for th in (0.0, 0.5, HALF_PI):
             assert sp.boundary_radius(th) == ref(th)
             assert sp.boundary_radius_deriv(th) == ref.derivative(1)(th)
@@ -271,16 +274,18 @@ class TestPchipOracle:
         assert d == pytest.approx(3.0 * m0, rel=1e-12)
 
     def test_curvature_rejection_message(self):
-        theta = np.linspace(0.0, HALF_PI, 400)
-        r = 1.0 / np.maximum(np.cos(theta), np.sin(theta))  # kink at pi/4
-        points = polar_points(theta, r)
-        ref = PchipInterpolator(*polar_knots(points), extrapolate=False)
-        curv = np.nanmax(np.abs(ref.derivative(2)(
-            np.linspace(0.0, HALF_PI, 4096))))
+        points = corner_points(20000)
+        theta, r = polar_knots(points)
+        # r'' of each piece is c[0] s + c[1]: its values at both ends of
+        # every interval, over r there
+        d2 = PchipInterpolator(theta, r, extrapolate=False).derivative(2).c
+        curv = max(np.max(np.abs(d2[1]) / r[:-1]),
+                   np.max(np.abs(d2[0] * np.diff(theta) + d2[1]) / r[1:]))
+        assert curv > 5e4
         with pytest.raises(ValidationError) as exc:
-            SplineProfile(points, Numerics(curvature_bound=100.0))
-        assert str(exc.value) == (f"boundary curvature {curv:.3g} exceeds "
-                                  f"bound 100; data looks cornered")
+            SplineProfile(points)
+        assert str(exc.value) == (f"boundary curvature |r''|/r = {curv:.3g} "
+                                  f"exceeds bound 1e+04; data looks cornered")
 
 
 def closed_form_profiles():
@@ -322,10 +327,14 @@ class TestInversion:
 
 class TestJson:
     def test_roundtrip(self, profile_matrix):
+        # the echoed document rebuilds the same profile bit for bit
         for p in profile_matrix:
             q = profile_from_json(p.to_json())
             assert q.kind == p.kind
-            assert q.quadrant_area() == pytest.approx(p.quadrant_area(), rel=1e-9)
+            assert q.two_area == p.two_area
+            t = np.linspace(0.0, p.two_area, 128)
+            for a, b in zip(q.boundary_arrays(t), p.boundary_arrays(t)):
+                assert np.array_equal(a, b)
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValidationError, match="unknown"):
@@ -351,14 +360,6 @@ class TestJson:
     def test_non_finite_rejected(self, doc):
         with pytest.raises(ValidationError, match="finite"):
             profile_from_json(doc)
-
-    def test_numerics_overrides(self):
-        p = profile_from_json({"kind": "ellipsoid", "a": 1.0, "b": 1.0,
-                               "numerics": {"quad_tol": 1e-8}})
-        assert p.numerics.quad_tol == 1e-8
-        with pytest.raises(ValidationError):
-            profile_from_json({"kind": "ellipsoid", "a": 1.0, "b": 1.0,
-                               "numerics": {"nope": 1}})
 
 
 @given(star_profiles())

@@ -11,7 +11,7 @@ from reebsys import diskmap as dm
 from reebsys.cli import main
 from reebsys.errors import ValidationError
 from reebsys.flows import liouville_sample
-from reebsys.profiles import profile_from_json
+from reebsys.profiles import _PROFILE_KEYS, profile_from_json
 from reebsys.reports import (CSV_CHUNK_ROWS, emit_plot_data, jsonable,
                              load_schema, read_curve_csv, render_report,
                              validate_report, write_csv, write_curve_csv,
@@ -187,6 +187,12 @@ def test_action_spectrum_matches_row_writer(tmp_path):
     expected = rows_csv(("s", "mean_action", "k"), rows)
     assert read_bytes(path) == expected
     assert expected.count(b",\n") == n           # the empty k cells
+    # diskmap-dictionary writes the spectrum from its rows, which carry
+    # the same z, k and mean action for the same k_max
+    rows = dm.suspension_dictionary(H, c=1.0, k_max=4).rows
+    (path,) = emit_plot_data(str(tmp_path), "action-spectrum",
+                             (H, rows, n))
+    assert read_bytes(path) == expected
 
 
 def test_samples_and_curve_csv_match_row_writer(tmp_path, spline_p, round_p):
@@ -213,3 +219,12 @@ def test_schema_registry():
         load_schema("unknown-command")
     with pytest.raises(ValidationError, match="violates"):
         validate_report("linking", {"report_version": 1})
+
+
+def test_profile_schema_copies_agree():
+    # the profile echo is described once per command that writes it
+    copies = [load_schema(c)["properties"]["profile"]
+              for c in ("toric-analyze", "systole", "verify-action-linking",
+                        "equidistribute")]
+    assert all(c == copies[0] for c in copies)
+    assert set(copies[0]["properties"]) == set().union(*_PROFILE_KEYS.values())
