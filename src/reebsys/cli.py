@@ -29,6 +29,10 @@ from .errors import (NumericalError, ReebsysError, StatisticalError,
 from .profiles import profile_from_json
 
 THREADS_ENV = "REEBSYS_THREADS"
+# Segment pairs a linking input may ask for: the Gauss sum's time grows
+# with their count, and an orbit's samples are allocated before the sum
+# runs, so the count is checked before any curve is built.
+LINK_MAX_PAIRS = 1 << 24
 
 
 def default_threads() -> int:
@@ -329,14 +333,17 @@ def _spec_phase(o: dict, label: str) -> float:
     return float(value)
 
 
-def _curve_from_spec(spec, label: str):
+def _curve_plan(spec, label: str):
+    """(segments, build) of a curve spec: its segment count, read before
+    any curve exists, and a function returning (curve, report entry)."""
     if not isinstance(spec, dict):
         raise ValidationError(f"{label}: curve spec must be an object")
     keys = set(spec)
     if keys == {"csv"}:
         pts = rp.read_curve_csv(spec["csv"])
-        return tp.ClosedCurve.from_points(pts), {"csv": spec["csv"],
-                                                 "points": int(len(pts))}
+        return len(pts) - 1, lambda: (
+            tp.ClosedCurve.from_points(pts),
+            {"csv": spec["csv"], "points": int(len(pts))})
     if keys == {"orbit"}:
         o = dict(spec["orbit"])
         unknown = set(o) - {"profile", "p", "q", "samples", "index", "phase2"}
@@ -357,10 +364,10 @@ def _curve_from_spec(spec, label: str):
                                   f"({len(matches)} roots)")
         torus = matches[index]
         n = _spec_samples(o, label, 1024)
-        curve = tp.toric_orbit_curve(profile, torus, n,
-                                     phase2=phase2)
-        return curve, {"p": p, "q": q, "t": torus.t, "period": torus.period,
-                       "samples": n}
+        return n, lambda: (
+            tp.toric_orbit_curve(profile, torus, n, phase2=phase2),
+            {"p": p, "q": q, "t": torus.t, "period": torus.period,
+             "samples": n})
     if keys == {"axis_orbit"}:
         o = dict(spec["axis_orbit"])
         unknown = set(o) - {"profile", "axis", "samples"}
@@ -369,8 +376,9 @@ def _curve_from_spec(spec, label: str):
         profile = profile_from_json(o.get("profile"))
         orbit = sy.axis_orbit(profile, o.get("axis", "y"))
         n = _spec_samples(o, label, 256)
-        curve = tp.toric_orbit_curve(profile, orbit, n)
-        return curve, {"axis": orbit.axis, "period": orbit.period, "samples": n}
+        return n, lambda: (
+            tp.toric_orbit_curve(profile, orbit, n),
+            {"axis": orbit.axis, "period": orbit.period, "samples": n})
     raise ValidationError(
         f"{label}: curve spec must have exactly one of 'csv', 'orbit', "
         f"'axis_orbit'; got {sorted(keys)}")
@@ -383,8 +391,13 @@ def run_linking(args):
     specs = doc["curves"]
     if not (isinstance(specs, list) and len(specs) == 2):
         raise ValidationError("linking needs exactly two curve specs")
-    c1, desc1 = _curve_from_spec(specs[0], "curves[0]")
-    c2, desc2 = _curve_from_spec(specs[1], "curves[1]")
+    (n1, build1), (n2, build2) = (_curve_plan(s, f"curves[{i}]")
+                                  for i, s in enumerate(specs))
+    if n1 * n2 > LINK_MAX_PAIRS:
+        raise ValidationError(
+            f"{n1} x {n2} segments make {n1 * n2} segment pairs, above the "
+            f"limit {LINK_MAX_PAIRS}; sample the curves more coarsely")
+    (c1, desc1), (c2, desc2) = build1(), build2()
     res = tp.linking_number(c1, c2)
     report = {**meta(args), "link": res.link, "residual": res.residual,
               "raw": res.raw, "pole_index": res.pole_index,

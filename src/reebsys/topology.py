@@ -25,7 +25,15 @@ sample only, so the report is the same for any thread count.
 
 Linking numbers of closed curves on the 3-sphere are computed by
 stereographic projection followed by the exact solid-angle (Gauss) sum
-over polyline segment pairs.
+over polyline segment pairs.  The sum works on the grid of vertex
+differences P_j - Q_i, block by block, with one component array per
+coordinate: the four corners of a segment pair are neighbouring grid
+points, so each vertex norm and each dot of neighbouring vertices is
+computed once and shared by the pairs that meet there.  Every value is
+formed by the same floating-point operations, in the same order, as the
+per-pair formula written with np.cross and np.einsum; in particular a
+3-term dot is summed as (x + z) + y, the order einsum takes on a
+length-3 axis, so the linking sum is the same to the last bit.
 """
 from __future__ import annotations
 
@@ -472,12 +480,22 @@ def _stereographic(points: np.ndarray, pole: np.ndarray) -> np.ndarray:
         rotated = points
     else:
         rotated = points - 2.0 * np.outer(points @ w, w) / nw
-        rotated = rotated.copy()
         rotated[:, 0] = -rotated[:, 0]
     denom = 1.0 - rotated[:, 3]
     if np.any(np.abs(denom) < 1e-9):
         raise NumericalError("curve passes through the projection pole")
     return rotated[:, :3] / denom[:, None]
+
+
+def _dot3(u, v):
+    """Dot of two (x, y, z) sequences of arrays, summed as (x + z) + y.
+
+    That is the order in which np.einsum("ijk,ijk->ij") sums a length-3
+    axis with numpy 2.4; x + y + z in sequence differs in the last bit and
+    changes linking sums.  tests/test_topology.py checks the Gauss sum
+    against the einsum formula bit for bit.
+    """
+    return (u[0] * v[0] + u[2] * v[2]) + u[1] * v[1]
 
 
 def _gauss_linking_sum(P: np.ndarray, Q: np.ndarray) -> float:
@@ -486,31 +504,62 @@ def _gauss_linking_sum(P: np.ndarray, Q: np.ndarray) -> float:
     Sums, over all segment pairs, the signed solid angle subtended by one
     segment from the other via the two-triangle arctangent formula; the
     total divided by 4*pi is the linking number up to rounding error.
+
+    The sum runs over blocks of GAUSS_BLOCK segments of Q.  A block holds
+    the vertex grid D[i, j] = P[j] - Q[i] as three contiguous component
+    arrays; the corners of cell (i, j) are a = D[i, j], b = D[i+1, j],
+    c = D[i+1, j+1] and d = D[i, j+1].  Each vertex norm is taken once,
+    and each dot of neighbouring vertices once and shared by the two cells
+    on either side of it: the vertical dots give ab and dc, the horizontal
+    ones ad and bc, and the diagonal ca is per cell.  The arithmetic is
+    that of the per-cell formula with np.cross, np.einsum and
+    np.linalg.norm, operation for operation (norms sum in coordinate
+    order, dots as in _dot3), and each block's terms go to one np.sum of
+    the same shape, so the sum is the same to the last bit.
     """
     total = 0.0
-    segs_p0, segs_p1 = P[:-1], P[1:]
+    Pc = tuple(np.ascontiguousarray(P.T))
     for start in range(0, len(Q) - 1, GAUSS_BLOCK):
-        q0 = Q[start:start + GAUSS_BLOCK + 1][:-1]
-        q1 = Q[start + 1:start + GAUSS_BLOCK + 1]
-        a = segs_p0[None, :, :] - q0[:, None, :]
-        b = segs_p0[None, :, :] - q1[:, None, :]
-        c = segs_p1[None, :, :] - q1[:, None, :]
-        d = segs_p1[None, :, :] - q0[:, None, :]
-        cross_bc = np.cross(b, c)
-        p = np.einsum("ijk,ijk->ij", a, cross_bc)
-        an = np.linalg.norm(a, axis=2)
-        bn = np.linalg.norm(b, axis=2)
-        cn = np.linalg.norm(c, axis=2)
-        dn = np.linalg.norm(d, axis=2)
-        ab = np.einsum("ijk,ijk->ij", a, b)
-        bc = np.einsum("ijk,ijk->ij", b, c)
-        ca = np.einsum("ijk,ijk->ij", c, a)
-        ad = np.einsum("ijk,ijk->ij", a, d)
-        dc = np.einsum("ijk,ijk->ij", d, c)
+        q = Q[start:start + GAUSS_BLOCK + 1]
+        D = tuple(Pk[None, :] - qk[:, None] for Pk, qk in zip(Pc, q.T))
+        norm = np.sqrt(D[0] * D[0] + D[1] * D[1] + D[2] * D[2])
+        vert = _dot3([Dk[:-1] for Dk in D], [Dk[1:] for Dk in D])
+        horiz = _dot3([Dk[:, :-1] for Dk in D], [Dk[:, 1:] for Dk in D])
+        a = [Dk[:-1, :-1] for Dk in D]
+        b = [Dk[1:, :-1] for Dk in D]
+        c = [Dk[1:, 1:] for Dk in D]
+        ca = _dot3(c, a)
+        # b x c in np.cross's operand order
+        cross_bc = (b[1] * c[2] - b[2] * c[1], b[2] * c[0] - b[0] * c[2],
+                    b[0] * c[1] - b[1] * c[0])
+        # einsum accumulates into a zeroed output and never returns -0.0;
+        # the sign of a zero p decides arctan2(p, d) = +-pi when d < 0
+        p = _dot3(a, cross_bc) + 0.0
+        an, bn = norm[:-1, :-1], norm[1:, :-1]
+        cn, dn = norm[1:, 1:], norm[:-1, 1:]
+        ab, dc = vert[:, :-1], vert[:, 1:]
+        ad, bc = horiz[:-1], horiz[1:]
         d1 = an * bn * cn + ab * cn + bc * an + ca * bn
         d2 = an * dn * cn + ad * cn + dc * an + ca * dn
         total += float(np.sum(np.arctan2(p, d1) + np.arctan2(p, d2)))
     return total / TWO_PI
+
+
+def _min_distance(p1: np.ndarray, p2: np.ndarray) -> float:
+    """Least distance between the rows of p1 and the rows of p2.
+
+    The squared distances are summed in coordinate order, as a sum over
+    the last axis does; sqrt is monotone and correctly rounded, so one
+    sqrt of the least square is the least of the distances.
+    """
+    min_sq = math.inf
+    for start in range(0, len(p1), 512):
+        block = p1[start:start + 512]
+        sq = (block[:, None, 0] - p2[None, :, 0]) ** 2
+        for k in range(1, p1.shape[1]):
+            sq += (block[:, None, k] - p2[None, :, k]) ** 2
+        min_sq = min(min_sq, float(sq.min()))
+    return math.sqrt(min_sq)
 
 
 @dataclass(frozen=True)
@@ -532,11 +581,7 @@ def linking_number(curve1: ClosedCurve, curve2: ClosedCurve) -> LinkResult:
     poles and spherically subdivided copies of the curves are tried.
     """
     p1, p2 = curve1.points, curve2.points
-    min_dist = math.inf
-    for start in range(0, len(p1), 512):
-        blockp = p1[start:start + 512]
-        diff = blockp[:, None, :] - p2[None, :, :]
-        min_dist = min(min_dist, float(np.sqrt((diff ** 2).sum(axis=2)).min()))
+    min_dist = _min_distance(p1, p2)
     if min_dist < LINK_MIN_SEPARATION:
         raise ValidationError(
             f"curves come within {min_dist:.3g} of each other "
@@ -552,6 +597,8 @@ def linking_number(curve1: ClosedCurve, curve2: ClosedCurve) -> LinkResult:
     c1, c2 = curve1, curve2
     best_residual = math.inf
     for level in range(3):
+        if level:
+            c1, c2 = c1.subdivided(), c2.subdivided()
         for i in order:
             try:
                 P = _stereographic(c1.points, _POLES[i])
@@ -564,7 +611,6 @@ def linking_number(curve1: ClosedCurve, curve2: ClosedCurve) -> LinkResult:
             if residual < LINK_RESIDUAL_TOL:
                 return LinkResult(int(round(raw)), float(residual), float(raw),
                                   i, level)
-        c1, c2 = c1.subdivided(), c2.subdivided()
     raise NumericalError(
         f"Gauss sum residual {best_residual:.3g} still above "
         f"{LINK_RESIDUAL_TOL:g} after pole changes and curve refinement")

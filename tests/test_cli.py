@@ -288,6 +288,22 @@ class TestExitCodes:
         assert run(["linking", "--input", inp, "--output", tmp_path / "o"]) == 2
         assert "'phase2' must be a finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("orbit, other", [
+        ({"p": 2, "q": 3, "samples": 10 ** 13}, {"axis_orbit": {"axis": "y"}}),
+        ({"p": 2, "q": 3, "samples": 5000},
+         {"orbit": {"p": 1, "q": 2, "samples": 5000}}),
+    ], ids=["huge-samples", "two-5000"])
+    def test_linking_pair_cap(self, tmp_path, capsys, orbit, other):
+        # the segment-pair count is checked before any curve is sampled
+        [(kind, body)] = other.items()
+        spec = {"curves": [{"orbit": {"profile": ROUND, **orbit}},
+                           {kind: {"profile": ROUND, **body}}]}
+        inp = write_json(tmp_path / "l.json", spec)
+        assert run(["linking", "--input", inp, "--output", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert "segment pairs, above the limit 16777216" in err
+        assert len(err.splitlines()) == 1
+
     def test_no_torus_up_to_max_pq_is_validation(self, tmp_path, capsys):
         from reebsys.profiles import perturbed_ellipsoid_points
         pts = perturbed_ellipsoid_points(1.0, 2.0, (0.01,), n=128)

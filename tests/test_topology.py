@@ -10,8 +10,10 @@ from reebsys.errors import (ResolutionError, StatisticalError,
 from reebsys.flows import FlowPoint, make_trajectory
 from reebsys.systolic import (axis_orbit, contact_volume, enumerate_tori,
                               pairing_orbit_orbit)
-from reebsys.profiles import EllipsoidProfile
-from reebsys.topology import (RATE_BLOCK, ClosedCurve, _best_convergents,
+from reebsys.profiles import EllipsoidProfile, LpProfile
+from reebsys.topology import (GAUSS_BLOCK, RATE_BLOCK, _POLES, ClosedCurve,
+                              _best_convergents, _gauss_linking_sum,
+                              _min_distance, _stereographic,
                               action_linking_verify, asymptotic_rate,
                               axis_disk, check_statistical, crossing_count,
                               linking_number, page_surface,
@@ -312,6 +314,89 @@ class TestLinking:
         vol = contact_volume(bumpy)
         assert rho == pytest.approx(
             res.link * vol / (pair[0].period * pair[1].period), rel=1e-8)
+
+
+def einsum_gauss_sum(P, Q):
+    """Reference: the per-pair Gauss sum over (block, N, 3) corner arrays."""
+    total = 0.0
+    segs_p0, segs_p1 = P[:-1], P[1:]
+    for start in range(0, len(Q) - 1, GAUSS_BLOCK):
+        q0 = Q[start:start + GAUSS_BLOCK + 1][:-1]
+        q1 = Q[start + 1:start + GAUSS_BLOCK + 1]
+        a = segs_p0[None, :, :] - q0[:, None, :]
+        b = segs_p0[None, :, :] - q1[:, None, :]
+        c = segs_p1[None, :, :] - q1[:, None, :]
+        d = segs_p1[None, :, :] - q0[:, None, :]
+        cross_bc = np.cross(b, c)
+        p = np.einsum("ijk,ijk->ij", a, cross_bc)
+        an = np.linalg.norm(a, axis=2)
+        bn = np.linalg.norm(b, axis=2)
+        cn = np.linalg.norm(c, axis=2)
+        dn = np.linalg.norm(d, axis=2)
+        ab = np.einsum("ijk,ijk->ij", a, b)
+        bc = np.einsum("ijk,ijk->ij", b, c)
+        ca = np.einsum("ijk,ijk->ij", c, a)
+        ad = np.einsum("ijk,ijk->ij", a, d)
+        dc = np.einsum("ijk,ijk->ij", d, c)
+        d1 = an * bn * cn + ab * cn + bc * an + ca * bn
+        d2 = an * dn * cn + ad * cn + dc * an + ca * dn
+        total += float(np.sum(np.arctan2(p, d1) + np.arctan2(p, d2)))
+    return total / (2 * PI)
+
+
+def loop_min_distance(p1, p2):
+    """Reference: the least distance over (512, N, 4) difference blocks."""
+    min_dist = math.inf
+    for start in range(0, len(p1), 512):
+        diff = p1[start:start + 512][:, None, :] - p2[None, :, :]
+        min_dist = min(min_dist, float(np.sqrt((diff ** 2).sum(axis=2)).min()))
+    return min_dist
+
+
+def assert_same_bits(x, y):
+    assert np.float64(x).tobytes() == np.float64(y).tobytes(), (x, y)
+
+
+class TestGaussOracle:
+    """The vertex-grid Gauss sum and the min-distance scan repeat the
+    per-pair reference arithmetic bit for bit."""
+
+    def test_lp3_orbit_and_axis_curves(self):
+        lp3 = LpProfile(3.0, 1.2, 0.9)
+        t23 = [t for t in enumerate_tori(lp3, 3) if (t.p, t.q) == (2, 3)][0]
+        orbit = toric_orbit_curve(lp3, t23, 300)
+        for axis, n in (("x", 130), ("y", 64)):
+            c1, c2 = orbit, toric_orbit_curve(lp3, axis_orbit(lp3, axis), n)
+            assert_same_bits(_min_distance(c1.points, c2.points),
+                             loop_min_distance(c1.points, c2.points))
+            for level in range(2):
+                for pole in _POLES[[0, 4]]:
+                    P = _stereographic(c1.points, pole)
+                    Q = _stereographic(c2.points, pole)
+                    assert_same_bits(_gauss_linking_sum(P, Q),
+                                     einsum_gauss_sum(P, Q))
+                c1, c2 = c1.subdivided(), c2.subdivided()
+
+    @pytest.mark.parametrize("q_segments", [2 * GAUSS_BLOCK - 1,
+                                            2 * GAUSS_BLOCK,
+                                            2 * GAUSS_BLOCK + 1, 5])
+    def test_random_polylines(self, q_segments):
+        rng = np.random.default_rng(q_segments)
+        for _ in range(4):
+            P = np.cumsum(rng.standard_normal((97, 3)), axis=0)
+            Q = np.cumsum(rng.standard_normal((q_segments + 1, 3)), axis=0)
+            assert_same_bits(_gauss_linking_sum(P, Q), einsum_gauss_sum(P, Q))
+            assert_same_bits(_min_distance(P, Q), loop_min_distance(P, Q))
+
+    def test_integer_grid_polylines(self):
+        # exact zeros: a coplanar pair has p = a . (b x c) = 0, and its sign
+        # picks arctan2(p, d) = +-pi when d < 0; einsum never returns -0.0
+        rng = np.random.default_rng(3)
+        for _ in range(400):
+            P = rng.integers(-2, 3, (6, 3)).astype(float)
+            Q = rng.integers(-2, 3, (6, 3)).astype(float)
+            P[-1], Q[-1] = P[0], Q[0]
+            assert_same_bits(_gauss_linking_sum(P, Q), einsum_gauss_sum(P, Q))
 
 
 class TestSurfaces:

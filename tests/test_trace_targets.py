@@ -13,6 +13,7 @@ import sys
 import numpy as np
 
 from reebsys.reports import write_csv
+from reebsys.topology import _gauss_linking_sum
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -58,3 +59,13 @@ def test_write_csv_rows_are_counted_from_its_path_argument(tmp_path):
     write_csv(path, ("a", "b"), (np.arange(5.0), list("vwxyz")))
     assert rows_info((path, ("a", "b"), None), {}, None) == {"rows": 5}
     assert rows_info((), {"path": path}, None) == {"rows": 5}
+
+
+def test_gauss_pairs_are_counted_from_its_curve_arguments():
+    # the topology.linking_number.ns_per_segment_pair metric counts
+    # (len(P) - 1) * (len(Q) - 1) pairs from the first two positional
+    # arguments
+    assert list(inspect.signature(_gauss_linking_sum).parameters)[:2] == \
+        ["P", "Q"]
+    P, Q = np.zeros((7, 3)), np.zeros((4, 3))
+    assert load_spans()._pairs_info((P, Q), {}, None) == {"pairs": 18}
