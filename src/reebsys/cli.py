@@ -119,11 +119,11 @@ def meta(args) -> dict:
 
 
 def finish(args, report: dict, summary: str):
-    """Validate the report, write it to the output directory and print the
-    summary line."""
-    rp.validate_report(args.command, report)
+    """Convert the report to JSON values once, validate it, write it to the
+    output directory and print the summary line."""
+    doc = rp.validate_report(args.command, rp.jsonable(report))
     path = os.path.join(args.output, f"{args.command}.json")
-    rp.write_report(path, report)
+    rp.write_report(path, doc)
     if not args.quiet:
         print(f"{args.command}: {summary} -> {path}")
 
@@ -212,7 +212,8 @@ def run_verify_action_linking(args):
                           "angle": surface.angle,
                           "orientation": surface.orientation},
               "lhs": rep.lhs, "rhs": rep.rhs, "stderr": rep.stderr,
-              "z": rep.z, "n_samples": rep.n_samples, "horizon": rep.horizon,
+              "z": rep.z if math.isfinite(rep.z) else None,
+              "n_samples": rep.n_samples, "horizon": rep.horizon,
               "n_fallback": rep.n_fallback, "return_tol": args.return_tol,
               "z_threshold": args.z_threshold}
     finish(args, report,

@@ -4,13 +4,17 @@ Reports are plain dicts rendered with sorted keys and shortest
 round-trip float representation, so identical inputs and seeds produce
 byte-identical files.  Every report names its command, schema version,
 seed and generator.  Files are written atomically (write then rename).
+Reports are strict JSON, with no NaN or infinity, and each is checked
+against its shipped JSON Schema by a walker of ten keywords.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import json
+import math
 import os
-from functools import lru_cache
+import reprlib
 from importlib import resources
 
 import numpy as np
@@ -30,13 +34,14 @@ def jsonable(obj):
         return [jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer)):
         obj = obj.item()
-    if isinstance(obj, float) and obj != obj:
-        raise ValidationError("NaN is not representable in reports")
+    if isinstance(obj, float) and not math.isfinite(obj):
+        raise ValidationError("NaN and infinities are not representable in reports")
     return obj
 
 
-def render_report(report: dict) -> bytes:
-    return (json.dumps(jsonable(report), indent=2, sort_keys=True) + "\n").encode()
+def render_report(doc: dict) -> bytes:
+    """The bytes of a report already converted by jsonable."""
+    return (json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
 
 
 def atomic_write(path: str, chunks):
@@ -49,8 +54,8 @@ def atomic_write(path: str, chunks):
     os.replace(tmp, path)
 
 
-def write_report(path: str, report: dict):
-    atomic_write(path, (render_report(report),))
+def write_report(path: str, doc: dict):
+    atomic_write(path, (render_report(doc),))
 
 
 CSV_CHUNK_ROWS = 1 << 15      # rows formatted and written at a time
@@ -108,35 +113,89 @@ def read_curve_csv(path: str) -> np.ndarray:
     return pts
 
 
+SCHEMA_KEYWORDS = frozenset((
+    "$id", "$schema", "type", "properties", "required", "additionalProperties",
+    "items", "minItems", "maxItems", "const", "enum", "oneOf"))
+
+# JSON types of the classes in a converted report: a bool is not a number
+_TYPE_NAMES = {dict: ("object",), list: ("array",), str: ("string",),
+               bool: ("boolean",), type(None): ("null",),
+               int: ("integer", "number"), float: ("number",)}
+
+
+def _check_keywords(schema: dict, name: str):
+    """The schema, if it and its subschemas use only SCHEMA_KEYWORDS, with
+    additionalProperties false: a schema edit cannot weaken the check."""
+    unknown = sorted(set(schema) - SCHEMA_KEYWORDS)
+    if unknown or schema.get("additionalProperties", False) is not False:
+        raise ValidationError(f"schema {name}: the report walker does not "
+                              f"check {unknown or 'additionalProperties'}")
+    subs = [*schema.get("properties", {}).values(), *schema.get("oneOf", ()),
+            schema.get("items", {})]
+    for sub in filter(None, subs):    # an empty schema has nothing to check
+        _check_keywords(sub, name)
+    return schema
+
+
+@functools.cache
 def load_schema(command: str) -> dict:
+    """A command's report schema, keyword-checked once; shared, so read only."""
     name = f"{command}.v{REPORT_VERSION}.json"
     try:
         text = (resources.files("reebsys.schemas") / name).read_text()
     except FileNotFoundError as exc:
         raise ValidationError(f"no schema shipped for command {command!r}") from exc
-    return json.loads(text)
+    return _check_keywords(json.loads(text), name)
 
 
-@lru_cache(maxsize=None)
-def _validator(command: str):
-    """The compiled validator of a command's schema, checked against its
-    metaschema once per process."""
-    import jsonschema
-
-    schema = load_schema(command)
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+def _violation(schema: dict, value):
+    """(reason, JSON path steps innermost first) of the first place where
+    value breaks schema, or None.  A valid value builds no path strings."""
+    types = schema.get("type")
+    if types is not None:
+        names = _TYPE_NAMES.get(type(value), ())
+        if names == ("number",) and value.is_integer():
+            names = ("integer", "number")
+        if not (types in names if isinstance(types, str)
+                else any(t in names for t in types)):
+            return f"{reprlib.repr(value)} is not of type {types}", []
+    # const and enum hold scalars: a bool equals only a bool, 1 equals 1.0
+    allowed = [schema["const"]] if "const" in schema else schema.get("enum")
+    if allowed is not None and not any(isinstance(a, bool) == isinstance(value, bool)
+                                       and a == value for a in allowed):
+        return f"{reprlib.repr(value)} is not one of {allowed}", []
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in value:
+                return f"required key {key!r} is missing", []
+        if "additionalProperties" in schema and not props.keys() >= value.keys():
+            return f"keys {sorted(value.keys() - props.keys())} are not allowed", []
+        for key, item in value.items():
+            found = key in props and _violation(props[key], item)
+            if found:
+                found[1].append(f".{key}")
+                return found
+    elif isinstance(value, list):
+        if not schema.get("minItems", 0) <= len(value) <= schema.get("maxItems", len(value)):
+            return f"{len(value)} items are too few or too many", []
+        for i, item in enumerate(value if "items" in schema else ()):
+            found = _violation(schema["items"], item)
+            if found:
+                found[1].append(f"[{i}]")
+                return found
+    if "oneOf" in schema and sum(
+            _violation(sub, value) is None for sub in schema["oneOf"]) != 1:
+        return f"{reprlib.repr(value)} matches no oneOf branch or several", []
+    return None
 
 
 def validate_report(command: str, report: dict):
-    import jsonschema
-
-    error = jsonschema.exceptions.best_match(
-        _validator(command).iter_errors(jsonable(report)))
-    if error is not None:
-        raise ValidationError(
-            f"report for {command!r} violates its schema: {error.message}")
+    """Check a report converted by jsonable; raise at its first violation."""
+    found = _violation(load_schema(command), report)
+    if found is not None:
+        raise ValidationError(f"report for {command!r} violates its schema: "
+                              f"at ${''.join(reversed(found[1]))}: {found[0]}")
     return report
 
 

@@ -192,6 +192,23 @@ class TestExitCodes:
         rep = load_report(out, "verify-action-linking")
         assert rep["z"] == 0 and rep["rhs"] == PI * 1e4
 
+    def test_zero_spread_mismatch_writes_null_z(self, tmp_path):
+        # every sample falls back, so lhs = 0 != rhs with zero spread and z
+        # is infinite: the report stays strict JSON and the run exits 4
+        inp = write_json(tmp_path / "p.json",
+                         {"kind": "ellipsoid", "a": 3, "b": 1e-5})
+        out = tmp_path / "out"
+        assert run(["verify-action-linking", "--input", inp, "--output", out,
+                    "--samples", 64, "--horizon", 1, "--seed", 1,
+                    "--quiet"]) == 4
+
+        def reject(name):
+            raise ValueError(f"non-finite constant {name} in a report")
+
+        text = (out / "verify-action-linking.json").read_text()
+        rep = json.loads(text, parse_constant=reject)
+        assert rep["z"] is None and rep["lhs"] == 0 and rep["stderr"] == 0
+
     @pytest.mark.parametrize("command", ["diskmap-calabi",
                                          "diskmap-dictionary"])
     @pytest.mark.parametrize("coeffs", [["a"], [1.0, None], [1e400],
@@ -422,14 +439,31 @@ class TestPlotEmission:
             emit_plot_data(str(tmp_path), "nope", None)
 
 
-def test_cli_import_loads_no_scipy():
-    """The package runs on numpy and jsonschema alone; scipy is only a
-    test oracle."""
+def loaded_modules(code, roots):
+    """The modules under the given top-level names that a fresh interpreter
+    has loaded after running code."""
     src = os.path.dirname(os.path.dirname(reebsys.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    code = ("import sys, reebsys.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code += ("\nimport sys\nprint(sorted(m for m in sys.modules "
+             f"if m.split('.')[0] in {roots!r}))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return out.strip().splitlines()[-1]
+
+
+def test_cli_import_loads_no_scipy():
+    """The package runs on numpy alone; scipy is only a test oracle."""
+    assert loaded_modules("import reebsys.cli", ("scipy",)) == "[]"
+
+
+def test_command_loads_no_jsonschema(tmp_path):
+    """Reports are validated in-house; jsonschema and its dependencies are
+    only a test oracle."""
+    inp = write_json(tmp_path / "p.json", ROUND)
+    code = ("from reebsys.cli import main\n"
+            f"assert main(['toric-analyze', '--input', {inp!r}, '--output', "
+            f"{str(tmp_path / 'o')!r}, '--quiet']) == 0")
+    roots = ("jsonschema", "referencing", "rpds", "attrs",
+             "jsonschema_specifications")
+    assert loaded_modules(code, roots) == "[]"

@@ -1,14 +1,21 @@
 import csv
+import glob
 import io
 import json
 import math
+import os
 import re
+import types
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from jsonschema import Draft202012Validator
 
 from reebsys import diskmap as dm
-from reebsys.cli import main
+from reebsys import reports
+from reebsys.cli import COMMANDS, main
 from reebsys.errors import ValidationError
 from reebsys.flows import liouville_sample
 from reebsys.profiles import _PROFILE_KEYS, profile_from_json
@@ -36,6 +43,24 @@ def test_jsonable_rejects_nan():
         jsonable({"x": float("nan")})
     with pytest.raises(ValidationError, match="NaN"):
         jsonable({"x": np.float64("nan")})
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, np.float64("inf")])
+def test_jsonable_rejects_infinity(value):
+    with pytest.raises(ValidationError, match="infinities"):
+        jsonable({"x": [1.0, value]})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_report_exits_2_without_a_file(tmp_path, monkeypatch,
+                                                   value):
+    monkeypatch.setattr(dm, "calabi", lambda H, n: value)
+    inp = tmp_path / "h.json"
+    inp.write_text(json.dumps(WELL))
+    out = tmp_path / "o"
+    assert main(["diskmap-calabi", "--input", str(inp), "--output", str(out),
+                 "--quiet"]) == 2
+    assert not (out / "diskmap-calabi.json").exists()
 
 
 def test_render_is_key_order_independent():
@@ -228,3 +253,138 @@ def test_profile_schema_copies_agree():
                         "equidistribute")]
     assert all(c == copies[0] for c in copies)
     assert set(copies[0]["properties"]) == set().union(*_PROFILE_KEYS.values())
+
+
+# ---------------------------------------------------------------------------
+# the in-house schema walker against jsonschema, kept as the oracle
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+GOLDEN_REPORTS = sorted(glob.glob(os.path.join(GOLDEN, "*", "*.json")))
+VERIFY = os.path.join(GOLDEN, "verify-action-linking-round",
+                      "verify-action-linking.json")
+
+
+def load_golden(path):
+    with open(path) as fh:
+        doc = json.load(fh)
+    return doc["command"], doc
+
+
+def verdicts(command, doc):
+    """(walker verdict, jsonschema verdict): True when the doc is valid."""
+    try:
+        validate_report(command, doc)
+        ours = True
+    except ValidationError as exc:
+        assert "violates its schema: at $" in str(exc)
+        ours = False
+    return ours, Draft202012Validator(load_schema(command)).is_valid(doc)
+
+
+def locations(doc, loc=()):
+    """The path (a tuple of keys and indices) of every value in doc."""
+    yield loc
+    if isinstance(doc, (dict, list)):
+        for step in (doc if isinstance(doc, dict) else range(len(doc))):
+            yield from locations(doc[step], loc + (step,))
+
+
+DROP, SKIP = object(), object()
+# each mutation maps (value, loc) to the value put in its place, DROP to
+# delete the key, or SKIP where it does not apply
+MUTATIONS = {
+    "drop-key": lambda v, loc: DROP if loc and isinstance(loc[-1], str)
+    else SKIP,
+    "extra-key": lambda v, loc: {**v, "unexpected": 1}
+    if isinstance(v, dict) else SKIP,
+    "bool": lambda v, loc: True,
+    "string": lambda v, loc: "x",
+    "null": lambda v, loc: None,
+    "list": lambda v, loc: [],
+    "dict": lambda v, loc: {},
+    "int-to-float": lambda v, loc: float(v) if type(v) is int else SKIP,
+    "int-to-half": lambda v, loc: v + 0.5 if type(v) is int else SKIP,
+    "float-to-int": lambda v, loc: int(v) if type(v) is float else SKIP,
+    "grow": lambda v, loc: v + (v[-1:] or [0])
+    if isinstance(v, list) else SKIP,
+    "shrink": lambda v, loc: v[:-1] if isinstance(v, list) and v else SKIP,
+}
+
+
+def mutated(doc, loc, new):
+    """A copy of doc with the value at loc replaced by new (or deleted when
+    new is DROP); only the containers along loc are copied."""
+    if not loc:
+        return new
+    step, copy = loc[0], doc.copy()
+    value = mutated(doc[step], loc[1:], new)
+    if value is DROP:
+        del copy[step]
+    else:
+        copy[step] = value
+    return copy
+
+
+@pytest.mark.parametrize("path", GOLDEN_REPORTS,
+                         ids=lambda p: os.path.basename(os.path.dirname(p)))
+def test_walker_agrees_with_jsonschema_on_golden_reports(path):
+    command, doc = load_golden(path)
+    assert verdicts(command, doc) == (True, True)
+    assert verdicts(command, {**doc, "unexpected": 1}) == (False, False)
+
+
+@settings(max_examples=400)
+@given(data=st.data())
+def test_walker_agrees_with_jsonschema_on_mutated_reports(data):
+    command, doc = load_golden(data.draw(st.sampled_from(GOLDEN_REPORTS)))
+    loc = data.draw(st.sampled_from(list(locations(doc))))
+    value = doc
+    for step in loc:
+        value = value[step]
+    new = MUTATIONS[data.draw(st.sampled_from(sorted(MUTATIONS)))](value, loc)
+    assume(new is not SKIP)
+    ours, theirs = verdicts(command, mutated(doc, loc, new))
+    assert ours == theirs, (command, loc, new)
+
+
+def test_walker_number_rules():
+    # integer accepts 1.0; a bool is neither an integer nor a number and
+    # does not equal 1 under const or enum
+    command, doc = load_golden(VERIFY)
+    assert verdicts(command, {**doc, "seed": 7.0}) == (True, True)
+    for key in ("seed", "report_version"):
+        assert verdicts(command, {**doc, key: True}) == (False, False)
+    surface = {**doc["surface"], "orientation": True}
+    assert verdicts(command, {**doc, "surface": surface}) == (False, False)
+
+
+def test_violation_message_names_the_json_path():
+    command, doc = load_golden(VERIFY)
+    surface = {**doc["surface"], "axis": "z"}
+    with pytest.raises(ValidationError, match=re.escape(
+            f"report for {command!r} violates its schema: at $.surface.axis:")):
+        validate_report(command, {**doc, "surface": surface})
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_shipped_schemas_are_draft_2020_12_within_the_walker(command):
+    # load_schema raises on any keyword outside SCHEMA_KEYWORDS
+    Draft202012Validator.check_schema(load_schema(command))
+
+
+@pytest.mark.parametrize("plant, word", [
+    ({"minimum": 0}, "minimum"),
+    ({"additionalProperties": True}, "additionalProperties")])
+def test_loader_rejects_what_the_walker_does_not_check(tmp_path, monkeypatch,
+                                                        plant, word):
+    schema = json.loads(json.dumps(load_schema("systole")))
+    schema["properties"]["profile"]["properties"]["a"].update(plant)
+    (tmp_path / "systole.v1.json").write_text(json.dumps(schema))
+    monkeypatch.setattr(reports, "resources",
+                        types.SimpleNamespace(files=lambda pkg: tmp_path))
+    load_schema.cache_clear()
+    try:
+        with pytest.raises(ValidationError, match=word):
+            load_schema("systole")
+    finally:
+        load_schema.cache_clear()
