@@ -33,6 +33,15 @@ THREADS_ENV = "REEBSYS_THREADS"
 # with their count, and an orbit's samples are allocated before the sum
 # runs, so the count is checked before any curve is built.
 LINK_MAX_PAIRS = 1 << 24
+# Largest values of the flags that size an array, checked before a command
+# builds one; the largest benchmark value is in each comment.  --grid is
+# the theta grid of systole but the Gauss-Legendre order of the disk maps,
+# whose nodes and calabi_eta_residual's points grow as its square.
+MAX_SAMPLES = 10 ** 7        # Monte Carlo samples; benchmark 10^6
+MAX_PQ = 512                 # max_pq^2 coprime classes; benchmark 128
+MAX_PLOT_GRID = 1024         # plot_grid^2 systolic_grid.csv rows; benchmark 128
+MAX_THETA_GRID = 1 << 20     # systole --grid; benchmark 4096
+MAX_QUAD_N = 1024            # diskmap --grid; benchmark 256 (diskmap-calabi)
 
 
 def default_threads() -> int:
@@ -102,11 +111,9 @@ COMMON = {"input": None, "output": None, "seed": 0, "quiet": False}
 
 
 def load_input(path: str) -> dict:
+    text = rp.read_text(path)
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError as exc:
-        raise ValidationError(f"input file not found: {path}") from exc
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
@@ -126,11 +133,6 @@ def finish(args, report: dict, summary: str):
     rp.write_report(path, doc)
     if not args.quiet:
         print(f"{args.command}: {summary} -> {path}")
-
-
-def _torus_dict(t: sy.RationalTorus) -> dict:
-    return {"p": t.p, "q": t.q, "t": t.t, "period": t.period,
-            "continuum": t.continuum}
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +166,7 @@ def run_toric_analyze(args):
                          "hamilton_max_residual": hamilton,
                          "area_rate_max_residual": area_rate,
                          "intercept_consistency": float(consistency)},
-              "tori": [_torus_dict(t)
-                       for t in sy.enumerate_tori(profile, args.max_pq)]}
+              "tori": sy.enumerate_tori(profile, args.max_pq)}
     finish(args, report,
            f"a={ic.a:.6g} b={ic.b:.6g} area={report['area']:.6g}")
     ts_plot = np.linspace(0.0, profile.two_area, args.plot_grid)
@@ -191,13 +192,12 @@ def run_systole(args):
               "enlarged_interval": list(rep.enlarged_interval),
               "norm": rep.norm, "contains_one": rep.contains_one,
               "grid_n": rep.grid_n, "witnesses": witnesses,
-              "tori": [_torus_dict(t) for t in rep.tori],
+              "tori": rep.tori,
               "pairing_values": rep.pairing_values or None}
     finish(args, report,
            f"interval=[{rep.interval[0]:.9g}, {rep.interval[1]:.9g}] "
            f"norm={rep.norm:.3g} contains_one={rep.contains_one}")
-    for kind in ("systolic-grid", "pairing-profile"):
-        rp.emit_plot_data(args.output, kind, (profile, args.plot_grid))
+    rp.emit_plot_data(args.output, profile, args.plot_grid)
 
 
 def run_verify_action_linking(args):
@@ -231,7 +231,7 @@ def run_equidistribute(args):
     profile = profile_from_json(load_input(args.input))
     oset = fl.approximate_liouville_by_orbits(profile, args.n_tori,
                                               args.max_pq)
-    orbits = [{**_torus_dict(t), "weight": w}
+    orbits = [{**vars(t), "weight": w}
               for t, w in zip(oset.orbits, oset.weights)]
     report = {**meta(args), "profile": profile.to_json(),
               "n_tori": args.n_tori, "max_pq": args.max_pq,
@@ -250,8 +250,8 @@ def run_diskmap_calabi(args):
               "eta_shift_residual": residual, "quad_n": args.grid,
               "boundary_flags": H.boundary_flags()}
     finish(args, report, f"calabi={cal:.12g}")
-    rp.emit_plot_data(args.output, "action-spectrum",
-                      (H, dm.periodic_points(H, args.k_max), args.plot_grid))
+    rp.write_action_spectrum(args.output, H, dm.periodic_points(H, args.k_max),
+                             args.plot_grid)
 
 
 def run_diskmap_dictionary(args):
@@ -263,41 +263,21 @@ def run_diskmap_dictionary(args):
     chk = dm.mean_action_theorem_check(H, args.epsilon,
                                        k_max=max(args.k_max, 4),
                                        quad_n=args.grid)
-
-    def point_dict(P):
-        if P is None:
-            return None
-        return {"z": list(P.z), "k": P.k, "action_k": P.action_k,
-                "mean_action": P.mean_action, "s": P.s,
-                "resonance": P.resonance}
-
-    rows = [{"z": list(r.z), "k": r.k, "action_k": r.action_k,
-             "mean_action": r.mean_action, "period": r.period,
-             "period_residual": r.period_residual,
-             "page_crossings": r.page_crossings, "pairing": r.pairing,
-             "pairing_ge": r.pairing_ge, "mean_action_le": r.mean_action_le,
-             "equivalence_ok": r.equivalence_ok} for r in rep.rows]
-    report = {**meta(args), "hamiltonian": H.to_json(), "c": rep.c,
-              "epsilon": rep.epsilon, "calabi": rep.calabi,
-              "volume": rep.volume,
-              "volume_quadrature": rep.volume_quadrature,
-              "volume_residual": rep.volume_residual,
-              "page_area": rep.page_area, "rows": rows,
-              "boundary_flags": rep.boundary_flags,
+    # the dictionary's fields are report keys; its rows stay records
+    report = {**meta(args), "hamiltonian": H.to_json(), **vars(rep),
               "mean_action_check": {
                   "found_low": chk.found_low, "found_high": chk.found_high,
-                  "witness_low": point_dict(chk.witness_low),
-                  "witness_high": point_dict(chk.witness_high),
+                  "witness_low": chk.witness_low,
+                  "witness_high": chk.witness_high,
                   "boundary_rotation": chk.boundary_rotation,
                   "hypothesis_cal_lt_half_rotation":
                       chk.hypothesis_cal_lt_half_rotation}}
     finish(args, report,
            f"c={rep.c:.6g} calabi={rep.calabi:.9g} "
-           f"points={len(rows)} vol_resid={rep.volume_residual:.2e}")
+           f"points={len(rep.rows)} vol_resid={rep.volume_residual:.2e}")
     # the rows are the periodic points up to k_max, with their z, k and
     # mean action, in the order periodic_points returns them
-    rp.emit_plot_data(args.output, "action-spectrum",
-                      (H, rep.rows, args.plot_grid))
+    rp.write_action_spectrum(args.output, H, rep.rows, args.plot_grid)
 
 
 def _spec_int(o: dict, key: str, label: str, default=None) -> int:
@@ -341,6 +321,8 @@ def _curve_plan(spec, label: str):
         raise ValidationError(f"{label}: curve spec must be an object")
     keys = set(spec)
     if keys == {"csv"}:
+        if not isinstance(spec["csv"], str):
+            raise ValidationError(f"{label}: 'csv' must be a path string")
         pts = rp.read_curve_csv(spec["csv"])
         return len(pts) - 1, lambda: (
             tp.ClosedCurve.from_points(pts),
@@ -400,9 +382,7 @@ def run_linking(args):
             f"limit {LINK_MAX_PAIRS}; sample the curves more coarsely")
     (c1, desc1), (c2, desc2) = build1(), build2()
     res = tp.linking_number(c1, c2)
-    report = {**meta(args), "link": res.link, "residual": res.residual,
-              "raw": res.raw, "pole_index": res.pole_index,
-              "subdivisions": res.subdivisions, "curves": [desc1, desc2]}
+    report = {**meta(args), **vars(res), "curves": [desc1, desc2]}
     finish(args, report, f"link={res.link} residual={res.residual:.3g}")
     if args.export_curves:
         for i, curve in enumerate((c1, c2), start=1):
@@ -450,7 +430,20 @@ def run(args) -> int:
     # is not given --threads
     if getattr(args, "threads", None) is None:
         args.threads = default_threads()
-    os.makedirs(args.output, exist_ok=True)
+    grid_limit = MAX_THETA_GRID if args.command == "systole" else MAX_QUAD_N
+    limits = {"samples": MAX_SAMPLES, "max_pq": MAX_PQ,
+              "plot_grid": MAX_PLOT_GRID, "grid": grid_limit}
+    for dest, limit in limits.items():
+        value = getattr(args, dest, None)
+        if value is not None and value > limit:
+            raise ValidationError(
+                f"--{dest.replace('_', '-')} {value} is above the limit "
+                f"{limit} of {args.command}; ask for less")
+    try:
+        os.makedirs(args.output, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create output directory "
+                              f"{args.output}: {exc.strerror}") from exc
     COMMANDS[args.command][0](args)
     return 0
 

@@ -5,12 +5,17 @@ round-trip float representation, so identical inputs and seeds produce
 byte-identical files.  Every report names its command, schema version,
 seed and generator.  Files are written atomically (write then rename).
 Reports are strict JSON, with no NaN or infinity, and each is checked
-against its shipped JSON Schema by a walker of ten keywords.
+against its shipped JSON Schema by a walker of twelve keywords.  The
+records several reports share (profile, torus, periodic point,
+Hamiltonian, boundary flags) are defined once, in records.v1.json, and a
+schema names one with a lone $ref into that file's $defs.
 """
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
+import io
 import json
 import math
 import os
@@ -34,8 +39,12 @@ def jsonable(obj):
         return [jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer)):
         obj = obj.item()
-    if isinstance(obj, float) and not math.isfinite(obj):
-        raise ValidationError("NaN and infinities are not representable in reports")
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValidationError("NaN and infinities are not representable in reports")
+    elif dataclasses.is_dataclass(obj):
+        # a library record whose fields, its instance dict, are its report keys
+        return jsonable(vars(obj))
     return obj
 
 
@@ -95,16 +104,28 @@ def write_curve_csv(path: str, points: np.ndarray):
     write_csv(path, ("x1", "y1", "x2", "y2"), np.asarray(points, float).T)
 
 
+def read_text(path: str) -> str:
+    """The text of an input file; a file that cannot be read is a
+    ValidationError naming the path."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {path}: "
+                              f"{getattr(exc, 'strerror', None) or exc}") from exc
+
+
 def read_curve_csv(path: str) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["x1", "y1", "x2", "y2"]:
-            raise ValidationError(f"{path}: expected header x1,y1,x2,y2")
-        try:
-            rows = [[float(v) for v in row] for row in reader if row]
-        except ValueError as exc:
-            raise ValidationError(f"{path}: non-numeric curve data: {exc}") from exc
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header] != ["x1", "y1", "x2", "y2"]:
+        raise ValidationError(f"{path}: expected header x1,y1,x2,y2")
+    try:
+        rows = [[float(v) for v in row] for row in reader if row]
+    except ValueError as exc:
+        raise ValidationError(f"{path}: non-numeric curve data: {exc}") from exc
+    if any(len(row) != 4 for row in rows):
+        raise ValidationError(f"{path}: every curve row must hold 4 values")
     if len(rows) < 4:
         raise ValidationError(f"{path}: too few curve points")
     pts = np.asarray(rows, float)
@@ -114,8 +135,12 @@ def read_curve_csv(path: str) -> np.ndarray:
 
 
 SCHEMA_KEYWORDS = frozenset((
-    "$id", "$schema", "type", "properties", "required", "additionalProperties",
-    "items", "minItems", "maxItems", "const", "enum", "oneOf"))
+    "$id", "$schema", "$defs", "$ref", "type", "properties", "required",
+    "additionalProperties", "items", "minItems", "maxItems", "const", "enum",
+    "oneOf"))
+# the one schema file a $ref may point into, and the prefix of its targets
+RECORDS = "records"
+RECORD_REF = f"{RECORDS}.v{REPORT_VERSION}.json#/$defs/"
 
 # JSON types of the classes in a converted report: a bool is not a number
 _TYPE_NAMES = {dict: ("object",), list: ("array",), str: ("string",),
@@ -123,34 +148,46 @@ _TYPE_NAMES = {dict: ("object",), list: ("array",), str: ("string",),
                int: ("integer", "number"), float: ("number",)}
 
 
-def _check_keywords(schema: dict, name: str):
+def _check_keywords(schema: dict, name: str, refs: list):
     """The schema, if it and its subschemas use only SCHEMA_KEYWORDS, with
-    additionalProperties false: a schema edit cannot weaken the check."""
+    additionalProperties false and each $ref alone and one of refs: a
+    schema edit cannot weaken the check."""
+    if "$ref" in schema:
+        if len(schema) > 1 or schema["$ref"] not in refs:
+            raise ValidationError(f"schema {name}: the report walker follows "
+                                  f"only a lone $ref to a record, not {schema}")
+        return schema
     unknown = sorted(set(schema) - SCHEMA_KEYWORDS)
     if unknown or schema.get("additionalProperties", False) is not False:
         raise ValidationError(f"schema {name}: the report walker does not "
                               f"check {unknown or 'additionalProperties'}")
     subs = [*schema.get("properties", {}).values(), *schema.get("oneOf", ()),
-            schema.get("items", {})]
+            schema.get("items", {}), *schema.get("$defs", {}).values()]
     for sub in filter(None, subs):    # an empty schema has nothing to check
-        _check_keywords(sub, name)
+        _check_keywords(sub, name, refs)
     return schema
 
 
 @functools.cache
 def load_schema(command: str) -> dict:
-    """A command's report schema, keyword-checked once; shared, so read only."""
+    """A command's report schema, keyword-checked once; shared, so read
+    only.  load_schema(RECORDS) is the file of shared records."""
     name = f"{command}.v{REPORT_VERSION}.json"
     try:
         text = (resources.files("reebsys.schemas") / name).read_text()
     except FileNotFoundError as exc:
         raise ValidationError(f"no schema shipped for command {command!r}") from exc
-    return _check_keywords(json.loads(text), name)
+    schema = json.loads(text)
+    records = schema if command == RECORDS else load_schema(RECORDS)
+    return _check_keywords(schema, name, [RECORD_REF + key for key
+                                          in records.get("$defs", {})])
 
 
 def _violation(schema: dict, value):
     """(reason, JSON path steps innermost first) of the first place where
     value breaks schema, or None.  A valid value builds no path strings."""
+    if "$ref" in schema:
+        schema = load_schema(RECORDS)["$defs"][schema["$ref"][len(RECORD_REF):]]
     types = schema.get("type")
     if types is not None:
         names = _TYPE_NAMES.get(type(value), ())
@@ -203,55 +240,43 @@ def validate_report(command: str, report: dict):
 # plot-ready CSV emitters
 
 
-def emit_plot_data(outdir: str, kind: str, payload):
-    """Write plot-ready CSV files for a computed report.
+def emit_plot_data(outdir: str, profile, n: int):
+    """Write the two systole plot CSVs and return their paths:
+    systolic_grid.csv, the (t, t_hat, g) table on an n x n grid, and
+    pairing_profile.csv, the pairings against the two axis disks at n
+    interior points of the curve."""
+    ts = np.linspace(0.0, profile.two_area, n)
+    _, _, d1, d2 = profile.boundary_arrays(ts)
+    area2 = 2.0 * profile.quadrant_area()
+    g = area2 * np.outer(d1, d2)
+    # row i*n + j is (ts[i], ts[j], g[i, j]): the axis values are
+    # formatted once and repeated as text
+    labels = np.array([repr(t) for t in ts.tolist()], dtype=object)
+    grid = os.path.join(outdir, "systolic_grid.csv")
+    write_csv(grid, ("t", "t_hat", "g"),
+              (np.repeat(labels, n), np.tile(labels, n), g.ravel()))
+    del g, labels                   # free the n x n table before the next
 
-    kinds: 'systolic-grid' wants (profile, grid_n) and writes the
-    (t, t_hat, g) table; 'pairing-profile' wants (profile, n) and writes
-    pairings against the two axis disks along the curve; 'action-spectrum'
-    wants (hamiltonian, points, n), the points being periodic points or
-    dictionary rows (anything with z, k and mean_action), and writes the
-    radial mean action curve with the located points.
-    """
-    paths = []
-    if kind == "systolic-grid":
-        profile, n = payload
-        ts = np.linspace(0.0, profile.two_area, n)
-        _, _, d1, d2 = profile.boundary_arrays(ts)
-        g = 2.0 * profile.quadrant_area() * np.outer(d1, d2)
-        # row i*n + j is (ts[i], ts[j], g[i, j]): the axis values are
-        # formatted once and repeated as text
-        labels = np.array([repr(t) for t in ts.tolist()], dtype=object)
-        path = os.path.join(outdir, "systolic_grid.csv")
-        write_csv(path, ("t", "t_hat", "g"),
-                  (np.repeat(labels, n), np.tile(labels, n), g.ravel()))
-        paths.append(path)
-    elif kind == "pairing-profile":
-        profile, n = payload
-        two_a = profile.two_area
-        ts = np.linspace(0.0, two_a, n + 2)[1:-1]
-        _, _, d1, d2 = profile.boundary_arrays(ts)
-        area2 = 2.0 * profile.quadrant_area()
-        ic = profile.intercepts()
-        rho_y = area2 * d1 * ic.d2_at_b
-        rho_x = area2 * d2 * ic.d1_at_a
-        path = os.path.join(outdir, "pairing_profile.csv")
-        write_csv(path, ("t", "rho_y_disk", "rho_x_disk"), (ts, rho_y, rho_x))
-        paths.append(path)
-    elif kind == "action-spectrum":
-        hamiltonian, points, n = payload
-        from .diskmap import radial_action_exact
-        ss = np.linspace(0.0, 1.0, n)
-        s_col = np.concatenate(
-            [ss, [P.z[0] ** 2 + P.z[1] ** 2 for P in points]])
-        action_col = np.concatenate(
-            [radial_action_exact(hamiltonian, ss),
-             [P.mean_action for P in points]])
-        # the curve rows leave k empty
-        k_col = [""] * n + [P.k for P in points]
-        path = os.path.join(outdir, "action_spectrum.csv")
-        write_csv(path, ("s", "mean_action", "k"), (s_col, action_col, k_col))
-        paths.append(path)
-    else:
-        raise ValidationError(f"unknown plot kind: {kind!r}")
-    return paths
+    ts = np.linspace(0.0, profile.two_area, n + 2)[1:-1]
+    _, _, d1, d2 = profile.boundary_arrays(ts)
+    ic = profile.intercepts()
+    pairing = os.path.join(outdir, "pairing_profile.csv")
+    write_csv(pairing, ("t", "rho_y_disk", "rho_x_disk"),
+              (ts, area2 * d1 * ic.d2_at_b, area2 * d2 * ic.d1_at_a))
+    return [grid, pairing]
+
+
+def write_action_spectrum(outdir: str, hamiltonian, points, n: int):
+    """Write action_spectrum.csv and return its path: the radial mean
+    action curve at n values of s, then the points (periodic points or
+    dictionary rows, anything with z, k and mean_action)."""
+    from .diskmap import radial_action_exact
+    ss = np.linspace(0.0, 1.0, n)
+    s_col = np.concatenate([ss, [P.z[0] ** 2 + P.z[1] ** 2 for P in points]])
+    action_col = np.concatenate([radial_action_exact(hamiltonian, ss),
+                                 [P.mean_action for P in points]])
+    # the curve rows leave k empty
+    k_col = [""] * n + [P.k for P in points]
+    path = os.path.join(outdir, "action_spectrum.csv")
+    write_csv(path, ("s", "mean_action", "k"), (s_col, action_col, k_col))
+    return path

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 import reebsys
 from conftest import SPLINE_ARGS
 from reebsys.cli import main
-from reebsys.reports import emit_plot_data, read_curve_csv, validate_report
+from reebsys.reports import read_curve_csv, validate_report
 
 PI = math.pi
 
@@ -321,6 +322,43 @@ class TestExitCodes:
         assert "segment pairs, above the limit 16777216" in err
         assert len(err.splitlines()) == 1
 
+    @staticmethod
+    def _link(tmp_path, path):
+        return ["linking", "--input",
+                write_json(tmp_path / "l.json", {"curves": [{"csv": path}] * 2}),
+                "--output", tmp_path / "o"]
+
+    @pytest.mark.parametrize("argv", [
+        # unreadable inputs and outputs
+        lambda d: ["systole", "--input", d, "--output", d / "o"],
+        lambda d: ["systole", "--input", d / "bom.json", "--output", d / "o"],
+        lambda d: ["systole", "--input", write_json(d / "p.json", ROUND),
+                   "--output", d / "bom.json"],
+        lambda d: TestExitCodes._link(d, 5),
+        lambda d: TestExitCodes._link(d, str(d / "missing.csv")),
+        lambda d: TestExitCodes._link(d, str(d / "ragged.csv")),
+        # flags that would size an array past memory
+        lambda d: ["verify-action-linking", "--input", write_json(
+            d / "p.json", ROUND), "--output", d / "o", "--samples", 10 ** 10],
+        lambda d: ["systole", "--input", write_json(d / "p.json", ROUND),
+                   "--output", d / "o", "--plot-grid", 10 ** 6],
+        lambda d: ["toric-analyze", "--input", write_json(d / "p.json", ROUND),
+                   "--output", d / "o", "--max-pq", 10 ** 5],
+        lambda d: ["diskmap-calabi", "--input", write_json(d / "h.json", WELL),
+                   "--output", d / "o", "--grid", 10 ** 5],
+    ], ids=["input-directory", "input-utf16-bom", "output-is-a-file",
+            "csv-integer", "csv-missing", "csv-ragged", "samples", "plot-grid",
+            "max-pq", "diskmap-grid"])
+    def test_unreadable_or_oversized_input(self, tmp_path, capsys, argv):
+        (tmp_path / "bom.json").write_bytes(b"\xff\xfe{}")
+        (tmp_path / "ragged.csv").write_text(
+            "x1,y1,x2,y2\n" + "1,0,0,0\n0,1,0\n" * 3)
+        start = time.perf_counter()
+        assert run(argv(tmp_path)) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and len(err.splitlines()) == 1
+
     def test_no_torus_up_to_max_pq_is_validation(self, tmp_path, capsys):
         from reebsys.profiles import perturbed_ellipsoid_points
         pts = perturbed_ellipsoid_points(1.0, 2.0, (0.01,), n=128)
@@ -430,13 +468,6 @@ class TestReproducibility:
         inp = write_json(tmp_path / "p.json", E12)
         assert run(["systole", "--input", inp,
                     "--output", tmp_path / "o", "--grid", 256]) == 2
-
-
-class TestPlotEmission:
-    def test_unknown_kind_rejected(self, tmp_path):
-        from reebsys.errors import ValidationError
-        with pytest.raises(ValidationError):
-            emit_plot_data(str(tmp_path), "nope", None)
 
 
 def loaded_modules(code, roots):

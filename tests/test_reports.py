@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
+from referencing import Registry, Resource
 
 from reebsys import diskmap as dm
 from reebsys import reports
@@ -19,9 +20,10 @@ from reebsys.cli import COMMANDS, main
 from reebsys.errors import ValidationError
 from reebsys.flows import liouville_sample
 from reebsys.profiles import _PROFILE_KEYS, profile_from_json
-from reebsys.reports import (CSV_CHUNK_ROWS, emit_plot_data, jsonable,
-                             load_schema, read_curve_csv, render_report,
-                             validate_report, write_csv, write_curve_csv,
+from reebsys.reports import (CSV_CHUNK_ROWS, RECORD_REF, RECORDS,
+                             emit_plot_data, jsonable, load_schema,
+                             read_curve_csv, render_report, validate_report,
+                             write_action_spectrum, write_csv, write_curve_csv,
                              write_report, write_samples_csv)
 from reebsys.systolic import enumerate_tori
 from reebsys.topology import toric_orbit_curve
@@ -162,9 +164,7 @@ def test_systolic_grid_and_pairing_profile_match_row_writer(tmp_path,
                                                             profile_matrix):
     n = 128
     for profile in profile_matrix:
-        grid, pairing = emit_plot_data(str(tmp_path), "systolic-grid",
-                                       (profile, n)) + emit_plot_data(
-            str(tmp_path), "pairing-profile", (profile, n))
+        grid, pairing = emit_plot_data(str(tmp_path), profile, n)
 
         ts = np.linspace(0.0, profile.two_area, n)
         _, _, d1, d2 = profile.boundary_arrays(ts)
@@ -203,7 +203,7 @@ def test_action_spectrum_matches_row_writer(tmp_path):
     points = dm.periodic_points(H, 4)
     assert points
     n = 50
-    (path,) = emit_plot_data(str(tmp_path), "action-spectrum", (H, points, n))
+    path = write_action_spectrum(str(tmp_path), H, points, n)
     ss = np.linspace(0.0, 1.0, n)
     rows = [(float(s), float(v), "")
             for s, v in zip(ss, dm.radial_action_exact(H, ss))]
@@ -215,8 +215,7 @@ def test_action_spectrum_matches_row_writer(tmp_path):
     # diskmap-dictionary writes the spectrum from its rows, which carry
     # the same z, k and mean action for the same k_max
     rows = dm.suspension_dictionary(H, c=1.0, k_max=4).rows
-    (path,) = emit_plot_data(str(tmp_path), "action-spectrum",
-                             (H, rows, n))
+    path = write_action_spectrum(str(tmp_path), H, rows, n)
     assert read_bytes(path) == expected
 
 
@@ -246,13 +245,9 @@ def test_schema_registry():
         validate_report("linking", {"report_version": 1})
 
 
-def test_profile_schema_copies_agree():
-    # the profile echo is described once per command that writes it
-    copies = [load_schema(c)["properties"]["profile"]
-              for c in ("toric-analyze", "systole", "verify-action-linking",
-                        "equidistribute")]
-    assert all(c == copies[0] for c in copies)
-    assert set(copies[0]["properties"]) == set().union(*_PROFILE_KEYS.values())
+def test_profile_record_has_every_profile_key():
+    profile = load_schema(RECORDS)["$defs"]["profile"]
+    assert set(profile["properties"]) == set().union(*_PROFILE_KEYS.values())
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +265,10 @@ def load_golden(path):
     return doc["command"], doc
 
 
+# the oracle resolves $ref through a registry that holds the records file
+REGISTRY = Resource.from_contents(load_schema(RECORDS)) @ Registry()
+
+
 def verdicts(command, doc):
     """(walker verdict, jsonschema verdict): True when the doc is valid."""
     try:
@@ -278,7 +277,34 @@ def verdicts(command, doc):
     except ValidationError as exc:
         assert "violates its schema: at $" in str(exc)
         ours = False
-    return ours, Draft202012Validator(load_schema(command)).is_valid(doc)
+    theirs = Draft202012Validator(load_schema(command),
+                                  registry=REGISTRY).is_valid(doc)
+    return ours, theirs
+
+
+def refs(schema):
+    """Every $ref in a schema."""
+    if isinstance(schema, dict):
+        if "$ref" in schema:
+            yield schema["$ref"]
+        for sub in schema.values():
+            yield from refs(sub)
+    elif isinstance(schema, list):
+        for sub in schema:
+            yield from refs(sub)
+
+
+def test_every_ref_resolves_and_every_record_is_used():
+    records = load_schema(RECORDS)
+    used = set()
+    for command in COMMANDS:
+        schema = load_schema(command)
+        resolver = REGISTRY.resolver(base_uri=schema["$id"])
+        for ref in refs(schema):
+            name = ref[len(RECORD_REF):]
+            assert resolver.lookup(ref).contents is records["$defs"][name]
+            used.add(name)
+    assert used == set(records["$defs"])
 
 
 def locations(doc, loc=()):
@@ -347,6 +373,31 @@ def test_walker_agrees_with_jsonschema_on_mutated_reports(data):
     assert ours == theirs, (command, loc, new)
 
 
+# the report keys whose schemas are, or hold, records of records.v1.json
+SHARED = ("profile", "tori", "hamiltonian", "boundary_flags",
+          "mean_action_check")
+
+
+@pytest.mark.parametrize("path", GOLDEN_REPORTS,
+                         ids=lambda p: os.path.basename(os.path.dirname(p)))
+def test_walker_agrees_with_jsonschema_inside_shared_records(path):
+    # every mutation at every place in a shared record, through the first
+    # item of each array
+    command, doc = load_golden(path)
+    for loc in locations(doc):
+        if not loc or loc[0] not in SHARED or any(
+                type(step) is int and step > 0 for step in loc):
+            continue
+        value = doc
+        for step in loc:
+            value = value[step]
+        for name, mutation in MUTATIONS.items():
+            new = mutation(value, loc)
+            if new is not SKIP:
+                ours, theirs = verdicts(command, mutated(doc, loc, new))
+                assert ours == theirs, (command, loc, name)
+
+
 def test_walker_number_rules():
     # integer accepts 1.0; a bool is neither an integer nor a number and
     # does not equal 1 under const or enum
@@ -366,20 +417,27 @@ def test_violation_message_names_the_json_path():
         validate_report(command, {**doc, "surface": surface})
 
 
-@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("command", sorted(COMMANDS) + [RECORDS])
 def test_shipped_schemas_are_draft_2020_12_within_the_walker(command):
     # load_schema raises on any keyword outside SCHEMA_KEYWORDS
     Draft202012Validator.check_schema(load_schema(command))
 
 
 @pytest.mark.parametrize("plant, word", [
-    ({"minimum": 0}, "minimum"),
-    ({"additionalProperties": True}, "additionalProperties")])
+    ({"volume": {"minimum": 0}}, "minimum"),
+    ({"volume": {"additionalProperties": True}}, "additionalProperties"),
+    # a $ref must be alone and name a record of the records file
+    ({"profile": {"type": "object"}}, "lone"),
+    ({"profile": {"$ref": "systole.v1.json#/$defs/profile"}}, "lone"),
+    ({"profile": {"$ref": RECORD_REF + "nothing"}}, "lone")])
 def test_loader_rejects_what_the_walker_does_not_check(tmp_path, monkeypatch,
                                                         plant, word):
     schema = json.loads(json.dumps(load_schema("systole")))
-    schema["properties"]["profile"]["properties"]["a"].update(plant)
+    for key, update in plant.items():
+        schema["properties"][key].update(update)
     (tmp_path / "systole.v1.json").write_text(json.dumps(schema))
+    (tmp_path / f"{RECORDS}.v1.json").write_text(
+        json.dumps(load_schema(RECORDS)))
     monkeypatch.setattr(reports, "resources",
                         types.SimpleNamespace(files=lambda pkg: tmp_path))
     load_schema.cache_clear()
