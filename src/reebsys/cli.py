@@ -42,6 +42,13 @@ MAX_PQ = 512                 # max_pq^2 coprime classes; benchmark 128
 MAX_PLOT_GRID = 1024         # plot_grid^2 systolic_grid.csv rows; benchmark 128
 MAX_THETA_GRID = 1 << 20     # systole --grid; benchmark 4096
 MAX_QUAD_N = 1024            # diskmap --grid; benchmark 256 (diskmap-calabi)
+# equidistribute --n-tori; benchmark 64.  At the cap with --max-pq 512:
+# round exits 3 after 1.2 s, the benchmark ellipsoid exits 0 after 0.9 s
+# (round at --n-tori 256 exits 0 after 4.8 s)
+MAX_N_TORI = 1024
+# diskmap --k-max; benchmark 5.  At the cap on the benchmark well
+# pi*(1-s)^2: diskmap-calabi 0.4 s, diskmap-dictionary 0.8 s
+MAX_K_MAX = 64
 
 
 def default_threads() -> int:
@@ -337,6 +344,11 @@ def _curve_plan(spec, label: str):
         phase2 = _spec_phase(o, label)
         if p < 1 or q < 1 or math.gcd(p, q) != 1:
             raise ValidationError(f"{label}: (p, q) must be coprime positives")
+        # enumerate_tori builds max(p, q)^2 classes
+        if max(p, q) > MAX_PQ:
+            raise ValidationError(
+                f"{label}: orbit ({p}, {q}) has max(p, q) above the limit "
+                f"{MAX_PQ}; ask for less")
         matches = [t for t in sy.enumerate_tori(profile, max(p, q))
                    if (t.p, t.q) == (p, q)]
         if not matches:
@@ -432,7 +444,8 @@ def run(args) -> int:
         args.threads = default_threads()
     grid_limit = MAX_THETA_GRID if args.command == "systole" else MAX_QUAD_N
     limits = {"samples": MAX_SAMPLES, "max_pq": MAX_PQ,
-              "plot_grid": MAX_PLOT_GRID, "grid": grid_limit}
+              "plot_grid": MAX_PLOT_GRID, "grid": grid_limit,
+              "n_tori": MAX_N_TORI, "k_max": MAX_K_MAX}
     for dest, limit in limits.items():
         value = getattr(args, dest, None)
         if value is not None and value > limit:

@@ -249,6 +249,53 @@ def _partials_on_grid(profile: ToricProfile, grid_n: int):
     return theta, np.asarray(d1g, float), np.asarray(d2g, float)
 
 
+# nodes of the dense grid behind the enlarged interval, and the stride of
+# the first pass over it
+DENSE_N = 1 << 19
+DENSE_STRIDE = 64
+
+
+def _extremes(d1, d2):
+    """(min, max) of D1F, D2F and of the diagonal D1F*D2F, six floats."""
+    diag = d1 * d2
+    return (float(d1.min()), float(d1.max()), float(d2.min()),
+            float(d2.max()), float(diag.min()), float(diag.max()))
+
+
+def _dense_extremes(profile: ToricProfile, n: int):
+    """_extremes over the nodes of np.linspace(0, pi/2, n), from a strided
+    pass and windows instead of all n nodes.
+
+    The first pass takes every DENSE_STRIDE-th node and the last.  Every
+    node within one stride of a strided local minimum or maximum of D1F,
+    D2F or D1F*D2F, or of a kink angle, is then evaluated in one call.
+    Strided nodes equal to both neighbours (a plateau, such as a constant
+    gradient) open no window.  The result equals the scan of all n nodes
+    when each extreme lies in a basin wider than two strides, or within a
+    kink window: the strided minimum of such a basin is one of the two
+    strided nodes around the dense one.
+    """
+    dense = np.linspace(0.0, HALF_PI, n)
+    last = n - 1
+    strided = np.r_[np.arange(0, last, DENSE_STRIDE), last]
+    d1s, d2s = profile.gradient_theta(dense[strided])
+    centres = [np.rint(profile.kink_angles() * (last / HALF_PI)).astype(int)]
+    for f in (d1s, d2s, d1s * d2s):
+        for g in (f, -f):
+            left = np.r_[np.inf, g[:-1]]
+            right = np.r_[g[1:], np.inf]
+            low = (g <= left) & (g <= right) & ~((g == left) & (g == right))
+            centres.append(strided[low])
+    # windows of equal width around sorted centres: a node that is not
+    # above every node before it lies in the previous window
+    offsets = np.arange(-DENSE_STRIDE, DENSE_STRIDE + 1)
+    nodes = np.clip(np.sort(np.concatenate(centres))[:, None] + offsets,
+                    0, last).ravel()
+    window = nodes[nodes > np.maximum.accumulate(np.r_[-1, nodes[:-1]])]
+    d1w, d2w = profile.gradient_theta(dense[window])
+    return _extremes(np.concatenate([d1s, d1w]), np.concatenate([d2s, d2w]))
+
+
 def _nearest_torus(tori, t):
     if not tori:
         return None
@@ -263,8 +310,14 @@ def systolic_interval(profile: ToricProfile, grid_n: int = 4096,
     factors, so its extrema over the parameter square are products of 1D
     extrema; those are located by a grid scan refined by golden-section
     search, and compared with the values at the profile's kink angles
-    (spline knots).  The enlarged interval is recomputed independently from the
-    raw grid including the diagonal values g(t, t) and reported separately.
+    (spline knots).  The enlarged interval is recomputed independently,
+    with the diagonal values g(t, t) included, from the extremes of D1F,
+    D2F and D1F*D2F over the nodes of a dense grid of max(grid_n, DENSE_N)
+    angles, and reported separately.  Below DENSE_N those extremes come
+    from every DENSE_STRIDE-th node plus the nodes within one stride of
+    each strided local extremum and of each kink angle; they equal a scan
+    of every node when each extreme lies in a basin wider than two
+    strides or within a kink window.
 
     pairing_values summarizes the pairings of the first 40 non-continuum
     tori with max(p, q) <= max_pq_witness (continuum representatives when
@@ -301,14 +354,17 @@ def systolic_interval(profile: ToricProfile, grid_n: int = 4096,
     lo = two_a * m1 * m2
     hi = two_a * M1 * M2
 
-    # independent brute-force route: a dense scan of the factor values with
-    # the diagonal products included.  Kinks of spline-backed partials make
-    # grid extrema first-order accurate, hence the much finer grid here.
-    dense = np.linspace(0.0, HALF_PI, max(grid_n, 1 << 19))
-    d1d, d2d = profile.gradient_theta(dense)
-    diag = d1d * d2d
-    enlarged_lo = two_a * min(float(d1d.min() * d2d.min()), float(diag.min()))
-    enlarged_hi = two_a * max(float(d1d.max() * d2d.max()), float(diag.max()))
+    # independent route: the factor extremes over a dense grid of
+    # max(grid_n, DENSE_N) nodes, with the diagonal products included.
+    # Kinks of spline-backed partials make grid extrema first-order
+    # accurate, hence the much finer grid here.  From DENSE_N nodes on it
+    # is the grid above; below, _dense_extremes finds the extremes of all
+    # its nodes from a strided pass and windows (its docstring says when).
+    m1d, M1d, m2d, M2d, m12d, M12d = (
+        _extremes(d1g, d2g) if grid_n >= DENSE_N
+        else _dense_extremes(profile, DENSE_N))
+    enlarged_lo = two_a * min(m1d * m2d, m12d)
+    enlarged_hi = two_a * max(M1d * M2d, M12d)
 
     tol = 1e-9
     contains_one = (lo - tol <= 1.0 <= hi + tol)

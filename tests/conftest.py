@@ -1,3 +1,7 @@
+import importlib
+import os
+import sys
+
 import hypothesis
 import numpy as np
 import pytest
@@ -64,3 +68,17 @@ def random_star_profile(rng: np.random.Generator) -> SplineProfile:
         profile = perturbed_ellipsoid_profile(a, b, coeffs, n=192)
         if profile.has_positive_partials(grid_n=1024):
             return profile
+
+
+def load_perfbench(name: str):
+    """A module of the benchmark harness, imported without writing
+    bytecode into its tree."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    sys.path.insert(0, os.path.join(root, "perfbench"))
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True        # leave the benchmark tree as it is
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.dont_write_bytecode = dont_write
+        sys.path.pop(0)

@@ -346,9 +346,20 @@ class TestExitCodes:
                    "--output", d / "o", "--max-pq", 10 ** 5],
         lambda d: ["diskmap-calabi", "--input", write_json(d / "h.json", WELL),
                    "--output", d / "o", "--grid", 10 ** 5],
+        lambda d: ["equidistribute", "--input", write_json(d / "p.json", ROUND),
+                   "--output", d / "o", "--n-tori", 10 ** 9],
+        lambda d: ["diskmap-calabi", "--input", write_json(d / "h.json", WELL),
+                   "--output", d / "o", "--k-max", 10 ** 8],
+        lambda d: ["diskmap-dictionary", "--input", write_json(
+            d / "h.json", WELL), "--output", d / "o", "--k-max", 10 ** 8],
+        lambda d: ["linking", "--input", write_json(d / "l.json", {"curves": [
+            {"orbit": {"profile": ROUND, "p": 10 ** 5, "q": 1}},
+            {"axis_orbit": {"profile": ROUND, "axis": "y"}}]}),
+                   "--output", d / "o"],
     ], ids=["input-directory", "input-utf16-bom", "output-is-a-file",
             "csv-integer", "csv-missing", "csv-ragged", "samples", "plot-grid",
-            "max-pq", "diskmap-grid"])
+            "max-pq", "diskmap-grid", "n-tori", "calabi-k-max",
+            "dictionary-k-max", "linking-orbit-pq"])
     def test_unreadable_or_oversized_input(self, tmp_path, capsys, argv):
         (tmp_path / "bom.json").write_bytes(b"\xff\xfe{}")
         (tmp_path / "ragged.csv").write_text(

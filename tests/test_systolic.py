@@ -8,11 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from conftest import random_star_profile, star_profiles
+from conftest import load_perfbench, random_star_profile, star_profiles
 from reebsys.errors import ValidationError
-from reebsys.profiles import (HALF_PI, EllipsoidProfile,
-                              perturbed_ellipsoid_profile)
-from reebsys.systolic import (RationalTorus, axis_orbit, average_identity_residual,
+from reebsys.profiles import (HALF_PI, EllipsoidProfile, SplineProfile,
+                              perturbed_ellipsoid_profile, profile_from_json)
+from reebsys.systolic import (DENSE_N, DENSE_STRIDE, RationalTorus,
+                              _dense_extremes,
+                              axis_orbit, average_identity_residual,
                               contact_volume, enumerate_tori,
                               pairing_from_definition, pairing_orbit_orbit,
                               systolic_interval, witness_measure)
@@ -352,7 +354,7 @@ class TestFormulaInvariances:
 @pytest.fixture(scope="module")
 def seeded_stars():
     rng = np.random.default_rng(5)
-    return [random_star_profile(rng) for _ in range(27)]
+    return [random_star_profile(rng) for _ in range(30)]
 
 
 # (star index, grid) where a partial's extremum sits on a spline knot
@@ -371,6 +373,82 @@ def test_interval_reaches_extrema_on_spline_knots(seeded_stars, index, grid_n):
     # the witnesses of the widened ends sit on knots
     on_knot = {float(profile.t_of_theta(th)) for th in profile.kink_angles()}
     assert any(w.t in on_knot for w in rep.witnesses)
+
+
+def full_dense_extremes(profile, n):
+    """The scan the enlarged interval came from before the strided pass:
+    D1F, D2F and the diagonal D1F*D2F at every node of the dense grid."""
+    dense = np.linspace(0.0, HALF_PI, n)
+    d1d, d2d = profile.gradient_theta(dense)
+    diag = d1d * d2d
+    return (float(d1d.min()), float(d1d.max()), float(d2d.min()),
+            float(d2d.max()), float(diag.min()), float(diag.max()))
+
+
+def benchmark_profiles(seeds):
+    """The dilated profiles of the benchmark's survey at these seeds."""
+    workloads = load_perfbench("workloads")
+    return [profile_from_json(doc) for seed in seeds
+            for doc in workloads.profiles(
+                workloads.family(seed)["scale"]).values()]
+
+
+class TestDenseExtremes:
+    @pytest.mark.parametrize("n", [DENSE_N, DENSE_N + 7])
+    def test_matrix_and_benchmark_profiles_match_full_scan(
+            self, profile_matrix, n):
+        for profile in profile_matrix + benchmark_profiles((1, 2, 3)):
+            assert _dense_extremes(profile, n) == \
+                full_dense_extremes(profile, n)
+
+    def test_random_stars_match_full_scan(self, seeded_stars):
+        for profile in seeded_stars:
+            assert _dense_extremes(profile, DENSE_N) == \
+                full_dense_extremes(profile, DENSE_N)
+
+    def test_narrow_extreme_is_found_from_its_knots(self):
+        # a unit circle whose r rises by 2e-8 at the middle of five knots
+        # 6 dense nodes apart, midway between two strided nodes: D1F peaks
+        # above its axis value 1 inside the bump, which no strided node sees
+        step = HALF_PI / (DENSE_N - 1)
+        bump = (10.5 * DENSE_STRIDE + 6 * np.arange(-2.0, 3.0)) * step
+        theta = np.union1d(np.linspace(0.0, HALF_PI, 64), bump)
+        r = np.where(theta == bump[2], 1.0 + 2e-8, 1.0)
+        profile = SplineProfile(np.c_[r * np.cos(theta), r * np.sin(theta)])
+        extremes = full_dense_extremes(profile, DENSE_N)
+        assert extremes[1] > 1.0 and extremes[2] == 0.0
+        assert _dense_extremes(profile, DENSE_N) == extremes
+
+    # from DENSE_N nodes on, the --grid grid is the dense grid
+    @pytest.mark.parametrize("grid_n", [64, 256, 4096, DENSE_N + 7])
+    def test_enlarged_interval_matches_full_scan(self, profile_matrix,
+                                                 grid_n):
+        for profile in profile_matrix:
+            m1, M1, m2, M2, m12, M12 = full_dense_extremes(
+                profile, max(grid_n, DENSE_N))
+            two_a = profile.two_area
+            rep = systolic_interval(profile, grid_n=grid_n, max_pq_witness=2)
+            assert rep.enlarged_interval == (two_a * min(m1 * m2, m12),
+                                             two_a * max(M1 * M2, M12))
+
+    def test_default_grid_evaluates_few_points(self, profile_matrix,
+                                               monkeypatch):
+        # scanning every dense node would pass more than DENSE_N = 2^19
+        # points to gradient_theta; on the ellipsoids, so would windows
+        # around every node of a constant gradient
+        for profile in profile_matrix:
+            cls = type(profile)
+            gradient_theta = cls.gradient_theta
+            points = []
+
+            def counting(self, theta):
+                points.append(np.size(theta))
+                return gradient_theta(self, theta)
+
+            monkeypatch.setattr(cls, "gradient_theta", counting)
+            systolic_interval(profile)
+            monkeypatch.undo()
+            assert 0 < sum(points) < 1 << 17
 
 
 def test_only_sampled_profiles_have_kinks(profile_matrix):

@@ -7,26 +7,16 @@ tracer.  This test reads the same table and resolves each entry the way
 """
 import importlib
 import inspect
-import os
-import sys
 
 import numpy as np
 
+from conftest import load_perfbench
 from reebsys.reports import write_csv
 from reebsys.topology import _gauss_linking_sum
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
 
 def load_spans():
-    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-    dont_write = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True        # leave the benchmark tree as it is
-    try:
-        return importlib.import_module("spans")
-    finally:
-        sys.dont_write_bytecode = dont_write
-        sys.path.pop(0)
+    return load_perfbench("spans")
 
 
 def resolve(modname, target):
