@@ -15,10 +15,6 @@ from reebsys.reports import write_csv
 from reebsys.topology import _gauss_linking_sum
 
 
-def load_spans():
-    return load_perfbench("spans")
-
-
 def resolve(modname, target):
     """The callables a TARGETS entry wraps: "name", "Class.name" or
     "*.name" (every class of the module that defines name)."""
@@ -32,7 +28,7 @@ def resolve(modname, target):
 
 
 def test_every_trace_target_resolves():
-    targets = load_spans().TARGETS
+    targets = load_perfbench("spans").TARGETS
     assert targets
     missing = [f"{modname}.{target}" for modname, target, _ in targets
                if not (found := resolve(modname, target))
@@ -44,7 +40,7 @@ def test_write_csv_rows_are_counted_from_its_path_argument(tmp_path):
     # the reports.write_csv.rows metric reads the written file through
     # the first argument, positional or named path
     assert next(iter(inspect.signature(write_csv).parameters)) == "path"
-    rows_info = load_spans()._rows_info
+    rows_info = load_perfbench("spans")._rows_info
     path = str(tmp_path / "c.csv")
     write_csv(path, ("a", "b"), (np.arange(5.0), list("vwxyz")))
     assert rows_info((path, ("a", "b"), None), {}, None) == {"rows": 5}
@@ -58,4 +54,5 @@ def test_gauss_pairs_are_counted_from_its_curve_arguments():
     assert list(inspect.signature(_gauss_linking_sum).parameters)[:2] == \
         ["P", "Q"]
     P, Q = np.zeros((7, 3)), np.zeros((4, 3))
-    assert load_spans()._pairs_info((P, Q), {}, None) == {"pairs": 18}
+    pairs_info = load_perfbench("spans")._pairs_info
+    assert pairs_info((P, Q), {}, None) == {"pairs": 18}
