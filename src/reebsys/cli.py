@@ -227,9 +227,11 @@ def run_verify_action_linking(args):
            f"lhs={rep.lhs:.9g} rhs={rep.rhs:.9g} z={rep.z:.3g} "
            f"fallback={rep.n_fallback}")
     if args.dump_samples:
-        rp.write_samples_csv(os.path.join(args.output, "samples.csv"),
-                             fl.liouville_sample(profile, args.samples,
-                                                 args.seed))
+        n = args.samples
+        rp.write_samples_csv(os.path.join(args.output, "samples.csv"), (
+            fl.liouville_sample(profile, n, args.seed, lo,
+                                min(lo + rp.CSV_CHUNK_ROWS, n))
+            for lo in range(0, n, rp.CSV_CHUNK_ROWS)))
     # the report and samples stay written for inspection when this raises
     tp.check_statistical(rep, args.z_threshold)
 

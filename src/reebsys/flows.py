@@ -76,19 +76,33 @@ def rng_for_seed(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
-def liouville_sample(profile: ToricProfile, n: int, seed: int) -> np.ndarray:
-    """n independent draws from the normalized invariant measure.
+def liouville_sample(profile: ToricProfile, n: int, seed: int,
+                     lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Rows lo:hi of n independent draws from the normalized invariant
+    measure.
 
-    Returns an (n, 3) array of rows (t, theta1, theta2), uniform on
-    [0, 2A] x [0, 2pi)^2.  Deterministic given the seed.
+    Returns an (hi - lo, 3) array of rows (t, theta1, theta2), uniform on
+    [0, 2A] x [0, 2pi)^2; hi defaults to n.  Deterministic given the
+    seed: the n draws of column c are doubles c*n to (c+1)*n - 1 of the
+    Philox stream keyed by the seed, one 64-bit output each.  A block
+    starts its own stream at its first double (Philox yields four
+    outputs per counter, so it advances (c*n + lo) // 4 counters and
+    discards the rest), so any split into blocks gives the rows of the
+    full draw bit for bit.
     """
+    n = int(n)
+    hi = n if hi is None else hi
     if n < 1:
         raise ValidationError("sample count must be at least 1")
-    rng = rng_for_seed(seed)
-    out = np.empty((int(n), 3))
-    out[:, 0] = rng.uniform(0.0, profile.two_area, int(n))
-    out[:, 1] = rng.uniform(0.0, TWO_PI, int(n))
-    out[:, 2] = rng.uniform(0.0, TWO_PI, int(n))
+    if not 0 <= lo <= hi <= n:
+        raise ValidationError(f"sample rows {lo}:{hi} outside 0:{n}")
+    out = np.empty((hi - lo, 3))
+    for c, width in enumerate((profile.two_area, TWO_PI, TWO_PI)):
+        pos = c * n + lo
+        rng = rng_for_seed(seed)
+        rng.bit_generator.advance(pos // 4)
+        rng.bit_generator.random_raw(pos % 4)
+        out[:, c] = rng.uniform(0.0, width, hi - lo)
     return out
 
 

@@ -247,8 +247,14 @@ class ToricProfile:
         return Intercepts(a, b, float(d1a), float(d2b))
 
     def partials_range(self, grid_n: int = 4096):
-        """(min d1, max d1, min d2, max d2) over a dense boundary grid."""
+        """(min d1, max d1, min d2, max d2) over a dense boundary grid, the
+        kink angles and the midpoint between each two kinks, so that a dip
+        between knots closer than a grid cell is seen too."""
         theta = np.linspace(0.0, HALF_PI, grid_n)
+        kinks = self.kink_angles()
+        if kinks.size:
+            theta = np.concatenate([theta, kinks,
+                                    0.5 * (kinks[:-1] + kinks[1:])])
         d1, d2 = self.gradient_theta(theta)
         return float(d1.min()), float(d1.max()), float(d2.min()), float(d2.max())
 

@@ -70,34 +70,41 @@ def write_report(path: str, doc: dict):
 CSV_CHUNK_ROWS = 1 << 15      # rows formatted and written at a time
 
 
-def write_csv(path: str, header, columns):
-    """Write equal-length columns under a header line, atomically.
+def _csv_bytes(header, blocks):
+    """The header line, then the rows of each block of equal-length
+    columns.  A numpy column is converted with tolist(); a list column
+    is taken as it is.  Each line comes from one format string, so a
+    float cell is its shortest round-trip repr, an int its str and a
+    string itself (callers pass already formatted text that way)."""
+    yield (",".join(header) + "\n").encode()
+    for cells in blocks:
+        line = ",".join(["{}"] * len(cells)) + "\n"
+        cells = [c.tolist() if isinstance(c, np.ndarray) else c
+                 for c in cells]
+        yield "".join(map(line.format, *cells)).encode()
 
-    A numpy column is converted with tolist() one chunk of rows at a
-    time; a list column is taken as it is.  Each line comes from one
-    format string, so a float cell is its shortest round-trip repr, an
-    int its str and a string itself (callers pass already formatted
-    text that way).  Cells are not quoted: no value may hold a comma, a
-    quote or a newline.
+
+def write_csv(path: str, header, columns):
+    """Write equal-length columns under a header line, atomically,
+    CSV_CHUNK_ROWS rows at a time.
+
+    Cells are not quoted: no value may hold a comma, a quote or a
+    newline.
     """
     n = len(columns[0])
     if any(len(col) != n for col in columns):
         raise ValueError("CSV columns must have equal lengths")
-    line = ",".join(["{}"] * len(columns)) + "\n"
-
-    def chunks():
-        yield (",".join(header) + "\n").encode()
-        for lo in range(0, n, CSV_CHUNK_ROWS):
-            cells = [col[lo:lo + CSV_CHUNK_ROWS] for col in columns]
-            cells = [c.tolist() if isinstance(c, np.ndarray) else c
-                     for c in cells]
-            yield "".join(map(line.format, *cells)).encode()
-
-    atomic_write(path, chunks())
+    atomic_write(path, _csv_bytes(header, (
+        [col[lo:lo + CSV_CHUNK_ROWS] for col in columns]
+        for lo in range(0, n, CSV_CHUNK_ROWS))))
 
 
-def write_samples_csv(path: str, samples: np.ndarray):
-    write_csv(path, ("t", "theta1", "theta2"), np.asarray(samples, float).T)
+def write_samples_csv(path: str, blocks):
+    """Write sample rows (t, theta1, theta2), atomically, from an
+    iterable of (k, 3) arrays taken one at a time, so the whole sample
+    never needs to be held."""
+    atomic_write(path, _csv_bytes(("t", "theta1", "theta2"),
+                                  (np.asarray(b, float).T for b in blocks)))
 
 
 def write_curve_csv(path: str, points: np.ndarray):

@@ -18,10 +18,11 @@ The Liouville-averaged crossing rate with a surface, scaled by the contact
 volume, recovers the contact area of the surface; action_linking_verify
 checks this identity by seeded Monte Carlo and reports a z score.  It
 computes the rates in blocks of RATE_BLOCK samples dealt to the worker
-threads, and sums the rates (math.fsum, exactly rounded) block by block,
-so the working memory beyond the samples and their rates is bounded by
-the block size, not the sample count; each rate depends on its own
-sample only, so the report is the same for any thread count.
+threads; each worker draws its block's rows of the seeded sample stream
+itself, and the rates are summed (math.fsum, exactly rounded) block by
+block, so the working memory beyond the rates is bounded by the block
+size, not the sample count; each rate depends on its own sample only,
+so the report is the same for any thread count.
 
 Linking numbers of closed curves on the 3-sphere are computed by
 stereographic projection followed by the exact solid-angle (Gauss) sum
@@ -51,9 +52,8 @@ from .systolic import AxisOrbit, RationalTorus, axis_orbit, contact_volume
 from .flows import RNG_NAME, FlowPoint, Trajectory, liouville_sample
 
 TWO_PI = 2.0 * math.pi
-# Samples per _batch_rates call in action_linking_verify.  It bounds the
-# (20, block) quadrature temporaries of theta_of_t whatever the sample
-# count, and blocks are the unit dealt to worker threads.
+# Samples per _batch_rates call in action_linking_verify: the unit dealt
+# to worker threads, each of which draws its block's samples itself.
 RATE_BLOCK = 1 << 15
 
 
@@ -329,7 +329,8 @@ def action_linking_verify(profile: ToricProfile, surface: SeifertSurfaceSpec,
     angular rate nearly vanishes) use the horizon-closed loop; their count
     is reported.
     """
-    samples = liouville_sample(profile, n_samples, seed)
+    if n_samples < 1:
+        raise ValidationError("sample count must be at least 1")
     vol = contact_volume(profile)
     profile.boundary_arrays(0.0)   # build the profile caches before fan-out
     rates = np.empty(n_samples)
@@ -337,8 +338,8 @@ def action_linking_verify(profile: ToricProfile, surface: SeifertSurfaceSpec,
     def work(lo):
         hi = min(lo + RATE_BLOCK, n_samples)
         rates[lo:hi], _, fallback = _batch_rates(
-            profile, samples[lo:hi], surface, horizon, return_tol,
-            allow_fallback=True)
+            profile, liouville_sample(profile, n_samples, seed, lo, hi),
+            surface, horizon, return_tol, allow_fallback=True)
         return int(fallback.sum())
 
     starts = range(0, n_samples, RATE_BLOCK)

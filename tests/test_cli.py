@@ -183,6 +183,22 @@ class TestExitCodes:
                          {"kind": "sampled", "points": pts.tolist()})
         assert run(["systole", "--input", inp, "--output", tmp_path / "o"]) == 2
 
+    def test_negative_partial_between_close_knots_rejected(self, tmp_path,
+                                                           capsys):
+        # a unit circle whose r rises by 1e-7 at the middle of five knots
+        # 2e-5 rad apart near theta = 2e-3: D2F dips to -0.006 between
+        # the knots, inside one cell of the 4096-node check grid
+        step = (PI / 2) / ((1 << 19) - 1)
+        bump = (672 + 6 * np.arange(-2.0, 3.0)) * step
+        theta = np.union1d(np.linspace(0.0, PI / 2, 64), bump)
+        r = np.where(theta == bump[2], 1.0 + 1e-7, 1.0)
+        inp = write_json(tmp_path / "p.json", {
+            "kind": "sampled",
+            "points": np.c_[r * np.cos(theta), r * np.sin(theta)].tolist()})
+        assert run(["systole", "--input", inp, "--output", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "min D2F = -0.00" in err
+
 
     def test_skewed_ellipsoid_verifies(self, tmp_path):
         inp = write_json(tmp_path / "p.json",

@@ -9,8 +9,9 @@ from reebsys.errors import CoverageError, ValidationError
 from reebsys.flows import (FlowPoint, OrbitSet, approximate_liouville_by_orbits,
                            flow, invariance_test_suite, liouville_sample,
                            liouville_total_mass, make_trajectory, orbit_average,
-                           reeb_rates)
-from reebsys.profiles import EllipsoidProfile, perturbed_ellipsoid_profile
+                           reeb_rates, rng_for_seed)
+from reebsys.profiles import (EllipsoidProfile, LpProfile,
+                              perturbed_ellipsoid_profile)
 from reebsys.systolic import RationalTorus, contact_volume, enumerate_tori
 
 TWO_PI = 2 * math.pi
@@ -106,6 +107,28 @@ class TestLiouvilleSampling:
         s3 = liouville_sample(round_p, 1000, seed=10)
         assert np.array_equal(s1, s2)
         assert not np.array_equal(s1, s3)
+
+    @pytest.mark.parametrize("n", [1, 1001, 1003, 70001])
+    def test_blocks_match_one_shot_draw(self, round_p, n):
+        # the draw before blocks: the three columns one after another
+        # from one generator; blocks start at odd offsets, so their first
+        # double sits anywhere in a Philox counter's four outputs
+        for profile in (round_p, EllipsoidProfile(0.7, 1.9), LpProfile(3.0)):
+            rng = rng_for_seed(77)
+            whole = np.empty((n, 3))
+            whole[:, 0] = rng.uniform(0.0, profile.two_area, n)
+            whole[:, 1] = rng.uniform(0.0, TWO_PI, n)
+            whole[:, 2] = rng.uniform(0.0, TWO_PI, n)
+            assert np.array_equal(liouville_sample(profile, n, 77), whole)
+            for lo in range(min(3, n - 1), n, 997):
+                hi = min(lo + 997, n)
+                assert np.array_equal(
+                    liouville_sample(profile, n, 77, lo, hi), whole[lo:hi])
+
+    def test_rows_outside_the_draw_rejected(self, round_p):
+        for lo, hi in ((-1, 5), (6, 5), (0, 11)):
+            with pytest.raises(ValidationError, match="outside"):
+                liouville_sample(round_p, 10, 1, lo, hi)
 
     def test_flow_invariance_of_test_function_averages(self, round_p):
         n = 10 ** 5

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from reebsys.errors import NumericalError, ValidationError
-from reebsys.numerics import (adaptive_gauss, bracketed_roots, fixed_gauss,
-                              panel_gauss_many, refine_extremum, scan_roots,
-                              wrap_angle, wrap_to_pi)
-from reebsys.profiles import profile_from_json
+from reebsys.numerics import (PANEL_CHUNK, _leggauss, adaptive_gauss,
+                              bracketed_roots, fixed_gauss, panel_gauss_many,
+                              refine_extremum, scan_roots, wrap_angle,
+                              wrap_to_pi)
+from reebsys.profiles import HALF_PI, profile_from_json
 
 
 def test_adaptive_gauss_known_integrals():
@@ -32,6 +33,31 @@ def test_panel_gauss_matches_fixed_rule():
     assert pieces.sum() == pytest.approx(fixed_gauss(np.sin, 0.0, 2.0, 8),
                                          abs=1e-14)
     assert pieces.sum() == pytest.approx(1.0 - math.cos(2.0), abs=1e-13)
+
+
+def one_shot_panel_gauss_many(f, a, b, order=20):
+    """The rule before chunking: f on the nodes of every panel at once."""
+    a = np.asarray(a, float)
+    b = np.asarray(b, float)
+    x, w = _leggauss(order)
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    nodes = mid[None, :] + half[None, :] * x[:, None]
+    vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    return np.einsum("i,ij->j", w, vals) * half
+
+
+@pytest.mark.parametrize("panels", [1, PANEL_CHUNK - 1, PANEL_CHUNK,
+                                    PANEL_CHUNK + 1, 3 * PANEL_CHUNK + 5])
+def test_chunked_panel_gauss_matches_one_shot(profile_matrix, panels):
+    # panels of uneven width and start, as theta_of_t's residual pass has
+    rng = np.random.default_rng(panels)
+    a = rng.uniform(0.0, HALF_PI, panels)
+    b = np.minimum(a + rng.uniform(0.0, 1e-3, panels), HALF_PI)
+    for profile in profile_matrix:
+        got = panel_gauss_many(profile._sector_rate, a, b)
+        want = one_shot_panel_gauss_many(profile._sector_rate, a, b)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_refine_extremum_interior_and_boundary():

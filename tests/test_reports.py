@@ -220,10 +220,13 @@ def test_action_spectrum_matches_row_writer(tmp_path):
 
 
 def test_samples_and_curve_csv_match_row_writer(tmp_path, spline_p, round_p):
-    # one full chunk and a partial one
-    samples = liouville_sample(spline_p, CSV_CHUNK_ROWS + 3, 11)
+    # one full chunk and a partial one, drawn block by block
+    n = CSV_CHUNK_ROWS + 3
+    samples = liouville_sample(spline_p, n, 11)
     path = str(tmp_path / "samples.csv")
-    write_samples_csv(path, samples)
+    write_samples_csv(path, (liouville_sample(spline_p, n, 11, lo,
+                                              min(lo + CSV_CHUNK_ROWS, n))
+                             for lo in range(0, n, CSV_CHUNK_ROWS)))
     assert read_bytes(path) == rows_csv(
         ("t", "theta1", "theta2"),
         ((float(r[0]), float(r[1]), float(r[2])) for r in samples))

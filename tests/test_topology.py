@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reebsys import topology
 from reebsys.errors import (ResolutionError, StatisticalError,
                             ValidationError)
 from reebsys.flows import FlowPoint, make_trajectory
+from reebsys.numerics import PANEL_CHUNK
 from reebsys.systolic import (axis_orbit, contact_volume, enumerate_tori,
                               pairing_orbit_orbit)
-from reebsys.profiles import EllipsoidProfile, LpProfile
+from reebsys.profiles import EllipsoidProfile, LpProfile, ToricProfile
 from reebsys.topology import (GAUSS_BLOCK, RATE_BLOCK, _POLES, ClosedCurve,
                               _best_convergents, _gauss_linking_sum,
                               _min_distance, _stereographic,
@@ -218,6 +220,32 @@ class TestActionLinkingVerify:
                                       300.0, 13, threads=k)
                 for k in (1, 2, 3)]
         assert reps[0] == reps[1] == reps[2]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_working_set_is_bounded_by_blocks(self, spline_p, monkeypatch,
+                                              threads):
+        # drawing every sample up front, or integrating a whole block's
+        # (20, RATE_BLOCK) quadrature nodes at once, would exceed these
+        rate_points, sample_rows = [], []
+        sector_rate = ToricProfile._sector_rate
+        liouville_sample = topology.liouville_sample
+
+        def counting_rate(self, theta):
+            rate_points.append(np.size(theta))
+            return sector_rate(self, theta)
+
+        def counting_sample(profile, n, seed, lo=0, hi=None):
+            sample_rows.append((n if hi is None else hi) - lo)
+            return liouville_sample(profile, n, seed, lo, hi)
+
+        monkeypatch.setattr(ToricProfile, "_sector_rate", counting_rate)
+        monkeypatch.setattr(topology, "liouville_sample", counting_sample)
+        n = 2 * RATE_BLOCK + 777
+        for profile in (LpProfile(3.0, 1.2, 0.9), spline_p):
+            action_linking_verify(profile, axis_disk(profile, "y"), n, 300.0,
+                                  13, threads=threads)
+        assert 0 < max(rate_points) <= 20 * PANEL_CHUNK
+        assert max(sample_rows) <= RATE_BLOCK and sum(sample_rows) == 2 * n
 
     def test_skewed_ellipsoid_zero_variance(self):
         # 1e-4 x 1e4: rhs = pi*b must not pick up cos(pi/2) rounding
