@@ -49,6 +49,12 @@ MAX_N_TORI = 1024
 # diskmap --k-max; benchmark 5.  At the cap on the benchmark well
 # pi*(1-s)^2: diskmap-calabi 0.4 s, diskmap-dictionary 0.8 s
 MAX_K_MAX = 64
+# (k, m) resonances a disk map scans for periodic points, counted by
+# diskmap.resonance_count from the Hamiltonian before any scan: --k-max
+# periods for diskmap-calabi, max(--k-max, 4) for diskmap-dictionary;
+# benchmark 45 (the well at --k-max 5).  The steep well [0,0,1e4] makes
+# 63676 and its dictionary takes 4.3 s; [0,0,1e6] makes 6.4 million.
+MAX_RESONANCES = 1 << 16
 
 
 def default_threads() -> int:
@@ -251,8 +257,18 @@ def run_equidistribute(args):
            f"n_tori={args.n_tori} discrepancy={oset.discrepancy:.6g}")
 
 
+def _check_resonances(H, k_max: int):
+    count = dm.resonance_count(H, k_max)
+    if count > MAX_RESONANCES:
+        raise ValidationError(
+            f"periods up to {k_max} make {count} (k, m) resonances to scan, "
+            f"above the limit {MAX_RESONANCES}; lower --k-max or the "
+            "rotation rate")
+
+
 def run_diskmap_calabi(args):
     H = dm.hamiltonian_from_json(load_input(args.input))
+    _check_resonances(H, args.k_max)
     cal = dm.calabi(H, args.grid)
     residual = dm.calabi_eta_residual(H, max(16, args.grid // 2))
     report = {**meta(args), "hamiltonian": H.to_json(), "calabi": cal,
@@ -265,6 +281,7 @@ def run_diskmap_calabi(args):
 
 def run_diskmap_dictionary(args):
     H = dm.hamiltonian_from_json(load_input(args.input))
+    _check_resonances(H, max(args.k_max, 4))
     rep = dm.suspension_dictionary(H, c=args.suspension_c,
                                    k_max=args.k_max,
                                    epsilon=args.epsilon,

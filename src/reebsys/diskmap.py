@@ -242,13 +242,38 @@ class PeriodicPoint:
     resonance: int | None   # net turns over k map iterations; None at the center
 
 
+def _rotation_scan(H):
+    """The resonance scan grid, the rotation rate on it and its range."""
+    s_grid = np.linspace(0.0, 1.0, RESONANCE_SCAN_N)
+    omega = H.rotation_rate(s_grid)
+    return s_grid, omega, float(omega.min()), float(omega.max())
+
+
+def resonance_count(H, k_max: int) -> float:
+    """Number of resonances omega(s) = 2 pi m / k that _resonant_circles
+    scans up to period k_max, before any scan runs.
+
+    For each k it scans m from floor(k lo / 2 pi) - 1 to ceil(k hi / 2 pi)
+    + 1, where [lo, hi] is the range of omega on the scan grid, skipping
+    the m not prime to k; the count includes those, so it bounds the scans
+    from above.  A range wider than floats count exactly (2^53) gives
+    infinity.
+    """
+    _, _, lo, hi = _rotation_scan(H)
+    count = 0
+    for k in range(1, k_max + 1):
+        top, bottom = k * hi / TWO_PI, k * lo / TWO_PI
+        if not top - bottom < 2.0 ** 53:
+            return math.inf
+        count += math.ceil(top) - math.floor(bottom) + 3
+    return count
+
+
 def _resonant_circles(H, k_max: int):
     """Yield (s, k, m) for every root s > 0 of the rotation-resonance
     equation omega(s) = 2 pi m / k, k <= k_max with m / k in lowest terms,
     in scan order.  A root on a scan node can be yielded twice."""
-    s_grid = np.linspace(0.0, 1.0, RESONANCE_SCAN_N)
-    omega = H.rotation_rate(s_grid)
-    lo, hi = float(omega.min()), float(omega.max())
+    s_grid, omega, lo, hi = _rotation_scan(H)
     # scan every resonance omega(s) = 2 pi m / k, then refine all the
     # bracketed roots in one batch
     resonances, cells, targets = [], [], []

@@ -26,15 +26,22 @@ so the report is the same for any thread count.
 
 Linking numbers of closed curves on the 3-sphere are computed by
 stereographic projection followed by the exact solid-angle (Gauss) sum
-over polyline segment pairs.  The sum works on the grid of vertex
-differences P_j - Q_i, block by block, with one component array per
-coordinate: the four corners of a segment pair are neighbouring grid
-points, so each vertex norm and each dot of neighbouring vertices is
-computed once and shared by the pairs that meet there.  Every value is
-formed by the same floating-point operations, in the same order, as the
-per-pair formula written with np.cross and np.einsum; in particular a
-3-term dot is summed as (x + z) + y, the order einsum takes on a
-length-3 axis, so the linking sum is the same to the last bit.
+over polyline segment pairs.  The sum runs over fixed tiles of
+GAUSS_BLOCK segments of one curve by GAUSS_TILE segments of the other,
+with the longer curve on the GAUSS_TILE axis, and every tile reuses one
+workspace allocated per call, so the memory is set by the tile and not
+by the curves.  Within a tile the sum works on the grid of vertex
+differences P_j - Q_i, with one component array per coordinate: the four
+corners of a segment pair are neighbouring grid points, so each vertex
+norm and each dot of neighbouring vertices is computed once and shared
+by the pairs that meet there.  Every term is formed by the same
+floating-point operations, in the same order, as the per-pair formula
+written with np.cross and np.einsum; in particular a 3-term dot is summed
+as (x + z) + y, the order einsum takes on a length-3 axis.  Each tile's
+terms go to one np.sum and the tile sums are added in a fixed tile
+order, so the sum does not depend on how the tiles are scheduled.  The
+curves themselves are built, normalized and projected CURVE_CHUNK rows at
+a time.
 """
 from __future__ import annotations
 
@@ -379,6 +386,21 @@ def action_linking_verify(profile: ToricProfile, surface: SeifertSurfaceSpec,
 # closed curves on the 3-sphere and Gauss linking
 
 
+# Rows per pass when a whole curve is normalized, measured or projected.
+CURVE_CHUNK = 1 << 14
+
+
+def _row_chunks(n: int) -> list:
+    """Slices of CURVE_CHUNK rows covering range(n), in order.  A lone last
+    row joins the slice before it: a one-row matrix-vector product takes
+    numpy's dot path, which can differ from the gemv result in the last
+    bit."""
+    edges = list(range(0, n, CURVE_CHUNK)) + [n]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+
+
 @dataclass(frozen=True)
 class ClosedCurve:
     """Closed polyline on the unit 3-sphere, rows of an (n, 4) array.
@@ -392,20 +414,28 @@ class ClosedCurve:
 
     @staticmethod
     def from_points(points, chord_bound: float = 0.5) -> "ClosedCurve":
-        pts = np.asarray(points, float)
+        return ClosedCurve._on_sphere(np.array(points, float), chord_bound)
+
+    @staticmethod
+    def _on_sphere(pts: np.ndarray, chord_bound: float) -> "ClosedCurve":
+        """from_points on a float array that it normalizes in place; the
+        norms and gaps are taken CURVE_CHUNK rows at a time."""
         if pts.ndim != 2 or pts.shape[1] != 4 or pts.shape[0] < 4:
             raise ValidationError("a closed curve needs at least 4 points in R^4")
-        norms = np.linalg.norm(pts, axis=1)
-        if np.any(norms <= 0):
-            raise ValidationError("curve points must be away from the origin")
-        pts = pts / norms[:, None]
+        for rows in _row_chunks(len(pts)):
+            norms = np.linalg.norm(pts[rows], axis=1)
+            if np.any(norms <= 0):
+                raise ValidationError("curve points must be away from the origin")
+            pts[rows] /= norms[:, None]
         if np.linalg.norm(pts[0] - pts[-1]) > 1e-9:
             raise ValidationError("curve is not closed (first point != last)")
         pts[-1] = pts[0]
-        gaps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-        if gaps.max(initial=0.0) > chord_bound:
+        gap = np.max([np.linalg.norm(np.diff(pts[r.start:r.stop + 1], axis=0),
+                                     axis=1).max(initial=0.0)
+                      for r in _row_chunks(len(pts) - 1)], initial=0.0)
+        if gap > chord_bound:
             raise ValidationError(
-                f"consecutive samples {gaps.max():.3g} apart exceed the chord "
+                f"consecutive samples {gap:.3g} apart exceed the chord "
                 f"bound {chord_bound:g}; sample the curve more densely")
         return ClosedCurve(pts)
 
@@ -431,24 +461,25 @@ def toric_orbit_curve(profile: ToricProfile, orbit, n: int = 1024,
     unchanged).  Axis orbits embed as the two coordinate circles.
     """
     u = np.linspace(0.0, 1.0, n + 1)
+    pts = np.zeros((n + 1, 4))
     if isinstance(orbit, AxisOrbit):
         ang = TWO_PI * u
-        zero = np.zeros_like(ang)
-        if orbit.axis == "x":
-            pts = np.column_stack([np.cos(ang), np.sin(ang), zero, zero])
-        else:
-            pts = np.column_stack([zero, zero, np.cos(ang), np.sin(ang)])
+        k = 0 if orbit.axis == "x" else 2
+        pts[:, k] = np.cos(ang)
+        pts[:, k + 1] = np.sin(ang)
     elif isinstance(orbit, RationalTorus):
         x, y, _, _ = profile.boundary_arrays(orbit.t)
         r1, r2 = math.sqrt(float(x)), math.sqrt(float(y))
-        th1 = TWO_PI * orbit.p * u
-        th2 = phase2 + TWO_PI * orbit.q * u
-        pts = np.column_stack([r1 * np.cos(th1), r1 * np.sin(th1),
-                               r2 * np.cos(th2), r2 * np.sin(th2)])
+        th = TWO_PI * orbit.p * u
+        pts[:, 0] = r1 * np.cos(th)
+        pts[:, 1] = r1 * np.sin(th)
+        th = phase2 + TWO_PI * orbit.q * u
+        pts[:, 2] = r2 * np.cos(th)
+        pts[:, 3] = r2 * np.sin(th)
     else:
         raise ValidationError(f"cannot embed orbit of type {type(orbit).__name__}")
     pts[-1] = pts[0]
-    return ClosedCurve.from_points(pts, chord_bound=1.0)
+    return ClosedCurve._on_sphere(pts, chord_bound=1.0)
 
 
 # Curves closer than LINK_MIN_SEPARATION have no linking number; a Gauss
@@ -456,7 +487,14 @@ def toric_orbit_curve(profile: ToricProfile, orbit, n: int = 1024,
 # poles and subdivided curves.
 LINK_MIN_SEPARATION = 1e-6
 LINK_RESIDUAL_TOL = 0.1
-GAUSS_BLOCK = 64        # segments of Q per vectorized pass of the Gauss sum
+# A Gauss sum tile is GAUSS_BLOCK segments of the shorter curve by
+# GAUSS_TILE segments of the longer one: 12 arrays of at most
+# (GAUSS_BLOCK + 1) x (GAUSS_TILE + 1) doubles, 3.2 MB, allocated once
+# per sum.  The min-distance scan uses MIN_DIST_BLOCK x MIN_DIST_TILE.
+GAUSS_BLOCK = 64
+GAUSS_TILE = 512
+MIN_DIST_BLOCK = 64
+MIN_DIST_TILE = 1024
 
 # Candidate projection poles avoid the coordinate circles (where the axis
 # orbits live); the asymmetric ones also miss every torus curve with equal
@@ -473,30 +511,22 @@ def _stereographic(points: np.ndarray, pole: np.ndarray) -> np.ndarray:
 
     The pole is moved by a rotation (a Householder reflection composed
     with a coordinate flip), keeping the map orientation-preserving so
-    linking signs survive the projection.
+    linking signs survive the projection.  The points are projected
+    CURVE_CHUNK rows at a time.
     """
     w = pole - np.array([0.0, 0.0, 0.0, 1.0])
     nw = np.dot(w, w)
-    if nw < 1e-15:
-        rotated = points
-    else:
-        rotated = points - 2.0 * np.outer(points @ w, w) / nw
-        rotated[:, 0] = -rotated[:, 0]
-    denom = 1.0 - rotated[:, 3]
-    if np.any(np.abs(denom) < 1e-9):
-        raise NumericalError("curve passes through the projection pole")
-    return rotated[:, :3] / denom[:, None]
-
-
-def _dot3(u, v):
-    """Dot of two (x, y, z) sequences of arrays, summed as (x + z) + y.
-
-    That is the order in which np.einsum("ijk,ijk->ij") sums a length-3
-    axis with numpy 2.4; x + y + z in sequence differs in the last bit and
-    changes linking sums.  tests/test_topology.py checks the Gauss sum
-    against the einsum formula bit for bit.
-    """
-    return (u[0] * v[0] + u[2] * v[2]) + u[1] * v[1]
+    out = np.empty((len(points), 3))
+    for rows in _row_chunks(len(points)):
+        rotated = points[rows]
+        if nw >= 1e-15:
+            rotated = rotated - 2.0 * np.outer(rotated @ w, w) / nw
+            rotated[:, 0] = -rotated[:, 0]
+        denom = 1.0 - rotated[:, 3]
+        if np.any(np.abs(denom) < 1e-9):
+            raise NumericalError("curve passes through the projection pole")
+        np.divide(rotated[:, :3], denom[:, None], out=out[rows])
+    return out
 
 
 def _gauss_linking_sum(P: np.ndarray, Q: np.ndarray) -> float:
@@ -506,60 +536,136 @@ def _gauss_linking_sum(P: np.ndarray, Q: np.ndarray) -> float:
     segment from the other via the two-triangle arctangent formula; the
     total divided by 4*pi is the linking number up to rounding error.
 
-    The sum runs over blocks of GAUSS_BLOCK segments of Q.  A block holds
-    the vertex grid D[i, j] = P[j] - Q[i] as three contiguous component
-    arrays; the corners of cell (i, j) are a = D[i, j], b = D[i+1, j],
-    c = D[i+1, j+1] and d = D[i, j+1].  Each vertex norm is taken once,
-    and each dot of neighbouring vertices once and shared by the two cells
-    on either side of it: the vertical dots give ab and dc, the horizontal
-    ones ad and bc, and the diagonal ca is per cell.  The arithmetic is
-    that of the per-cell formula with np.cross, np.einsum and
-    np.linalg.norm, operation for operation (norms sum in coordinate
-    order, dots as in _dot3), and each block's terms go to one np.sum of
-    the same shape, so the sum is the same to the last bit.
+    The longer curve goes on the P axis (the curves swap when Q has more
+    vertices; the linking integral is symmetric), and the sum runs over
+    tiles of GAUSS_BLOCK segments of Q by GAUSS_TILE segments of P, Q
+    block by Q block and, within a block, P tile by P tile.  Every tile is
+    computed by _gauss_tile in one workspace allocated here, so the memory
+    is set by the tile, not by the curves.  Each tile's terms go to one
+    np.sum and the tile sums are added in that fixed order, so the result
+    is the same for any order the tiles are computed in.
     """
+    if len(Q) > len(P):
+        P, Q = Q, P
+    rows = min(GAUSS_BLOCK, len(Q) - 1)
+    cols = min(GAUSS_TILE, len(P) - 1)
+    work = np.empty((12, (rows + 1) * (cols + 1)))
     total = 0.0
-    Pc = tuple(np.ascontiguousarray(P.T))
-    for start in range(0, len(Q) - 1, GAUSS_BLOCK):
-        q = Q[start:start + GAUSS_BLOCK + 1]
-        D = tuple(Pk[None, :] - qk[:, None] for Pk, qk in zip(Pc, q.T))
-        norm = np.sqrt(D[0] * D[0] + D[1] * D[1] + D[2] * D[2])
-        vert = _dot3([Dk[:-1] for Dk in D], [Dk[1:] for Dk in D])
-        horiz = _dot3([Dk[:, :-1] for Dk in D], [Dk[:, 1:] for Dk in D])
-        a = [Dk[:-1, :-1] for Dk in D]
-        b = [Dk[1:, :-1] for Dk in D]
-        c = [Dk[1:, 1:] for Dk in D]
-        ca = _dot3(c, a)
-        # b x c in np.cross's operand order
-        cross_bc = (b[1] * c[2] - b[2] * c[1], b[2] * c[0] - b[0] * c[2],
-                    b[0] * c[1] - b[1] * c[0])
-        # einsum accumulates into a zeroed output and never returns -0.0;
-        # the sign of a zero p decides arctan2(p, d) = +-pi when d < 0
-        p = _dot3(a, cross_bc) + 0.0
-        an, bn = norm[:-1, :-1], norm[1:, :-1]
-        cn, dn = norm[1:, 1:], norm[:-1, 1:]
-        ab, dc = vert[:, :-1], vert[:, 1:]
-        ad, bc = horiz[:-1], horiz[1:]
-        d1 = an * bn * cn + ab * cn + bc * an + ca * bn
-        d2 = an * dn * cn + ad * cn + dc * an + ca * dn
-        total += float(np.sum(np.arctan2(p, d1) + np.arctan2(p, d2)))
+    for i in range(0, len(Q) - 1, GAUSS_BLOCK):
+        q = Q[i:i + GAUSS_BLOCK + 1]
+        for j in range(0, len(P) - 1, GAUSS_TILE):
+            total += _gauss_tile(P[j:j + GAUSS_TILE + 1], q, work)
     return total / TWO_PI
+
+
+def _gauss_tile(p: np.ndarray, q: np.ndarray, work: np.ndarray) -> float:
+    """Sum of the Gauss terms of the segments of p against those of q.
+
+    The tile holds the vertex grid D[i, j] = p[j] - q[i] as three
+    component arrays; the corners of cell (i, j) are a = D[i, j],
+    b = D[i+1, j], c = D[i+1, j+1] and d = D[i, j+1].  Each vertex norm is
+    taken once, and each dot of neighbouring vertices once and shared by
+    the two cells on either side of it: the vertical dots give ab and dc,
+    the horizontal ones ad and bc, and the diagonal ca is per cell.  The
+    arithmetic is that of the per-cell formula with np.cross, np.einsum
+    and np.linalg.norm, operation for operation: norms sum in coordinate
+    order, and a 3-term dot sums as (x + z) + y, the order in which
+    np.einsum("ijk,ijk->ij") sums a length-3 axis with numpy 2.4 (x + y + z
+    in sequence differs in the last bit and changes linking sums).  Every
+    array is a contiguous prefix of a row of work, filled by ufuncs with
+    out=, so the terms are one contiguous (rows, cols) array whose np.sum
+    adds them as it adds the per-cell formula's.  tests/test_topology.py
+    checks this against the einsum formula bit for bit.
+    """
+    h, w = len(q) - 1, len(p) - 1
+    mul, add, sub = np.multiply, np.add, np.subtract
+
+    def buf(k, r, c):
+        return work[k, :r * c].reshape(r, c)
+
+    D = [buf(k, h + 1, w + 1) for k in range(3)]
+    norm, grid_tmp = buf(3, h + 1, w + 1), buf(4, h + 1, w + 1)
+    vert, horiz = buf(5, h, w + 1), buf(6, h + 1, w)
+    ca, triple, t2, d1, d2 = (buf(k, h, w) for k in range(7, 12))
+    for Dk, pk, qk in zip(D, p.T, q.T):
+        sub(pk[None, :], qk[:, None], out=Dk)
+    mul(D[0], D[0], out=norm)
+    for Dk in D[1:]:
+        add(norm, mul(Dk, Dk, out=grid_tmp), out=norm)
+    np.sqrt(norm, out=norm)
+
+    def dot3(out, tmp, u, v):
+        mul(u[0], v[0], out=out)
+        add(out, mul(u[2], v[2], out=tmp), out=out)
+        add(out, mul(u[1], v[1], out=tmp), out=out)
+
+    dot3(vert, grid_tmp[:-1], [Dk[:-1] for Dk in D], [Dk[1:] for Dk in D])
+    dot3(horiz, grid_tmp[:, :-1], [Dk[:, :-1] for Dk in D],
+         [Dk[:, 1:] for Dk in D])
+    t1 = buf(4, h, w)           # grid_tmp is free from here on
+    a = [Dk[:-1, :-1] for Dk in D]
+    b = [Dk[1:, :-1] for Dk in D]
+    c = [Dk[1:, 1:] for Dk in D]
+    dot3(ca, t1, c, a)
+
+    def cross_bc(k, out):
+        # component k of b x c in np.cross's operand order
+        i, j = (k + 1) % 3, (k + 2) % 3
+        sub(mul(b[i], c[j], out=out), mul(b[j], c[i], out=t2), out=out)
+        return out
+
+    # p = a . (b x c), summed as (x + z) + y
+    mul(a[0], cross_bc(0, t1), out=triple)
+    add(triple, mul(a[2], cross_bc(2, t1), out=t1), out=triple)
+    add(triple, mul(a[1], cross_bc(1, t1), out=t1), out=triple)
+    # einsum accumulates into a zeroed output and never returns -0.0;
+    # the sign of a zero p decides arctan2(p, d) = +-pi when d < 0
+    add(triple, 0.0, out=triple)
+    an, bn = norm[:-1, :-1], norm[1:, :-1]
+    cn, dn = norm[1:, 1:], norm[:-1, 1:]
+    ab, dc = vert[:, :-1], vert[:, 1:]
+    ad, bc = horiz[:-1], horiz[1:]
+    # d1 = an * bn * cn + ab * cn + bc * an + ca * bn and
+    # d2 = an * dn * cn + ad * cn + dc * an + ca * dn, left to right
+    for d, m, x, y in ((d1, bn, ab, bc), (d2, dn, ad, dc)):
+        mul(an, m, out=d)
+        mul(d, cn, out=d)
+        add(d, mul(x, cn, out=t1), out=d)
+        add(d, mul(y, an, out=t1), out=d)
+        add(d, mul(ca, m, out=t1), out=d)
+        np.arctan2(triple, d, out=d)
+    return float(np.sum(add(d1, d2, out=d1)))
 
 
 def _min_distance(p1: np.ndarray, p2: np.ndarray) -> float:
     """Least distance between the rows of p1 and the rows of p2.
 
-    The squared distances are summed in coordinate order, as a sum over
-    the last axis does; sqrt is monotone and correctly rounded, so one
-    sqrt of the least square is the least of the distances.
+    Runs over tiles of MIN_DIST_BLOCK rows of the shorter array by
+    MIN_DIST_TILE rows of the longer one, in one pair of buffers.  The
+    squared distances are summed in coordinate order, as a sum over the
+    last axis does; sqrt is monotone and correctly rounded, so one sqrt
+    of the least square is the least of the distances, whatever the tile
+    order.
     """
+    if len(p1) > len(p2):
+        p1, p2 = p2, p1
+    rows = min(MIN_DIST_BLOCK, len(p1))
+    cols = min(MIN_DIST_TILE, len(p2))
+    work = np.empty((2, rows * cols))
     min_sq = math.inf
-    for start in range(0, len(p1), 512):
-        block = p1[start:start + 512]
-        sq = (block[:, None, 0] - p2[None, :, 0]) ** 2
-        for k in range(1, p1.shape[1]):
-            sq += (block[:, None, k] - p2[None, :, k]) ** 2
-        min_sq = min(min_sq, float(sq.min()))
+    for i in range(0, len(p1), MIN_DIST_BLOCK):
+        a = p1[i:i + MIN_DIST_BLOCK]
+        for j in range(0, len(p2), MIN_DIST_TILE):
+            b = p2[j:j + MIN_DIST_TILE]
+            sq, diff = (w[:len(a) * len(b)].reshape(len(a), len(b))
+                        for w in work)
+            for k in range(p1.shape[1]):
+                np.subtract(a[:, None, k], b[None, :, k], out=diff)
+                if k:
+                    np.add(sq, np.multiply(diff, diff, out=diff), out=sq)
+                else:
+                    np.multiply(diff, diff, out=sq)
+            min_sq = min(min_sq, float(sq.min()))
     return math.sqrt(min_sq)
 
 
@@ -590,9 +696,8 @@ def linking_number(curve1: ClosedCurve, curve2: ClosedCurve) -> LinkResult:
 
     scores = []
     for i, pole in enumerate(_POLES):
-        d1 = np.linalg.norm(p1 - pole, axis=1).min()
-        d2 = np.linalg.norm(p2 - pole, axis=1).min()
-        scores.append((min(d1, d2), i))
+        d = min(_min_distance(p1, pole[None]), _min_distance(p2, pole[None]))
+        scores.append((d, i))
     order = [i for _, i in sorted(scores, reverse=True)]
 
     c1, c2 = curve1, curve2

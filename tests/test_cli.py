@@ -22,6 +22,10 @@ WELL = {"kind": "radial", "h": {"type": "poly",
                                 "coeffs": [PI, -2 * PI, PI]}}
 
 
+def steep_well(c2):
+    return {"kind": "radial", "h": {"type": "poly", "coeffs": [0, 0, c2]}}
+
+
 def write_json(path, obj):
     path.write_text(json.dumps(obj))
     return str(path)
@@ -372,10 +376,17 @@ class TestExitCodes:
             {"orbit": {"profile": ROUND, "p": 10 ** 5, "q": 1}},
             {"axis_orbit": {"profile": ROUND, "axis": "y"}}]}),
                    "--output", d / "o"],
+        # Hamiltonians whose rotation rate makes millions of resonances
+        lambda d: ["diskmap-dictionary", "--input", write_json(
+            d / "h.json", steep_well(1e6)), "--output", d / "o"],
+        lambda d: ["diskmap-calabi", "--input", write_json(
+            d / "h.json", steep_well(1e3)), "--output", d / "o",
+                   "--k-max", 64],
     ], ids=["input-directory", "input-utf16-bom", "output-is-a-file",
             "csv-integer", "csv-missing", "csv-ragged", "samples", "plot-grid",
             "max-pq", "diskmap-grid", "n-tori", "calabi-k-max",
-            "dictionary-k-max", "linking-orbit-pq"])
+            "dictionary-k-max", "linking-orbit-pq", "dictionary-resonances",
+            "calabi-resonances"])
     def test_unreadable_or_oversized_input(self, tmp_path, capsys, argv):
         (tmp_path / "bom.json").write_bytes(b"\xff\xfe{}")
         (tmp_path / "ragged.csv").write_text(
@@ -385,6 +396,12 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         assert err.startswith("validation error: ") and len(err.splitlines()) == 1
+
+    def test_steep_well_below_the_resonance_cap(self, tmp_path):
+        # 6380 resonances at max(--k-max, 4) = 4 periods
+        inp = write_json(tmp_path / "h.json", steep_well(1e3))
+        assert run(["diskmap-dictionary", "--input", inp,
+                    "--output", tmp_path / "o"]) == 0
 
     def test_no_torus_up_to_max_pq_is_validation(self, tmp_path, capsys):
         from reebsys.profiles import perturbed_ellipsoid_points

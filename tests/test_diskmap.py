@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from reebsys import diskmap
 from reebsys.diskmap import (RadialHamiltonian, _resonant_circles, action,
                              action_with_shifted_primitive, calabi,
                              calabi_eta_residual, default_suspension_constant,
                              flow_map, hamiltonian_from_json,
                              mean_action_theorem_check, periodic_points,
-                             radial_action_exact, suspension_dictionary,
+                             radial_action_exact, resonance_count,
+                             suspension_dictionary,
                              suspension_period_integral,
                              suspension_volume_quadrature)
 from reebsys.errors import ValidationError
@@ -176,6 +178,32 @@ class TestPeriodicPoints:
         assert [(P.s, P.k, P.resonance) for P in pts[1:]] == kept
         if k_max == 5:
             assert len(kept) < len(circles)      # scan-node roots repeat
+
+    def test_resonance_count_of_the_quadratic_well(self):
+        # omega = 4 pi (1 - s) spans [0, 4 pi]: period k scans 2k + 3 values
+        H = quadratic_well()
+        for k_max in range(1, 9):
+            assert resonance_count(H, k_max) == sum(
+                2 * k + 3 for k in range(1, k_max + 1))
+
+    @pytest.mark.parametrize("coeffs", [[PI, -2 * PI, PI], [0, 0, 1e3],
+                                        [0.3, 1.0, -2.5, 0.7]])
+    def test_resonance_count_bounds_the_scans(self, coeffs, monkeypatch):
+        # every m is scanned at period 1; later periods skip the m not
+        # prime to k
+        H = RadialHamiltonian(coeffs)
+        scan_roots = diskmap.scan_roots
+        for k_max in (1, 4):
+            calls = []
+            monkeypatch.setattr(diskmap, "scan_roots",
+                                lambda f: calls.append(1) or scan_roots(f))
+            list(_resonant_circles(H, k_max))
+            monkeypatch.undo()
+            count = resonance_count(H, k_max)
+            assert len(calls) == count if k_max == 1 else len(calls) <= count
+
+    def test_resonance_count_past_float_range(self):
+        assert resonance_count(RadialHamiltonian([0, 0, 1e300]), 64) == math.inf
 
     def test_mean_action_period_invariant(self):
         # the s = 3/4 circle seen at period 2 and period 4 (resonance doubled)

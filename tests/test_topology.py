@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,17 +7,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from reebsys import topology
-from reebsys.errors import (ResolutionError, StatisticalError,
-                            ValidationError)
+from reebsys.errors import (NumericalError, ResolutionError,
+                            StatisticalError, ValidationError)
 from reebsys.flows import FlowPoint, make_trajectory
 from reebsys.numerics import PANEL_CHUNK
 from reebsys.systolic import (axis_orbit, contact_volume, enumerate_tori,
                               pairing_orbit_orbit)
 from reebsys.profiles import EllipsoidProfile, LpProfile, ToricProfile
-from reebsys.topology import (GAUSS_BLOCK, RATE_BLOCK, _POLES, ClosedCurve,
-                              _best_convergents, _gauss_linking_sum,
-                              _min_distance, _stereographic,
-                              action_linking_verify, asymptotic_rate,
+from reebsys.topology import (GAUSS_BLOCK, GAUSS_TILE, RATE_BLOCK, _POLES,
+                              ClosedCurve, LinkResult, _best_convergents,
+                              _gauss_linking_sum, _min_distance,
+                              _stereographic, action_linking_verify,
+                              asymptotic_rate,
                               axis_disk, check_statistical, crossing_count,
                               linking_number, page_surface,
                               signed_sweep_count, toric_orbit_curve)
@@ -345,30 +347,36 @@ class TestLinking:
 
 
 def einsum_gauss_sum(P, Q):
-    """Reference: the per-pair Gauss sum over (block, N, 3) corner arrays."""
+    """Reference: the per-pair Gauss sum over (rows, cols, 3) corner arrays,
+    the longer curve on the P axis, one np.sum per GAUSS_BLOCK x GAUSS_TILE
+    tile, the tile sums added Q block by Q block and P tile by P tile."""
+    if len(Q) > len(P):
+        P, Q = Q, P
     total = 0.0
-    segs_p0, segs_p1 = P[:-1], P[1:]
-    for start in range(0, len(Q) - 1, GAUSS_BLOCK):
-        q0 = Q[start:start + GAUSS_BLOCK + 1][:-1]
-        q1 = Q[start + 1:start + GAUSS_BLOCK + 1]
-        a = segs_p0[None, :, :] - q0[:, None, :]
-        b = segs_p0[None, :, :] - q1[:, None, :]
-        c = segs_p1[None, :, :] - q1[:, None, :]
-        d = segs_p1[None, :, :] - q0[:, None, :]
-        cross_bc = np.cross(b, c)
-        p = np.einsum("ijk,ijk->ij", a, cross_bc)
-        an = np.linalg.norm(a, axis=2)
-        bn = np.linalg.norm(b, axis=2)
-        cn = np.linalg.norm(c, axis=2)
-        dn = np.linalg.norm(d, axis=2)
-        ab = np.einsum("ijk,ijk->ij", a, b)
-        bc = np.einsum("ijk,ijk->ij", b, c)
-        ca = np.einsum("ijk,ijk->ij", c, a)
-        ad = np.einsum("ijk,ijk->ij", a, d)
-        dc = np.einsum("ijk,ijk->ij", d, c)
-        d1 = an * bn * cn + ab * cn + bc * an + ca * bn
-        d2 = an * dn * cn + ad * cn + dc * an + ca * dn
-        total += float(np.sum(np.arctan2(p, d1) + np.arctan2(p, d2)))
+    for i in range(0, len(Q) - 1, GAUSS_BLOCK):
+        q0 = Q[i:i + GAUSS_BLOCK + 1][:-1]
+        q1 = Q[i + 1:i + GAUSS_BLOCK + 1]
+        for j in range(0, len(P) - 1, GAUSS_TILE):
+            p0 = P[j:j + GAUSS_TILE + 1][:-1]
+            p1 = P[j + 1:j + GAUSS_TILE + 1]
+            a = p0[None, :, :] - q0[:, None, :]
+            b = p0[None, :, :] - q1[:, None, :]
+            c = p1[None, :, :] - q1[:, None, :]
+            d = p1[None, :, :] - q0[:, None, :]
+            cross_bc = np.cross(b, c)
+            p = np.einsum("ijk,ijk->ij", a, cross_bc)
+            an = np.linalg.norm(a, axis=2)
+            bn = np.linalg.norm(b, axis=2)
+            cn = np.linalg.norm(c, axis=2)
+            dn = np.linalg.norm(d, axis=2)
+            ab = np.einsum("ijk,ijk->ij", a, b)
+            bc = np.einsum("ijk,ijk->ij", b, c)
+            ca = np.einsum("ijk,ijk->ij", c, a)
+            ad = np.einsum("ijk,ijk->ij", a, d)
+            dc = np.einsum("ijk,ijk->ij", d, c)
+            d1 = an * bn * cn + ab * cn + bc * an + ca * bn
+            d2 = an * dn * cn + ad * cn + dc * an + ca * dn
+            total += float(np.sum(np.arctan2(p, d1) + np.arctan2(p, d2)))
     return total / (2 * PI)
 
 
@@ -416,6 +424,18 @@ class TestGaussOracle:
             assert_same_bits(_gauss_linking_sum(P, Q), einsum_gauss_sum(P, Q))
             assert_same_bits(_min_distance(P, Q), loop_min_distance(P, Q))
 
+    @pytest.mark.parametrize("p_segments", [GAUSS_TILE - 1, GAUSS_TILE,
+                                            GAUSS_TILE + 1,
+                                            2 * GAUSS_TILE + 3])
+    @pytest.mark.parametrize("q_segments", [1, GAUSS_BLOCK, GAUSS_BLOCK + 1])
+    def test_tile_edges(self, p_segments, q_segments):
+        rng = np.random.default_rng(1000 * p_segments + q_segments)
+        P = np.cumsum(rng.standard_normal((p_segments + 1, 3)), axis=0)
+        Q = np.cumsum(rng.standard_normal((q_segments + 1, 3)), axis=0)
+        for a, b in ((P, Q), (Q, P)):
+            assert_same_bits(_gauss_linking_sum(a, b), einsum_gauss_sum(a, b))
+            assert_same_bits(_min_distance(a, b), loop_min_distance(a, b))
+
     def test_integer_grid_polylines(self):
         # exact zeros: a coplanar pair has p = a . (b x c) = 0, and its sign
         # picks arctan2(p, d) = +-pi when d < 0; einsum never returns -0.0
@@ -425,6 +445,85 @@ class TestGaussOracle:
             Q = rng.integers(-2, 3, (6, 3)).astype(float)
             P[-1], Q[-1] = P[0], Q[0]
             assert_same_bits(_gauss_linking_sum(P, Q), einsum_gauss_sum(P, Q))
+
+
+def random_closed_curve(rng, n):
+    """A (p, q) torus curve with a small random low-frequency wobble,
+    n segments, on the unit 3-sphere."""
+    u = np.linspace(0.0, 2 * PI, n + 1)[:, None]
+    p, q = rng.integers(1, 4, 2)
+    r1, r2 = rng.uniform(0.5, 1.0, 2)
+    f1, f2 = rng.uniform(0.0, 2 * PI, 2)
+    pts = np.hstack([r1 * np.cos(p * u + f1), r1 * np.sin(p * u + f1),
+                     r2 * np.cos(q * u + f2), r2 * np.sin(q * u + f2)])
+    for k in (1, 2):
+        a, b = 0.05 * rng.standard_normal((2, 4))
+        pts += np.cos(k * u) * a + np.sin(k * u) * b
+    pts[-1] = pts[0]
+    return ClosedCurve.from_points(pts)
+
+
+def linking_outcome(c1, c2):
+    try:
+        return linking_number(c1, c2)
+    except (ValidationError, NumericalError) as exc:
+        return type(exc)
+
+
+class TestLinkingSymmetry:
+    """Lk(c1, c2) = Lk(c2, c1): the Gauss linking integral is symmetric.
+    With equal segment counts no swap happens, so the two orders sum over
+    transposed vertex grids."""
+
+    @staticmethod
+    def assert_symmetric(c1, c2):
+        r12, r21 = linking_outcome(c1, c2), linking_outcome(c2, c1)
+        if isinstance(r12, LinkResult):
+            assert r12.link == r21.link
+            assert abs(r12.raw - r21.raw) <= 1e-12
+        else:
+            assert r12 is r21
+
+    @pytest.mark.parametrize("n_orbit, n_axis", [(300, 130), (256, 256),
+                                                 (64, 700)])
+    def test_lp3_orbit_and_axis_curves(self, n_orbit, n_axis):
+        lp3 = LpProfile(3.0, 1.2, 0.9)
+        tori = enumerate_tori(lp3, 3)
+        t23 = [t for t in tori if (t.p, t.q) == (2, 3)][0]
+        t12 = [t for t in tori if (t.p, t.q) == (1, 2)][0]
+        orbit = toric_orbit_curve(lp3, t23, n_orbit)
+        for other in (toric_orbit_curve(lp3, axis_orbit(lp3, "x"), n_axis),
+                      toric_orbit_curve(lp3, axis_orbit(lp3, "y"), n_axis),
+                      toric_orbit_curve(lp3, t12, n_axis)):
+            self.assert_symmetric(orbit, other)
+
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([(160, 160), (257, 130), (96, 600)]))
+    def test_random_closed_curves(self, seed, sizes):
+        rng = np.random.default_rng(seed)
+        c1, c2 = (random_closed_curve(rng, n) for n in sizes)
+        self.assert_symmetric(c1, c2)
+
+
+def test_linking_memory_is_set_by_the_tile():
+    # a 131072 x 16 pair in both orders: per-block grids as long as the
+    # first curve would take about 18 MB per temporary
+    rng = np.random.default_rng(11)
+    long = np.cumsum(rng.standard_normal((131073, 4)), axis=0)
+    short = np.cumsum(rng.standard_normal((17, 4)), axis=0)
+    gauss_work = 12 * (GAUSS_BLOCK + 1) * (GAUSS_TILE + 1) * 8
+    for f, width in ((_gauss_linking_sum, 3), (_min_distance, 4)):
+        a, b = long[:, :width], short[:, :width]
+        peaks = []
+        for args in ((a, b), (b, a)):
+            tracemalloc.start()
+            try:
+                f(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < gauss_work + (1 << 20)
+        assert abs(peaks[0] - peaks[1]) <= 0.1 * max(peaks)
 
 
 class TestSurfaces:
