@@ -16,12 +16,20 @@ boundary 3-sphere.
 
 The maps t <-> theta are closed forms for the ellipsoid, C(t) =
 (a - t/b, t/a), and for lp with p = 2, whose level set is the ellipse
-(a cos u, b sin u) with t = a b u.  Other profiles use a cached table of
-t at uniform theta nodes: theta -> t adds one Gauss panel to the node
-below, and t -> theta starts from the cubic Hermite interpolant in t
-with the exact node slopes dtheta/dt = 1/r^2, then takes Newton steps
-only on the lanes whose panel residual still exceeds 1e-14 * max(1, 2A).
-Every lane it returns has passed that test, and each lane is computed
+(a cos u, b sin u) with t = a b u.  Sampled profiles are exact too: the
+PCHIP radius is a cubic on each knot interval, so t(theta), the integral
+of r^2, is a degree-7 polynomial there.  Its coefficients and the
+cumulative area T_j at each knot (math.fsum of the interval integrals)
+are tabled at construction; 2A is the last T_j, theta -> t is T_j plus
+one Horner evaluation, and t -> theta finds each lane's knot interval by
+one search on T, starts from the cubic Hermite interpolant in t with the
+exact knot slopes dtheta/dt = 1/r^2, and takes bracketed Newton steps on
+the polynomial.  lp with p != 2 has the closed-form area
+a b Gamma(1 + 1/p)^2 / Gamma(1 + 2/p) and inverts a cached table of t at
+uniform theta nodes: theta -> t adds one Gauss panel to the node below,
+and t -> theta starts from the same Hermite interpolant on the table and
+takes Newton steps on the panel residual.  Both inversions return a lane
+once its residual is within 1e-14 * 2A, and compute each lane
 independently of the others in its batch.
 
 Sampled profiles interpolate r(theta) with an in-house PCHIP table
@@ -176,18 +184,27 @@ class ToricProfile:
         th = self._theta_of_t(t)
         return float(th[0]) if scalar else th
 
-    def _t_of_theta(self, theta):
+    def _panel_area(self, theta, j):
+        """t at theta, which lies in panel j of the area table."""
         nodes, tnodes, _ = self._area_table()
+        return tnodes[j] + panel_gauss_many(self._sector_rate, nodes[j], theta)
+
+    def _panel_rate(self, theta, j):
+        """dt/dtheta = r^2 at theta, which lies in panel j."""
+        return self._sector_rate(theta)
+
+    def _t_of_theta(self, theta):
+        nodes = self._area_table()[0]
         j = np.clip(np.searchsorted(nodes, theta, side="right") - 1,
                     0, len(nodes) - 2)
-        return tnodes[j] + panel_gauss_many(self._sector_rate, nodes[j], theta)
+        return self._panel_area(theta, j)
 
     def _theta_of_t(self, t):
         """Cubic Hermite start on the area table, Newton where it misses.
 
-        A lane is returned once t_j + (integral of r^2 from theta_j to
-        theta) is within 1e-14 * max(1, t_max) of t; the Newton steps run
-        on the lanes that still miss, kept inside their table panel.
+        A lane is returned once its _panel_area is within 1e-14 * t_max of
+        t; the Newton steps run on the lanes that still miss, kept inside
+        their table panel.
         """
         nodes, tnodes, slope = self._area_table()
         t_max = tnodes[-1]
@@ -204,12 +221,10 @@ class ToricProfile:
         c2 = 3.0 * d - 2.0 * m0 - h * slope[j + 1]
         c3 = m0 + h * slope[j + 1] - 2.0 * d
         th = np.clip(lo + s * (m0 + s * (c2 + s * c3)), lo, hi)
-        base = lo.copy()
-        tol = 1e-14 * max(1.0, t_max)
+        tol = 1e-14 * t_max
         live = np.arange(t.shape[0])
         for _ in range(80):
-            f = (tlo[live] + panel_gauss_many(self._sector_rate, base[live],
-                                              th[live]) - tc[live])
+            f = self._panel_area(th[live], j[live]) - tc[live]
             miss = np.abs(f) > tol
             live, f = live[miss], f[miss]
             if live.size == 0:
@@ -217,7 +232,7 @@ class ToricProfile:
             x = th[live]
             hi[live] = np.where(f > 0, x, hi[live])
             lo[live] = np.where(f < 0, x, lo[live])
-            cand = x - f / np.maximum(self._sector_rate(x), 1e-300)
+            cand = x - f / np.maximum(self._panel_rate(x, j[live]), 1e-300)
             inside = np.isfinite(cand) & (cand > lo[live]) & (cand < hi[live])
             th[live] = np.where(inside, cand, 0.5 * (lo[live] + hi[live]))
         raise NumericalError(
@@ -384,9 +399,14 @@ class LpProfile(ToricProfile):
     # a*b*u/2, so t = a*b*u and 2A = pi*a*b/2 in closed form
 
     def quadrant_area(self):
+        """The Dirichlet integral A = a b Gamma(1 + 1/p)^2 / Gamma(1 + 2/p).
+        At p = 2 that is a b pi/4, kept as such: math.gamma(1.5)**2 is one
+        ulp above pi/4, and t = a b u reaches 2A exactly only with pi."""
         if self.p == 2.0:
             return 0.25 * math.pi * self.a * self.b
-        return super().quadrant_area()
+        p = self.p
+        return (self.a * self.b * math.gamma(1 + 1 / p) ** 2
+                / math.gamma(1 + 2 / p))
 
     def _theta_of_t(self, t):
         if self.p != 2.0:
@@ -450,6 +470,57 @@ def pchip_table(x, y):
     return np.stack([y[:-1], d[:-1], (m - d[:-1]) / h - tau, tau / h])
 
 
+def prefix_fsums(values) -> np.ndarray:
+    """[0, fsum(values[:1]), fsum(values[:2]), ...], each correctly
+    rounded, in one pass: the running sum is kept exactly as a list of
+    non-overlapping partials (Shewchuk, Discrete Comput. Geom. 18, 1997).
+    Non-finite values give the plain cumulative sum."""
+    values = np.asarray(values, float)
+    out = np.concatenate([[0.0], np.cumsum(values)])
+    if not math.isfinite(out[-1]):
+        return out
+    partials = []
+    for i, x in enumerate(values.tolist(), start=1):
+        k = 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[k] = lo
+                k += 1
+            x = hi
+        partials[k:] = [x]
+        out[i] = math.fsum(partials)
+    return out
+
+
+def area_polynomials(h, coef):
+    """Coefficients of t on each interval of a cubic radius table.
+
+    With r = c0 + c1 s + c2 s^2 + c3 s^3 on [0, h_j] (pchip_table), row k
+    of the (8, m) result multiplies s^k in T_j + (integral of r^2 from 0
+    to s); row 0 is T_j, the prefix fsum of the interval integrals, whose
+    total T_m is 2A.
+    """
+    c0, c1, c2, c3 = coef
+    square = (c0 * c0, 2.0 * c0 * c1, c1 * c1 + 2.0 * c0 * c2,
+              2.0 * (c0 * c3 + c1 * c2), c2 * c2 + 2.0 * c1 * c3,
+              2.0 * c2 * c3, c3 * c3)
+    rows = np.empty((8, c0.size))
+    for k, e in enumerate(square, start=1):
+        rows[k] = e / k
+    integral = rows[7].copy()
+    for row in rows[6:0:-1]:
+        integral *= h
+        integral += row
+    integral *= h
+    knot_area = prefix_fsums(integral)
+    rows[0] = knot_area[:-1]
+    return rows, knot_area
+
+
 class SplineProfile(ToricProfile):
     """Boundary given by sampled points, interpolated by a monotone cubic
     (PCHIP, see pchip_table) spline of the polar radius in the polar angle.
@@ -492,6 +563,13 @@ class SplineProfile(ToricProfile):
         self._points = pts[order]
         self._knots = theta
         self._coef = pchip_table(theta, r)
+        # r^2 over- or underflows for points of extreme size; such tables
+        # hold inf, nan or 0, and profile_from_json rejects the profile by
+        # its radius squared
+        with np.errstate(all="ignore"):
+            self._area_coef, knot_area = area_polynomials(np.diff(theta),
+                                                          self._coef)
+            self._knot_table = (theta, knot_area, 1.0 / (r * r))
         # interval lookup: each cell of a uniform grid over [0, pi/2] holds
         # the interval of the previous cell's left edge, a lower bound for
         # every angle in the cell, from which _segments steps up knot by
@@ -526,11 +604,13 @@ class SplineProfile(ToricProfile):
                 return theta - self._knots[j], j
             j = j + up
 
-    def boundary_radius(self, theta):
-        s, j = self._segments(theta)
+    def _radius(self, s, j):
         c0, c1, c2, c3 = self._coef
         s2 = s * s
         return c0[j] + c1[j] * s + c2[j] * s2 + c3[j] * (s2 * s)
+
+    def boundary_radius(self, theta):
+        return self._radius(*self._segments(theta))
 
     def boundary_radius_deriv(self, theta):
         s, j = self._segments(theta)
@@ -539,6 +619,30 @@ class SplineProfile(ToricProfile):
 
     def kink_angles(self):
         return self._knots
+
+    # -- area parametrization from the exact interval polynomials -----------
+
+    def _area_table(self):
+        """(theta_j, T_j, dtheta/dt = 1/r^2) at the knots."""
+        return self._knot_table
+
+    def quadrant_area(self):
+        return 0.5 * self._knot_table[1][-1]
+
+    def _panel_area(self, theta, j):
+        """T_j plus the area polynomial of interval j, by Horner one table
+        row at a time, so that no (8, n) block of coefficients is built."""
+        s = theta - self._knots[j]
+        rows = self._area_coef
+        t = rows[7][j]
+        for row in rows[6::-1]:
+            t *= s
+            t += row[j]
+        return t
+
+    def _panel_rate(self, theta, j):
+        r = self._radius(theta - self._knots[j], j)
+        return r * r
 
     def scaled(self, s: float):
         return SplineProfile(self._points * s)

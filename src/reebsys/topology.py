@@ -641,22 +641,25 @@ def _min_distance(p1: np.ndarray, p2: np.ndarray) -> float:
     """Least distance between the rows of p1 and the rows of p2.
 
     Runs over tiles of MIN_DIST_BLOCK rows of the shorter array by
-    MIN_DIST_TILE rows of the longer one, in one pair of buffers.  The
-    squared distances are summed in coordinate order, as a sum over the
-    last axis does; sqrt is monotone and correctly rounded, so one sqrt
-    of the least square is the least of the distances, whatever the tile
-    order.
+    MIN_DIST_TILE rows of the longer one, in one pair of buffers.  A
+    shorter array of fewer rows, such as a pole, gets tiles as many times
+    wider, so that every pass still covers MIN_DIST_BLOCK x MIN_DIST_TILE
+    cells.  The squared distances are summed in coordinate order, as a
+    sum over the last axis does; sqrt is monotone and correctly rounded,
+    so one sqrt of the least square is the least of the distances,
+    whatever the tiles.
     """
     if len(p1) > len(p2):
         p1, p2 = p2, p1
     rows = min(MIN_DIST_BLOCK, len(p1))
-    cols = min(MIN_DIST_TILE, len(p2))
+    tile = MIN_DIST_TILE * (MIN_DIST_BLOCK // rows)
+    cols = min(tile, len(p2))
     work = np.empty((2, rows * cols))
     min_sq = math.inf
     for i in range(0, len(p1), MIN_DIST_BLOCK):
         a = p1[i:i + MIN_DIST_BLOCK]
-        for j in range(0, len(p2), MIN_DIST_TILE):
-            b = p2[j:j + MIN_DIST_TILE]
+        for j in range(0, len(p2), tile):
+            b = p2[j:j + tile]
             sq, diff = (w[:len(a) * len(b)].reshape(len(a), len(b))
                         for w in work)
             for k in range(p1.shape[1]):

@@ -1,0 +1,40 @@
+"""Dilation covariance of the systolic interval.
+
+Dilating a boundary by s scales area parameters by s^2 and partial
+derivatives by 1/s, so pairings and the systolic interval do not change.
+A power-of-two s commutes with every rational operation, so there the
+interval must be the same to the bit.  Warnings are errors here: an
+overflow or underflow on the way must not pass unseen.
+"""
+import json
+
+import numpy as np
+import pytest
+
+from conftest import load_perfbench
+from reebsys.cli import main
+
+
+def systole_interval(tmp_path, doc):
+    tmp_path.mkdir()
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["systole", "--input", str(path), "--output", str(out),
+                 "--grid", "256", "--quiet"]) == 0
+    return json.loads((out / "systole.json").read_text())["interval"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale, rel", [(2.0 ** -64, 0.0), (2.0 ** 64, 0.0),
+                                        (1e80, 1e-13)],
+                         ids=["2^-64", "2^64", "1e80"])
+def test_benchmark_spline_interval_is_dilation_invariant(tmp_path, capsys,
+                                                         scale, rel):
+    doc = load_perfbench("workloads").profiles(1.0)["spline"]
+    base = systole_interval(tmp_path / "base", doc)
+    points = (np.array(doc["points"]) * scale).tolist()
+    got = systole_interval(tmp_path / "dilated",
+                           {"kind": "sampled", "points": points})
+    assert got == pytest.approx(base, rel=rel, abs=0.0)
+    assert capsys.readouterr().err == ""

@@ -1,16 +1,20 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
-from conftest import SPLINE_ARGS, random_star_profile, star_profiles
+from conftest import (SPLINE_ARGS, load_perfbench, random_star_profile,
+                      star_profiles)
 from reebsys.errors import ValidationError
+from reebsys.numerics import panel_gauss_many
 from reebsys.profiles import (EllipsoidProfile, LpProfile, SplineProfile,
                               ToricProfile, perturbed_ellipsoid_points,
-                              profile_from_json, round_profile)
+                              prefix_fsums, profile_from_json, round_profile)
 
 HALF_PI = math.pi / 2
 
@@ -323,6 +327,146 @@ class TestInversion:
     def test_skewed_ellipsoid_intercepts_exact(self):
         ic = EllipsoidProfile(1e-4, 1e4).intercepts()
         assert (ic.a, ic.b) == (1e-4, 1e4)
+
+
+def exact_quadrant_area(profile):
+    """A of a sampled profile in exact rationals: half the sum over the
+    knot intervals of the integral of (c0 + c1 s + c2 s^2 + c3 s^3)^2 over
+    [0, h_j], with the profile's own coefficients and interval widths."""
+    total = Fraction(0)
+    for c, h in zip(profile._coef.T.tolist(),
+                    np.diff(profile._knots).tolist()):
+        c, h = [Fraction(x) for x in c], Fraction(h)
+        total += sum(c[k] * c[l] * h ** (k + l + 1) / (k + l + 1)
+                     for k in range(4) for l in range(4))
+    return total / 2
+
+
+def gauss_table_theta_of_t(profile, t):
+    """The t -> theta inversion of sampled profiles before their exact
+    area polynomials: a table of t at 2049 uniform angles summed from
+    20-node Gauss panels of r^2, a cubic Hermite start on it and Newton
+    steps on the panel residual until it is within 1e-14 * max(1, t_max)."""
+    def rate(theta):
+        r = profile.boundary_radius(theta)
+        return r * r
+
+    nodes = np.linspace(0.0, HALF_PI, 2049)
+    tnodes = np.concatenate([[0.0], np.cumsum(
+        panel_gauss_many(rate, nodes[:-1], nodes[1:]))])
+    slope = 1.0 / rate(nodes)
+    t_max = tnodes[-1]
+    tc = np.clip(t, 0.0, t_max)
+    j = np.clip(np.searchsorted(tnodes, tc, side="right") - 1,
+                0, len(tnodes) - 2)
+    lo, hi, tlo = nodes[j], nodes[j + 1], tnodes[j]
+    h = tnodes[j + 1] - tlo
+    s = (tc - tlo) / h
+    m0, m1, d = h * slope[j], h * slope[j + 1], hi - lo
+    th = np.clip(lo + s * (m0 + s * (3.0 * d - 2.0 * m0 - m1
+                                     + s * (m0 + m1 - 2.0 * d))), lo, hi)
+    base = lo.copy()
+    tol = 1e-14 * max(1.0, t_max)
+    live = np.arange(t.size)
+    for _ in range(80):
+        f = tlo[live] + panel_gauss_many(rate, base[live], th[live]) - tc[live]
+        miss = np.abs(f) > tol
+        live, f = live[miss], f[miss]
+        x = th[live]
+        hi[live] = np.where(f > 0, x, hi[live])
+        lo[live] = np.where(f < 0, x, lo[live])
+        cand = x - f / rate(x)
+        inside = (cand > lo[live]) & (cand < hi[live])
+        th[live] = np.where(inside, cand, 0.5 * (lo[live] + hi[live]))
+    assert live.size == 0
+    return th
+
+
+@pytest.fixture(scope="module")
+def seeded_stars():
+    rng = np.random.default_rng(5)
+    return [random_star_profile(rng) for _ in range(30)]
+
+
+def sampled_cases(spline_p):
+    """The golden and benchmark splines, every PCHIP slope branch and
+    clustered knots."""
+    bench = load_perfbench("workloads").profiles(1.0)["spline"]
+    theta = np.concatenate([np.linspace(0.0, 1e-4, 300),
+                            np.linspace(0.05, HALF_PI, 12)])
+    return [spline_p, profile_from_json(bench),
+            SplineProfile(branch_points(BRANCH_R)),
+            SplineProfile(polar_points(theta, 1.0 + 0.1 * np.sin(theta)))]
+
+
+class TestExactArea:
+    """Sampled profiles map t <-> theta through the exact degree-7
+    interval polynomials of t(theta); lp profiles have the Dirichlet
+    area."""
+
+    def test_sampled_area_is_the_exact_polynomial_sum(self, spline_p):
+        for p in sampled_cases(spline_p):
+            exact = exact_quadrant_area(p)
+            assert abs(Fraction(p.quadrant_area()) - exact) <= \
+                2 * Fraction(math.ulp(float(exact)))
+            assert p.two_area == p.t_of_theta(HALF_PI)
+
+    def test_prefix_fsums_are_correctly_rounded(self):
+        rng = np.random.default_rng(8)
+        values = rng.uniform(0.0, 1.0, 200) * 10.0 ** rng.integers(-20, 20, 200)
+        sums = prefix_fsums(values)
+        assert sums[0] == 0.0
+        assert all(sums[i] == math.fsum(values[:i]) for i in range(1, 201))
+        with np.errstate(over="ignore"):
+            assert np.isinf(prefix_fsums([1e308, 1e308, 1.0])[-1])
+
+    def test_round_trip_within_area_ulps(self, profile_matrix, seeded_stars):
+        for p in profile_matrix + seeded_stars:
+            t = np.linspace(0.0, p.two_area, 4001)
+            back = p.t_of_theta(p.theta_of_t(t))
+            assert np.max(np.abs(back - t)) <= 1e-14 * p.two_area
+
+    def test_theta_matches_gauss_table_oracle(self, spline_p, seeded_stars):
+        rng = np.random.default_rng(12)
+        for p in sampled_cases(spline_p) + seeded_stars:
+            t = np.concatenate([np.linspace(0.0, p.two_area, 1001),
+                                rng.uniform(0.0, p.two_area, 1000)])
+            assert np.max(np.abs(p.theta_of_t(t)
+                                 - gauss_table_theta_of_t(p, t))) <= 1e-13
+
+    def test_sampled_profiles_use_no_quadrature(self, spline_p, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("quadrature called")
+
+        p = SplineProfile(spline_p.to_json()["points"])
+        monkeypatch.setattr("reebsys.profiles.panel_gauss_many", refuse)
+        monkeypatch.setattr("reebsys.profiles.adaptive_gauss", refuse)
+        theta = p.theta_of_t(np.linspace(0.0, p.two_area, 2 ** 15))
+        p.t_of_theta(theta)
+        p.boundary_arrays(0.3)
+
+    @pytest.mark.parametrize("p", [1.0, 1.1, 1.5, 2.0, 3.0, 4.5])
+    def test_lp_area_is_the_dirichlet_integral(self, p):
+        a, b = 1.2, 0.9
+        area = LpProfile(p, a, b).quadrant_area()
+        gamma_form = load_perfbench("checks").profile_area(
+            {"kind": "lp", "p": p, "a": a, "b": b})
+        # p = 2 keeps pi a b / 4, within an ulp of math.gamma's value
+        assert area == pytest.approx(gamma_form, rel=0 if p != 2 else 1e-15)
+        graph, _ = quad(lambda x: b * (1.0 - (x / a) ** p) ** (1.0 / p),
+                        0.0, a, epsabs=0.0, epsrel=1.2e-14, limit=200)
+        assert area == pytest.approx(graph, rel=2e-15)
+
+    def test_lp_area_against_the_adaptive_rule(self):
+        # the rule had converged on the matrix's lp p=3; at p = 1.5, where
+        # r^2 is not smooth at the axes, its absolute tolerance stopped it
+        # more than 1e-11 off
+        lp3 = LpProfile(3.0, 1.2, 0.9)
+        assert lp3.quadrant_area() == pytest.approx(
+            ToricProfile.quadrant_area(lp3), rel=1e-15)
+        lp15 = LpProfile(1.5)
+        assert abs(ToricProfile.quadrant_area(lp15)
+                   - lp15.quadrant_area()) > 1e-11
 
 
 class TestJson:

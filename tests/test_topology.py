@@ -14,7 +14,8 @@ from reebsys.numerics import PANEL_CHUNK
 from reebsys.systolic import (axis_orbit, contact_volume, enumerate_tori,
                               pairing_orbit_orbit)
 from reebsys.profiles import EllipsoidProfile, LpProfile, ToricProfile
-from reebsys.topology import (GAUSS_BLOCK, GAUSS_TILE, RATE_BLOCK, _POLES,
+from reebsys.topology import (GAUSS_BLOCK, GAUSS_TILE, MIN_DIST_BLOCK,
+                              MIN_DIST_TILE, RATE_BLOCK, _POLES,
                               ClosedCurve, LinkResult, _best_convergents,
                               _gauss_linking_sum, _min_distance,
                               _stereographic, action_linking_verify,
@@ -389,6 +390,31 @@ def loop_min_distance(p1, p2):
     return min_dist
 
 
+def one_tile_width_min_distance(p1, p2):
+    """The min-distance scan before short sides got wider tiles: always
+    MIN_DIST_BLOCK x MIN_DIST_TILE tiles, so a pole made 1 x 1024 ones."""
+    if len(p1) > len(p2):
+        p1, p2 = p2, p1
+    rows = min(MIN_DIST_BLOCK, len(p1))
+    cols = min(MIN_DIST_TILE, len(p2))
+    work = np.empty((2, rows * cols))
+    min_sq = math.inf
+    for i in range(0, len(p1), MIN_DIST_BLOCK):
+        a = p1[i:i + MIN_DIST_BLOCK]
+        for j in range(0, len(p2), MIN_DIST_TILE):
+            b = p2[j:j + MIN_DIST_TILE]
+            sq, diff = (w[:len(a) * len(b)].reshape(len(a), len(b))
+                        for w in work)
+            for k in range(p1.shape[1]):
+                np.subtract(a[:, None, k], b[None, :, k], out=diff)
+                if k:
+                    np.add(sq, np.multiply(diff, diff, out=diff), out=sq)
+                else:
+                    np.multiply(diff, diff, out=sq)
+            min_sq = min(min_sq, float(sq.min()))
+    return math.sqrt(min_sq)
+
+
 def assert_same_bits(x, y):
     assert np.float64(x).tobytes() == np.float64(y).tobytes(), (x, y)
 
@@ -445,6 +471,35 @@ class TestGaussOracle:
             Q = rng.integers(-2, 3, (6, 3)).astype(float)
             P[-1], Q[-1] = P[0], Q[0]
             assert_same_bits(_gauss_linking_sum(P, Q), einsum_gauss_sum(P, Q))
+
+
+class TestPoleScores:
+    """Pole scores run one-row scans over wider tiles, with the bits of
+    the one-tile-width scan."""
+
+    @pytest.mark.parametrize("n_orbit, n_axis", [(MIN_DIST_TILE - 1, 16),
+                                                 (5000, 3 * MIN_DIST_BLOCK),
+                                                 (70000, 40)])
+    def test_scores_and_pole_match_one_tile_width_scan(self, monkeypatch,
+                                                       n_orbit, n_axis):
+        lp3 = LpProfile(3.0, 1.2, 0.9)
+        t23 = [t for t in enumerate_tori(lp3, 3) if (t.p, t.q) == (2, 3)][0]
+        c1 = toric_orbit_curve(lp3, t23, n_orbit)
+        c2 = toric_orbit_curve(lp3, axis_orbit(lp3, "x"), n_axis)
+        for curve in (c1, c2):
+            for pole in _POLES:
+                for args in ((curve.points, pole[None]),
+                             (pole[None], curve.points)):
+                    assert_same_bits(_min_distance(*args),
+                                     one_tile_width_min_distance(*args))
+        for rows in (2, 17, MIN_DIST_BLOCK - 1):
+            assert_same_bits(
+                _min_distance(c1.points, c2.points[:rows]),
+                one_tile_width_min_distance(c1.points, c2.points[:rows]))
+        result = linking_number(c1, c2)
+        monkeypatch.setattr(topology, "_min_distance",
+                            one_tile_width_min_distance)
+        assert linking_number(c1, c2) == result
 
 
 def random_closed_curve(rng, n):
