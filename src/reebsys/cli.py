@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -443,8 +444,30 @@ COMMANDS = {
 }
 
 
+class Parser(argparse.ArgumentParser):
+    """argparse with one stderr line per rejection, and negative numbers
+    in exponent form (-1e0) read as values: argparse's own negative-number
+    pattern has no exponent, so it reads them as options.  Subparsers are
+    made of the same class, so a flag that a subcommand does not read is
+    rejected by that subcommand's parser, which names it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+    def parse_known_args(self, args=None, namespace=None):
+        args, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return args, extras
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = Parser(
         prog="reebsys",
         description="systolic invariants and flow statistics of toric "
                     "domain boundaries and disk-map suspensions")

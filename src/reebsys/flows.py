@@ -77,7 +77,8 @@ def rng_for_seed(seed: int) -> np.random.Generator:
 
 
 def liouville_sample(profile: ToricProfile, n: int, seed: int,
-                     lo: int = 0, hi: int | None = None) -> np.ndarray:
+                     lo: int = 0, hi: int | None = None,
+                     columns: int = 3) -> np.ndarray:
     """Rows lo:hi of n independent draws from the normalized invariant
     measure.
 
@@ -88,7 +89,9 @@ def liouville_sample(profile: ToricProfile, n: int, seed: int,
     starts its own stream at its first double (Philox yields four
     outputs per counter, so it advances (c*n + lo) // 4 counters and
     discards the rest), so any split into blocks gives the rows of the
-    full draw bit for bit.
+    full draw bit for bit.  columns = 1 or 2 draws only the first
+    columns, with the same bits, since each is its own stretch of the
+    stream.
     """
     n = int(n)
     hi = n if hi is None else hi
@@ -96,8 +99,12 @@ def liouville_sample(profile: ToricProfile, n: int, seed: int,
         raise ValidationError("sample count must be at least 1")
     if not 0 <= lo <= hi <= n:
         raise ValidationError(f"sample rows {lo}:{hi} outside 0:{n}")
-    out = np.empty((hi - lo, 3))
-    for c, width in enumerate((profile.two_area, TWO_PI, TWO_PI)):
+    if columns not in (1, 2, 3):
+        raise ValidationError(
+            f"sample columns must be 1, 2 or 3, got {columns}")
+    out = np.empty((hi - lo, columns))
+    widths = (profile.two_area, TWO_PI, TWO_PI)[:columns]
+    for c, width in enumerate(widths):
         pos = c * n + lo
         rng = rng_for_seed(seed)
         rng.bit_generator.advance(pos // 4)

@@ -6,6 +6,9 @@ successive refinements agree.  A vectorized single-panel rule supports the
 cumulative sector-area tables used to invert area parametrizations.  Roots
 are located by a grid scan and refined in one vectorized batch of
 bracketed steps; grid extrema are refined by golden-section search.
+Sums of many doubles are exact and correctly rounded (exact_partial and
+exact_total), and values are located among increasing nodes through a
+uniform cell table (IntervalLookup).
 """
 from __future__ import annotations
 
@@ -206,6 +209,99 @@ def bracketed_roots(f, a, b, fa, fb, xtol: float = 1e-15,
         if j > 200:
             raise NumericalError("bracketed root refinement did not converge")
     return np.where(np.abs(fa) <= np.abs(fb), a, b)
+
+
+# exact_partial holds a double x = M * 2**(e - 53), with M its signed
+# 53-bit integer mantissa and e >= -1073 its np.frexp exponent, as the
+# integer M * 2**(e + 1073): a count of 2**-EXACT_SUM_SHIFT.
+EXACT_SUM_SHIFT = 1126
+# values per np.bincount pass: a bin of fewer than 2**26 mantissa halves,
+# each below 2**27, sums exactly in doubles
+EXACT_SUM_CHUNK = 1 << 25
+
+
+def exact_partial(x):
+    """The exact sum of the doubles x, as an integer count of
+    2**-EXACT_SUM_SHIFT; math.fsum(x) instead when x holds an inf or a nan.
+
+    A small superaccumulator (Neal, "Fast exact summation using small and
+    large superaccumulators", 2015): np.frexp splits each value into its
+    integer mantissa and exponent, the high 27 and low 26 bits of the
+    mantissas are summed per exponent by np.bincount, exactly, and the
+    per-exponent sums are combined as Python ints.  Partials of several
+    blocks add as they are; exact_total rounds them once.
+    """
+    x = np.asarray(x, float).ravel()
+    if not np.isfinite(x).all():
+        return math.fsum(x.tolist())
+    total = 0
+    for lo in range(0, x.size, EXACT_SUM_CHUNK):
+        m, e = np.frexp(x[lo:lo + EXACT_SUM_CHUNK])
+        m *= 2.0 ** 27
+        high = np.trunc(m)
+        m -= high
+        m *= 2.0 ** 26
+        e += EXACT_SUM_SHIFT - 53
+        high = np.bincount(e, weights=high)
+        low = np.bincount(e, weights=m)
+        bins = np.flatnonzero((high != 0) | (low != 0))
+        for k, h, l in zip(bins.tolist(), high[bins].tolist(),
+                           low[bins].tolist()):
+            total += ((int(h) << 26) + int(l)) << k
+    return total
+
+
+def exact_total(partials) -> float:
+    """The correctly rounded sum of the blocks whose exact_partial values
+    are given: math.fsum of all their values, which it equals bit for bit
+    (Shewchuk, Discrete Comput. Geom. 18, 1997).  A block with an inf or a
+    nan makes the result math.fsum of those blocks' sums; an exact sum
+    beyond the double range raises OverflowError, as math.fsum does.
+    """
+    partials = list(partials)
+    special = [p for p in partials if isinstance(p, float)]
+    if special:
+        return math.fsum(special)
+    # int / int is correctly rounded, subnormal results included
+    return sum(partials) / (1 << EXACT_SUM_SHIFT)
+
+
+class IntervalLookup:
+    """Interval index of values among increasing nodes x_0 < ... < x_m.
+
+    Calling it on an array v gives j with x_j <= v < x_j+1, clipped to
+    [0, m - 1]: clip(searchsorted(nodes, v, side="right") - 1, 0, m - 1),
+    so the last interval is closed on the right and values beyond either
+    end get the end interval.  Each cell of a uniform grid over
+    [x_0, x_m] holds the interval of the previous cell's left edge, a
+    lower bound for every value in the cell, from which the lookup steps
+    up node by node; cells at most half the closest node spacing keep
+    that to one or two steps, up to a grid of 2**16 cells.
+    """
+
+    def __init__(self, nodes):
+        nodes = np.asarray(nodes, float)
+        origin, span = nodes[0], nodes[-1] - nodes[0]
+        cells = int(min(1 << 16, max(4 * nodes.size,
+                                     2.0 * span / np.diff(nodes).min())))
+        self._origin = origin
+        self._scale = cells / span
+        self._start = np.searchsorted(
+            nodes[1:-1], origin + (np.arange(cells) - 1) / self._scale,
+            side="right")
+        # no value, inf included, is >= the nan after the last inner node
+        self._next = np.append(nodes[1:-1], np.nan)
+
+    def __call__(self, v):
+        # fmax and fmin send a nan to a cell instead of into the cast
+        cell = np.fmin(np.fmax((v - self._origin) * self._scale, 0.0),
+                       self._start.size - 1)
+        j = self._start[cell.astype(np.intp)]
+        while True:
+            up = v >= self._next[j]
+            if not up.any():
+                return j
+            j = j + up
 
 
 def wrap_angle(theta):

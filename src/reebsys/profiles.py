@@ -21,16 +21,18 @@ PCHIP radius is a cubic on each knot interval, so t(theta), the integral
 of r^2, is a degree-7 polynomial there.  Its coefficients and the
 cumulative area T_j at each knot (math.fsum of the interval integrals)
 are tabled at construction; 2A is the last T_j, theta -> t is T_j plus
-one Horner evaluation, and t -> theta finds each lane's knot interval by
-one search on T, starts from the cubic Hermite interpolant in t with the
-exact knot slopes dtheta/dt = 1/r^2, and takes bracketed Newton steps on
-the polynomial.  lp with p != 2 has the closed-form area
+one Horner evaluation, and t -> theta finds each lane's knot interval
+once, starts from the cubic Hermite interpolant in t with the exact knot
+slopes dtheta/dt = 1/r^2, and takes bracketed Newton steps on the
+polynomial.  lp with p != 2 has the closed-form area
 a b Gamma(1 + 1/p)^2 / Gamma(1 + 2/p) and inverts a cached table of t at
 uniform theta nodes: theta -> t adds one Gauss panel to the node below,
 and t -> theta starts from the same Hermite interpolant on the table and
 takes Newton steps on the panel residual.  Both inversions return a lane
 once its residual is within 1e-14 * 2A, and compute each lane
-independently of the others in its batch.
+independently of the others in its batch.  Every interval of a theta or
+t node table is found by one numerics.IntervalLookup, a uniform cell
+table, which gives the index a binary search would.
 
 Sampled profiles interpolate r(theta) with an in-house PCHIP table
 (pchip_table): one row each of c0..c3 per knot interval, from which r,
@@ -46,10 +48,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .numerics import adaptive_gauss, panel_gauss_many
+from .numerics import IntervalLookup, adaptive_gauss, panel_gauss_many
 
 HALF_PI = math.pi / 2.0
-AREA_QUAD_TOL = 1e-10       # absolute tolerance of the adaptive area quadrature
+# tolerance of the adaptive quadratures: absolute in the base
+# quadrant_area, relative to the expected value in
+# systolic.average_identity_residual
+AREA_QUAD_TOL = 1e-10
 AREA_TABLE_PANELS = 2048    # panels of the cumulative-area table
 CURVATURE_BOUND = 1e4       # largest |r''| / r accepted at sampled-boundary knots
 
@@ -90,6 +95,7 @@ class ToricProfile:
 
     def __init__(self):
         self._table = None
+        self._lookup = None
         self._area = None
 
     # -- subclass surface -------------------------------------------------
@@ -152,6 +158,14 @@ class ToricProfile:
             self._table = (theta, t, 1.0 / self._sector_rate(theta))
         return self._table
 
+    def _lookups(self):
+        """IntervalLookups on the theta nodes and on the t nodes of the
+        area table, built on first use."""
+        if self._lookup is None:
+            nodes, tnodes, _ = self._area_table()
+            self._lookup = (IntervalLookup(nodes), IntervalLookup(tnodes))
+        return self._lookup
+
     def quadrant_area(self):
         """Area A of {F <= 1} in the first quadrant, by adaptive quadrature."""
         if self._area is None:
@@ -194,10 +208,7 @@ class ToricProfile:
         return self._sector_rate(theta)
 
     def _t_of_theta(self, theta):
-        nodes = self._area_table()[0]
-        j = np.clip(np.searchsorted(nodes, theta, side="right") - 1,
-                    0, len(nodes) - 2)
-        return self._panel_area(theta, j)
+        return self._panel_area(theta, self._lookups()[0](theta))
 
     def _theta_of_t(self, t):
         """Cubic Hermite start on the area table, Newton where it misses.
@@ -209,8 +220,7 @@ class ToricProfile:
         nodes, tnodes, slope = self._area_table()
         t_max = tnodes[-1]
         tc = np.clip(t, 0.0, t_max)
-        j = np.clip(np.searchsorted(tnodes, tc, side="right") - 1,
-                    0, len(tnodes) - 2)
+        j = self._lookups()[1](tc)
         lo = nodes[j]
         hi = nodes[j + 1]
         tlo = tnodes[j]
@@ -570,17 +580,10 @@ class SplineProfile(ToricProfile):
             self._area_coef, knot_area = area_polynomials(np.diff(theta),
                                                           self._coef)
             self._knot_table = (theta, knot_area, 1.0 / (r * r))
-        # interval lookup: each cell of a uniform grid over [0, pi/2] holds
-        # the interval of the previous cell's left edge, a lower bound for
-        # every angle in the cell, from which _segments steps up knot by
-        # knot; cells at most half the closest knot spacing keep that short
-        cells = int(min(1 << 16, max(4 * theta.size,
-                                     2.0 * HALF_PI / np.diff(theta).min())))
-        self._cell_scale = cells / HALF_PI
-        self._cell_start = np.searchsorted(
-            theta[1:-1], (np.arange(cells) - 1) / self._cell_scale,
-            side="right")
-        self._next_knot = np.append(theta[1:-1], np.inf)
+        # _segments' lookup; the one on the knot areas T_j is built on
+        # first use (_lookups), after profile_from_json has checked that
+        # they are finite
+        self._knot_lookup = IntervalLookup(theta)
         # r'' = 2 c2 + 6 c3 s is linear on each interval, so its extremes
         # are the one-sided values at the knots
         _, _, c2, c3 = self._coef
@@ -596,13 +599,8 @@ class SplineProfile(ToricProfile):
         """Offsets s from the knot below each angle and the interval
         indices j; the last interval is closed on the right."""
         theta = np.clip(np.asarray(theta, float), 0.0, HALF_PI)
-        cell = np.fmin(theta * self._cell_scale, self._cell_start.size - 1)
-        j = self._cell_start[cell.astype(np.intp)]
-        while True:
-            up = theta >= self._next_knot[j]
-            if not up.any():
-                return theta - self._knots[j], j
-            j = j + up
+        j = self._knot_lookup(theta)
+        return theta - self._knots[j], j
 
     def _radius(self, s, j):
         c0, c1, c2, c3 = self._coef
@@ -625,6 +623,12 @@ class SplineProfile(ToricProfile):
     def _area_table(self):
         """(theta_j, T_j, dtheta/dt = 1/r^2) at the knots."""
         return self._knot_table
+
+    def _lookups(self):
+        if self._lookup is None:
+            self._lookup = (self._knot_lookup,
+                            IntervalLookup(self._knot_table[1]))
+        return self._lookup
 
     def quadrant_area(self):
         return 0.5 * self._knot_table[1][-1]

@@ -405,20 +405,23 @@ def systolic_interval(profile: ToricProfile, grid_n: int = 4096,
 
 
 def average_identity_residual(profile: ToricProfile) -> float:
-    """Residual of the boundary-average identity.
+    """Relative residual of the boundary-average identity.
 
     The double integral of D1F(C(t1)) * D2F(C(t2)) over the parameter
     square factorizes, and each factor is a total derivative along the
-    curve: the integrals equal b and a.  Returns |I1 * I2 - a * b| with
-    the factors evaluated by adaptive quadrature in the polar angle.
+    curve: the integrals equal b and a.  Returns |I1 * I2 - a * b| / (a b)
+    with the factors evaluated by adaptive quadrature in the polar angle,
+    each to AREA_QUAD_TOL relative to the value it should reach (b for
+    I1, a for I2), so that the residual does not depend on the size of
+    the profile.
     """
     rate = profile._sector_rate
-    i1, _ = adaptive_gauss(lambda th: profile.gradient_theta(th)[0] * rate(th),
-                           0.0, HALF_PI, tol=AREA_QUAD_TOL)
-    i2, _ = adaptive_gauss(lambda th: profile.gradient_theta(th)[1] * rate(th),
-                           0.0, HALF_PI, tol=AREA_QUAD_TOL)
     ic = profile.intercepts()
-    return float(abs(i1 * i2 - ic.a * ic.b))
+    i1, _ = adaptive_gauss(lambda th: profile.gradient_theta(th)[0] * rate(th),
+                           0.0, HALF_PI, tol=AREA_QUAD_TOL * ic.b)
+    i2, _ = adaptive_gauss(lambda th: profile.gradient_theta(th)[1] * rate(th),
+                           0.0, HALF_PI, tol=AREA_QUAD_TOL * ic.a)
+    return float(abs(i1 * i2 - ic.a * ic.b) / (ic.a * ic.b))
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,16 @@ The Liouville-averaged crossing rate with a surface, scaled by the contact
 volume, recovers the contact area of the surface; action_linking_verify
 checks this identity by seeded Monte Carlo and reports a z score.  It
 computes the rates in blocks of RATE_BLOCK samples dealt to the worker
-threads; each worker draws its block's rows of the seeded sample stream
-itself, and the rates are summed (math.fsum, exactly rounded) block by
-block, so the working memory beyond the rates is bounded by the block
-size, not the sample count; each rate depends on its own sample only,
-so the report is the same for any thread count.
+threads; each worker draws its block's area parameters t from the
+seeded sample stream itself (a rate depends on t alone), finds the
+near-return times with a branch-free continued-fraction kernel that runs
+every lane of the block at full width, and sums its block's rates
+exactly (numerics.exact_partial, an integer superaccumulator).  The
+working memory beyond the rates is bounded by the block size, not the
+sample count.  The mean and the variance are the correctly rounded
+totals of the exact block sums, equal to math.fsum over all the rates,
+and each rate depends on its own sample only, so the report is the same
+for any thread count.
 
 Linking numbers of closed curves on the 3-sphere are computed by
 stereographic projection followed by the exact solid-angle (Gauss) sum
@@ -47,13 +52,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .errors import (NumericalError, ResolutionError, StatisticalError,
                      ValidationError)
-from .numerics import wrap_to_pi
+from .numerics import exact_partial, exact_total, wrap_to_pi
 from .profiles import ToricProfile
 from .systolic import AxisOrbit, RationalTorus, axis_orbit, contact_volume
 from .flows import RNG_NAME, FlowPoint, Trajectory, liouville_sample
@@ -178,8 +182,14 @@ def _best_convergents(alpha, q_cap):
     """Largest continued-fraction convergent denominators q <= q_cap.
 
     alpha and q_cap are arrays.  Returns (p, q, err) with err = |q*alpha - p|;
-    lanes with q_cap < 1 come back with q = 0 (no admissible return).  Each
-    step works only on the lanes whose expansion is still running.
+    lanes with q_cap < 1 come back with q = 0 (no admissible return).
+
+    Every lane runs every step, in buffers written by ufuncs with out=.  A
+    lane whose remainder falls to 1e-15 or below has ended its expansion:
+    the remainder becomes nan, and so does everything computed from it.
+    A convergent is kept where q <= q_cap; q never decreases from one step
+    to the next, so the last one kept is the largest admissible, and the
+    loop ends at the first step that keeps none.
     """
     alpha = np.asarray(alpha, float)
     q_cap = np.asarray(q_cap, float)
@@ -187,30 +197,28 @@ def _best_convergents(alpha, q_cap):
     a0 = np.floor(alpha)
     p_prev, q_prev = np.ones(n), np.zeros(n)
     p_cur, q_cur = a0.copy(), np.ones(n)
+    p_next, q_next, a = np.empty(n), np.empty(n), np.empty(n)
     x = alpha - a0
     feasible = q_cap >= 1.0
     best_p = np.where(feasible, p_cur, 0.0)
     best_q = np.where(feasible, 1.0, 0.0)
-    live = np.flatnonzero(feasible & (x > 1e-15))
-    for _ in range(80):
-        if live.size == 0:
-            break
-        inv = 1.0 / x[live]
-        a = np.floor(inv)
-        p_next = a * p_cur[live] + p_prev[live]
-        q_next = a * q_cur[live] + q_prev[live]
-        ok = q_next <= q_cap[live]
-        live = live[ok]
-        p_next, q_next = p_next[ok], q_next[ok]
-        best_p[live] = p_next
-        best_q[live] = q_next
-        p_prev[live] = p_cur[live]
-        q_prev[live] = q_cur[live]
-        p_cur[live] = p_next
-        q_cur[live] = q_next
-        x_next = (inv - a)[ok]
-        x[live] = x_next
-        live = live[x_next > 1e-15]
+    keep = np.empty(n, bool)
+    np.copyto(x, np.nan, where=~(x > 1e-15))
+    # the lanes past q_cap keep running, and their p and q may overflow
+    with np.errstate(over="ignore"):
+        for _ in range(80):
+            np.divide(1.0, x, out=x)
+            np.floor(x, out=a)
+            np.subtract(x, a, out=x)
+            np.copyto(x, np.nan, where=np.less_equal(x, 1e-15, out=keep))
+            np.add(np.multiply(a, p_cur, out=p_next), p_prev, out=p_next)
+            np.add(np.multiply(a, q_cur, out=q_next), q_prev, out=q_next)
+            if not np.less_equal(q_next, q_cap, out=keep).any():
+                break
+            np.copyto(best_p, p_next, where=keep)
+            np.copyto(best_q, q_next, where=keep)
+            p_prev, p_cur, p_next = p_cur, p_next, p_prev
+            q_prev, q_cur, q_next = q_cur, q_next, q_prev
     err = np.abs(best_q * alpha - best_p)
     return best_p, best_q, err
 
@@ -344,30 +352,32 @@ def action_linking_verify(profile: ToricProfile, surface: SeifertSurfaceSpec,
 
     def work(lo):
         hi = min(lo + RATE_BLOCK, n_samples)
-        rates[lo:hi], _, fallback = _batch_rates(
-            profile, liouville_sample(profile, n_samples, seed, lo, hi),
+        block, _, fallback = _batch_rates(
+            profile, liouville_sample(profile, n_samples, seed, lo, hi,
+                                      columns=1),
             surface, horizon, return_tol, allow_fallback=True)
-        return int(fallback.sum())
+        rates[lo:hi] = block
+        return exact_partial(block), int(fallback.sum())
 
     starts = range(0, n_samples, RATE_BLOCK)
     workers = min(max(1, int(threads)), len(starts))
     if workers == 1:
-        n_fallback = sum(map(work, starts))
+        blocks = list(map(work, starts))
     else:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            n_fallback = sum(pool.map(work, starts))
+            blocks = list(pool.map(work, starts))
+    n_fallback = sum(fallbacks for _, fallbacks in blocks)
 
-    # fsum is exactly rounded, so feeding it block by block keeps lhs and
-    # stderr bit-identical while only one block's list is alive
-    mean = math.fsum(chain.from_iterable(
-        rates[lo:lo + RATE_BLOCK].tolist() for lo in starts)) / n_samples
+    # the block sums are exact, so their correctly rounded total is the
+    # math.fsum of all the rates whatever the blocks and threads
+    mean = exact_total(partial for partial, _ in blocks) / n_samples
     lhs = vol * mean
     rhs = surface.contact_area
     if n_samples > 1:
-        var = math.fsum(chain.from_iterable(
-            ((rates[lo:lo + RATE_BLOCK] - mean) ** 2).tolist()
-            for lo in starts)) / (n_samples - 1)
+        var = exact_total(
+            exact_partial((rates[lo:lo + RATE_BLOCK] - mean) ** 2)
+            for lo in starts) / (n_samples - 1)
     else:
         var = 0.0
     stderr = vol * math.sqrt(var / n_samples)

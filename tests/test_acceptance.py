@@ -89,9 +89,9 @@ def test_03_round_profile_closed_forms():
 
 def test_04_average_identity():
     for profile in (EllipsoidProfile(1.0, 2.0), round_profile(), spline_profile()):
-        assert average_identity_residual(profile) < 1e-6
-    report(4, "averaged product of the partials matches a*b within 1e-6 on "
-              "ellipsoid(1,2), round and spline profiles")
+        assert average_identity_residual(profile) < 1e-9
+    report(4, "averaged product of the partials matches a*b within 1e-9 "
+              "relative on ellipsoid(1,2), round and spline profiles")
 
 
 def test_05_enlarged_interval_coincides():

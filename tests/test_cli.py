@@ -468,7 +468,38 @@ class TestFlagValidation:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
+        assert err.startswith(f"reebsys {command}: error: ")
+        assert len(err.splitlines()) == 1
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["systole", "--grid",
+                                                      "abc"]],
+                             ids=["no-command", "unknown-command", "grid-abc"])
+    def test_usage_errors_print_one_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and " error: " in err
+
+    def test_help_unchanged(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["systole", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: reebsys systole ")
+
+    @pytest.mark.parametrize("value", ["-1e0", "-1E+0", "-10e-1", "-.1e1"])
+    def test_exponent_form_negative_value(self, tmp_path, value):
+        # h = 5 + s^2 has positive periods k (h - s h' + c) at c = -1
+        inp = write_json(tmp_path / "h.json", {
+            "kind": "radial", "h": {"type": "poly", "coeffs": [5, 0, 1]}})
+        outs = []
+        for name, c in (("plain", "-1.0"), ("exp", value)):
+            out = tmp_path / name
+            assert run(["diskmap-dictionary", "--input", inp, "--output", out,
+                        "--suspension-c", c, "--quiet"]) == 0
+            outs.append((out / "diskmap-dictionary.json").read_bytes())
+        assert outs[0] == outs[1]
 
     def test_largest_seed_accepted(self, tmp_path):
         inp = write_json(tmp_path / "p.json", ROUND)

@@ -125,6 +125,19 @@ class TestLiouvilleSampling:
                 assert np.array_equal(
                     liouville_sample(profile, n, 77, lo, hi), whole[lo:hi])
 
+    def test_leading_columns_alone_have_the_same_bits(self, round_p):
+        n = 70001
+        whole = liouville_sample(round_p, n, 5)
+        for columns in (1, 2):
+            assert np.array_equal(liouville_sample(round_p, n, 5,
+                                                   columns=columns),
+                                  whole[:, :columns])
+            assert np.array_equal(
+                liouville_sample(round_p, n, 5, 1003, 40001, columns),
+                whole[1003:40001, :columns])
+        with pytest.raises(ValidationError, match="columns"):
+            liouville_sample(round_p, n, 5, columns=4)
+
     def test_rows_outside_the_draw_rejected(self, round_p):
         for lo, hi in ((-1, 5), (6, 5), (0, 11)):
             with pytest.raises(ValidationError, match="outside"):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from reebsys.errors import NumericalError, ValidationError
-from reebsys.numerics import (PANEL_CHUNK, _leggauss, adaptive_gauss,
-                              bracketed_roots, fixed_gauss, panel_gauss_many,
+from reebsys.numerics import (PANEL_CHUNK, IntervalLookup, _leggauss,
+                              adaptive_gauss, bracketed_roots, exact_partial,
+                              exact_total, fixed_gauss, panel_gauss_many,
                               refine_extremum, scan_roots, wrap_angle,
                               wrap_to_pi)
 from reebsys.profiles import HALF_PI, profile_from_json
@@ -147,3 +148,97 @@ def test_numerics_json_rejects_bad_values(doc):
     with pytest.raises(ValidationError,
                        match=r"^unknown profile keys: \['numerics'\]$"):
         profile_from_json({"kind": "lp", "p": 2.0, "numerics": doc})
+
+
+def parent_block_fsum(blocks):
+    """Reference: the block sums before exact partials, math.fsum over the
+    blocks' values chained as Python floats."""
+    return math.fsum(v for block in blocks for v in np.asarray(block).tolist())
+
+
+def adversarial_blocks():
+    rng = np.random.default_rng(5)
+    tiny = 2.0 ** -1074
+    big = rng.uniform(-1.0, 1.0, 4000) * 2.0 ** rng.integers(-1074, 1001, 4000)
+    yield "single", [np.array([0.1])]
+    yield "zeros", [np.zeros(7), np.zeros(3)]
+    yield "negative-zeros", [np.full(5, -0.0), np.array([-0.0])]
+    yield "cancellation", [np.array([1e100, 1.0, -1e100, 1e-100]),
+                           np.array([3.0, -1e-100, 2.0 ** -60])]
+    yield "mixed-signs", [rng.standard_normal(1000) * 1e12,
+                          -rng.standard_normal(1000) * 1e12,
+                          rng.standard_normal(17)]
+    yield "subnormals", [np.array([tiny, 3 * tiny, -tiny, 2.0 ** -1022]),
+                         np.full(1001, tiny)]
+    yield "subnormal-result", [np.array([2.0 ** -1022, -2.0 ** -1022 + tiny,
+                                         5 * tiny])]
+    yield "exponent-range", [big, -big[::3], np.array([2.0 ** 1000,
+                                                      -(2.0 ** 1000), tiny])]
+    yield "halfway-ties", [np.array([1.0, 2.0 ** -53, 2.0 ** -106]),
+                           np.array([1.0, 2.0 ** -53]),
+                           np.array([-(2.0 ** -53)])]
+    # the variance pass: squares of the rates' deviations from their mean
+    rates = rng.choice([0.0, 1.0 / 3.0, 2.0 / 7.0], 1 << 15)
+    yield "squared-deviations", [(rates - rates.mean()) ** 2]
+
+
+@pytest.mark.parametrize("name, blocks", list(adversarial_blocks()),
+                         ids=[name for name, _ in adversarial_blocks()])
+def test_exact_total_matches_fsum(name, blocks):
+    got = exact_total(exact_partial(b) for b in blocks)
+    want = parent_block_fsum(blocks)
+    assert math.copysign(1.0, got) == math.copysign(1.0, want)
+    assert got == want
+    # one block or many, the total is the same
+    assert exact_total([exact_partial(np.concatenate(blocks))]) == want
+
+
+@pytest.mark.parametrize("values", [[1.0, math.inf], [math.nan, 2.0],
+                                    [-math.inf, 5.0, -math.inf],
+                                    [math.inf, -math.inf], [1e308, 1e308]],
+                         ids=["inf", "nan", "minus-inf", "inf-minus-inf",
+                              "overflow"])
+def test_exact_total_keeps_fsum_behaviour_when_not_finite(values):
+    try:
+        want = math.fsum(values)
+    except (ValueError, OverflowError) as exc:
+        with pytest.raises(type(exc)):
+            exact_total([exact_partial(np.array(values))])
+        return
+    got = exact_total([exact_partial(np.array(values))])
+    assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+def test_exact_partial_splits_bins_of_many_values(monkeypatch):
+    # one exponent bin of more than 2^26 mantissa halves is summed in chunks
+    monkeypatch.setattr("reebsys.numerics.EXACT_SUM_CHUNK", 3)
+    x = np.full(10, 1.0 - 2.0 ** -53)
+    assert exact_partial(x) == sum(exact_partial(x[i:i + 1])
+                                   for i in range(10))
+    assert exact_total([exact_partial(x)]) == math.fsum(x.tolist())
+
+
+def parent_interval(nodes, v):
+    """Reference: the binary search the lookups replace."""
+    return np.clip(np.searchsorted(nodes, v, side="right") - 1,
+                   0, len(nodes) - 2)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "area", "clustered"])
+def test_interval_lookup_matches_searchsorted(kind):
+    if kind == "uniform":
+        nodes = np.linspace(0.0, math.pi / 2, 2049)
+    elif kind == "area":
+        # t at the knots of a sampled profile: the cumulative areas T_j
+        rng = np.random.default_rng(3)
+        nodes = np.concatenate([[0.0], np.cumsum(rng.uniform(1e-3, 0.1, 255))])
+    else:
+        nodes = np.concatenate([np.linspace(0.0, 1e-4, 300),
+                                np.linspace(0.05, 2.0, 12)])
+    lookup = IntervalLookup(nodes)
+    end = nodes[-1]
+    v = np.concatenate([nodes, np.nextafter(nodes, -np.inf),
+                        np.nextafter(nodes, np.inf), [0.0, -0.0, end],
+                        [end * (1 + 1e-12), 2.0 * end, np.inf, -1.0],
+                        np.random.default_rng(4).uniform(0.0, end, 10000)])
+    np.testing.assert_array_equal(lookup(v), parent_interval(nodes, v))

@@ -279,7 +279,7 @@ class TestAverageIdentity:
 
     def test_matrix(self, profile_matrix):
         for p in profile_matrix:
-            assert average_identity_residual(p) < 1e-6
+            assert average_identity_residual(p) < 1e-9
 
 
 class TestWitnessMeasure:

@@ -59,6 +59,66 @@ def dense_best_convergents(alpha, q_cap):
     return best_p, best_q, err
 
 
+def parent_best_convergents(alpha, q_cap):
+    """Reference: the kernel before the full-width loop, which steps only
+    the lanes whose expansion is still running, by fancy indexing."""
+    alpha = np.asarray(alpha, float)
+    q_cap = np.asarray(q_cap, float)
+    n = alpha.shape[0]
+    a0 = np.floor(alpha)
+    p_prev, q_prev = np.ones(n), np.zeros(n)
+    p_cur, q_cur = a0.copy(), np.ones(n)
+    x = alpha - a0
+    feasible = q_cap >= 1.0
+    best_p = np.where(feasible, p_cur, 0.0)
+    best_q = np.where(feasible, 1.0, 0.0)
+    live = np.flatnonzero(feasible & (x > 1e-15))
+    for _ in range(80):
+        if live.size == 0:
+            break
+        inv = 1.0 / x[live]
+        a = np.floor(inv)
+        p_next = a * p_cur[live] + p_prev[live]
+        q_next = a * q_cur[live] + q_prev[live]
+        ok = q_next <= q_cap[live]
+        live = live[ok]
+        p_next, q_next = p_next[ok], q_next[ok]
+        best_p[live] = p_next
+        best_q[live] = q_next
+        p_prev[live] = p_cur[live]
+        q_prev[live] = q_cur[live]
+        p_cur[live] = p_next
+        q_cur[live] = q_next
+        x_next = (inv - a)[ok]
+        x[live] = x_next
+        live = live[x_next > 1e-15]
+    err = np.abs(best_q * alpha - best_p)
+    return best_p, best_q, err
+
+
+def test_best_convergents_match_parent_on_edge_lanes():
+    rng = np.random.default_rng(29)
+    n = 1 << 15
+    alpha = rng.uniform(0.0, 8.0, n)
+    q_cap = 2.0 ** rng.uniform(-2.0, 53.0, n)
+    edges = [
+        (0.7, 0.5), (2.5, 0.999), (1.0, 100.0), (3.0, 2.0 ** 53),
+        (0.0, 50.0), (0.0, 0.5), (1.0 + 1e-16, 1e6), (5.0 + 8e-16, 1e9),
+        (1e-16, 1e3), (1.0 / 3.0, 2.0 ** 53), (math.pi, 2.0 ** 53),
+        (math.sqrt(2.0), 2.0 ** 53 - 1.0), (0.5 * (1 + math.sqrt(5)), 2.0 ** 53),
+        (1e-15 * (1 + 1e-9), 2.0 ** 53), (np.nan, 10.0), (np.nan, 0.5),
+        (2.5, np.nan), (0.3, 1.0),
+    ]
+    for i, (a, q) in enumerate(edges):
+        alpha[i], q_cap[i] = a, q
+    # lanes whose expansion ends on a remainder at or under 1e-15 late on
+    alpha[100:200] = rng.integers(1, 2 ** 20, 100) / 2.0 ** 20
+    got = _best_convergents(alpha, q_cap)
+    want = parent_best_convergents(alpha, q_cap)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+
+
 def test_best_convergents_match_dense_loop():
     rng = np.random.default_rng(17)
     n = 100_000
@@ -224,6 +284,21 @@ class TestActionLinkingVerify:
                 for k in (1, 2, 3)]
         assert reps[0] == reps[1] == reps[2]
 
+    @pytest.mark.parametrize("n", [RATE_BLOCK - 1, RATE_BLOCK,
+                                   RATE_BLOCK + 1, 3 * RATE_BLOCK + 7])
+    @pytest.mark.parametrize("kind", ["spline", "lp3", "round"])
+    def test_blocks_thread_invariant_at_block_edges(self, spline_p, round_p,
+                                                    kind, n):
+        # block counts 1, 1, 2 and 4, the last block short, one row long
+        # or full
+        profile = {"spline": spline_p, "lp3": LpProfile(3.0, 1.2, 0.9),
+                   "round": round_p}[kind]
+        surface = axis_disk(profile, "y")
+        reps = [action_linking_verify(profile, surface, n, 300.0, 13,
+                                      threads=k)
+                for k in (1, 2, 3)]
+        assert reps[0] == reps[1] == reps[2]
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_working_set_is_bounded_by_blocks(self, spline_p, monkeypatch,
                                               threads):
@@ -237,9 +312,9 @@ class TestActionLinkingVerify:
             rate_points.append(np.size(theta))
             return sector_rate(self, theta)
 
-        def counting_sample(profile, n, seed, lo=0, hi=None):
+        def counting_sample(profile, n, seed, lo=0, hi=None, **kw):
             sample_rows.append((n if hi is None else hi) - lo)
-            return liouville_sample(profile, n, seed, lo, hi)
+            return liouville_sample(profile, n, seed, lo, hi, **kw)
 
         monkeypatch.setattr(ToricProfile, "_sector_rate", counting_rate)
         monkeypatch.setattr(topology, "liouville_sample", counting_sample)
