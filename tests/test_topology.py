@@ -108,6 +108,12 @@ def test_best_convergents_match_parent_on_edge_lanes():
         (math.sqrt(2.0), 2.0 ** 53 - 1.0), (0.5 * (1 + math.sqrt(5)), 2.0 ** 53),
         (1e-15 * (1 + 1e-9), 2.0 ** 53), (np.nan, 10.0), (np.nan, 0.5),
         (2.5, np.nan), (0.3, 1.0),
+        # q_cap equal to a convergent's denominator keeps that convergent
+        (1.0 / 3.0, 3.0), (math.pi, 7.0), (math.pi, 113.0),
+        (math.sqrt(2.0), 12.0), (0.75, 4.0),
+        # the remainder after a step falls to 8.9e-16: the expansion ends
+        # there, although the next q would fit under q_cap
+        (0.75, 2.0 ** 53), (4.0 / 7.0, 2.0 ** 53),
     ]
     for i, (a, q) in enumerate(edges):
         alpha[i], q_cap[i] = a, q
