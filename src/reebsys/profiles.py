@@ -20,19 +20,21 @@ The maps t <-> theta are closed forms for the ellipsoid, C(t) =
 PCHIP radius is a cubic on each knot interval, so t(theta), the integral
 of r^2, is a degree-7 polynomial there.  Its coefficients and the
 cumulative area T_j at each knot (math.fsum of the interval integrals)
-are tabled at construction; 2A is the last T_j, theta -> t is T_j plus
-one Horner evaluation, and t -> theta finds each lane's knot interval
-once, starts from the cubic Hermite interpolant in t with the exact knot
-slopes dtheta/dt = 1/r^2, and takes bracketed Newton steps on the
-polynomial.  lp with p != 2 has the closed-form area
-a b Gamma(1 + 1/p)^2 / Gamma(1 + 2/p) and inverts a cached table of t at
-uniform theta nodes: theta -> t adds one Gauss panel to the node below,
-and t -> theta starts from the same Hermite interpolant on the table and
-takes Newton steps on the panel residual.  Both inversions return a lane
-once its residual is within 1e-14 * 2A, and compute each lane
-independently of the others in its batch.  Every interval of a theta or
-t node table is found by one numerics.IntervalLookup, a uniform cell
-table, which gives the index a binary search would.
+are tabled at construction; 2A is the last T_j and theta -> t is T_j plus
+one Horner evaluation.  lp with p != 2 has the area a b Gamma(1 + 1/p)^2 /
+Gamma(1 + 2/p), and u = tan theta, v = w^p / (1 + w^p) with w = a u / b
+turn the integral of r^2 into 2A I_v(1/p, 1/p), a regularized incomplete
+beta function: theta -> t is x y h(v) for v <= 1/2 and 2A - x y h(1 - v)
+above, with (x, y) the boundary point and h the continued fraction of
+I_v(1/p, 1/p) over its leading power, at one fixed depth per profile.
+Both kinds invert t -> theta the same way: a table of (theta_j, t_j,
+dtheta/dt = 1/r^2) (the knots of a sampled profile, 2049 uniform angles
+for lp), one interval lookup per lane, a cubic Hermite start in t and
+bracketed Newton steps on the exact map, until each lane's residual is
+within 1e-14 * 2A.  Each lane is computed independently of the others in
+its batch.  Every interval of a theta or t node table is found by one
+numerics.IntervalLookup, a uniform cell table, which gives the index a
+binary search would.
 
 Sampled profiles interpolate r(theta) with an in-house PCHIP table
 (pchip_table): one row each of c0..c3 per knot interval, from which r,
@@ -48,14 +50,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .numerics import IntervalLookup, adaptive_gauss, panel_gauss_many
+from .numerics import IntervalLookup
 
 HALF_PI = math.pi / 2.0
-# tolerance of the adaptive quadratures: absolute in the base
-# quadrant_area, relative to the expected value in
-# systolic.average_identity_residual
+# tolerance of systolic.average_identity_residual's quadratures, relative
+# to the value each should reach
 AREA_QUAD_TOL = 1e-10
-AREA_TABLE_PANELS = 2048    # panels of the cumulative-area table
+AREA_TABLE_PANELS = 2048    # intervals of the lp area table
+BETA_CF_MARGIN = 2          # continued-fraction steps past convergence at v = 1/2
 CURVATURE_BOUND = 1e4       # largest |r''| / r accepted at sampled-boundary knots
 
 
@@ -96,7 +98,6 @@ class ToricProfile:
     def __init__(self):
         self._table = None
         self._lookup = None
-        self._area = None
 
     # -- subclass surface -------------------------------------------------
 
@@ -148,31 +149,21 @@ class ToricProfile:
         r = self.boundary_radius(theta)
         return r * r
 
-    def _area_table(self):
-        """(theta_j, t_j, dtheta/dt at theta_j) on a uniform theta grid."""
-        if self._table is None:
-            theta = np.linspace(0.0, HALF_PI, AREA_TABLE_PANELS + 1)
-            inc = panel_gauss_many(self._sector_rate, theta[:-1], theta[1:])
-            t = np.concatenate([[0.0], np.cumsum(inc)])
-            # t' = r^2 because the swept sector area grows at rate r^2/2
-            self._table = (theta, t, 1.0 / self._sector_rate(theta))
-        return self._table
-
-    def _lookups(self):
-        """IntervalLookups on the theta nodes and on the t nodes of the
-        area table, built on first use."""
-        if self._lookup is None:
-            nodes, tnodes, _ = self._area_table()
-            self._lookup = (IntervalLookup(nodes), IntervalLookup(tnodes))
-        return self._lookup
-
     def quadrant_area(self):
-        """Area A of {F <= 1} in the first quadrant, by adaptive quadrature."""
-        if self._area is None:
-            val, _res = adaptive_gauss(lambda th: 0.5 * self._sector_rate(th),
-                                       0.0, HALF_PI, tol=AREA_QUAD_TOL)
-            self._area = float(val)
-        return self._area
+        """Area A of {F <= 1} in the first quadrant."""
+        raise NotImplementedError
+
+    def _area_table(self):
+        """(theta_j, t_j, dtheta/dt = 1/r^2 at theta_j), the nodes of the
+        t -> theta inversion; kinds that invert by Newton steps supply it."""
+        raise NotImplementedError
+
+    def _t_lookup(self):
+        """IntervalLookup on the t nodes of the area table, built on first
+        use."""
+        if self._lookup is None:
+            self._lookup = IntervalLookup(self._area_table()[1])
+        return self._lookup
 
     @property
     def two_area(self) -> float:
@@ -191,36 +182,35 @@ class ToricProfile:
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
         two_area = self.two_area
-        slack = 1e-9 * max(1.0, two_area)
+        slack = 1e-9 * two_area
         if np.any(t < -slack) or np.any(t > two_area + slack):
             raise ValidationError(
                 f"area parameter out of range [0, {two_area:.12g}]")
         th = self._theta_of_t(t)
         return float(th[0]) if scalar else th
 
+    def _t_of_theta(self, theta):
+        raise NotImplementedError
+
     def _panel_area(self, theta, j):
-        """t at theta, which lies in panel j of the area table."""
-        nodes, tnodes, _ = self._area_table()
-        return tnodes[j] + panel_gauss_many(self._sector_rate, nodes[j], theta)
+        """t at theta, which lies in interval j of the area table."""
+        raise NotImplementedError
 
     def _panel_rate(self, theta, j):
-        """dt/dtheta = r^2 at theta, which lies in panel j."""
-        return self._sector_rate(theta)
-
-    def _t_of_theta(self, theta):
-        return self._panel_area(theta, self._lookups()[0](theta))
+        """dt/dtheta = r^2 at theta, which lies in interval j."""
+        raise NotImplementedError
 
     def _theta_of_t(self, t):
         """Cubic Hermite start on the area table, Newton where it misses.
 
         A lane is returned once its _panel_area is within 1e-14 * t_max of
         t; the Newton steps run on the lanes that still miss, kept inside
-        their table panel.
+        their table interval.
         """
         nodes, tnodes, slope = self._area_table()
         t_max = tnodes[-1]
         tc = np.clip(t, 0.0, t_max)
-        j = self._lookups()[1](tc)
+        j = self._t_lookup()(tc)
         lo = nodes[j]
         hi = nodes[j + 1]
         tlo = tnodes[j]
@@ -363,6 +353,7 @@ class LpProfile(ToricProfile):
         self.p = float(p)
         self.a = float(a)
         self.b = float(b)
+        self._beta_cf = symmetric_beta_cf(1.0 / self.p)
 
     def _unit_value(self, theta):
         # F along the unit circle direction (cos theta, sin theta)
@@ -426,15 +417,115 @@ class LpProfile(ToricProfile):
 
     def _t_of_theta(self, theta):
         if self.p != 2.0:
-            return super()._t_of_theta(theta)
+            return self._panel_area(theta, None)
         u = np.arctan2(self.a * np.sin(theta), self.b * np.cos(theta))
         return self.a * self.b * u
+
+    # -- p != 2: the incomplete-beta closed form ---------------------------
+
+    def _area_table(self):
+        """(theta_j, t_j, 1/r^2) at AREA_TABLE_PANELS + 1 uniform angles,
+        the start table of the inversion."""
+        if self._table is None:
+            theta = np.linspace(0.0, HALF_PI, AREA_TABLE_PANELS + 1)
+            self._table = (theta, self._panel_area(theta, None),
+                           1.0 / self._panel_rate(theta, None))
+        return self._table
+
+    def _ratio(self, theta):
+        """(rho, m, upper) along the angles theta in [0, pi/2]: with
+        X = (cos theta / a)^p and Y = (sin theta / b)^p, m is
+        max(cos theta / a, sin theta / b), rho = min(...) / m, so that
+        rho^p = min(X, Y) / max(X, Y) neither over- nor underflows by
+        scale, and upper marks Y > X, where v = Y / (X + Y) > 1/2."""
+        ca = np.cos(theta)
+        ca /= self.a
+        sb = np.sin(theta)
+        sb /= self.b
+        upper = sb > ca
+        m = np.maximum(ca, sb)
+        np.minimum(ca, sb, out=ca)
+        ca /= m
+        return ca, m, upper
+
+    def _panel_area(self, theta, j):
+        """t(theta) = 2A I_v(1/p, 1/p); needs no table interval j.
+
+        With z = rho^p and w = z / (1 + z) = min(v, 1 - v), the boundary
+        point has x y = a b rho (1 + z)^(-2/p), which is 2A w^q (1 - w)^q /
+        (q B(q, q)) for q = 1/p; so t = x y h(w) below v = 1/2 and
+        2A - x y h(w) above, with h the continued fraction.  At theta = 0
+        and pi/2 that gives 0 and 2A, at p = 1 it gives a y.
+        """
+        rho, step, upper = self._ratio(theta)   # m's buffer becomes scratch
+        z = rho ** self.p
+        xy = z + 1.0
+        np.divide(z, xy, out=z)                 # w
+        np.power(xy, -2.0 / self.p, out=xy)
+        xy *= rho
+        xy *= self.a * self.b
+        # the fraction from its last partial numerator up, every lane to
+        # the profile's fixed depth, so that a lane's bits do not depend
+        # on its batch
+        d = self._beta_cf
+        f = z * d[-1]
+        f += 1.0
+        for dk in d[-2::-1]:
+            np.multiply(z, dk, out=step)
+            np.divide(step, f, out=f)
+            f += 1.0
+        np.divide(xy, f, out=xy)
+        np.subtract(self.two_area, xy, out=xy, where=upper)
+        return xy
+
+    def _panel_rate(self, theta, j):
+        """dt/dtheta = r^2 = ((1 + rho^p)^(-1/p) / m)^2."""
+        rho, m, _ = self._ratio(theta)
+        r = (1.0 + rho ** self.p) ** (-1.0 / self.p) / m
+        return r * r
 
     def scaled(self, s: float):
         return LpProfile(self.p, self.a * s, self.b * s)
 
     def to_json(self):
         return {"kind": "lp", "p": self.p, "a": self.a, "b": self.b}
+
+
+def symmetric_beta_cf(q: float) -> np.ndarray:
+    """Partial numerators over v, d_1/v, ..., d_2M+1/v, of the continued
+    fraction of the regularized incomplete beta function I_v(q, q):
+
+        I_v(q, q) = v^q (1 - v)^q / (q B(q, q)) / (1 + d_1/(1 + d_2/(1 + ...)))
+
+    with d_2m = m (q - m) v / ((q + 2m - 1)(q + 2m)) and d_2m+1 =
+    -(q + m)(2q + m) v / ((q + 2m)(q + 2m + 1)) (DLMF 8.17.22).  For
+    v <= 1/2 it converges, slowest at v = 1/2.  M is the number of steps
+    (pairs d_2m, d_2m+1) after which the modified Lentz method at v = 1/2
+    changes the value by at most one ulp, as in Press et al., Numerical
+    Recipes, 3rd ed., section 6.4 (betacf), plus BETA_CF_MARGIN.  Every
+    evaluation runs to depth M, so no lane stops on its own.
+    """
+    def odd(m):
+        return -(q + m) * (2.0 * q + m) / ((q + 2 * m) * (q + 2 * m + 1))
+
+    def even(m):
+        return m * (q - m) / ((q + 2 * m - 1) * (q + 2 * m))
+
+    x = 0.5
+    d = 1.0 / (1.0 + odd(0) * x)
+    c = 1.0
+    for m in range(1, 101):
+        for aa in (even(m) * x, odd(m) * x):
+            d = 1.0 / (1.0 + aa * d)
+            c = 1.0 + aa / c
+        if abs(d * c - 1.0) <= np.finfo(float).eps:
+            break
+    else:
+        raise NumericalError(f"incomplete beta fraction at q = {q:g} did "
+                             "not converge in 100 steps")
+    depth = m + BETA_CF_MARGIN
+    return np.array([odd(0)] + [f(k) for k in range(1, depth + 1)
+                                for f in (even, odd)])
 
 
 def round_profile() -> LpProfile:
@@ -581,7 +672,7 @@ class SplineProfile(ToricProfile):
                                                           self._coef)
             self._knot_table = (theta, knot_area, 1.0 / (r * r))
         # _segments' lookup; the one on the knot areas T_j is built on
-        # first use (_lookups), after profile_from_json has checked that
+        # first use (_t_lookup), after profile_from_json has checked that
         # they are finite
         self._knot_lookup = IntervalLookup(theta)
         # r'' = 2 c2 + 6 c3 s is linear on each interval, so its extremes
@@ -624,11 +715,8 @@ class SplineProfile(ToricProfile):
         """(theta_j, T_j, dtheta/dt = 1/r^2) at the knots."""
         return self._knot_table
 
-    def _lookups(self):
-        if self._lookup is None:
-            self._lookup = (self._knot_lookup,
-                            IntervalLookup(self._knot_table[1]))
-        return self._lookup
+    def _t_of_theta(self, theta):
+        return self._panel_area(theta, self._knot_lookup(theta))
 
     def quadrant_area(self):
         return 0.5 * self._knot_table[1][-1]

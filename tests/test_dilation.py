@@ -1,5 +1,5 @@
-"""Dilation covariance of the systolic interval and of the boundary-average
-identity's relative residual.
+"""Dilation covariance of the systolic interval, of the boundary-average
+identity's relative residual and of the lp area map.
 
 Dilating a boundary by s scales area parameters by s^2 and partial
 derivatives by 1/s, so pairings and the systolic interval do not change.
@@ -14,7 +14,8 @@ import pytest
 
 from conftest import load_perfbench
 from reebsys.cli import main
-from reebsys.profiles import SplineProfile
+from reebsys.errors import ValidationError
+from reebsys.profiles import HALF_PI, LpProfile, SplineProfile
 from reebsys.systolic import average_identity_residual
 
 
@@ -55,3 +56,40 @@ def test_benchmark_spline_average_identity_is_dilation_invariant(scale):
         assert got == base
     else:
         assert got == pytest.approx(base, rel=1e-3)
+
+
+LP_SCALES = [2.0 ** -64, 2.0 ** 64, 1e-80, 1e80]
+LP_SCALE_IDS = ["2^-64", "2^64", "1e-80", "1e80"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", [3.0, 1.1])
+@pytest.mark.parametrize("scale", LP_SCALES, ids=LP_SCALE_IDS)
+def test_lp_round_trip_is_dilation_invariant(p, scale):
+    lp = LpProfile(p, 1.2, 0.9).scaled(scale)
+    t = np.linspace(0.0, lp.two_area, 4001)
+    back = lp.t_of_theta(lp.theta_of_t(t))
+    assert np.max(np.abs(back - t)) <= 1e-14 * lp.two_area
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", [3.0, 1.1])
+@pytest.mark.parametrize("scale", LP_SCALES, ids=LP_SCALE_IDS)
+def test_lp_interval_is_dilation_invariant(tmp_path, capsys, p, scale):
+    # D1F and D2F come from pow in gradient_theta, whose rounding moves
+    # with the scale: 4.1e-14 at 1e+-80, 1.0e-14 at 2^+-64
+    base = systole_interval(tmp_path / "base",
+                            {"kind": "lp", "p": p, "a": 1.2, "b": 0.9})
+    got = systole_interval(tmp_path / "dilated",
+                           {"kind": "lp", "p": p, "a": 1.2 * scale,
+                            "b": 0.9 * scale})
+    assert got == pytest.approx(base, rel=1e-13, abs=0.0)
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -64, 1.0], ids=["2^-64", "1"])
+def test_area_range_check_is_relative(scale):
+    lp = LpProfile(3.0, 1.2, 0.9).scaled(scale)
+    with pytest.raises(ValidationError, match="out of range"):
+        lp.theta_of_t(2.0 * lp.two_area)
+    assert lp.theta_of_t(lp.two_area * (1.0 + 1e-10)) == HALF_PI

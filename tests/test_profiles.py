@@ -7,14 +7,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
+from scipy.special import betainc
 
 from conftest import (SPLINE_ARGS, load_perfbench, random_star_profile,
                       star_profiles)
+from reebsys import profiles
 from reebsys.errors import ValidationError
-from reebsys.numerics import panel_gauss_many
-from reebsys.profiles import (EllipsoidProfile, LpProfile, SplineProfile,
-                              ToricProfile, perturbed_ellipsoid_points,
-                              prefix_fsums, profile_from_json, round_profile)
+from reebsys.numerics import adaptive_gauss, panel_gauss_many
+from reebsys.profiles import (BETA_CF_MARGIN, EllipsoidProfile, LpProfile,
+                              SplineProfile, perturbed_ellipsoid_points,
+                              prefix_fsums, profile_from_json, round_profile,
+                              symmetric_beta_cf)
 
 HALF_PI = math.pi / 2
 
@@ -311,10 +314,10 @@ class TestInversion:
         for p in closed_form_profiles():
             t = np.linspace(0.0, p.two_area, 1001)
             assert np.max(np.abs(p.theta_of_t(t)
-                                 - ToricProfile._theta_of_t(p, t))) <= 1e-13
+                                 - gauss_table_theta_of_t(p, t))) <= 1e-13
             assert np.max(np.abs(p.t_of_theta(theta)
-                                 - ToricProfile._t_of_theta(p, theta))) <= 1e-13
-            assert ToricProfile.quadrant_area(p) == pytest.approx(
+                                 - gauss_table_t_of_theta(p, theta))) <= 1e-13
+            assert adaptive_quadrant_area(p) == pytest.approx(
                 p.quadrant_area(), rel=1e-13)
 
     def test_lanes_independent_of_batch(self, profile_matrix):
@@ -342,18 +345,38 @@ def exact_quadrant_area(profile):
     return total / 2
 
 
-def gauss_table_theta_of_t(profile, t):
-    """The t -> theta inversion of sampled profiles before their exact
-    area polynomials: a table of t at 2049 uniform angles summed from
-    20-node Gauss panels of r^2, a cubic Hermite start on it and Newton
-    steps on the panel residual until it is within 1e-14 * max(1, t_max)."""
+def sector_rate(profile):
     def rate(theta):
         r = profile.boundary_radius(theta)
         return r * r
+    return rate
 
+
+def gauss_area_table(profile):
+    """The area table every kind without a closed form once inverted: t at
+    2049 uniform angles, summed from 20-node Gauss panels of r^2."""
     nodes = np.linspace(0.0, HALF_PI, 2049)
     tnodes = np.concatenate([[0.0], np.cumsum(
-        panel_gauss_many(rate, nodes[:-1], nodes[1:]))])
+        panel_gauss_many(sector_rate(profile), nodes[:-1], nodes[1:]))])
+    return nodes, tnodes
+
+
+def gauss_table_t_of_theta(profile, theta):
+    """theta -> t on the Gauss area table: the table's t at the node
+    below theta plus one Gauss panel from there."""
+    nodes, tnodes = gauss_area_table(profile)
+    j = np.clip(np.searchsorted(nodes, theta, side="right") - 1,
+                0, len(nodes) - 2)
+    return tnodes[j] + panel_gauss_many(sector_rate(profile), nodes[j], theta)
+
+
+def gauss_table_theta_of_t(profile, t):
+    """The t -> theta inversion of sampled profiles before their exact
+    area polynomials and of lp profiles before their incomplete-beta
+    closed form: a cubic Hermite start on the Gauss area table and Newton
+    steps on the panel residual until it is within 1e-14 * max(1, t_max)."""
+    rate = sector_rate(profile)
+    nodes, tnodes = gauss_area_table(profile)
     slope = 1.0 / rate(nodes)
     t_max = tnodes[-1]
     tc = np.clip(t, 0.0, t_max)
@@ -380,6 +403,15 @@ def gauss_table_theta_of_t(profile, t):
         th[live] = np.where(inside, cand, 0.5 * (lo[live] + hi[live]))
     assert live.size == 0
     return th
+
+
+def adaptive_quadrant_area(profile):
+    """A by the panel-doubling Gauss rule to an absolute 1e-10, the area
+    of every kind without a closed form before the exact ones."""
+    rate = sector_rate(profile)
+    val, _ = adaptive_gauss(lambda th: 0.5 * rate(th), 0.0, HALF_PI,
+                            tol=1e-10)
+    return val
 
 
 @pytest.fixture(scope="module")
@@ -439,8 +471,8 @@ class TestExactArea:
             raise AssertionError("quadrature called")
 
         p = SplineProfile(spline_p.to_json()["points"])
-        monkeypatch.setattr("reebsys.profiles.panel_gauss_many", refuse)
-        monkeypatch.setattr("reebsys.profiles.adaptive_gauss", refuse)
+        monkeypatch.setattr("reebsys.numerics.panel_gauss_many", refuse)
+        monkeypatch.setattr("reebsys.numerics.adaptive_gauss", refuse)
         theta = p.theta_of_t(np.linspace(0.0, p.two_area, 2 ** 15))
         p.t_of_theta(theta)
         p.boundary_arrays(0.3)
@@ -463,10 +495,101 @@ class TestExactArea:
         # more than 1e-11 off
         lp3 = LpProfile(3.0, 1.2, 0.9)
         assert lp3.quadrant_area() == pytest.approx(
-            ToricProfile.quadrant_area(lp3), rel=1e-15)
+            adaptive_quadrant_area(lp3), rel=1e-15)
         lp15 = LpProfile(1.5)
-        assert abs(ToricProfile.quadrant_area(lp15)
+        assert abs(adaptive_quadrant_area(lp15)
                    - lp15.quadrant_area()) > 1e-11
+
+
+LP_EXPONENTS = [1.0, 1.1, 1.5, 3.0, 4.5, 40.0, 1e3, 1e6]
+
+
+class TestLpClosedForm:
+    """lp with p != 2 maps theta -> t = 2A I_v(1/p, 1/p), v = Y / (X + Y)
+    with X = (cos theta / a)^p and Y = (sin theta / b)^p."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p", LP_EXPONENTS)
+    def test_matches_scipy_betainc(self, p):
+        a, b = 1.2, 0.9
+        lp = LpProfile(p, a, b)
+        corner = math.atan(b / a)           # v = 1/2
+        theta = np.concatenate([
+            np.linspace(0.0, HALF_PI, 2001),
+            corner + np.linspace(-1e-3, 1e-3, 2001),
+            corner * (1.0 + np.array([-1e-15, 0.0, 1e-15]))])
+        c, s = np.cos(theta) / a, np.sin(theta) / b
+        m = np.maximum(c, s)
+        x, y = (c / m) ** p, (s / m) ** p
+        v, u = y / (x + y), x / (x + y)     # v and 1 - v, each directly
+        two_area = lp.two_area
+        want = np.where(v <= u, two_area * betainc(1 / p, 1 / p, v),
+                        two_area - two_area * betainc(1 / p, 1 / p, u))
+        # where min(v, 1 - v) underflows, betainc sees 0 but t is not 0 or
+        # 2A there: the closed form keeps v^q (1 - v)^q in x y
+        kept = ((np.minimum(u, v) >= np.finfo(float).tiny)
+                | (theta == 0.0) | (theta == HALF_PI))
+        assert kept.sum() > 600
+        got = lp.t_of_theta(theta)
+        assert np.max(np.abs(got - want)[kept]) <= 2e-15 * two_area
+
+    @pytest.mark.parametrize("p, tol", [(3.0, 1e-13), (1.1, 2e-13)])
+    def test_theta_matches_gauss_table_oracle(self, p, tol):
+        # at p = 1.1 the Gauss table's own t is 8.5e-14 * 2A off
+        lp = LpProfile(p, 1.2, 0.9)
+        rng = np.random.default_rng(12)
+        t = np.concatenate([np.linspace(0.0, lp.two_area, 1001),
+                            rng.uniform(0.0, lp.two_area, 1000)])
+        assert np.max(np.abs(lp.theta_of_t(t)
+                             - gauss_table_theta_of_t(lp, t))) <= tol
+
+    @pytest.mark.parametrize("p", [1.1, 3.0, 40.0])
+    def test_lanes_independent_of_batch(self, p):
+        lp = LpProfile(p, 1.2, 0.9)
+        rng = np.random.default_rng(7)
+        t = rng.uniform(0.0, lp.two_area, 3000)
+        theta = rng.uniform(0.0, HALF_PI, 3000)
+        for f, x in ((lp.theta_of_t, t), (lp.t_of_theta, theta)):
+            whole = f(x)
+            for k in (1, 7, 700):
+                parts = [f(x[i:i + k]) for i in range(0, x.size, k)]
+                assert np.array_equal(np.concatenate(parts), whole)
+
+    @pytest.mark.parametrize("p", LP_EXPONENTS)
+    def test_ends_of_the_range_are_exact(self, p):
+        lp = LpProfile(p, 1.2, 0.9)
+        assert lp.t_of_theta(0.0) == 0.0
+        assert lp.t_of_theta(HALF_PI) == lp.two_area
+        assert lp.theta_of_t(0.0) == 0.0
+        assert lp.theta_of_t(lp.two_area) == HALF_PI
+
+    def test_p1_gives_the_ellipsoid_area(self):
+        # d_2 = 0 at p = 1, so the fraction is 1 / (1 - v) and t = a y
+        theta = np.linspace(0.0, HALF_PI, 1001)
+        lp, e = LpProfile(1.0, 1.2, 0.9), EllipsoidProfile(1.2, 0.9)
+        assert lp.two_area == e.two_area
+        assert np.max(np.abs(lp.t_of_theta(theta) - e.t_of_theta(theta))) \
+            <= 1e-15 * e.two_area
+
+    def test_fraction_depth(self):
+        # the steps that converge at v = 1/2, before the margin
+        steps = [(symmetric_beta_cf(1.0 / p).size - 1) // 2 - BETA_CF_MARGIN
+                 for p in np.geomspace(1.0001, 1e6, 400)]
+        assert 1 <= min(steps) and max(steps) <= 11
+        assert symmetric_beta_cf(1.0).size == 2 * (1 + BETA_CF_MARGIN) + 1
+
+    def test_uses_no_quadrature(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("quadrature called")
+
+        monkeypatch.setattr("reebsys.numerics.panel_gauss_many", refuse)
+        monkeypatch.setattr("reebsys.numerics.adaptive_gauss", refuse)
+        assert not hasattr(profiles, "panel_gauss_many")
+        assert not hasattr(profiles, "adaptive_gauss")
+        lp = LpProfile(3.0, 1.2, 0.9)
+        theta = lp.theta_of_t(np.linspace(0.0, lp.two_area, 2 ** 15))
+        lp.t_of_theta(theta)
+        lp.boundary_arrays(0.3)
 
 
 class TestJson:

@@ -10,10 +10,9 @@ from reebsys import topology
 from reebsys.errors import (NumericalError, ResolutionError,
                             StatisticalError, ValidationError)
 from reebsys.flows import FlowPoint, make_trajectory
-from reebsys.numerics import PANEL_CHUNK
 from reebsys.systolic import (axis_orbit, contact_volume, enumerate_tori,
                               pairing_orbit_orbit)
-from reebsys.profiles import EllipsoidProfile, LpProfile, ToricProfile
+from reebsys.profiles import EllipsoidProfile, LpProfile, SplineProfile
 from reebsys.topology import (GAUSS_BLOCK, GAUSS_TILE, MIN_DIST_BLOCK,
                               MIN_DIST_TILE, RATE_BLOCK, _POLES,
                               ClosedCurve, LinkResult, _best_convergents,
@@ -308,27 +307,30 @@ class TestActionLinkingVerify:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_working_set_is_bounded_by_blocks(self, spline_p, monkeypatch,
                                               threads):
-        # drawing every sample up front, or integrating a whole block's
-        # (20, RATE_BLOCK) quadrature nodes at once, would exceed these
-        rate_points, sample_rows = [], []
-        sector_rate = ToricProfile._sector_rate
+        # drawing every sample up front, or evaluating the area map on a
+        # whole run's lanes at once, would exceed these
+        area_points, sample_rows = [], []
         liouville_sample = topology.liouville_sample
 
-        def counting_rate(self, theta):
-            rate_points.append(np.size(theta))
-            return sector_rate(self, theta)
+        def counting(area):
+            def counting_area(self, theta, j):
+                area_points.append(np.size(theta))
+                return area(self, theta, j)
+            return counting_area
 
         def counting_sample(profile, n, seed, lo=0, hi=None, **kw):
             sample_rows.append((n if hi is None else hi) - lo)
             return liouville_sample(profile, n, seed, lo, hi, **kw)
 
-        monkeypatch.setattr(ToricProfile, "_sector_rate", counting_rate)
+        for kind in (LpProfile, SplineProfile):
+            monkeypatch.setattr(kind, "_panel_area",
+                                counting(kind._panel_area))
         monkeypatch.setattr(topology, "liouville_sample", counting_sample)
         n = 2 * RATE_BLOCK + 777
         for profile in (LpProfile(3.0, 1.2, 0.9), spline_p):
             action_linking_verify(profile, axis_disk(profile, "y"), n, 300.0,
                                   13, threads=threads)
-        assert 0 < max(rate_points) <= 20 * PANEL_CHUNK
+        assert 0 < max(area_points) <= RATE_BLOCK
         assert max(sample_rows) <= RATE_BLOCK and sum(sample_rows) == 2 * n
 
     def test_skewed_ellipsoid_zero_variance(self):
