@@ -435,9 +435,9 @@ class LpProfile(ToricProfile):
     def _ratio(self, theta):
         """(rho, m, upper) along the angles theta in [0, pi/2]: with
         X = (cos theta / a)^p and Y = (sin theta / b)^p, m is
-        max(cos theta / a, sin theta / b), rho = min(...) / m, so that
-        rho^p = min(X, Y) / max(X, Y) neither over- nor underflows by
-        scale, and upper marks Y > X, where v = Y / (X + Y) > 1/2."""
+        max(cos theta / a, sin theta / b) and rho = min(...) / m, so that
+        rho^p = min(X, Y) / max(X, Y) is at most 1 at every scale and p;
+        upper marks Y > X, where v = Y / (X + Y) > 1/2."""
         ca = np.cos(theta)
         ca /= self.a
         sb = np.sin(theta)
