@@ -53,9 +53,6 @@ from .errors import NumericalError, ValidationError
 from .numerics import IntervalLookup
 
 HALF_PI = math.pi / 2.0
-# tolerance of systolic.average_identity_residual's quadratures, relative
-# to the value each should reach
-AREA_QUAD_TOL = 1e-10
 AREA_TABLE_PANELS = 2048    # intervals of the lp area table
 BETA_CF_MARGIN = 2          # continued-fraction steps past convergence at v = 1/2
 CURVATURE_BOUND = 1e4       # largest |r''| / r accepted at sampled-boundary knots
@@ -96,7 +93,6 @@ class ToricProfile:
     kind = "abstract"
 
     def __init__(self):
-        self._table = None
         self._lookup = None
 
     # -- subclass surface -------------------------------------------------
@@ -354,6 +350,7 @@ class LpProfile(ToricProfile):
         self.a = float(a)
         self.b = float(b)
         self._beta_cf = symmetric_beta_cf(1.0 / self.p)
+        self._table = None
 
     def _unit_value(self, theta):
         # F along the unit circle direction (cos theta, sin theta)

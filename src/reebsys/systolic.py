@@ -28,9 +28,12 @@ import numpy as np
 from .errors import ValidationError
 from .numerics import (adaptive_gauss, bracketed_roots, refine_extremum,
                        scan_roots)
-from .profiles import AREA_QUAD_TOL, HALF_PI, ToricProfile
+from .profiles import HALF_PI, ToricProfile
 
 TWO_PI_SQ = 2.0 * math.pi * math.pi
+# tolerance of average_identity_residual's quadratures, relative to the
+# value each should reach
+AREA_QUAD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
