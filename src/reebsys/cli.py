@@ -466,13 +466,19 @@ class Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of the command table.  Given the name of a command, it
+    holds only that subparser, which parses that command's argv as the
+    full table would; any other argv (--help, a typo, none) needs the
+    full table, whose usage and errors list every command."""
     parser = Parser(
         prog="reebsys",
         description="systolic invariants and flow statistics of toric "
                     "domain boundaries and disk-map suspensions")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, flags) in COMMANDS.items():
+        if command in COMMANDS and name != command:
+            continue
         p = sub.add_parser(name)
         for flag, default in {**COMMON, **flags}.items():
             p.add_argument(f"--{flag}", default=default, **FLAGS[flag])
@@ -504,7 +510,8 @@ def run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
         return run(args)

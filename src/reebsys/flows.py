@@ -22,10 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import systolic
 from .errors import CoverageError, ValidationError
-from .numerics import wrap_angle
-from .profiles import ToricProfile
-from .systolic import RationalTorus, enumerate_tori
+from .numerics import simplest_fraction, wrap_angle
+from .profiles import HALF_PI, ToricProfile
+from .systolic import TORUS_GRID_N, RationalTorus, torus_roots
 
 RNG_NAME = "philox4x64"
 TWO_PI = 2.0 * math.pi
@@ -190,48 +191,209 @@ class OrbitSet:
             raise ValidationError("orbit-set weights must sum to 1")
 
 
+# the search that names the class covering a subinterval in a
+# CoverageError: rounds past max_pq, and the largest max(p, q) it tries
+# (h = q*D1F - p*D2F is formed from int64 classes)
+COVER_SEARCH_ROUNDS = 64
+COVER_SEARCH_MAX_PQ = 1 << 31
+# a subinterval's roots are searched in the grid cells within this many
+# radians of its theta range: a root in a cell next to an edge node may
+# round to either side of the edge
+THETA_SLACK = 1e-12
+
+
+def _ratio_end(d1: float, d2: float):
+    """The gradient ratio D2F/D1F as an exact (numerator, denominator)
+    and whether the range end there is open.  0 and infinity are the axis
+    classes (1, 0) and (0, 1), so those ends are open."""
+    if d2 <= 0.0:
+        return (0, 1), True
+    if d1 <= 0.0:
+        return (1, 0), True
+    n1, m1 = d1.as_integer_ratio()
+    n2, m2 = d2.as_integer_ratio()
+    return (n2 * m1, m2 * n1), False
+
+
+def _push(pending: list, lo, hi, lo_open: bool, hi_open: bool):
+    """Queue the simplest class q/p of a ratio range, keyed by max(p, q)."""
+    if lo[1] == 0:
+        return
+    f = simplest_fraction(lo, hi, lo_open, hi_open)
+    if f is not None:
+        pending.append((max(f), f, lo, hi, lo_open, hi_open))
+
+
+def _search(profile, grid, cells, edges, pending, best, subs, limit,
+            rounds=None):
+    """Search subintervals subs for their tori, up to max(p, q) = limit.
+
+    pending[k] holds ratio ranges with their simplest classes.  Each
+    round takes, in every subinterval still searching, the ranges whose
+    class has the smallest key max(p, q), and finds the roots of those
+    classes in the cells[k] range of grid cells, all in one torus_roots
+    batch.  Roots with t in [edges[k], edges[k + 1]) compete for best[k]
+    by (|t - center|, p, t), the order of the enumerated scan.  A
+    subinterval with no such root splits those ranges at their classes,
+    open there, and goes on.  Both parts of a split range hold only
+    classes of a larger key: between two classes of one key there is a
+    class of a smaller one, which would have been the range's simplest.
+    So the first round with a root inside ends a subinterval's search.
+    """
+    theta, d1g, d2g = grid
+    center = 0.5 * (edges[:-1] + edges[1:])
+    while subs and rounds != 0:
+        rounds = None if rounds is None else rounds - 1
+        now = {}
+        for k in subs:
+            key = min((e[0] for e in pending[k]), default=limit + 1)
+            if key <= limit:
+                now[k] = [e for e in pending[k] if e[0] == key]
+                pending[k] = [e for e in pending[k] if e[0] != key]
+        if not now:
+            break
+        owner = np.array([k for k, ranges in now.items() for _ in ranges])
+        q, p = np.array([e[1] for ranges in now.values() for e in ranges],
+                        np.int64).T
+        first, last = cells[0][owner], cells[1][owner]
+        counts = last - first
+        lane = np.repeat(np.arange(len(owner)), counts)
+        cell = (np.arange(counts.sum())
+                + np.repeat(first - np.cumsum(counts) + counts, counts))
+        i, t, period = torus_roots(profile, theta, d1g, d2g, cell,
+                                   p[lane], q[lane])
+        k = owner[lane[i]]
+        inside = np.flatnonzero((edges[k] <= t) & (t < edges[k + 1]))
+        dist = np.abs(t - center[k])
+        for j in inside.tolist():
+            pq = (int(p[lane[i[j]]]), int(q[lane[i[j]]]))
+            cand = (max(pq), float(dist[j]), pq[0], float(t[j]), pq[1],
+                    float(period[j]))
+            kj = int(k[j])
+            if best[kj] is None or cand < best[kj]:
+                best[kj] = cand
+        subs = [k for k in now if best[k] is None]
+        for k in subs:
+            for _, f, lo, hi, lo_open, hi_open in now[k]:
+                _push(pending[k], lo, f, lo_open, True)
+                _push(pending[k], f, hi, True, hi_open)
+
+
 def approximate_liouville_by_orbits(profile: ToricProfile, n_tori: int,
                                     max_pq: int) -> OrbitSet:
     """Equidistributed orbit set with a weak* discrepancy score.
 
-    [0, 2A] is split into n_tori equal subintervals; in each, the
-    enumerated torus with the smallest max(p, q) is selected, ties broken
-    toward the subinterval center.  The orbits are weighted equally.  The
-    discrepancy is the maximum over the fixed test-function family of
-    |weighted orbit average - invariant average|.  A profile with no
-    torus at all up to max_pq (for instance a constant gradient in an
-    irrational direction) is a ValidationError.
+    [0, 2A] is split into n_tori equal subintervals [lo, hi); in each,
+    the torus with the smallest max(p, q) and t in [lo, hi) is selected,
+    ties broken toward the subinterval center.  It is found by a
+    Stern-Brocot search instead of a scan of every torus.  A torus lies
+    in a cell of the theta grid of enumerate_tori where h = q*D1F -
+    p*D2F changes sign, so its ratio q/p lies between the gradient ratios
+    D2F/D1F at the nodes of that cell.  The extreme directions, by
+    atan2(D2F, D1F), over the nodes of the cells that overlap the
+    subinterval give a range of ratios, taken exactly; the simplest
+    fraction q/p in that range is the unique class with the smallest
+    max(p, q) there (numerics.simplest_fraction).  Its roots in those
+    cells are refined as enumerate_tori refines them
+    (systolic.torus_roots), so t and the period have the same bits, and
+    membership is decided by t.  The range is split at q/p, open there,
+    and the search goes on in both parts in order of max(p, q), until no
+    class in the range can beat the best root in [lo, hi): so a root on
+    an edge, such as the round profile's (1, 1) torus at t = A, gives
+    way to the next class on the side where it does not land.
+
+    A profile whose gradient is constant along a commensurable direction
+    (systolic.flat_classes) carries one class on every torus: each
+    subinterval gets the flat class with the smallest max(p, q) at its
+    center, with continuum=True.
+
+    The orbits are weighted equally.  The discrepancy is the maximum over
+    the fixed test-function family of |weighted orbit average - invariant
+    average|.  A subinterval with no torus up to max_pq is a
+    CoverageError that names the max(p, q) which would cover it; a
+    profile with no torus up to max_pq in any subinterval (for instance
+    a constant gradient in an irrational direction) is a ValidationError.
     """
     if n_tori < 1:
         raise ValidationError("n_tori must be at least 1")
-    tori = enumerate_tori(profile, max_pq,
-                          continuum_samples=max(129, 4 * n_tori + 1))
-    if not tori:
-        raise ValidationError(
-            f"no torus with max(p, q) <= max_pq={max_pq}: the gradient has "
-            "no commensurable direction there, so no closed orbits")
+    theta = np.linspace(0.0, HALF_PI, TORUS_GRID_N)
+    d1g, d2g = profile.gradient_theta(theta)
     edges = np.linspace(0.0, profile.two_area, n_tori + 1)
-    chosen = []
-    for k in range(n_tori):
-        lo, hi = edges[k], edges[k + 1]
-        center = 0.5 * (lo + hi)
-        inside = [T for T in tori if lo <= T.t < hi]
-        if not inside:
-            raise CoverageError(
-                f"no torus with max(p, q) <= {max_pq} in subinterval "
-                f"{k} = [{lo:.6g}, {hi:.6g}]; raise max_pq or lower n_tori")
-        pick = min(inside, key=lambda T: (max(T.p, T.q), abs(T.t - center)))
-        if pick.continuum:
-            # every parameter carries the class, so center the representative
-            pick = RationalTorus(pick.p, pick.q, float(center), pick.period, True)
-        chosen.append(pick)
+    center = 0.5 * (edges[:-1] + edges[1:])
+    if len(systolic.flat_classes(d1g, d2g, max_pq)):
+        # the tori sort by (max(p, q), p, t), so the first continuum
+        # representative is the flat class to take
+        pick = next(T for T in systolic.enumerate_tori(
+            profile, max_pq, continuum_samples=1) if T.continuum)
+        chosen = [RationalTorus(pick.p, pick.q, c, pick.period, True)
+                  for c in center.tolist()]
+    else:
+        chosen = _search_orbits(profile, (theta, d1g, d2g), edges, max_pq)
     weights = tuple(1.0 / n_tori for _ in range(n_tori))
 
+    w = np.array(weights)
+    p = np.array([T.p for T in chosen])
+    q = np.array([T.q for T in chosen])
+    t = np.array([T.t for T in chosen])
     per_function = []
     disc = 0.0
     for fn in invariance_test_suite():
-        avgs = [orbit_average(profile, T, fn) for T in chosen]
-        weighted = math.fsum(w * a for w, a in zip(weights, avgs))
+        # orbit_average of every orbit at once
+        avgs = np.where(fn.m1 * p + fn.m2 * q == 0,
+                        fn(profile.two_area, t, 0.0, 0.0), 0.0)
+        weighted = math.fsum((w * avgs).tolist())
         per_function.append((fn.name, weighted, fn.liouville_mean))
         disc = max(disc, abs(weighted - fn.liouville_mean))
     return OrbitSet(tuple(chosen), weights, float(disc), tuple(per_function))
+
+
+def _search_orbits(profile, grid, edges, max_pq):
+    """The orbits of approximate_liouville_by_orbits for a profile whose
+    gradient direction turns."""
+    theta, d1g, d2g = grid
+    n = len(edges) - 1
+    # the grid cells that overlap each subinterval, widened by a rounding
+    # slack in theta: cells first to stop - 1
+    theta_edges = profile.theta_of_t(edges)
+    first, stop = np.clip(
+        np.searchsorted(theta, [theta_edges[:-1] - THETA_SLACK,
+                                theta_edges[1:] + THETA_SLACK],
+                        side="right") - 1, 0, len(theta) - 2)
+    stop += 1
+    # every class with a sign change of h in those cells points strictly
+    # between the extreme gradient directions at their nodes
+    nodes = np.minimum(first[:, None] + np.arange(np.max(stop - first) + 1),
+                       stop[:, None])
+    angle = np.arctan2(d2g, d1g)[nodes]
+    rows = np.arange(n)
+    lows = nodes[rows, np.argmin(angle, axis=1)].tolist()
+    highs = nodes[rows, np.argmax(angle, axis=1)].tolist()
+    pending = []
+    d1, d2 = d1g.tolist(), d2g.tolist()
+    for lo, hi in zip(lows, highs):
+        (lo, lo_open), (hi, hi_open) = (_ratio_end(d1[lo], d2[lo]),
+                                        _ratio_end(d1[hi], d2[hi]))
+        pending.append([])
+        _push(pending[-1], lo, hi, lo_open, hi_open)
+    best = [None] * n
+    _search(profile, grid, (first, stop), edges, pending, best,
+            list(range(n)), max_pq)
+    if all(b is None for b in best):
+        raise ValidationError(
+            f"no torus with max(p, q) <= max_pq={max_pq}: the gradient has "
+            "no commensurable direction there, so no closed orbits")
+    if None in best:
+        k = best.index(None)
+        _search(profile, grid, (first, stop), edges, pending, best, [k],
+                COVER_SEARCH_MAX_PQ, COVER_SEARCH_ROUNDS)
+        keys = [e[0] for e in pending[k]]
+        needed = (f"the simplest torus there has max(p, q) = {best[k][0]}"
+                  if best[k] is not None else
+                  f"no torus there has max(p, q) < {min(keys)}" if keys else
+                  "no torus is there")
+        raise CoverageError(
+            f"no torus with max(p, q) <= {max_pq} in subinterval {k} = "
+            f"[{edges[k]:.6g}, {edges[k + 1]:.6g}]; {needed}: raise max_pq "
+            "or lower n_tori")
+    return [RationalTorus(p, q, t, period)
+            for _, _, p, t, q, period in best]

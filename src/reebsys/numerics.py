@@ -7,8 +7,9 @@ cumulative sector-area tables used to invert area parametrizations.  Roots
 are located by a grid scan and refined in one vectorized batch of
 bracketed steps; grid extrema are refined by golden-section search.
 Sums of many doubles are exact and correctly rounded (exact_partial and
-exact_total), and values are located among increasing nodes through a
-uniform cell table (IntervalLookup).
+exact_total), values are located among increasing nodes through a
+uniform cell table (IntervalLookup), and the simplest fraction of a range
+comes from the Stern-Brocot descent (simplest_fraction).
 """
 from __future__ import annotations
 
@@ -264,6 +265,37 @@ def exact_total(partials) -> float:
         return math.fsum(special)
     # int / int is correctly rounded, subnormal results included
     return sum(partials) / (1 << EXACT_SUM_SHIFT)
+
+
+def simplest_fraction(lo, hi, lo_open=False, hi_open=False):
+    """The simplest fraction n/d in the range from lo to hi, as (n, d).
+
+    lo = (n, d) and hi = (n, d) are exact nonnegative ratios of ints with
+    d > 0; hi may be (1, 0), +infinity, which must then be open.  Either
+    end is excluded when it is open.  The simplest fraction of a range has
+    both the smallest numerator and the smallest denominator of all
+    fractions in it, so, unless the range holds 0, it is the unique one
+    with the smallest max(n, d).  It is found by the Stern-Brocot descent
+    in continued-fraction steps (Graham, Knuth and Patashnik, Concrete
+    Mathematics, section 4.5): take the smallest integer in the range if
+    there is one, else strip the common integer part k and go on with the
+    reciprocals 1/(hi - k) to 1/(lo - k), whose ends swap.  Returns None
+    for an empty range.
+    """
+    (ln, ld), (hn, hd) = lo, hi
+    # numerators and denominators of the last two convergents
+    n0, n1, d0, d1 = 0, 1, 1, 0
+    while True:
+        if hd and (ln * hd > hn * ld
+                   or (ln * hd == hn * ld and (lo_open or hi_open))):
+            return None
+        k, rem = divmod(ln, ld)
+        m = k + (rem > 0 or lo_open)         # the smallest integer above lo
+        if not hd or m * hd < hn or (m * hd == hn and not hi_open):
+            return m * n1 + n0, m * d1 + d0
+        n0, n1, d0, d1 = n1, k * n1 + n0, d1, k * d1 + d0
+        ln, ld, hn, hd = hd, hn - k * hd, ld, rem
+        lo_open, hi_open = hi_open, lo_open
 
 
 class IntervalLookup:

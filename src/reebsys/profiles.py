@@ -414,9 +414,14 @@ class LpProfile(ToricProfile):
 
     def _t_of_theta(self, theta):
         if self.p != 2.0:
-            return self._panel_area(theta, None)
-        u = np.arctan2(self.a * np.sin(theta), self.b * np.cos(theta))
-        return self.a * self.b * u
+            t = self._panel_area(theta, None)
+        else:
+            u = np.arctan2(self.a * np.sin(theta), self.b * np.cos(theta))
+            t = self.a * self.b * u
+        # cos(pi/2) is 6.1e-17, not 0, so on a tall profile (b > a) both
+        # forms end a few ulps below 2A there
+        np.copyto(t, self.two_area, where=theta >= HALF_PI)
+        return t
 
     # -- p != 2: the incomplete-beta closed form ---------------------------
 

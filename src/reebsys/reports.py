@@ -73,15 +73,19 @@ CSV_CHUNK_ROWS = 1 << 15      # rows formatted and written at a time
 def _csv_bytes(header, blocks):
     """The header line, then the rows of each block of equal-length
     columns.  A numpy column is converted with tolist(); a list column
-    is taken as it is.  Each line comes from one format string, so a
-    float cell is its shortest round-trip repr, an int its str and a
-    string itself (callers pass already formatted text that way)."""
+    is taken as it is.  A block is one % format: its cells interleaved
+    row by row into one flat tuple, against the row template "%s,...,%s\n"
+    repeated once per row.  So a float cell is its shortest round-trip
+    repr, an int its str and a string itself (callers pass already
+    formatted text that way)."""
     yield (",".join(header) + "\n").encode()
     for cells in blocks:
-        line = ",".join(["{}"] * len(cells)) + "\n"
-        cells = [c.tolist() if isinstance(c, np.ndarray) else c
-                 for c in cells]
-        yield "".join(map(line.format, *cells)).encode()
+        k, rows = len(cells), len(cells[0])
+        flat = [None] * (k * rows)
+        for i, col in enumerate(cells):
+            flat[i::k] = col.tolist() if isinstance(col, np.ndarray) else col
+        line = ",".join(["%s"] * k) + "\n"
+        yield (line * rows % tuple(flat)).encode()
 
 
 def write_csv(path: str, header, columns):

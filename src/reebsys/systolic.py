@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,6 +35,8 @@ TWO_PI_SQ = 2.0 * math.pi * math.pi
 # tolerance of average_identity_residual's quadratures, relative to the
 # value each should reach
 AREA_QUAD_TOL = 1e-10
+# the theta grid on which enumerate_tori locates tori
+TORUS_GRID_N = 4096
 
 
 @dataclass(frozen=True)
@@ -160,15 +163,63 @@ def pairing_from_definition(profile: ToricProfile, orbit1, orbit2) -> float:
     return float(link * vol / (near.period * far.period))
 
 
+@lru_cache(maxsize=8)
 def _coprime_classes(max_pq: int):
-    """Coprime pairs 1 <= p, q <= max_pq, p-major, as arrays."""
+    """Coprime pairs 1 <= p, q <= max_pq, p-major, as read-only arrays."""
     p, q = np.divmod(np.arange(max_pq * max_pq), max_pq)
     p, q = p + 1, q + 1
     keep = np.gcd(p, q) == 1
-    return p[keep], q[keep]
+    p, q = p[keep], q[keep]
+    p.flags.writeable = q.flags.writeable = False
+    return p, q
 
 
-def enumerate_tori(profile: ToricProfile, max_pq: int, grid_n: int = 4096,
+def flat_classes(d1g, d2g, max_pq: int):
+    """Indices into _coprime_classes(max_pq) of the classes (p, q) along
+    which the gradient points at every node of a theta grid, where
+    h = q*D1F - p*D2F vanishes identically: the constant-gradient test.
+
+    All classes are shortlisted on the first grid value of the gradient
+    (class directions are >= 1/max_pq^2 apart, far wider than the
+    tolerance, so few survive), then the survivors are tested on the
+    whole grid.
+    """
+    if max_pq < 1:
+        raise ValidationError("max_pq must be at least 1")
+    scale = float(np.max(np.abs(d1g)) + np.max(np.abs(d2g)))
+    p, q = _coprime_classes(max_pq)
+    tol = 1e-12 * (p + q) * scale
+    flat = np.flatnonzero(np.abs(q * d1g[0] - p * d2g[0]) <= tol)
+    h_flat = q[flat, None] * d1g - p[flat, None] * d2g
+    return flat[np.max(np.abs(h_flat), axis=1) <= tol[flat]]
+
+
+def torus_roots(profile: ToricProfile, theta, d1g, d2g, cell, p, q):
+    """The (p[i], q[i])-tori in grid cells [theta[cell[i]],
+    theta[cell[i] + 1]], as (i, t, period) of the lanes i where
+    h = q*D1F - p*D2F changes sign strictly across the cell.
+
+    d1g, d2g are the gradient on the grid theta.  All roots are refined
+    together by bracketed_roots, whose lanes do not depend on each
+    other, so a root has the same bits in any batch.
+    """
+    h_lo = q * d1g[cell] - p * d2g[cell]
+    h_hi = q * d1g[cell + 1] - p * d2g[cell + 1]
+    i = np.flatnonzero(h_lo * h_hi < 0)
+    p, q, cell = p[i], q[i], cell[i]
+
+    def h(th, pk, qk):
+        d1, d2 = profile.gradient_theta(th)
+        return qk * d1 - pk * d2
+
+    roots = bracketed_roots(h, theta[cell], theta[cell + 1], h_lo[i],
+                            h_hi[i], args=(p, q))
+    d1r, _ = profile.gradient_theta(roots)
+    return i, profile.t_of_theta(roots), math.pi * p / d1r
+
+
+def enumerate_tori(profile: ToricProfile, max_pq: int,
+                   grid_n: int = TORUS_GRID_N,
                    continuum_samples: int = 65):
     """All rational tori with coprime 1 <= p, q and max(p, q) <= max_pq.
 
@@ -181,28 +232,18 @@ def enumerate_tori(profile: ToricProfile, max_pq: int, grid_n: int = 4096,
     sign of h, so one searchsorted of the grid angles in the sorted class
     directions (widened by one class on each side against rounding)
     shortlists the candidates.  The cells where h changes sign strictly
-    are kept, and all their roots are refined at once by bracketed_roots.
+    are kept, and all their roots are refined at once (torus_roots).
     Several roots per class may exist for non-convex profiles.
 
-    When h vanishes identically for a class (constant-gradient profiles
-    with a commensurable direction), the family is a continuum and
-    continuum_samples equally spaced representatives are returned with
-    continuum=True.  Tori are sorted by (max(p, q), p, t).
+    When h vanishes identically for a class (flat_classes: constant-
+    gradient profiles with a commensurable direction), the family is a
+    continuum and continuum_samples equally spaced representatives are
+    returned with continuum=True.  Tori are sorted by (max(p, q), p, t).
     """
-    if max_pq < 1:
-        raise ValidationError("max_pq must be at least 1")
     theta = np.linspace(0.0, HALF_PI, grid_n)
     d1g, d2g = profile.gradient_theta(theta)
-    scale = float(np.max(np.abs(d1g)) + np.max(np.abs(d2g)))
+    flat = flat_classes(d1g, d2g, max_pq)
     p, q = _coprime_classes(max_pq)
-    tol = 1e-12 * (p + q) * scale
-
-    # continuum classes: shortlist all classes on the first grid value of
-    # the gradient (class directions are >= 1/max_pq^2 apart, far wider
-    # than tol, so few survive), then test the survivors on the whole grid
-    flat = np.flatnonzero(np.abs(q * d1g[0] - p * d2g[0]) <= tol)
-    h_flat = q[flat, None] * d1g - p[flat, None] * d2g
-    flat = flat[np.max(np.abs(h_flat), axis=1) <= tol[flat]]
 
     directions = np.arctan2(q, p)
     order = np.argsort(directions)
@@ -216,21 +257,10 @@ def enumerate_tori(profile: ToricProfile, max_pq: int, grid_n: int = 4096,
     cell = np.repeat(np.arange(grid_n - 1), counts)
     offset = np.arange(len(cell)) - np.repeat(np.cumsum(counts) - counts, counts)
     cls = order[first[cell] + offset]
-    h_lo = q[cls] * d1g[cell] - p[cls] * d2g[cell]
-    h_hi = q[cls] * d1g[cell + 1] - p[cls] * d2g[cell + 1]
-    keep = (h_lo * h_hi < 0) & ~np.isin(cls, flat)
-    cls, cell, h_lo, h_hi = cls[keep], cell[keep], h_lo[keep], h_hi[keep]
-
-    def h(th, pk, qk):
-        d1, d2 = profile.gradient_theta(th)
-        return qk * d1 - pk * d2
-
-    rp, rq = p[cls], q[cls]
-    roots = bracketed_roots(h, theta[cell], theta[cell + 1], h_lo, h_hi,
-                            args=(rp, rq))
-    d1r, _ = profile.gradient_theta(roots)
-    period = math.pi * rp / d1r
-    t = profile.t_of_theta(roots)
+    shaped = ~np.isin(cls, flat)
+    cls, cell = cls[shaped], cell[shaped]
+    i, t, period = torus_roots(profile, theta, d1g, d2g, cell, p[cls], q[cls])
+    rp, rq = p[cls[i]], q[cls[i]]
 
     n_rep = continuum_samples
     ts = np.linspace(0.0, profile.two_area, n_rep + 2)[1:-1]

@@ -11,7 +11,7 @@ import pytest
 
 import reebsys
 from conftest import SPLINE_ARGS
-from reebsys.cli import main
+from reebsys.cli import COMMANDS, build_parser, main
 from reebsys.reports import read_curve_csv, validate_report
 
 PI = math.pi
@@ -487,6 +487,22 @@ class TestFlagValidation:
             run(["systole", "--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: reebsys systole ")
+
+    def test_one_subparser_parses_as_the_full_table(self, capsys):
+        # main builds only the subparser that argv[0] names
+        full = build_parser()
+        for argv in [["--help"]] + [[name, "--help"] for name in COMMANDS]:
+            outs = []
+            for parse in (full.parse_args, main):
+                with pytest.raises(SystemExit) as exc:
+                    parse(argv)
+                assert exc.value.code == 0
+                outs.append(capsys.readouterr().out)
+            assert outs[0] == outs[1] and outs[0].startswith("usage: reebsys")
+        for name in COMMANDS:
+            argv = [name, "--input", "i.json", "--output", "o"]
+            assert vars(build_parser(name).parse_args(argv)) == \
+                vars(full.parse_args(argv))
 
     @pytest.mark.parametrize("value", ["-1e0", "-1E+0", "-10e-1", "-.1e1"])
     def test_exponent_form_negative_value(self, tmp_path, value):

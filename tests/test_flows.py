@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import load_perfbench
+from reebsys import systolic
 from reebsys.errors import CoverageError, ValidationError
 from reebsys.flows import (FlowPoint, OrbitSet, approximate_liouville_by_orbits,
                            flow, invariance_test_suite, liouville_sample,
                            liouville_total_mass, make_trajectory, orbit_average,
                            reeb_rates, rng_for_seed)
 from reebsys.profiles import (EllipsoidProfile, LpProfile,
-                              perturbed_ellipsoid_profile)
+                              perturbed_ellipsoid_profile, profile_from_json)
 from reebsys.systolic import RationalTorus, contact_volume, enumerate_tori
 
 TWO_PI = 2 * math.pi
@@ -244,6 +246,156 @@ class TestOrbitSets:
     def test_custom_weights_validated(self):
         with pytest.raises(ValidationError):
             OrbitSet((), (0.5, 0.6), 0.0, ())
+
+
+# ---------------------------------------------------------------------------
+# the Stern-Brocot selection against the scan of every torus it replaced
+
+
+def scan_orbit_set(profile, n_tori, max_pq):
+    """The former selection, kept as the oracle: every torus up to max_pq
+    is enumerated, and the list is rescanned once per subinterval for
+    the smallest max(p, q), ties broken toward the center."""
+    tori = enumerate_tori(profile, max_pq,
+                          continuum_samples=max(129, 4 * n_tori + 1))
+    if not tori:
+        raise ValidationError(
+            f"no torus with max(p, q) <= max_pq={max_pq}: the gradient has "
+            "no commensurable direction there, so no closed orbits")
+    edges = np.linspace(0.0, profile.two_area, n_tori + 1)
+    chosen = []
+    for k in range(n_tori):
+        lo, hi = edges[k], edges[k + 1]
+        center = 0.5 * (lo + hi)
+        inside = [T for T in tori if lo <= T.t < hi]
+        if not inside:
+            raise CoverageError(
+                f"no torus with max(p, q) <= {max_pq} in subinterval "
+                f"{k} = [{lo:.6g}, {hi:.6g}]; raise max_pq or lower n_tori")
+        pick = min(inside, key=lambda T: (max(T.p, T.q), abs(T.t - center)))
+        if pick.continuum:
+            pick = RationalTorus(pick.p, pick.q, float(center), pick.period,
+                                 True)
+        chosen.append(pick)
+    weights = tuple(1.0 / n_tori for _ in range(n_tori))
+    per_function = []
+    disc = 0.0
+    for fn in invariance_test_suite():
+        avgs = [orbit_average(profile, T, fn) for T in chosen]
+        weighted = math.fsum(w * a for w, a in zip(weights, avgs))
+        per_function.append((fn.name, weighted, fn.liouville_mean))
+        disc = max(disc, abs(weighted - fn.liouville_mean))
+    return OrbitSet(tuple(chosen), weights, float(disc), tuple(per_function))
+
+
+def float_bits(x):
+    return float(x).hex()
+
+
+def assert_matches_scan(profile, n_tori, max_pq):
+    """The same orbits, bit for bit, or the same error: the same exit
+    code and, for a coverage gap, the same subinterval."""
+    try:
+        want = scan_orbit_set(profile, n_tori, max_pq)
+    except (CoverageError, ValidationError) as exc:
+        with pytest.raises(type(exc)) as got:
+            approximate_liouville_by_orbits(profile, n_tori, max_pq)
+        assert str(got.value).split(";")[0] == str(exc).split(";")[0]
+        return
+    got = approximate_liouville_by_orbits(profile, n_tori, max_pq)
+    assert [(T.p, T.q, T.continuum) for T in got.orbits] == \
+        [(T.p, T.q, T.continuum) for T in want.orbits]
+    for field in ("t", "period"):
+        assert [float_bits(getattr(T, field)) for T in got.orbits] == \
+            [float_bits(getattr(T, field)) for T in want.orbits]
+    assert got.weights == want.weights
+    assert [(name, float_bits(v), target)
+            for name, v, target in got.per_function] == \
+        [(name, float_bits(v), target)
+         for name, v, target in want.per_function]
+    assert float_bits(got.discrepancy) == float_bits(want.discrepancy)
+
+
+def survey_profile(seed, name):
+    """A profile of the benchmark's survey workload at a seed's scale."""
+    workloads = load_perfbench("workloads")
+    return profile_from_json(
+        workloads.profiles(workloads.family(seed)["scale"])[name])
+
+
+class TestSternBrocotSelection:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_survey_scales_match_scan(self, seed):
+        for name in ("round", "lp3", "spline"):
+            profile = survey_profile(seed, name)
+            for n_tori, max_pq in ((4, 20), (16, 20), (64, 64), (16, 64),
+                                   (64, 128)):
+                assert_matches_scan(profile, n_tori, max_pq)
+
+    @pytest.mark.parametrize("n_tori", [4, 16, 64])
+    @pytest.mark.parametrize("max_pq", [20, 64])
+    def test_profile_matrix_matches_scan(self, profile_matrix, n_tori,
+                                         max_pq):
+        # the golden cases are the last four profiles at 4 / 20
+        for profile in profile_matrix:
+            assert_matches_scan(profile, n_tori, max_pq)
+
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_round_torus_rounding_onto_the_middle_edge(self, seed):
+        # the (1, 1) torus sits at t = A, an edge for every even n_tori; at
+        # these scales its t rounds onto the edge from above, so the
+        # subinterval below must take the next class on its own side
+        profile = survey_profile(seed, "round")
+        (diagonal,) = enumerate_tori(profile, 1)
+        for n_tori, max_pq, below in ((4, 20, (2, 1)), (16, 64, (6, 5)),
+                                      (64, 64, (21, 20))):
+            edge = np.linspace(0.0, profile.two_area, n_tori + 1)[n_tori // 2]
+            assert 0.0 <= diagonal.t - edge <= 1e-15 * profile.two_area
+            oset = approximate_liouville_by_orbits(profile, n_tori, max_pq)
+            lower, upper = oset.orbits[n_tori // 2 - 1:n_tori // 2 + 1]
+            assert ((lower.p, lower.q), (upper.p, upper.q)) == \
+                (below, (1, 1))
+            assert_matches_scan(profile, n_tori, max_pq)
+
+    def test_round_torus_just_below_the_middle_edge(self):
+        # on the disk of radius 1.5 the (1, 1) torus rounds below t = A,
+        # while the gradient at theta(A) points a few ulps below the
+        # diagonal: the class is still taken in the subinterval below,
+        # because the direction range spans the nodes of the cells that
+        # overlap it, not only its ends
+        profile = LpProfile(2.0, 1.5, 1.5)
+        (diagonal,) = enumerate_tori(profile, 1)
+        edge = 0.5 * profile.two_area
+        assert -1e-15 * profile.two_area <= diagonal.t - edge < 0.0
+        d1, d2 = profile.gradient_theta(profile.theta_of_t(edge))
+        assert d2 < d1
+        oset = approximate_liouville_by_orbits(profile, 4, 20)
+        assert [(T.p, T.q) for T in oset.orbits[1:3]] == [(1, 1), (1, 2)]
+        assert_matches_scan(profile, 4, 20)
+
+    def test_only_constant_gradients_enumerate_tori(self, monkeypatch, e12,
+                                                    round_p, spline_p):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return enumerate_tori(*args, **kwargs)
+
+        monkeypatch.setattr(systolic, "enumerate_tori", counted)
+        for profile in (round_p, LpProfile(3.0, 1.2, 0.9), spline_p):
+            approximate_liouville_by_orbits(profile, 4, 20)
+        assert calls == []
+        oset = approximate_liouville_by_orbits(e12, 4, 20)
+        assert calls == [e12]
+        assert all(T.continuum for T in oset.orbits)
+
+    def test_coverage_error_names_the_covering_max_pq(self):
+        # the benchmark spline turns slowly near t = 0.09: subinterval 23
+        # of 256 holds no torus up to 512
+        profile = survey_profile(0, "spline")
+        with pytest.raises(CoverageError,
+                           match=r"subinterval 23 = .* max\(p, q\) = 655:"):
+            approximate_liouville_by_orbits(profile, 256, 512)
 
 
 def test_trajectory_phases(round_p):

@@ -1,14 +1,17 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from reebsys.errors import NumericalError, ValidationError
 from reebsys.numerics import (PANEL_CHUNK, IntervalLookup, _leggauss,
                               adaptive_gauss, bracketed_roots, exact_partial,
                               exact_total, fixed_gauss, panel_gauss_many,
-                              refine_extremum, scan_roots, wrap_angle,
-                              wrap_to_pi)
+                              refine_extremum, scan_roots, simplest_fraction,
+                              wrap_angle, wrap_to_pi)
 from reebsys.profiles import HALF_PI, profile_from_json
 
 
@@ -242,3 +245,55 @@ def test_interval_lookup_matches_searchsorted(kind):
                         [end * (1 + 1e-12), 2.0 * end, np.inf, -1.0],
                         np.random.default_rng(4).uniform(0.0, end, 10000)])
     np.testing.assert_array_equal(lookup(v), parent_interval(nodes, v))
+
+
+# every fraction q/p with coprime 0 <= q <= 64 and 1 <= p <= 64
+SMALL_FRACTIONS = [(Fraction(q, p), (q, p)) for p in range(1, 65)
+                   for q in range(65) if math.gcd(p, q) == 1]
+END = st.tuples(st.integers(0, 80), st.integers(1, 80))
+
+
+@settings(max_examples=400, derandomize=True)
+@given(END, st.one_of(st.none(), END), st.booleans(), st.booleans(),
+       st.booleans())
+@example((0, 1), (1, 3), False, False, False)       # starts at 0, closed
+@example((0, 1), (1, 3), True, False, False)        # starts at 0, open
+@example((2, 3), None, True, True, False)           # reaches infinity
+@example((0, 1), None, True, True, False)           # (0, infinity)
+@example((3, 7), (3, 7), False, False, False)       # degenerate, closed
+@example((3, 7), (3, 7), True, False, False)        # degenerate, open: empty
+@example((1, 3), (2, 3), True, True, False)         # ties in max(p, q)
+@example((21, 40), (11, 21), False, True, False)
+def test_simplest_fraction_matches_brute_force(lo, hi, lo_open, hi_open,
+                                               same_ends):
+    lo = Fraction(*lo)
+    hi = lo if same_ends else (None if hi is None else Fraction(*hi))
+    if hi is not None and hi < lo:
+        lo, hi = hi, lo
+    hi_open = hi_open or hi is None
+    got = simplest_fraction((lo.numerator, lo.denominator),
+                            (1, 0) if hi is None else
+                            (hi.numerator, hi.denominator), lo_open, hi_open)
+
+    def inside(f):
+        return ((f > lo if lo_open else f >= lo)
+                and (hi is None or (f < hi if hi_open else f <= hi)))
+
+    members = [m for f, m in SMALL_FRACTIONS if inside(f)]
+    empty = hi is not None and (lo > hi or (lo == hi and (lo_open or
+                                                          hi_open)))
+    if empty:
+        assert got is None
+        return
+    q, p = got
+    assert p >= 1 and math.gcd(p, q) == 1 and inside(Fraction(q, p))
+    if not members:
+        assert max(p, q) > 64
+        return
+    assert p == min(m[1] for m in members)
+    assert q == min(m[0] for m in members)
+    # a range holding 0 has 0/1, which shares max(p, q) = 1 with 1/1;
+    # without 0 the smallest max(p, q) is unique
+    least = min(max(m) for m in members)
+    assert got in [m for m in members if max(m) == least]
+    assert q == 0 or [m for m in members if max(m) == least] == [got]

@@ -563,6 +563,26 @@ class TestLpClosedForm:
         assert lp.theta_of_t(0.0) == 0.0
         assert lp.theta_of_t(lp.two_area) == HALF_PI
 
+    @pytest.mark.parametrize("p", [1.1, 2.0, 3.0])
+    @pytest.mark.parametrize("b", [3.0, 10.0, 100.0])
+    def test_tall_profile_ends_at_two_area(self, p, b):
+        # cos(pi/2) is 6.1e-17, so both forms alone end a few ulps below 2A
+        # when b > a; angles below pi/2 keep the bits of those forms
+        lp = LpProfile(p, 1.0, b)
+        theta = np.r_[np.linspace(0.0, HALF_PI, 1001)[:-1],
+                      np.nextafter(HALF_PI, 0.0), HALF_PI, 2.0]
+        t = lp.t_of_theta(theta)
+        assert lp.t_of_theta(HALF_PI) == lp.two_area
+        assert t[-2] == t[-1] == lp.two_area
+        below = theta[:-2]
+        if p == 2.0:
+            form = lp.a * lp.b * np.arctan2(lp.a * np.sin(below),
+                                            lp.b * np.cos(below))
+        else:
+            form = lp._panel_area(below, None)
+        assert np.array_equal(t[:-2], form)
+        assert np.all(t[:-2] < lp.two_area)
+
     def test_p1_gives_the_ellipsoid_area(self):
         # d_2 = 0 at p = 1, so the fraction is 1 / (1 - v) and t = a y
         theta = np.linspace(0.0, HALF_PI, 1001)

@@ -148,6 +148,22 @@ def test_write_csv_edge_floats_match_row_writer(tmp_path):
     assert read_bytes(path) == rows_csv(("x", "neg", "k", "label"), rows)
 
 
+@pytest.mark.parametrize("n", [4, 5, 6, 11])
+def test_write_csv_blocks_match_row_writer(tmp_path, monkeypatch, n):
+    # blocks of 5 rows: one short block, one full, one full and one row,
+    # and three blocks; every kind of cell crosses the block edges
+    monkeypatch.setattr(reports, "CSV_CHUNK_ROWS", 5)
+    x = np.linspace(-1.0, 2.0, n) / 3.0
+    header = ("x", "k", "empty", "label", "i")
+    labels = [f"{k}%s%%d%" for k in range(n)]
+    path = str(tmp_path / "b.csv")
+    write_csv(path, header, (x, list(range(n)), [""] * n, labels,
+                             np.arange(n) - 2))
+    rows = zip(x.tolist(), range(n), [""] * n, labels,
+               (np.arange(n) - 2).tolist())
+    assert read_bytes(path) == rows_csv(header, rows)
+
+
 def test_write_csv_without_rows_writes_the_header(tmp_path):
     path = str(tmp_path / "h.csv")
     write_csv(path, ("a", "b"), (np.empty(0), []))
