@@ -43,9 +43,9 @@ MAX_PQ = 512                 # max_pq^2 coprime classes; benchmark 128
 MAX_PLOT_GRID = 1024         # plot_grid^2 systolic_grid.csv rows; benchmark 128
 MAX_THETA_GRID = 1 << 20     # systole --grid; benchmark 4096
 MAX_QUAD_N = 1024            # diskmap --grid; benchmark 256 (diskmap-calabi)
-# equidistribute --n-tori; benchmark 64.  At the cap with --max-pq 512:
-# round exits 3 after 1.2 s, the benchmark ellipsoid exits 0 after 0.9 s
-# (round at --n-tori 256 exits 0 after 4.8 s)
+# equidistribute --n-tori; benchmark 64.  At the cap with --max-pq 512,
+# in-process: round exits 3 after 0.05 s, the benchmark ellipsoid exits 0
+# after 0.03 s (round at --n-tori 256 exits 0 after 0.015 s)
 MAX_N_TORI = 1024
 # diskmap --k-max; benchmark 5.  At the cap on the benchmark well
 # pi*(1-s)^2: diskmap-calabi 0.4 s, diskmap-dictionary 0.8 s
