@@ -216,7 +216,9 @@ def _ratio_end(d1: float, d2: float):
 
 
 def _push(pending: list, lo, hi, lo_open: bool, hi_open: bool):
-    """Queue the simplest class q/p of a ratio range, keyed by max(p, q)."""
+    """Queue the simplest class q/p of a ratio range, keyed by max(p, q).
+    A range from infinity up (every direction at or past the y axis) and
+    an empty range hold no class."""
     if lo[1] == 0:
         return
     f = simplest_fraction(lo, hi, lo_open, hi_open)
