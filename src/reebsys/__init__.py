@@ -2,21 +2,17 @@
 
 from .errors import (CoverageError, NumericalError, ReebsysError,
                      ResolutionError, StatisticalError, ValidationError)
-from .profiles import (BoundaryPoint, EllipsoidProfile, LpProfile,
-                       SplineProfile, ToricProfile, profile_from_json,
-                       round_profile)
+from .profiles import (EllipsoidProfile, LpProfile, SplineProfile,
+                       ToricProfile, profile_from_json, round_profile)
 from .systolic import (AxisOrbit, RationalTorus, SystolicReport, axis_orbit,
                        average_identity_residual, contact_volume,
-                       enumerate_tori, pairing_from_definition,
-                       pairing_orbit_orbit, systolic_interval,
-                       witness_measure)
-from .flows import (FlowPoint, OrbitSet, Trajectory,
-                   approximate_liouville_by_orbits, flow, liouville_sample,
-                   make_trajectory, reeb_rates)
-from .topology import (ClosedCurve, CrossingRecord, SeifertSurfaceSpec,
-                       action_linking_verify, asymptotic_rate, axis_disk,
-                       crossing_count, linking_number, page_surface,
-                       toric_orbit_curve)
+                       enumerate_tori, pairing_orbit_orbit,
+                       systolic_interval, witness_measure)
+from .flows import (OrbitSet, approximate_liouville_by_orbits,
+                    liouville_sample)
+from .topology import (ClosedCurve, SeifertSurfaceSpec,
+                       action_linking_verify, axis_disk, linking_number,
+                       page_surface, toric_orbit_curve)
 from .diskmap import (PeriodicPoint, RadialHamiltonian, action, calabi,
                       flow_map, hamiltonian_from_json,
                       mean_action_theorem_check, periodic_points,

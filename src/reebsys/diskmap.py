@@ -189,19 +189,6 @@ def radial_action_exact(H: RadialHamiltonian, s):
 SHIFT_SCALE = 0.37
 
 
-def action_with_shifted_primitive(H, z):
-    """Action of a single point with the primitive eta + d(SHIFT_SCALE*x*y).
-
-    Differs from the standard action by the boundary terms of the exact
-    form; used to check that periodic-orbit actions do not depend on the
-    choice of primitive.
-    """
-    z = np.asarray(z, float)
-    z1 = np.asarray(flow_map(H, z, 0.0, 1.0), float)
-    g = lambda p: SHIFT_SCALE * float(p[0]) * float(p[1])
-    return float(action(H, z)) + g(z1) - g(z)
-
-
 def calabi(H, quad_n: int = 64) -> float:
     """Calabi invariant: the action averaged over the disk area over pi,
     i.e. the closed-form action integrated over s = radius^2 in [0, 1] by

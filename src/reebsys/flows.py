@@ -1,9 +1,9 @@
-"""The boundary flow in angle-action coordinates and Liouville sampling.
+"""Liouville sampling and orbit sets of the boundary flow.
 
 On the boundary sphere a point is (t, theta1, theta2): the area parameter
 of its invariant torus and the two circle angles.  The flow is linear on
-each torus with angular rates (2*D1F, 2*D2F) evaluated at C(t), so it is
-evaluated exactly, with no ODE integration.  In these coordinates the
+each torus with angular rates (2*D1F, 2*D2F) evaluated at C(t), so its
+orbits are known exactly, with no ODE integration.  In these coordinates the
 volume form has constant density 1/4, hence the normalized invariant
 measure is the uniform distribution on [0, 2A] x [0, 2pi)^2 and its total
 mass (1/4)(2A)(2pi)^2 reproduces the contact volume 2*pi^2*A.
@@ -24,53 +24,12 @@ import numpy as np
 
 from . import systolic
 from .errors import CoverageError, ValidationError
-from .numerics import simplest_fraction, wrap_angle
+from .numerics import simplest_fraction
 from .profiles import HALF_PI, ToricProfile
 from .systolic import TORUS_GRID_N, RationalTorus, torus_roots
 
 RNG_NAME = "philox4x64"
 TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class FlowPoint:
-    t: float
-    theta1: float
-    theta2: float
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """A flow segment: linear angle motion at the rates of its torus."""
-
-    start: FlowPoint
-    duration: float
-    omega1: float
-    omega2: float
-
-    def end_phases(self):
-        return (self.start.theta1 + self.omega1 * self.duration,
-                self.start.theta2 + self.omega2 * self.duration)
-
-
-def reeb_rates(profile: ToricProfile, t):
-    """Angular rates (omega1, omega2) = (2*D1F, 2*D2F) at C(t)."""
-    _, _, d1, d2 = profile.boundary_arrays(t)
-    return 2.0 * d1, 2.0 * d2
-
-
-def make_trajectory(profile: ToricProfile, point: FlowPoint,
-                    duration: float) -> Trajectory:
-    w1, w2 = reeb_rates(profile, point.t)
-    return Trajectory(point, float(duration), float(w1), float(w2))
-
-
-def flow(profile: ToricProfile, point: FlowPoint, s: float) -> FlowPoint:
-    """Advance a point by time s; exact for the toric flow."""
-    w1, w2 = reeb_rates(profile, point.t)
-    return FlowPoint(point.t,
-                     float(wrap_angle(point.theta1 + w1 * s)),
-                     float(wrap_angle(point.theta2 + w2 * s)))
 
 
 def rng_for_seed(seed: int) -> np.random.Generator:
@@ -112,11 +71,6 @@ def liouville_sample(profile: ToricProfile, n: int, seed: int,
         rng.bit_generator.random_raw(pos % 4)
         out[:, c] = rng.uniform(0.0, width, hi - lo)
     return out
-
-
-def liouville_total_mass(profile: ToricProfile) -> float:
-    """Mass of the unnormalized invariant measure in flow coordinates."""
-    return 0.25 * profile.two_area * TWO_PI ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +276,14 @@ def approximate_liouville_by_orbits(profile: ToricProfile, n_tori: int,
     d1g, d2g = profile.gradient_theta(theta)
     edges = np.linspace(0.0, profile.two_area, n_tori + 1)
     center = 0.5 * (edges[:-1] + edges[1:])
-    if len(systolic.flat_classes(d1g, d2g, max_pq)):
-        # the tori sort by (max(p, q), p, t), so the first continuum
-        # representative is the flat class to take
-        pick = next(T for T in systolic.enumerate_tori(
-            profile, max_pq, continuum_samples=1) if T.continuum)
-        chosen = [RationalTorus(pick.p, pick.q, c, pick.period, True)
+    flat = systolic.flat_classes(d1g, d2g, max_pq).tolist()
+    if flat:
+        # the flat class with the smallest (max(p, q), p), with the period
+        # enumerate_tori gives its continuum
+        p, q = systolic._coprime_classes(max_pq)
+        k = min(flat, key=lambda i: (max(p[i], q[i]), p[i]))
+        period = math.pi * int(p[k]) / float(d1g[0])
+        chosen = [RationalTorus(int(p[k]), int(q[k]), c, period, True)
                   for c in center.tolist()]
     else:
         chosen = _search_orbits(profile, (theta, d1g, d2g), edges, max_pq)

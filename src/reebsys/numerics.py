@@ -336,12 +336,6 @@ class IntervalLookup:
             j = j + up
 
 
-def wrap_angle(theta):
-    """Reduce angles to [0, 2*pi)."""
-    two_pi = 2.0 * np.pi
-    return np.mod(theta, two_pi)
-
-
 def wrap_to_pi(theta):
     """Reduce angles to [-pi, pi)."""
     two_pi = 2.0 * np.pi

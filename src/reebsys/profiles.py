@@ -59,17 +59,6 @@ CURVATURE_BOUND = 1e4       # largest |r''| / r accepted at sampled-boundary kno
 
 
 @dataclass(frozen=True)
-class BoundaryPoint:
-    """A point C(t) on the unit level set with the gradient of F there."""
-
-    t: float
-    x: float
-    y: float
-    d1: float
-    d2: float
-
-
-@dataclass(frozen=True)
 class Intercepts:
     a: float
     b: float
@@ -243,11 +232,6 @@ class ToricProfile:
         y = r * np.sin(theta)
         d1, d2 = self.gradient_theta(theta)
         return x, y, d1, d2
-
-    def boundary_point(self, t: float) -> BoundaryPoint:
-        """The area-parametrized boundary point C(t) with the gradient there."""
-        x, y, d1, d2 = self.boundary_arrays(float(t))
-        return BoundaryPoint(float(t), float(x), float(y), float(d1), float(d2))
 
     def intercepts(self) -> Intercepts:
         """Axis intersections (a, 0) and (0, b) with the Euler consistency pair."""

@@ -149,20 +149,6 @@ def pairing_orbit_orbit(profile: ToricProfile, orbit1, orbit2) -> float:
     return float(2.0 * profile.quadrant_area() * d1 * d2)
 
 
-def pairing_from_definition(profile: ToricProfile, orbit1, orbit2) -> float:
-    """The same pairing assembled from link * vol / (T * T').
-
-    The linking number of the two orbits is p_far * q_near where "near"
-    means closer to the y-intercept orbit (larger area parameter).  Used
-    as a cross-check of the closed form.
-    """
-    t1, t2 = _position(orbit1), _position(orbit2)
-    near, far = (orbit1, orbit2) if t1 > t2 else (orbit2, orbit1)
-    link = far.p * near.q
-    vol = contact_volume(profile)
-    return float(link * vol / (near.period * far.period))
-
-
 @lru_cache(maxsize=8)
 def _coprime_classes(max_pq: int):
     """Coprime pairs 1 <= p, q <= max_pq, p-major, as read-only arrays."""

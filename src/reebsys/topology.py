@@ -8,11 +8,13 @@ contact area equals the period of the boundary orbit, by Stokes.
 
 For the linear toric flow a trajectory crosses an axis disk exactly when
 the corresponding angle sweeps through the disk's angle, so signed counts
-are floor differences of the angle history and are exact.  Asymptotic
-crossing rates are estimated along near-return times of the trajectory,
-located through continued-fraction convergents of the rotation ratio; the
-loop is closed by the short geodesic chord on the torus, whose crossing
-contribution is included and bounded by one.
+are floor differences of the angle history and are exact
+(signed_sweep_count).  The asymptotic crossing rate of a sampled
+trajectory is taken at a near-return time, located through
+continued-fraction convergents of the rotation ratio: the loop is closed
+by the short geodesic chord on the torus, whose crossing contribution is
+included and bounded by one, and its winding number over that time is
+the rate (_batch_rates).
 
 The Liouville-averaged crossing rate with a surface, scaled by the contact
 volume, recovers the contact area of the surface; action_linking_verify
@@ -60,7 +62,7 @@ from .errors import (NumericalError, ResolutionError, StatisticalError,
 from .numerics import exact_partial, exact_total, wrap_to_pi
 from .profiles import ToricProfile
 from .systolic import AxisOrbit, RationalTorus, axis_orbit, contact_volume
-from .flows import RNG_NAME, FlowPoint, Trajectory, liouville_sample
+from .flows import RNG_NAME, liouville_sample
 
 TWO_PI = 2.0 * math.pi
 # Samples per _batch_rates call in action_linking_verify: the unit dealt
@@ -74,19 +76,15 @@ class SeifertSurfaceSpec:
 
     kind 'axis-disk-y' is {theta1 = angle}, bounded by the y-axis orbit;
     kind 'axis-disk-x' is {theta2 = angle}, bounded by the x-axis orbit;
-    kind 'page' is a {time = angle} slice of a suspension.  Flipping the
-    orientation negates the contact area and every signed crossing, so
-    pairings with the surface are orientation independent.
+    kind 'page' is a {time = angle} slice of a suspension.  Orientation
+    -1 negates the contact area and every signed crossing, so pairings
+    with the surface are orientation independent.
     """
 
     kind: str
     angle: float
     orientation: int
     contact_area: float
-
-    def flipped(self) -> "SeifertSurfaceSpec":
-        return SeifertSurfaceSpec(self.kind, self.angle, -self.orientation,
-                                  -self.contact_area)
 
     @property
     def phase_index(self) -> int:
@@ -132,46 +130,6 @@ def signed_sweep_count(phase_a, phase_b, phase_star, period: float = TWO_PI):
     fa = np.floor((np.asarray(phase_a, float) - phase_star) / period)
     fb = np.floor((np.asarray(phase_b, float) - phase_star) / period)
     return fb - fa
-
-
-@dataclass(frozen=True)
-class CrossingRecord:
-    times: np.ndarray
-    signs: np.ndarray
-    duration: float
-    rate: float
-
-
-def crossing_count(traj: Trajectory, surface: SeifertSurfaceSpec) -> CrossingRecord:
-    """All crossings of a trajectory with an axis disk, with times and signs.
-
-    Exact for the linear flow: crossing times solve a linear congruence.
-    A trajectory lying inside the surface (zero rate, starting on the
-    disk's angle) is degenerate and rejected.
-    """
-    idx = surface.phase_index
-    phase0 = (traj.start.theta1, traj.start.theta2)[idx]
-    omega = (traj.omega1, traj.omega2)[idx]
-    if abs(omega) * max(traj.duration, 1.0) < 1e-12:
-        if abs(wrap_to_pi(phase0 - surface.angle)) < 1e-9:
-            raise ValidationError("trajectory lies inside the surface "
-                                  "(zero sweep rate on the surface angle)")
-        times = np.empty(0)
-        signs = np.empty(0, dtype=int)
-        return CrossingRecord(times, signs, traj.duration, 0.0)
-    phase1 = phase0 + omega * traj.duration
-    fa = math.floor((phase0 - surface.angle) / TWO_PI)
-    fb = math.floor((phase1 - surface.angle) / TWO_PI)
-    if omega > 0:
-        ks = np.arange(fa + 1, fb + 1)
-    else:
-        ks = np.arange(fa, fb, -1)
-    times = (surface.angle + TWO_PI * ks - phase0) / omega
-    sign = surface.orientation * (1 if omega > 0 else -1)
-    signs = np.full(times.shape, sign, dtype=int)
-    total = int(signs.sum())
-    rate = total / traj.duration if traj.duration > 0 else 0.0
-    return CrossingRecord(times, signs, traj.duration, float(rate))
 
 
 # ---------------------------------------------------------------------------
@@ -272,42 +230,6 @@ def _batch_rates(profile, samples, surface, horizon, return_tol,
     counts = np.round((sweep + chord) / TWO_PI)
     rates = surface.orientation * counts / t_ret
     return rates, t_ret, ~good
-
-
-@dataclass(frozen=True)
-class RateEstimate:
-    rate: float
-    error_bar: float
-    return_time: float
-    used_fallback: bool
-
-
-def asymptotic_rate(profile: ToricProfile, point: FlowPoint,
-                    surface: SeifertSurfaceSpec, horizon: float,
-                    return_tol: float = 0.1,
-                    on_no_return: str = "raise") -> RateEstimate:
-    """Asymptotic signed crossing rate of one trajectory with a surface.
-
-    The rate is the crossing count of the loop closed at the largest
-    admissible near-return time up to the horizon, divided by that time.
-    For a rational torus this is exact (p/period for the y-axis disk).
-    The error bar combines the 1/t resolution with the chord's at most
-    one crossing.
-
-    on_no_return selects the behaviour when no near-return exists within
-    the horizon: 'raise' (default) or 'horizon', which closes the loop at
-    the full horizon instead.
-    """
-    if horizon <= 0:
-        raise ValidationError("horizon must be positive")
-    if on_no_return not in ("raise", "horizon"):
-        raise ValidationError("on_no_return must be 'raise' or 'horizon'")
-    samples = np.array([[point.t, point.theta1, point.theta2]])
-    rates, t_ret, fallback = _batch_rates(
-        profile, samples, surface, horizon, return_tol,
-        allow_fallback=(on_no_return == "horizon"))
-    err = 2.0 / float(t_ret[0])
-    return RateEstimate(float(rates[0]), err, float(t_ret[0]), bool(fallback[0]))
 
 
 @dataclass(frozen=True)

@@ -561,17 +561,38 @@ class TestReproducibility:
                     "--output", tmp_path / "o", "--grid", 256]) == 2
 
 
+def package_env():
+    """The environment of a fresh interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(reebsys.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+
+
 def loaded_modules(code, roots):
     """The modules under the given top-level names that a fresh interpreter
     has loaded after running code."""
-    src = os.path.dirname(os.path.dirname(reebsys.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
     code += ("\nimport sys\nprint(sorted(m for m in sys.modules "
              f"if m.split('.')[0] in {roots!r}))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, "-c", code], env=package_env(),
+                         check=True, capture_output=True, text=True).stdout
     return out.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("script, args", [
+    ("systolic_survey.py", ["--p-min", "1", "--p-max", "3", "--steps", "2",
+                            "--grid", "256"]),
+    ("action_linking_matrix.py", ["--samples", "2000"]),
+    ("suspension_demo.py", ["--coeffs", "3.141592653589793",
+                            "-6.283185307179586", "3.141592653589793"]),
+])
+def test_experiment_scripts_run(script, args):
+    """The README's experiment scripts run to exit 0, at small sizes."""
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "scripts", script)
+    proc = subprocess.run([sys.executable, "-W", "error", path, *args],
+                          env=package_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_import_loads_no_scipy():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from reebsys import diskmap
-from reebsys.diskmap import (RadialHamiltonian, _resonant_circles, action,
-                             action_with_shifted_primitive, calabi,
+from reebsys.diskmap import (SHIFT_SCALE, RadialHamiltonian,
+                             _resonant_circles, action, calabi,
                              calabi_eta_residual, default_suspension_constant,
                              flow_map, hamiltonian_from_json,
                              mean_action_theorem_check, periodic_points,
@@ -16,6 +16,16 @@ from reebsys.diskmap import (RadialHamiltonian, _resonant_circles, action,
 from reebsys.errors import ValidationError
 
 PI = math.pi
+
+
+def action_with_shifted_primitive(H, z):
+    """Oracle: the action of a point with the primitive
+    eta + d(SHIFT_SCALE*x*y), which adds the boundary terms of the exact
+    form to the standard action."""
+    z = np.asarray(z, float)
+    z1 = np.asarray(flow_map(H, z, 0.0, 1.0), float)
+    g = lambda p: SHIFT_SCALE * float(p[0]) * float(p[1])
+    return float(action(H, z)) + g(z1) - g(z)
 
 
 def full_turn():

@@ -11,7 +11,7 @@ from reebsys.numerics import (PANEL_CHUNK, IntervalLookup, _leggauss,
                               adaptive_gauss, bracketed_roots, exact_partial,
                               exact_total, fixed_gauss, panel_gauss_many,
                               refine_extremum, scan_roots, simplest_fraction,
-                              wrap_angle, wrap_to_pi)
+                              wrap_to_pi)
 from reebsys.profiles import HALF_PI, profile_from_json
 
 
@@ -135,7 +135,6 @@ def test_scan_roots_counts_node_zeros_once():
 
 
 def test_wrap_helpers():
-    assert wrap_angle(2 * math.pi + 0.25) == pytest.approx(0.25)
     assert wrap_to_pi(math.pi + 0.1) == pytest.approx(-math.pi + 0.1)
     assert wrap_to_pi(-0.1) == pytest.approx(-0.1)
 

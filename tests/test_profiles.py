@@ -88,27 +88,26 @@ class TestAreaParametrization:
     def test_round_parameter_equals_angle(self, round_p):
         # sector area is theta/2, so t(theta) = theta
         for t in [math.pi / 8, math.pi / 4, 0.3, 1.2]:
-            bp = round_p.boundary_point(t)
-            assert bp.x == pytest.approx(math.cos(t), abs=1e-12)
-            assert bp.y == pytest.approx(math.sin(t), abs=1e-12)
+            x, y, _, _ = round_p.boundary_arrays(t)
+            assert x == pytest.approx(math.cos(t), abs=1e-12)
+            assert y == pytest.approx(math.sin(t), abs=1e-12)
 
     def test_endpoints_hit_intercepts(self, profile_matrix):
         for p in profile_matrix:
             ic = p.intercepts()
-            start = p.boundary_point(0.0)
-            end = p.boundary_point(p.two_area)
-            assert (start.x, start.y) == pytest.approx((ic.a, 0.0), abs=1e-10)
-            assert (end.x, end.y) == pytest.approx((0.0, ic.b), abs=1e-10)
+            x, y, _, _ = p.boundary_arrays(np.array([0.0, p.two_area]))
+            assert (x[0], y[0]) == pytest.approx((ic.a, 0.0), abs=1e-10)
+            assert (x[1], y[1]) == pytest.approx((0.0, ic.b), abs=1e-10)
 
     def test_unit_ellipsoid_midpoint_on_diagonal(self, e11):
-        bp = e11.boundary_point(0.5)
-        assert (bp.x, bp.y) == pytest.approx((0.5, 0.5), abs=1e-12)
+        x, y, _, _ = e11.boundary_arrays(0.5)
+        assert (x, y) == pytest.approx((0.5, 0.5), abs=1e-12)
 
     def test_out_of_range_rejected(self, round_p):
         with pytest.raises(ValidationError):
-            round_p.boundary_point(-0.1)
+            round_p.boundary_arrays(-0.1)
         with pytest.raises(ValidationError):
-            round_p.boundary_point(round_p.two_area + 0.1)
+            round_p.boundary_arrays(round_p.two_area + 0.1)
 
     def test_hamilton_and_area_rate_residuals(self, profile_matrix):
         h = 1e-5

@@ -76,7 +76,7 @@ def test_write_report_replaces_atomically(tmp_path):
     path = str(tmp_path / "r.json")
     write_report(path, {"v": 1})
     write_report(path, {"v": 2})
-    assert json.loads(open(path).read()) == {"v": 2}
+    assert json.loads((tmp_path / "r.json").read_text()) == {"v": 2}
     assert not (tmp_path / "r.json.tmp").exists()
 
 
@@ -114,7 +114,7 @@ def test_write_csv_floats_round_trip(tmp_path):
     path = str(tmp_path / "v.csv")
     value = 1.0 / 3.0
     write_csv(path, ("x",), (np.array([value]),))
-    text = open(path).read().splitlines()
+    text = (tmp_path / "v.csv").read_text().splitlines()
     assert float(text[1]) == value
 
 

@@ -16,10 +16,22 @@ from reebsys.systolic import (DENSE_N, DENSE_STRIDE, RationalTorus,
                               _dense_extremes,
                               axis_orbit, average_identity_residual,
                               contact_volume, enumerate_tori,
-                              pairing_from_definition, pairing_orbit_orbit,
-                              systolic_interval, witness_measure)
+                              pairing_orbit_orbit, systolic_interval,
+                              witness_measure)
 
 PI = math.pi
+
+
+def pairing_from_definition(profile, orbit1, orbit2):
+    """Oracle: the pairing assembled from link * vol / (T * T').
+
+    The linking number of the two orbits is p_far * q_near where "near"
+    means closer to the y-intercept orbit (larger area parameter).
+    """
+    near, far = (orbit1, orbit2) if orbit1.t > orbit2.t else (orbit2, orbit1)
+    link = far.p * near.q
+    return float(link * contact_volume(profile)
+                 / (near.period * far.period))
 
 
 class TestVolume:

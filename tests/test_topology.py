@@ -9,21 +9,41 @@ from hypothesis import strategies as st
 from reebsys import topology
 from reebsys.errors import (NumericalError, ResolutionError,
                             StatisticalError, ValidationError)
-from reebsys.flows import FlowPoint, make_trajectory
+from reebsys.flows import liouville_sample
+from reebsys.numerics import wrap_to_pi
 from reebsys.systolic import (axis_orbit, contact_volume, enumerate_tori,
                               pairing_orbit_orbit)
 from reebsys.profiles import EllipsoidProfile, LpProfile, SplineProfile
 from reebsys.topology import (GAUSS_BLOCK, GAUSS_TILE, MIN_DIST_BLOCK,
                               MIN_DIST_TILE, RATE_BLOCK, _POLES,
-                              ClosedCurve, LinkResult, _best_convergents,
-                              _gauss_linking_sum, _min_distance,
-                              _stereographic, action_linking_verify,
-                              asymptotic_rate,
-                              axis_disk, check_statistical, crossing_count,
-                              linking_number, page_surface,
+                              ClosedCurve, LinkResult, _batch_rates,
+                              _best_convergents, _gauss_linking_sum,
+                              _min_distance, _stereographic,
+                              action_linking_verify, axis_disk,
+                              check_statistical, linking_number, page_surface,
                               signed_sweep_count, toric_orbit_curve)
 
 PI = math.pi
+
+
+def open_count(profile, rows, surface, duration):
+    """Signed crossings of the flow segments of the given duration from
+    rows (t, theta1, theta2) with an axis disk: the intersection number
+    that the asymptotic rate averages, exact for the linear flow."""
+    rows = np.asarray(rows, float)
+    idx = surface.phase_index
+    omega = 2.0 * profile.boundary_arrays(rows[..., 0])[2 + idx]
+    phase0 = rows[..., 1 + idx]
+    return surface.orientation * signed_sweep_count(
+        phase0, phase0 + omega * duration, surface.angle)
+
+
+def one_row_rate(profile, row, surface, horizon, allow_fallback=False):
+    """(rate, return time, fallback) of _batch_rates for one sample."""
+    rates, t_ret, fallback = _batch_rates(
+        profile, np.array([row], float), surface, horizon, 0.1,
+        allow_fallback)
+    return float(rates[0]), float(t_ret[0]), bool(fallback[0])
 
 
 def dense_best_convergents(alpha, q_cap):
@@ -140,51 +160,38 @@ def test_best_convergents_match_dense_loop():
 
 class TestCrossings:
     def test_unit_ellipsoid_one_sweep_per_period(self, e11):
-        traj = make_trajectory(e11, FlowPoint(0.5, 1.0, 2.0), PI)
-        rec = crossing_count(traj, axis_disk(e11, "y", angle=0.3))
-        assert len(rec.times) == 1
-        assert rec.signs.tolist() == [1]
-        assert 0 < rec.times[0] <= PI
-        assert rec.rate == pytest.approx(1 / PI)
+        disk = axis_disk(e11, "y", angle=0.3)
+        assert open_count(e11, (0.5, 1.0, 2.0), disk, PI) == 1
 
     def test_zero_duration(self, e11):
-        traj = make_trajectory(e11, FlowPoint(0.5, 1.0, 2.0), 0.0)
-        rec = crossing_count(traj, axis_disk(e11, "y"))
-        assert len(rec.times) == 0
+        # the swept interval is half-open: starting on the disk's angle
+        # is no crossing
+        for theta1 in (1.0, 0.3):
+            assert open_count(e11, (0.5, theta1, 2.0),
+                              axis_disk(e11, "y", angle=0.3), 0.0) == 0
 
     def test_torus_orbit_crosses_p_times(self, round_p):
         t23 = [t for t in enumerate_tori(round_p, 3) if (t.p, t.q) == (2, 3)][0]
-        traj = make_trajectory(round_p, FlowPoint(t23.t, 0.3, 0.7), t23.period)
-        rec = crossing_count(traj, axis_disk(round_p, "y", angle=0.1))
-        assert int(rec.signs.sum()) == 2
-        rec_x = crossing_count(traj, axis_disk(round_p, "x", angle=0.1))
-        assert int(rec_x.signs.sum()) == 3
+        row = (t23.t, 0.3, 0.7)
+        assert open_count(round_p, row, axis_disk(round_p, "y", angle=0.1),
+                          t23.period) == 2
+        assert open_count(round_p, row, axis_disk(round_p, "x", angle=0.1),
+                          t23.period) == 3
 
     def test_orientation_flip_negates(self, round_p):
-        traj = make_trajectory(round_p, FlowPoint(0.4, 0.0, 0.0), 7.0)
-        plus = crossing_count(traj, axis_disk(round_p, "y", angle=1.0))
-        minus = crossing_count(traj, axis_disk(round_p, "y", angle=1.0).flipped())
-        assert np.array_equal(plus.times, minus.times)
-        assert np.array_equal(plus.signs, -minus.signs)
+        row = (0.4, 0.0, 0.0)
+        plus = open_count(round_p, row, axis_disk(round_p, "y", angle=1.0),
+                          7.0)
+        minus = open_count(round_p, row, axis_disk(round_p, "y", angle=1.0,
+                                                   orientation=-1), 7.0)
+        assert plus != 0 and minus == -plus
 
     def test_iterate_covariance(self, round_p):
         t11 = enumerate_tori(round_p, 1)[0]
         disk = axis_disk(round_p, "y", angle=0.2)
-        one = crossing_count(make_trajectory(
-            round_p, FlowPoint(t11.t, 0.5, 0.5), t11.period), disk)
-        two = crossing_count(make_trajectory(
-            round_p, FlowPoint(t11.t, 0.5, 0.5), 2 * t11.period), disk)
-        assert int(two.signs.sum()) == 2 * int(one.signs.sum())
-
-    def test_trajectory_inside_surface_rejected(self, round_p):
-        # at the y-intercept the first angle is frozen
-        t_end = round_p.two_area
-        traj = make_trajectory(round_p, FlowPoint(t_end, 0.7, 0.1), 5.0)
-        assert abs(traj.omega1) < 1e-9
-        with pytest.raises(ValidationError, match="inside"):
-            crossing_count(traj, axis_disk(round_p, "y", angle=0.7))
-        ok = crossing_count(traj, axis_disk(round_p, "y", angle=1.9))
-        assert len(ok.times) == 0
+        row = (t11.t, 0.5, 0.5)
+        assert open_count(round_p, row, disk, 2 * t11.period) == \
+            2 * open_count(round_p, row, disk, t11.period)
 
     @given(st.floats(0, 2 * PI), st.floats(-8, 8), st.floats(0, 40),
            st.floats(0, 40), st.floats(0, 2 * PI))
@@ -199,20 +206,21 @@ class TestCrossings:
 class TestAsymptoticRate:
     def test_rational_orbit_rate_exact(self, round_p):
         t23 = [t for t in enumerate_tori(round_p, 3) if (t.p, t.q) == (2, 3)][0]
-        est = asymptotic_rate(round_p, FlowPoint(t23.t, 0.3, 0.7),
-                              axis_disk(round_p, "y"), horizon=100.0)
-        assert est.rate == pytest.approx(2 / t23.period, abs=1e-14)
-        assert not est.used_fallback
+        rate, _, fallback = one_row_rate(round_p, (t23.t, 0.3, 0.7),
+                                         axis_disk(round_p, "y"), 100.0)
+        assert rate == pytest.approx(2 / t23.period, abs=1e-14)
+        assert not fallback
 
     def test_irrational_rate_against_sweep_rate(self, round_p):
+        # the error bar: 1/t resolution plus the chord's one crossing
         disk = axis_disk(round_p, "y")
         for frac in (0.15, 0.37, 0.52, 0.81):
             t = frac * round_p.two_area
             _, _, d1, _ = round_p.boundary_arrays(t)
-            est = asymptotic_rate(round_p, FlowPoint(t, 0.0, 0.0), disk,
-                                  horizon=1000.0)
-            assert abs(est.rate - d1 / PI) <= est.error_bar
-            assert abs(est.rate - d1 / PI) < 1e-4
+            rate, t_ret, _ = one_row_rate(round_p, (t, 0.0, 0.0), disk,
+                                          1000.0)
+            assert abs(rate - d1 / PI) <= 2.0 / t_ret
+            assert abs(rate - d1 / PI) < 1e-4
 
     def test_irrational_rate_second_angle(self, round_p):
         # the x-axis disk counts theta2 sweeps; the near-return chord can
@@ -222,27 +230,77 @@ class TestAsymptoticRate:
         for frac in (0.2, 0.45, 0.7):
             t = frac * round_p.two_area
             _, _, _, d2 = round_p.boundary_arrays(t)
-            est = asymptotic_rate(round_p, FlowPoint(t, 0.0, 0.0), disk,
-                                  horizon=1000.0)
-            assert abs(est.rate - d2 / PI) <= est.error_bar
+            rate, t_ret, _ = one_row_rate(round_p, (t, 0.0, 0.0), disk,
+                                          1000.0)
+            assert abs(rate - d2 / PI) <= 2.0 / t_ret
 
     def test_orientation_flip(self, round_p):
-        pt = FlowPoint(0.37 * round_p.two_area, 0.0, 0.0)
-        plus = asymptotic_rate(round_p, pt, axis_disk(round_p, "y"), 500.0)
-        minus = asymptotic_rate(round_p, pt, axis_disk(round_p, "y").flipped(),
-                                500.0)
-        assert minus.rate == pytest.approx(-plus.rate, abs=1e-15)
+        row = (0.37 * round_p.two_area, 0.0, 0.0)
+        plus, _, _ = one_row_rate(round_p, row, axis_disk(round_p, "y"),
+                                  500.0)
+        minus, _, _ = one_row_rate(
+            round_p, row, axis_disk(round_p, "y", orientation=-1), 500.0)
+        assert minus == pytest.approx(-plus, abs=1e-15)
 
     def test_no_return_raises_and_fallback_works(self, round_p):
         # near the y-intercept the first rate is tiny: no return in time 1
-        t = round_p.two_area * (1 - 1e-9)
-        pt = FlowPoint(t, 0.0, 0.0)
+        row = (round_p.two_area * (1 - 1e-9), 0.0, 0.0)
         with pytest.raises(ResolutionError, match="horizon"):
-            asymptotic_rate(round_p, pt, axis_disk(round_p, "y"), horizon=1.0)
-        est = asymptotic_rate(round_p, pt, axis_disk(round_p, "y"),
-                              horizon=1.0, on_no_return="horizon")
-        assert est.used_fallback
-        assert est.return_time == 1.0
+            one_row_rate(round_p, row, axis_disk(round_p, "y"), 1.0)
+        _, t_ret, fallback = one_row_rate(
+            round_p, row, axis_disk(round_p, "y"), 1.0, allow_fallback=True)
+        assert fallback
+        assert t_ret == 1.0
+
+    @pytest.mark.parametrize("kind", ["round", "lp3", "spline"])
+    def test_rates_count_the_open_trajectory(self, round_p, spline_p, kind):
+        # the rate times the return time is the crossing count of the
+        # loop closed by the chord; the open trajectory misses at most
+        # the chord's one crossing, and none where the chord passes no
+        # disk angle
+        profile = {"round": round_p, "lp3": LpProfile(3.0),
+                   "spline": spline_p}[kind]
+        rows = liouville_sample(profile, 4000, seed=31)
+        tori = enumerate_tori(profile, 6)
+        torus_rows = np.column_stack([[T.t for T in tori], rows[:len(tori), 1:]])
+        periods = np.array([T.period for T in tori])
+        chord_crossings = 0
+        for axis in ("y", "x"):
+            for orientation in (1, -1):
+                surface = axis_disk(profile, axis, angle=0.9,
+                                    orientation=orientation)
+                rates, t_ret, _ = _batch_rates(profile, rows, surface, 300.0,
+                                               0.1, allow_fallback=True)
+                closed = np.round(rates * t_ret)
+                np.testing.assert_allclose(rates * t_ret, closed, atol=1e-9)
+                opened = open_count(profile, rows, surface, t_ret)
+                assert np.max(np.abs(closed - opened)) <= 1
+                idx = surface.phase_index
+                sweep = 2.0 * profile.boundary_arrays(rows[:, 0])[2 + idx] \
+                    * t_ret
+                end = rows[:, 1 + idx] + sweep
+                chord = wrap_to_pi(-sweep)
+                lo = np.minimum(end, end + chord) - 1e-9
+                hi = np.maximum(end, end + chord) + 1e-9
+                clear = signed_sweep_count(lo, hi, surface.angle) == 0
+                chord_crossings += np.count_nonzero(~clear)
+                np.testing.assert_array_equal(closed[clear], opened[clear])
+
+                # a rational torus closes at its period: p crossings of
+                # the y disk, q of the x disk
+                rates, _, fallback = _batch_rates(
+                    profile, torus_rows, surface, 300.0, 0.1,
+                    allow_fallback=False)
+                closed = np.round(rates * periods)
+                np.testing.assert_allclose(rates * periods, closed,
+                                           atol=1e-9)
+                windings = [T.p if axis == "y" else T.q for T in tori]
+                np.testing.assert_array_equal(
+                    open_count(profile, torus_rows, surface, periods),
+                    orientation * np.array(windings))
+                np.testing.assert_array_equal(closed,
+                                              orientation * np.array(windings))
+        assert chord_crossings > 0
 
 
 class TestActionLinkingVerify:
@@ -266,8 +324,8 @@ class TestActionLinkingVerify:
     def test_orientation_flip_negates_both_sides(self, round_p):
         kw = dict(n_samples=5000, horizon=500.0, seed=8)
         plus = action_linking_verify(round_p, axis_disk(round_p, "y"), **kw)
-        minus = action_linking_verify(round_p, axis_disk(round_p, "y").flipped(),
-                                      **kw)
+        minus = action_linking_verify(
+            round_p, axis_disk(round_p, "y", orientation=-1), **kw)
         assert minus.lhs == pytest.approx(-plus.lhs, abs=1e-13)
         assert minus.rhs == pytest.approx(-plus.rhs, abs=1e-13)
         assert minus.z == pytest.approx(plus.z, abs=1e-9)
@@ -347,9 +405,8 @@ class TestActionLinkingVerify:
             disk = axis_disk(p, "y")
             vol = contact_volume(p)
             for torus in enumerate_tori(p, 4)[:8]:
-                traj = make_trajectory(p, FlowPoint(torus.t, 0.2, 1.1),
-                                       torus.period)
-                crossings = int(crossing_count(traj, disk).signs.sum())
+                crossings = int(open_count(p, (torus.t, 0.2, 1.1), disk,
+                                           torus.period))
                 rho = crossings * vol / (torus.period * disk.contact_area)
                 oracle = pairing_orbit_orbit(p, torus, axis_orbit(p, "y"))
                 assert rho == pytest.approx(oracle, rel=1e-8)
@@ -674,7 +731,8 @@ class TestSurfaces:
 
     def test_flip_negates_area(self, round_p):
         disk = axis_disk(round_p, "y")
-        assert disk.flipped().contact_area == -disk.contact_area
+        flipped = axis_disk(round_p, "y", orientation=-1)
+        assert flipped.contact_area == -disk.contact_area
 
     def test_page_surface(self):
         page = page_surface(angle=0.25)
