@@ -262,7 +262,8 @@ class TestAsymptoticRate:
                    "spline": spline_p}[kind]
         rows = liouville_sample(profile, 4000, seed=31)
         tori = enumerate_tori(profile, 6)
-        torus_rows = np.column_stack([[T.t for T in tori], rows[:len(tori), 1:]])
+        torus_rows = np.column_stack([[T.t for T in tori],
+                                      rows[:len(tori), 1:]])
         periods = np.array([T.period for T in tori])
         chord_crossings = 0
         for axis in ("y", "x"):
