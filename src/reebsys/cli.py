@@ -124,10 +124,23 @@ FLAGS = {
 COMMON = {"input": None, "output": None, "seed": 0, "quiet": False}
 
 
+# a JSON string, or a NaN or infinity literal outside strings
+_CONSTANT = re.compile(r'"(?:\\.|[^"\\])*"|(NaN|-?Infinity)')
+
+
 def load_input(path: str) -> dict:
+    """The strict JSON document in a file: NaN and Infinity are no JSON
+    numbers (RFC 8259, section 6)."""
     text = rp.read_text(path)
+
+    def constant(name):
+        # the parser read all text before the first literal outside a
+        # string, so the literal is that one
+        pos = next(m.start(1) for m in _CONSTANT.finditer(text) if m[1])
+        raise json.JSONDecodeError(f"{name} is not a JSON number", text, pos)
+
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=constant)
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
@@ -307,105 +320,50 @@ def run_diskmap_dictionary(args):
     rp.write_action_spectrum(args.output, H, rep.rows, args.plot_grid)
 
 
-def _spec_int(o: dict, key: str, label: str, default=None) -> int:
-    """An integer field of a curve spec; required when there is no default."""
-    if key not in o:
-        if default is None:
-            raise ValidationError(f"{label}: orbit field {key!r} is missing")
-        return default
-    value = o[key]
-    if type(value) is not int:
-        raise ValidationError(
-            f"{label}: orbit field {key!r} must be an integer, got {value!r}")
-    return value
-
-
-def _spec_samples(o: dict, label: str, default: int) -> int:
-    n = _spec_int(o, "samples", label, default)
-    if n < 1:
-        raise ValidationError(f"{label}: 'samples' must be >= 1, got {n}")
-    return n
-
-
-def _spec_phase(o: dict, label: str) -> float:
-    """The optional finite 'phase2' of an orbit spec (a bool is no number)."""
-    value = o.get("phase2", 0.0)
-    try:
-        ok = type(value) in (int, float) and math.isfinite(value)
-    except OverflowError:           # an integer beyond the float range
-        ok = False
-    if not ok:
-        raise ValidationError(
-            f"{label}: orbit field 'phase2' must be a finite number, "
-            f"got {value!r}")
-    return float(value)
-
-
-def _curve_plan(spec, label: str):
-    """(segments, build) of a curve spec: its segment count, read before
-    any curve exists, and a function returning (curve, report entry)."""
-    if not isinstance(spec, dict):
-        raise ValidationError(f"{label}: curve spec must be an object")
-    keys = set(spec)
-    if keys == {"csv"}:
-        if not isinstance(spec["csv"], str):
-            raise ValidationError(f"{label}: 'csv' must be a path string")
+def _curve_plan(spec: dict, label: str):
+    """(segments, build) of a curve spec checked against the linking
+    record: its segment count, read before any curve exists, and a
+    function returning (curve, report entry)."""
+    if "csv" in spec:
         pts = rp.read_curve_csv(spec["csv"])
         return len(pts) - 1, lambda: (
             tp.ClosedCurve.from_points(pts),
             {"csv": spec["csv"], "points": int(len(pts))})
-    if keys == {"orbit"}:
-        o = dict(spec["orbit"])
-        unknown = set(o) - {"profile", "p", "q", "samples", "index", "phase2"}
-        if unknown:
-            raise ValidationError(f"{label}: unknown orbit keys {sorted(unknown)}")
-        profile = profile_from_json(o.get("profile"))
-        p, q = _spec_int(o, "p", label), _spec_int(o, "q", label)
-        phase2 = _spec_phase(o, label)
-        if p < 1 or q < 1 or math.gcd(p, q) != 1:
-            raise ValidationError(f"{label}: (p, q) must be coprime positives")
-        # enumerate_tori builds max(p, q)^2 classes
-        if max(p, q) > MAX_PQ:
-            raise ValidationError(
-                f"{label}: orbit ({p}, {q}) has max(p, q) above the limit "
-                f"{MAX_PQ}; ask for less")
-        matches = [t for t in sy.enumerate_tori(profile, max(p, q))
-                   if (t.p, t.q) == (p, q)]
-        if not matches:
-            raise ValidationError(f"{label}: profile has no ({p}, {q}) torus")
-        index = _spec_int(o, "index", label, 0)
-        if not 0 <= index < len(matches):
-            raise ValidationError(f"{label}: torus index {index} out of range "
-                                  f"({len(matches)} roots)")
-        torus = matches[index]
-        n = _spec_samples(o, label, 1024)
-        return n, lambda: (
-            tp.toric_orbit_curve(profile, torus, n, phase2=phase2),
-            {"p": p, "q": q, "t": torus.t, "period": torus.period,
-             "samples": n})
-    if keys == {"axis_orbit"}:
-        o = dict(spec["axis_orbit"])
-        unknown = set(o) - {"profile", "axis", "samples"}
-        if unknown:
-            raise ValidationError(f"{label}: unknown axis-orbit keys {sorted(unknown)}")
-        profile = profile_from_json(o.get("profile"))
+    [(kind, o)] = spec.items()
+    profile = profile_from_json(o["profile"])
+    n = int(o.get("samples", 1024 if kind == "orbit" else 256))
+    if n < 1:
+        raise ValidationError(f"{label}: 'samples' must be >= 1, got {n}")
+    if kind == "axis_orbit":
         orbit = sy.axis_orbit(profile, o.get("axis", "y"))
-        n = _spec_samples(o, label, 256)
         return n, lambda: (
             tp.toric_orbit_curve(profile, orbit, n),
             {"axis": orbit.axis, "period": orbit.period, "samples": n})
-    raise ValidationError(
-        f"{label}: curve spec must have exactly one of 'csv', 'orbit', "
-        f"'axis_orbit'; got {sorted(keys)}")
+    p, q = int(o["p"]), int(o["q"])
+    phase2 = float(o.get("phase2", 0.0))
+    if p < 1 or q < 1 or math.gcd(p, q) != 1:
+        raise ValidationError(f"{label}: (p, q) must be coprime positives")
+    # enumerate_tori builds max(p, q)^2 classes
+    if max(p, q) > MAX_PQ:
+        raise ValidationError(
+            f"{label}: orbit ({p}, {q}) has max(p, q) above the limit "
+            f"{MAX_PQ}; ask for less")
+    matches = [t for t in sy.enumerate_tori(profile, max(p, q))
+               if (t.p, t.q) == (p, q)]
+    if not matches:
+        raise ValidationError(f"{label}: profile has no ({p}, {q}) torus")
+    index = int(o.get("index", 0))
+    if not 0 <= index < len(matches):
+        raise ValidationError(f"{label}: torus index {index} out of range "
+                              f"({len(matches)} roots)")
+    torus = matches[index]
+    return n, lambda: (
+        tp.toric_orbit_curve(profile, torus, n, phase2=phase2),
+        {"p": p, "q": q, "t": torus.t, "period": torus.period, "samples": n})
 
 
 def run_linking(args):
-    doc = load_input(args.input)
-    if not isinstance(doc, dict) or set(doc) != {"curves"}:
-        raise ValidationError("linking input must be {'curves': [spec, spec]}")
-    specs = doc["curves"]
-    if not (isinstance(specs, list) and len(specs) == 2):
-        raise ValidationError("linking needs exactly two curve specs")
+    specs = rp.validate_input("linking", load_input(args.input))["curves"]
     (n1, build1), (n2, build2) = (_curve_plan(s, f"curves[{i}]")
                                   for i, s in enumerate(specs))
     if n1 * n2 > LINK_MAX_PAIRS:

@@ -37,6 +37,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .numerics import _leggauss, bracketed_roots, scan_roots
+from .reports import validate_input
 from .topology import page_surface, signed_sweep_count
 
 TWO_PI = 2.0 * math.pi
@@ -56,8 +57,6 @@ class RadialHamiltonian:
 
     def __init__(self, coeffs):
         coeffs = [float(c) for c in np.atleast_1d(coeffs)]
-        if not coeffs:
-            raise ValidationError("radial profile needs polynomial coefficients")
         self._poly = np.polynomial.Polynomial(coeffs)
         self._dpoly = self._poly.deriv()
         self.coeffs = tuple(coeffs)
@@ -106,29 +105,9 @@ class RadialHamiltonian:
 
 def hamiltonian_from_json(obj) -> RadialHamiltonian:
     """Build a radial Hamiltonian from {"kind": "radial", "h": {"type":
-    "poly", "coeffs": [...]}}, the coefficients of h in increasing degree."""
-    if not isinstance(obj, dict):
-        raise ValidationError("Hamiltonian specification must be a JSON object")
-    kind = obj.get("kind")
-    if kind == "radial":
-        unknown = set(obj) - {"kind", "h"}
-        if unknown:
-            raise ValidationError(f"unknown Hamiltonian keys: {sorted(unknown)}")
-        h = obj.get("h")
-        if not (isinstance(h, dict) and h.get("type") == "poly"
-                and isinstance(h.get("coeffs"), list)):
-            raise ValidationError(
-                "radial Hamiltonian needs h = {'type': 'poly', 'coeffs': [...]}")
-        try:
-            finite = all(type(c) in (int, float) and math.isfinite(c)
-                         for c in h["coeffs"])
-        except OverflowError:       # an integer beyond the float range
-            finite = False
-        if not finite:
-            raise ValidationError("radial Hamiltonian coefficients must be "
-                                  f"finite numbers, got {h['coeffs']!r}")
-        return RadialHamiltonian(h["coeffs"])
-    raise ValidationError(f"unsupported Hamiltonian kind: {kind!r}")
+    "poly", "coeffs": [...]}}, the coefficients of h in increasing degree,
+    checked against the hamiltonian record of records.v1.json."""
+    return RadialHamiltonian(validate_input("hamiltonian", obj)["h"]["coeffs"])
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import systolic
 from .errors import CoverageError, ValidationError
 from .numerics import simplest_fraction
 from .profiles import HALF_PI, ToricProfile
-from .systolic import TORUS_GRID_N, RationalTorus, torus_roots
+from .systolic import TORUS_GRID_N, RationalTorus, flat_class, torus_roots
 
 RNG_NAME = "philox4x64"
 TWO_PI = 2.0 * math.pi
@@ -259,9 +258,8 @@ def approximate_liouville_by_orbits(profile: ToricProfile, n_tori: int,
     way to the next class on the side where it does not land.
 
     A profile whose gradient is constant along a commensurable direction
-    (systolic.flat_classes) carries one class on every torus: each
-    subinterval gets the flat class with the smallest max(p, q) at its
-    center, with continuum=True.
+    (systolic.flat_class) carries its one class on every torus: each
+    subinterval gets it at its center, with continuum=True.
 
     The orbits are weighted equally.  The discrepancy is the maximum over
     the fixed test-function family of |weighted orbit average - invariant
@@ -276,14 +274,12 @@ def approximate_liouville_by_orbits(profile: ToricProfile, n_tori: int,
     d1g, d2g = profile.gradient_theta(theta)
     edges = np.linspace(0.0, profile.two_area, n_tori + 1)
     center = 0.5 * (edges[:-1] + edges[1:])
-    flat = systolic.flat_classes(d1g, d2g, max_pq).tolist()
+    flat = flat_class(d1g, d2g, max_pq)
     if flat:
-        # the flat class with the smallest (max(p, q), p), with the period
-        # enumerate_tori gives its continuum
-        p, q = systolic._coprime_classes(max_pq)
-        k = min(flat, key=lambda i: (max(p[i], q[i]), p[i]))
-        period = math.pi * int(p[k]) / float(d1g[0])
-        chosen = [RationalTorus(int(p[k]), int(q[k]), c, period, True)
+        # with the period enumerate_tori gives its continuum
+        p, q = flat
+        period = math.pi * p / float(d1g[0])
+        chosen = [RationalTorus(p, q, c, period, True)
                   for c in center.tolist()]
     else:
         chosen = _search_orbits(profile, (theta, d1g, d2g), edges, max_pq)

@@ -51,6 +51,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .numerics import IntervalLookup
+from .reports import validate_input
 
 HALF_PI = math.pi / 2.0
 AREA_TABLE_PANELS = 2048    # intervals of the lp area table
@@ -747,48 +748,22 @@ def perturbed_ellipsoid_profile(a: float, b: float, coeffs,
     return SplineProfile(perturbed_ellipsoid_points(a, b, coeffs, n))
 
 
-_PROFILE_KEYS = {
-    "ellipsoid": {"kind", "a", "b"},
-    "lp": {"kind", "p", "a", "b"},
-    "sampled": {"kind", "points"},
-}
-
-
 def profile_from_json(obj) -> ToricProfile:
-    """Build a profile from its JSON document.
+    """Build a profile from its JSON document, checked against the
+    profile record of records.v1.json.
 
     Accepted forms:
       {"kind": "ellipsoid", "a": 1.0, "b": 2.0}
-      {"kind": "lp", "p": 2.0, "a": 1.0, "b": 1.0}
+      {"kind": "lp", "p": 2.0, "a": 1.0, "b": 1.0}   (a and b default to 1)
       {"kind": "sampled", "points": [[x, y], ...]}
     """
-    if not isinstance(obj, dict):
-        raise ValidationError("profile specification must be a JSON object")
-    kind = obj.get("kind")
-    if kind not in _PROFILE_KEYS:
-        raise ValidationError(f"unknown profile kind: {kind!r}")
-    unknown = set(obj) - _PROFILE_KEYS[kind]
-    if unknown:
-        raise ValidationError(f"unknown profile keys: {sorted(unknown)}")
-    def number(key, default=None):
-        value = float(obj[key] if default is None else obj.get(key, default))
-        if not math.isfinite(value):
-            raise ValidationError(
-                f"profile field {key!r} must be finite, got {obj[key]!r}")
-        return value
-
-    try:
-        if kind == "ellipsoid":
-            profile = EllipsoidProfile(number("a"), number("b"))
-        elif kind == "lp":
-            profile = LpProfile(number("p"), number("a", 1.0),
-                                number("b", 1.0))
-        else:
-            profile = SplineProfile(obj["points"])
-    except KeyError as exc:
-        raise ValidationError(f"profile field missing: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"bad profile field: {exc}") from exc
+    kind = validate_input("profile", obj)["kind"]
+    if kind == "ellipsoid":
+        profile = EllipsoidProfile(obj["a"], obj["b"])
+    elif kind == "lp":
+        profile = LpProfile(obj["p"], obj.get("a", 1.0), obj.get("b", 1.0))
+    else:
+        profile = SplineProfile(obj["points"])
     # the area and the inversion work with r^2; huge finite intercepts
     # make r overflow (or its level function underflow) before they can
     with np.errstate(all="ignore"):

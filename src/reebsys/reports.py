@@ -6,9 +6,11 @@ byte-identical files.  Every report names its command, schema version,
 seed and generator.  Files are written atomically (write then rename).
 Reports are strict JSON, with no NaN or infinity, and each is checked
 against its shipped JSON Schema by a walker of twelve keywords.  The
-records several reports share (profile, torus, periodic point,
+records several documents share (profile, torus, periodic point,
 Hamiltonian, boundary flags) are defined once, in records.v1.json, and a
-schema names one with a lone $ref into that file's $defs.
+schema names one with a lone $ref into that file's $defs.  The same
+walker checks every input document against its record there (profile,
+Hamiltonian, linking).
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ import json
 import math
 import os
 import reprlib
+import sys
 from importlib import resources
 
 import numpy as np
@@ -153,6 +156,8 @@ SCHEMA_KEYWORDS = frozenset((
 RECORDS = "records"
 RECORD_REF = f"{RECORDS}.v{REPORT_VERSION}.json#/$defs/"
 
+# the largest finite double; ints compare with it exactly, nan never
+_DOUBLE_MAX = sys.float_info.max
 # JSON types of the classes in a converted report: a bool is not a number
 _TYPE_NAMES = {dict: ("object",), list: ("array",), str: ("string",),
                bool: ("boolean",), type(None): ("null",),
@@ -194,14 +199,26 @@ def load_schema(command: str) -> dict:
                                           in records.get("$defs", {})])
 
 
+def _resolve(schema: dict) -> dict:
+    """The record a lone $ref names, or the schema itself."""
+    if "$ref" in schema:
+        return load_schema(RECORDS)["$defs"][schema["$ref"][len(RECORD_REF):]]
+    return schema
+
+
 def _violation(schema: dict, value):
     """(reason, JSON path steps innermost first) of the first place where
-    value breaks schema, or None.  A valid value builds no path strings."""
+    value breaks schema, or None.  A valid value builds no path strings.
+    A JSON number must be a finite double, whatever the schema: no inf
+    float (json reads 1e400 as one) and no int beyond the double range."""
     if "$ref" in schema:
-        schema = load_schema(RECORDS)["$defs"][schema["$ref"][len(RECORD_REF):]]
+        schema = _resolve(schema)
+    cls = type(value)
+    if (cls is float or cls is int) and not -_DOUBLE_MAX <= value <= _DOUBLE_MAX:
+        return f"{reprlib.repr(value)} is not a finite double", []
     types = schema.get("type")
     if types is not None:
-        names = _TYPE_NAMES.get(type(value), ())
+        names = _TYPE_NAMES.get(cls, ())
         if names == ("number",) and value.is_integer():
             names = ("integer", "number")
         if not (types in names if isinstance(types, str)
@@ -213,10 +230,8 @@ def _violation(schema: dict, value):
                                        and a == value for a in allowed):
         return f"{reprlib.repr(value)} is not one of {allowed}", []
     if isinstance(value, dict):
+        # a wrong value is named before a missing key: a wrong kind first
         props = schema.get("properties", {})
-        for key in schema.get("required", ()):
-            if key not in value:
-                return f"required key {key!r} is missing", []
         if "additionalProperties" in schema and not props.keys() >= value.keys():
             return f"keys {sorted(value.keys() - props.keys())} are not allowed", []
         for key, item in value.items():
@@ -224,6 +239,9 @@ def _violation(schema: dict, value):
             if found:
                 found[1].append(f".{key}")
                 return found
+        for key in schema.get("required", ()):
+            if key not in value:
+                return f"required key {key!r} is missing", []
     elif isinstance(value, list):
         if not schema.get("minItems", 0) <= len(value) <= schema.get("maxItems", len(value)):
             return f"{len(value)} items are too few or too many", []
@@ -232,19 +250,53 @@ def _violation(schema: dict, value):
             if found:
                 found[1].append(f"[{i}]")
                 return found
-    if "oneOf" in schema and sum(
-            _violation(sub, value) is None for sub in schema["oneOf"]) != 1:
-        return f"{reprlib.repr(value)} matches no oneOf branch or several", []
+    if "oneOf" in schema:
+        found = [_violation(sub, value) for sub in schema["oneOf"]]
+        if found.count(None) != 1:
+            return _branch_violation(schema["oneOf"], found, value)
     return None
+
+
+def _branch_violation(branches: list, found: list, value):
+    """The violation to report for a value that matches no oneOf branch,
+    or several: that of the branch the value selects by its first required
+    key, present and equal to the branch's const there if it has one (a
+    profile's kind, a curve spec's one key), so the path goes on into the
+    value."""
+    if None in found:
+        return f"{reprlib.repr(value)} matches several oneOf branches", []
+    keys = []
+    for sub, violation in zip(map(_resolve, branches), found):
+        key = sub.get("required", [None])[0]
+        const = sub.get("properties", {}).get(key, {}).get("const")
+        if isinstance(value, dict) and key in value and (
+                const is None or value[key] == const):
+            return violation
+        keys.append(key)
+    if isinstance(value, dict):
+        return f"needs one of the keys {keys}", []
+    return f"{reprlib.repr(value)} matches no oneOf branch", []
+
+
+def _validate(schema: dict, doc, what: str):
+    found = _violation(schema, doc)
+    if found is not None:
+        raise ValidationError(
+            f"{what}: at ${''.join(reversed(found[1]))}: {found[0]}")
+    return doc
 
 
 def validate_report(command: str, report: dict):
     """Check a report converted by jsonable; raise at its first violation."""
-    found = _violation(load_schema(command), report)
-    if found is not None:
-        raise ValidationError(f"report for {command!r} violates its schema: "
-                              f"at ${''.join(reversed(found[1]))}: {found[0]}")
-    return report
+    return _validate(load_schema(command), report,
+                     f"report for {command!r} violates its schema")
+
+
+def validate_input(record: str, doc):
+    """Check an input document against its record in records.v1.json;
+    raise a ValidationError naming the JSON path of its first violation."""
+    return _validate({"$ref": RECORD_REF + record}, doc,
+                     f"invalid {record} input")
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import ValidationError
 from .numerics import (adaptive_gauss, bracketed_roots, refine_extremum,
-                       scan_roots)
+                       scan_roots, simplest_fraction)
 from .profiles import HALF_PI, ToricProfile
 
 TWO_PI_SQ = 2.0 * math.pi * math.pi
@@ -149,35 +149,44 @@ def pairing_orbit_orbit(profile: ToricProfile, orbit1, orbit2) -> float:
     return float(2.0 * profile.quadrant_area() * d1 * d2)
 
 
-@lru_cache(maxsize=8)
 def _coprime_classes(max_pq: int):
-    """Coprime pairs 1 <= p, q <= max_pq, p-major, as read-only arrays."""
+    """Coprime pairs 1 <= p, q <= max_pq, p-major."""
     p, q = np.divmod(np.arange(max_pq * max_pq), max_pq)
     p, q = p + 1, q + 1
     keep = np.gcd(p, q) == 1
-    p, q = p[keep], q[keep]
-    p.flags.writeable = q.flags.writeable = False
-    return p, q
+    return p[keep], q[keep]
 
 
-def flat_classes(d1g, d2g, max_pq: int):
-    """Indices into _coprime_classes(max_pq) of the classes (p, q) along
-    which the gradient points at every node of a theta grid, where
-    h = q*D1F - p*D2F vanishes identically: the constant-gradient test.
+def flat_class(d1g, d2g, max_pq: int):
+    """The class (p, q), 1 <= p, q <= max_pq, along which the gradient
+    points at every node of a theta grid, where h = q*D1F - p*D2F
+    vanishes identically (the constant-gradient test), or None.
 
-    All classes are shortlisted on the first grid value of the gradient
-    (class directions are >= 1/max_pq^2 apart, far wider than the
-    tolerance, so few survive), then the survivors are tested on the
-    whole grid.
+    A class passes at a node when |h| <= 1e-12 (p + q) scale, for scale =
+    max |D1F| + max |D2F|.  Two classes passing at one node even at twice
+    that tolerance, c = 2e-12 scale, have |q p' - p q'| >= 1, which bounds
+    |D1F| + |D2F| there by 8 c max_pq^2; at the node where it is largest,
+    at least scale / 2, so while max_pq < 1.7e5 at most one class passes
+    there: the simplest fraction q/p (numerics.simplest_fraction) of the
+    exact range [(D2F - c)/(D1F + c), (D2F + c)/(D1F - c)] that passing
+    at 2c allows, which the whole grid then confirms.  A partial at most c
+    there leaves |h| near scale / 2 for every class, as x D1F + y D2F = 1
+    keeps the partials from both being negative.
     """
     if max_pq < 1:
         raise ValidationError("max_pq must be at least 1")
     scale = float(np.max(np.abs(d1g)) + np.max(np.abs(d2g)))
-    p, q = _coprime_classes(max_pq)
+    k = int(np.argmax(np.abs(d1g) + np.abs(d2g)))
+    d1, d2 = Fraction(float(d1g[k])), Fraction(float(d2g[k]))
+    c = Fraction(2e-12 * scale)
+    if not (d1 > c and d2 > c):
+        return None
+    q, p = simplest_fraction(((d2 - c) / (d1 + c)).as_integer_ratio(),
+                             ((d2 + c) / (d1 - c)).as_integer_ratio())
     tol = 1e-12 * (p + q) * scale
-    flat = np.flatnonzero(np.abs(q * d1g[0] - p * d2g[0]) <= tol)
-    h_flat = q[flat, None] * d1g - p[flat, None] * d2g
-    return flat[np.max(np.abs(h_flat), axis=1) <= tol[flat]]
+    if max(p, q) <= max_pq and np.max(np.abs(q * d1g - p * d2g)) <= tol:
+        return p, q
+    return None
 
 
 def torus_roots(profile: ToricProfile, theta, d1g, d2g, cell, p, q):
@@ -221,15 +230,16 @@ def enumerate_tori(profile: ToricProfile, max_pq: int,
     are kept, and all their roots are refined at once (torus_roots).
     Several roots per class may exist for non-convex profiles.
 
-    When h vanishes identically for a class (flat_classes: constant-
+    When h vanishes identically for a class (flat_class: constant-
     gradient profiles with a commensurable direction), the family is a
     continuum and continuum_samples equally spaced representatives are
     returned with continuum=True.  Tori are sorted by (max(p, q), p, t).
     """
     theta = np.linspace(0.0, HALF_PI, grid_n)
     d1g, d2g = profile.gradient_theta(theta)
-    flat = flat_classes(d1g, d2g, max_pq)
     p, q = _coprime_classes(max_pq)
+    pq = flat_class(d1g, d2g, max_pq)
+    flat = np.flatnonzero((p == pq[0]) & (q == pq[1])) if pq else []
 
     directions = np.arctan2(q, p)
     order = np.argsort(directions)

@@ -57,8 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (NumericalError, ResolutionError, StatisticalError,
-                     ValidationError)
+from .errors import NumericalError, StatisticalError, ValidationError
 from .numerics import exact_partial, exact_total, wrap_to_pi
 from .profiles import ToricProfile
 from .systolic import AxisOrbit, RationalTorus, axis_orbit, contact_volume
@@ -181,18 +180,15 @@ def _best_convergents(alpha, q_cap):
     return best_p, best_q, err
 
 
-def _batch_rates(profile, samples, surface, horizon, return_tol,
-                 allow_fallback):
+def _batch_rates(profile, samples, surface, horizon, return_tol):
     """Per-sample signed crossing rates at near-return times.
 
     samples is an (n, 3) array of (t, theta1, theta2).  Returns
     (rates, return_times, fallback_mask).  Samples without an admissible
-    near-return either raise (allow_fallback False) or fall back to the
-    homologically closed loop at the full horizon, whose rate error is
-    bounded by 2/horizon.
+    near-return fall back to the homologically closed loop at the full
+    horizon, whose rate error is bounded by 2/horizon.
     """
-    t = samples[:, 0]
-    d1, d2 = profile.gradient_theta(profile.theta_of_t(t))
+    d1, d2 = profile.gradient_theta(profile.theta_of_t(samples[:, 0]))
     w1 = 2.0 * np.asarray(d1, float)
     w2 = 2.0 * np.asarray(d2, float)
 
@@ -209,13 +205,6 @@ def _batch_rates(profile, samples, surface, horizon, return_tol,
     mult = np.where(over_tol, 1.0, mult)
     angle_err = np.where(over_tol, TWO_PI * err, angle_err)
     good = usable & (q_c >= 1.0) & (angle_err <= return_tol)
-
-    if not allow_fallback and not good.all():
-        bad = int(np.argmin(good))
-        raise ResolutionError(
-            f"no near-return within horizon {horizon:g} at tolerance "
-            f"{return_tol:g} for the torus at t = {t[bad]:.6g}; "
-            "increase the horizon")
 
     t_ret = np.where(good, TWO_PI * mult * np.maximum(q_c, 1.0)
                      / np.where(usable, w1, 1.0), horizon)
@@ -277,7 +266,7 @@ def action_linking_verify(profile: ToricProfile, surface: SeifertSurfaceSpec,
         block, _, fallback = _batch_rates(
             profile, liouville_sample(profile, n_samples, seed, lo, hi,
                                       columns=1),
-            surface, horizon, return_tol, allow_fallback=True)
+            surface, horizon, return_tol)
         rates[lo:hi] = block
         return exact_partial(block), int(fallback.sum())
 

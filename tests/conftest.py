@@ -1,3 +1,4 @@
+import functools
 import importlib
 import os
 import sys
@@ -7,9 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
+from referencing import Registry, Resource
 
 from reebsys.profiles import (EllipsoidProfile, LpProfile, SplineProfile,
                               perturbed_ellipsoid_profile, round_profile)
+from reebsys.reports import RECORDS, load_schema
+from reebsys.systolic import _coprime_classes
 
 hypothesis.settings.register_profile(
     "ci", max_examples=25, deadline=None, derandomize=True)
@@ -82,3 +86,32 @@ def load_perfbench(name: str):
     finally:
         sys.dont_write_bytecode = dont_write
         sys.path.pop(0)
+
+
+coprime_classes = functools.cache(_coprime_classes)
+
+
+def table_flat_class(d1g, d2g, max_pq):
+    """The former constant-gradient test, kept as the oracle: every coprime
+    class up to max_pq is shortlisted on the first grid node and tested on
+    the whole grid; the flat class with the smallest (max(p, q), p)."""
+    scale = float(np.max(np.abs(d1g)) + np.max(np.abs(d2g)))
+    p, q = coprime_classes(max_pq)
+    tol = 1e-12 * (p + q) * scale
+    flat = np.flatnonzero(np.abs(q * d1g[0] - p * d2g[0]) <= tol)
+    h_flat = q[flat, None] * d1g - p[flat, None] * d2g
+    flat = flat[np.max(np.abs(h_flat), axis=1) <= tol[flat]].tolist()
+    if not flat:
+        return None
+    k = min(flat, key=lambda i: (max(p[i], q[i]), p[i]))
+    return int(p[k]), int(q[k])
+
+
+# the ellipsoids whose constant-gradient picks were compared bit for bit
+# when the class table was first shared with equidistribute
+PICKED_ELLIPSOIDS = [(1.0, 1.0), (1.0, 2.0), (0.7, 1.9), (0.791, 2.147),
+                     (1.0, 3.0), (2.0, 1.0), (3.0, 2.0)]
+
+# the jsonschema oracle resolves $ref through a registry that holds the
+# records file
+REGISTRY = Resource.from_contents(load_schema(RECORDS)) @ Registry()

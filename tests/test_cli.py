@@ -8,11 +8,14 @@ import warnings
 
 import numpy as np
 import pytest
+from jsonschema import Draft202012Validator
 
 import reebsys
-from conftest import SPLINE_ARGS
+from conftest import REGISTRY, SPLINE_ARGS
 from reebsys.cli import COMMANDS, build_parser, main
-from reebsys.reports import read_curve_csv, validate_report
+from reebsys.errors import ValidationError
+from reebsys.reports import (RECORDS, load_schema, read_curve_csv,
+                             validate_input, validate_report)
 
 PI = math.pi
 
@@ -27,7 +30,9 @@ def steep_well(c2):
 
 
 def write_json(path, obj):
-    path.write_text(json.dumps(obj))
+    # an inf float is written as 1e400, the JSON number that parses to
+    # it, not as json.dumps' Infinity, which is no JSON
+    path.write_text(json.dumps(obj).replace("Infinity", "1e400"))
     return str(path)
 
 
@@ -158,7 +163,7 @@ class TestExitCodes:
         inp = write_json(tmp_path / "p.json",
                          {"kind": "ellipsoid", "a": 1.0, "b": 1.0, "zz": 1})
         assert run(["systole", "--input", inp, "--output", tmp_path / "o"]) == 2
-        assert "unknown" in capsys.readouterr().err
+        assert "at $: keys ['zz'] are not allowed" in capsys.readouterr().err
 
     def test_missing_input(self, tmp_path):
         assert run(["systole", "--input", tmp_path / "nope.json",
@@ -232,22 +237,26 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["diskmap-calabi",
                                          "diskmap-dictionary"])
-    @pytest.mark.parametrize("coeffs", [["a"], [1.0, None], [1e400],
-                                        [1e308, 1e308]],
-                             ids=["string", "null", "inf", "overflow"])
-    def test_bad_radial_coefficients(self, tmp_path, capsys, command, coeffs):
+    @pytest.mark.parametrize("coeffs, message", [
+        (["a"], "at $.h.coeffs[0]: 'a' is not of type number"),
+        ([1.0, None], "at $.h.coeffs[1]: None is not of type number"),
+        ([1e400], "at $.h.coeffs[0]: inf is not a finite double"),
+        ([1e308, 1e308], "coefficients [1e+308, 1e+308] make h or h' overflow"),
+    ], ids=["string", "null", "inf", "overflow"])
+    def test_bad_radial_coefficients(self, tmp_path, capsys, command, coeffs,
+                                     message):
         inp = write_json(tmp_path / "h.json",
                          {"kind": "radial",
                           "h": {"type": "poly", "coeffs": coeffs}})
         assert run([command, "--input", inp, "--output", tmp_path / "o"]) == 2
-        assert "coefficients" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_non_finite_profile_number(self, tmp_path, capsys):
         inp = write_json(tmp_path / "p.json",
                          {"kind": "ellipsoid", "a": "inf", "b": 1.0})
         assert run(["toric-analyze", "--input", inp,
                     "--output", tmp_path / "o"]) == 2
-        assert "finite" in capsys.readouterr().err
+        assert "at $.a: 'inf' is not of type number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["toric-analyze", "systole",
                                          "verify-action-linking"])
@@ -298,13 +307,18 @@ class TestExitCodes:
         assert "h - s h' + c > 0" in err and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("orbit, axis_orbit, message", [
-        ({"p": 2, "samples": 64}, {}, "'q' is missing"),
-        ({"q": 3}, {}, "'p' is missing"),
-        ({"p": 2, "q": "three"}, {}, "'q' must be an integer"),
-        ({"p": 2, "q": 3, "samples": 2.5}, {}, "'samples' must be an integer"),
-        ({"p": 2, "q": 3, "index": "0"}, {}, "'index' must be an integer"),
+        ({"p": 2, "samples": 64}, {},
+         "at $.curves[0].orbit: required key 'q' is missing"),
+        ({"q": 3}, {}, "at $.curves[0].orbit: required key 'p' is missing"),
+        ({"p": 2, "q": "three"}, {},
+         "at $.curves[0].orbit.q: 'three' is not of type integer"),
+        ({"p": 2, "q": 3, "samples": 2.5}, {},
+         "at $.curves[0].orbit.samples: 2.5 is not of type integer"),
+        ({"p": 2, "q": 3, "index": "0"}, {},
+         "at $.curves[0].orbit.index: '0' is not of type integer"),
         ({"p": 2, "q": 3, "samples": -5}, {}, "'samples' must be >= 1"),
-        ({"p": 2, "q": 3}, {"samples": True}, "'samples' must be an integer"),
+        ({"p": 2, "q": 3}, {"samples": True},
+         "at $.curves[1].axis_orbit.samples: True is not of type integer"),
     ], ids=["no-q", "no-p", "q-string", "samples-float", "index-string",
             "samples-negative", "axis-samples-bool"])
     def test_bad_linking_orbit(self, tmp_path, capsys, orbit, axis_orbit,
@@ -316,15 +330,21 @@ class TestExitCodes:
         assert run(["linking", "--input", inp, "--output", tmp_path / "o"]) == 2
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("phase2", ["x", None, True, 1e400, 10 ** 400],
-                             ids=["string", "null", "bool", "inf", "huge-int"])
-    def test_bad_linking_phase(self, tmp_path, capsys, phase2):
+    @pytest.mark.parametrize("phase2, reason", [
+        ("x", "'x' is not of type number"),
+        (None, "None is not of type number"),
+        (True, "True is not of type number"),
+        (1e400, "inf is not a finite double"),
+        (10 ** 400, "is not a finite double")],
+        ids=["string", "null", "bool", "inf", "huge-int"])
+    def test_bad_linking_phase(self, tmp_path, capsys, phase2, reason):
         spec = {"curves": [
             {"orbit": {"profile": ROUND, "p": 2, "q": 3, "phase2": phase2}},
             {"axis_orbit": {"profile": ROUND, "axis": "y"}}]}
         inp = write_json(tmp_path / "l.json", spec)
         assert run(["linking", "--input", inp, "--output", tmp_path / "o"]) == 2
-        assert "'phase2' must be a finite number" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "at $.curves[0].orbit.phase2: " in err and reason in err
 
     @pytest.mark.parametrize("orbit, other", [
         ({"p": 2, "q": 3, "samples": 10 ** 13}, {"axis_orbit": {"axis": "y"}}),
@@ -421,7 +441,8 @@ class TestExitCodes:
         assert run(["toric-analyze", "--input", inp,
                     "--output", tmp_path / "o"]) == 2
         assert capsys.readouterr().err == (
-            "validation error: unknown profile keys: ['numerics']\n")
+            "validation error: invalid profile input: at $: keys "
+            "['numerics'] are not allowed\n")
 
     def test_curvature_bound_is_scale_free(self, tmp_path, capsys):
         from reebsys.profiles import perturbed_ellipsoid_points
@@ -442,6 +463,132 @@ class TestExitCodes:
                     "--output", tmp_path / "c"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "|r''|/r = 5.09e+04" in err[0]
+
+
+# ---------------------------------------------------------------------------
+# malformed input documents: each breaks its record in records.v1.json at
+# one place, and exits 2 with one stderr line naming that place
+
+LINKING = {"curves": [
+    {"orbit": {"profile": ROUND, "p": 2, "q": 3, "samples": 64}},
+    {"axis_orbit": {"profile": ROUND, "axis": "y", "samples": 64}}]}
+# record -> (command, valid document, the place of a number, of an object
+# and of a required key in it, and the document nested wrongly with the
+# place and reason of its violation)
+INPUTS = {
+    "profile": ("toric-analyze", {"kind": "lp", "p": 3.0, "a": 1.2, "b": 0.9},
+                ("p",), (), ("p",),
+                ({"kind": "lp", "p": [3.0]}, "$.p",
+                 "[3.0] is not of type number")),
+    "hamiltonian": ("diskmap-calabi", WELL, ("h", "coeffs", 1), ("h",),
+                    ("h", "coeffs"),
+                    ({"kind": "radial", "h": {"type": "poly"},
+                      "coeffs": [1.0]}, "$", "keys ['coeffs'] are not allowed")),
+    "linking": ("linking", LINKING, ("curves", 0, "orbit", "phase2"),
+                ("curves", 0, "orbit"), ("curves", 0, "orbit", "q"),
+                ({"curves": [LINKING["curves"][0]["orbit"],
+                             LINKING["curves"][1]]}, "$.curves[0]",
+                 "needs one of the keys ['csv', 'orbit', 'axis_orbit']")),
+}
+DROP = object()
+NOT_FINITE = "is not a finite double"
+
+
+def replaced(doc, loc, value):
+    """A copy of doc with the value at loc set to value, or deleted when
+    value is DROP."""
+    if not loc:
+        return value
+    copy = doc.copy()
+    if len(loc) > 1:
+        copy[loc[0]] = replaced(doc[loc[0]], loc[1:], value)
+    elif value is DROP:
+        del copy[loc[0]]
+    else:
+        copy[loc[0]] = value
+    return copy
+
+
+def json_path(loc):
+    return "$" + "".join(f"[{s}]" if type(s) is int else f".{s}" for s in loc)
+
+
+def malformed_inputs():
+    """pytest params (record, document, where, reason): the stderr line
+    holds where and reason."""
+    for record, (_, doc, num, obj, key, nested) in INPUTS.items():
+        at = f"at {json_path(num)}: "
+        for name, value, where, reason in (
+                ("string", "3", at, "'3' is not of type"),
+                ("bool", True, at, "True is not of type"),
+                ("huge-int", 10 ** 400, at, NOT_FINITE),
+                ("1e400", math.inf, at, "inf " + NOT_FINITE),
+                # the parser stops at the literal, before any JSON path
+                ("nan-literal", math.nan, "invalid JSON at line 1, column ",
+                 "NaN is not a JSON number")):
+            yield pytest.param(record, replaced(doc, num, value), where,
+                               reason, id=f"{record}-{name}")
+        yield pytest.param(record, replaced(doc, obj + ("zz",), 1),
+                           f"at {json_path(obj)}: ",
+                           "keys ['zz'] are not allowed",
+                           id=f"{record}-unknown-key")
+        yield pytest.param(record, replaced(doc, key, DROP),
+                           f"at {json_path(key[:-1])}: ",
+                           f"required key {key[-1]!r} is missing",
+                           id=f"{record}-missing-key")
+        nested_doc, path, reason = nested
+        yield pytest.param(record, nested_doc, f"at {path}: ", reason,
+                           id=f"{record}-wrong-nesting")
+    # profiles that once exited 0 or 1
+    for name, doc, path, reason in (
+            ("lp-p-string", {"kind": "lp", "p": "3", "a": 1, "b": 1}, "$.p",
+             "'3' is not of type number"),
+            ("lp-b-bool", {"kind": "lp", "p": 3, "b": True}, "$.b",
+             "True is not of type number"),
+            ("sampled-point-string", {"kind": "sampled", "points": [
+                [1, 0], [0.7, "0.7"], [0.5, 0.9], [0, 1]]}, "$.points[1][1]",
+             "'0.7' is not of type number"),
+            ("sampled-point-bool", {"kind": "sampled", "points": [
+                [1, 0], [True, 0.7], [0.5, 0.9], [0, 1]]}, "$.points[1][0]",
+             "True is not of type number"),
+            ("ellipsoid-a-huge-int", {"kind": "ellipsoid", "a": 10 ** 400,
+                                      "b": 1}, "$.a", NOT_FINITE)):
+        yield pytest.param("profile", doc, f"at {path}: ", reason, id=name)
+
+
+@pytest.mark.parametrize("record, doc, where, reason", malformed_inputs())
+def test_malformed_input_exits_2_naming_the_place(tmp_path, capsys, record,
+                                                  doc, where, reason):
+    inp = write_json(tmp_path / "in.json", doc)
+    assert run([INPUTS[record][0], "--input", inp,
+                "--output", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("validation error: ")
+    assert where in err and reason in err
+    assert not (tmp_path / "o" / f"{INPUTS[record][0]}.json").exists()
+
+
+def oracle(record):
+    return Draft202012Validator(
+        {"$ref": f"{load_schema(RECORDS)['$id']}#/$defs/{record}"},
+        registry=REGISTRY)
+
+
+@pytest.mark.parametrize("record", INPUTS)
+def test_valid_inputs_pass_the_walker_and_jsonschema(record):
+    doc = INPUTS[record][1]
+    assert validate_input(record, doc) is doc and oracle(record).is_valid(doc)
+
+
+@pytest.mark.parametrize("record, doc, where, reason", malformed_inputs())
+def test_walker_agrees_with_jsonschema_on_malformed_inputs(record, doc, where,
+                                                           reason):
+    # the walker rejects every case; jsonschema too, except the non-finite
+    # numbers, which JSON Schema accepts and the walker does not
+    with pytest.raises(ValidationError, match="invalid .* input: at \\$"):
+        validate_input(record, doc)
+    non_finite = NOT_FINITE in reason or "NaN" in reason
+    assert oracle(record).is_valid(doc) == non_finite
 
 
 class TestFlagValidation:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -348,11 +349,15 @@ class TestJson:
         assert H2.coeffs == H.coeffs
 
     def test_bad_specs_rejected(self):
-        with pytest.raises(ValidationError):
+        # a wrong kind is named before the keys that kind would need
+        with pytest.raises(ValidationError, match=re.escape(
+                "at $.kind: 'nope' is not one of ['radial']")):
             hamiltonian_from_json({"kind": "nope"})
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=re.escape(
+                "at $.h.type: 'spline' is not one of ['poly']")):
             hamiltonian_from_json({"kind": "radial", "h": {"type": "spline"}})
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=re.escape(
+                "at $: keys ['extra'] are not allowed")):
             hamiltonian_from_json({"kind": "radial", "h": {"type": "poly",
                                                            "coeffs": [1.0]},
                                    "extra": 1})

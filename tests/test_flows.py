@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import load_perfbench
+from conftest import PICKED_ELLIPSOIDS, load_perfbench, table_flat_class
 from reebsys import systolic
 from reebsys.errors import CoverageError, ValidationError
 from reebsys.flows import (OrbitSet, approximate_liouville_by_orbits,
@@ -364,17 +364,41 @@ class TestSternBrocotSelection:
                                                     round_p, spline_p):
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return enumerate_tori(*args, **kwargs)
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return call
 
-        # a constant gradient takes its flat class from the one
-        # flat_classes call, so no profile enumerates tori
-        monkeypatch.setattr(systolic, "enumerate_tori", counted)
+        # a constant gradient takes its class from flat_class, which
+        # builds no table of the max_pq^2 coprime classes
+        for name in ("enumerate_tori", "_coprime_classes"):
+            monkeypatch.setattr(systolic, name,
+                                counted(name, getattr(systolic, name)))
         for profile in (round_p, LpProfile(3.0, 1.2, 0.9), spline_p, e12):
-            oset = approximate_liouville_by_orbits(profile, 4, 20)
+            for max_pq in (20, 512):
+                oset = approximate_liouville_by_orbits(profile, 4, max_pq)
         assert calls == []
         assert all(T.continuum for T in oset.orbits)
+
+    @pytest.mark.parametrize("max_pq", [1, 5, 12, 64, 128, 512])
+    def test_constant_gradient_picks_match_the_class_table(self, max_pq):
+        theta = np.linspace(0.0, math.pi / 2, systolic.TORUS_GRID_N)
+        for a, b in PICKED_ELLIPSOIDS:
+            profile = EllipsoidProfile(a, b)
+            d1g, d2g = profile.gradient_theta(theta)
+            pick = table_flat_class(d1g, d2g, max_pq)
+            if pick is None:
+                with pytest.raises(ValidationError, match="no torus"):
+                    approximate_liouville_by_orbits(profile, 12, max_pq)
+                continue
+            edges = np.linspace(0.0, profile.two_area, 13)
+            period = math.pi * pick[0] / float(d1g[0])
+            want = [(*pick, float_bits(c), float_bits(period), True)
+                    for c in 0.5 * (edges[:-1] + edges[1:])]
+            got = approximate_liouville_by_orbits(profile, 12, max_pq).orbits
+            assert [(T.p, T.q, float_bits(T.t), float_bits(T.period),
+                     T.continuum) for T in got] == want
 
     def test_coverage_error_names_the_covering_max_pq(self):
         # the benchmark spline turns slowly near t = 0.09: subinterval 23

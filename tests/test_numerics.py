@@ -148,7 +148,8 @@ def test_numerics_json_rejects_bad_values(doc):
     # the tolerances are constants: a profile document that still carries
     # a block of overrides, well formed or not, is rejected by its key
     with pytest.raises(ValidationError,
-                       match=r"^unknown profile keys: \['numerics'\]$"):
+                       match=r"^invalid profile input: at \$: keys "
+                       r"\['numerics'\] are not allowed$"):
         profile_from_json({"kind": "lp", "p": 2.0, "numerics": doc})
 
 

@@ -8,16 +8,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from conftest import load_perfbench, random_star_profile, star_profiles
+from conftest import (PICKED_ELLIPSOIDS, load_perfbench, random_star_profile,
+                      star_profiles, table_flat_class)
 from reebsys.errors import ValidationError
-from reebsys.profiles import (HALF_PI, EllipsoidProfile, SplineProfile,
-                              perturbed_ellipsoid_profile, profile_from_json)
-from reebsys.systolic import (DENSE_N, DENSE_STRIDE, RationalTorus,
-                              _dense_extremes,
-                              axis_orbit, average_identity_residual,
-                              contact_volume, enumerate_tori,
-                              pairing_orbit_orbit, systolic_interval,
-                              witness_measure)
+from reebsys.profiles import (HALF_PI, EllipsoidProfile, LpProfile,
+                              SplineProfile, perturbed_ellipsoid_profile,
+                              profile_from_json)
+from reebsys.systolic import (DENSE_N, DENSE_STRIDE, TORUS_GRID_N,
+                              RationalTorus, _dense_extremes, axis_orbit,
+                              average_identity_residual, contact_volume,
+                              enumerate_tori, flat_class, pairing_orbit_orbit,
+                              systolic_interval, witness_measure)
 
 PI = math.pi
 
@@ -193,6 +194,53 @@ class TestEnumerate:
         rho = pairing_orbit_orbit(bumpy, pair[0], pair[1])
         assert rho == pytest.approx(
             pairing_from_definition(bumpy, pair[0], pair[1]), rel=1e-9)
+
+
+SWEEP_MAX_PQ = (1, 5, 12, 64, 128, 512)
+
+
+def flat_sweep_profiles(seed):
+    """Ellipsoids whose gradient points along a random class (p, q) up to
+    600, at a random scale, with a perturbed by f times the relative
+    amount at which the class stops passing (f = +-1 is on the
+    tolerance); lp p = 1, the ellipsoid by another formula; and profiles
+    whose gradient turns."""
+    rng = np.random.default_rng(seed)
+    for _ in range(6):
+        p, q = (int(v) for v in rng.integers(1, 601, 2))
+        s = 2.0 ** rng.uniform(-30.0, 30.0)
+        edge = 1e-12 * (p + q) ** 2 / (p * q)
+        for f in (0.0, 0.5, 1 - 1e-3, 1 - 1e-9, 1 + 1e-9, 1 + 1e-3, 2.0):
+            yield EllipsoidProfile(s * q * (1 + rng.choice((-1, 1)) * f * edge),
+                                   s * p)
+    a, b = 2.0 ** rng.uniform(-3.0, 3.0, 2)
+    yield LpProfile(1.0, a, b)
+    yield EllipsoidProfile(a, b)
+    yield LpProfile(float(rng.uniform(1.5, 4.0)), a, b)
+    yield random_star_profile(rng)
+
+
+class TestFlatClass:
+    def test_matches_table_on_picked_ellipsoids(self):
+        for a, b in PICKED_ELLIPSOIDS:
+            d1g, d2g = EllipsoidProfile(a, b).gradient_theta(
+                np.linspace(0.0, HALF_PI, TORUS_GRID_N))
+            for max_pq in SWEEP_MAX_PQ + (4, 8, 20):
+                assert flat_class(d1g, d2g, max_pq) == \
+                    table_flat_class(d1g, d2g, max_pq), (a, b, max_pq)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_table_on_seeded_sweep(self, seed):
+        theta = np.linspace(0.0, HALF_PI, TORUS_GRID_N)
+        found = 0
+        for profile in flat_sweep_profiles(seed):
+            d1g, d2g = profile.gradient_theta(theta)
+            for max_pq in SWEEP_MAX_PQ:
+                got = flat_class(d1g, d2g, max_pq)
+                assert got == table_flat_class(d1g, d2g, max_pq), \
+                    (profile.to_json(), max_pq)
+                found += got is not None
+        assert found > 0
 
 
 class TestInterval:

@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from reebsys import topology
-from reebsys.errors import (NumericalError, ResolutionError,
-                            StatisticalError, ValidationError)
+from reebsys.errors import (NumericalError, StatisticalError,
+                            ValidationError)
 from reebsys.flows import liouville_sample
 from reebsys.numerics import wrap_to_pi
 from reebsys.systolic import (axis_orbit, contact_volume, enumerate_tori,
@@ -38,11 +38,10 @@ def open_count(profile, rows, surface, duration):
         phase0, phase0 + omega * duration, surface.angle)
 
 
-def one_row_rate(profile, row, surface, horizon, allow_fallback=False):
+def one_row_rate(profile, row, surface, horizon):
     """(rate, return time, fallback) of _batch_rates for one sample."""
     rates, t_ret, fallback = _batch_rates(
-        profile, np.array([row], float), surface, horizon, 0.1,
-        allow_fallback)
+        profile, np.array([row], float), surface, horizon, 0.1)
     return float(rates[0]), float(t_ret[0]), bool(fallback[0])
 
 
@@ -217,8 +216,9 @@ class TestAsymptoticRate:
         for frac in (0.15, 0.37, 0.52, 0.81):
             t = frac * round_p.two_area
             _, _, d1, _ = round_p.boundary_arrays(t)
-            rate, t_ret, _ = one_row_rate(round_p, (t, 0.0, 0.0), disk,
-                                          1000.0)
+            rate, t_ret, fallback = one_row_rate(round_p, (t, 0.0, 0.0), disk,
+                                                 1000.0)
+            assert not fallback
             assert abs(rate - d1 / PI) <= 2.0 / t_ret
             assert abs(rate - d1 / PI) < 1e-4
 
@@ -230,25 +230,25 @@ class TestAsymptoticRate:
         for frac in (0.2, 0.45, 0.7):
             t = frac * round_p.two_area
             _, _, _, d2 = round_p.boundary_arrays(t)
-            rate, t_ret, _ = one_row_rate(round_p, (t, 0.0, 0.0), disk,
-                                          1000.0)
+            rate, t_ret, fallback = one_row_rate(round_p, (t, 0.0, 0.0), disk,
+                                                 1000.0)
+            assert not fallback
             assert abs(rate - d2 / PI) <= 2.0 / t_ret
 
     def test_orientation_flip(self, round_p):
         row = (0.37 * round_p.two_area, 0.0, 0.0)
-        plus, _, _ = one_row_rate(round_p, row, axis_disk(round_p, "y"),
-                                  500.0)
-        minus, _, _ = one_row_rate(
+        plus, _, fallback = one_row_rate(
+            round_p, row, axis_disk(round_p, "y"), 500.0)
+        minus, _, fallback_minus = one_row_rate(
             round_p, row, axis_disk(round_p, "y", orientation=-1), 500.0)
+        assert not (fallback or fallback_minus)
         assert minus == pytest.approx(-plus, abs=1e-15)
 
-    def test_no_return_raises_and_fallback_works(self, round_p):
+    def test_no_return_falls_back(self, round_p):
         # near the y-intercept the first rate is tiny: no return in time 1
         row = (round_p.two_area * (1 - 1e-9), 0.0, 0.0)
-        with pytest.raises(ResolutionError, match="horizon"):
-            one_row_rate(round_p, row, axis_disk(round_p, "y"), 1.0)
         _, t_ret, fallback = one_row_rate(
-            round_p, row, axis_disk(round_p, "y"), 1.0, allow_fallback=True)
+            round_p, row, axis_disk(round_p, "y"), 1.0)
         assert fallback
         assert t_ret == 1.0
 
@@ -271,7 +271,7 @@ class TestAsymptoticRate:
                 surface = axis_disk(profile, axis, angle=0.9,
                                     orientation=orientation)
                 rates, t_ret, _ = _batch_rates(profile, rows, surface, 300.0,
-                                               0.1, allow_fallback=True)
+                                               0.1)
                 closed = np.round(rates * t_ret)
                 np.testing.assert_allclose(rates * t_ret, closed, atol=1e-9)
                 opened = open_count(profile, rows, surface, t_ret)
@@ -290,8 +290,8 @@ class TestAsymptoticRate:
                 # a rational torus closes at its period: p crossings of
                 # the y disk, q of the x disk
                 rates, _, fallback = _batch_rates(
-                    profile, torus_rows, surface, 300.0, 0.1,
-                    allow_fallback=False)
+                    profile, torus_rows, surface, 300.0, 0.1)
+                assert not fallback.any()
                 closed = np.round(rates * periods)
                 np.testing.assert_allclose(rates * periods, closed,
                                            atol=1e-9)
