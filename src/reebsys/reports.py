@@ -265,17 +265,15 @@ def _branch_violation(branches: list, found: list, value):
     value."""
     if None in found:
         return f"{reprlib.repr(value)} matches several oneOf branches", []
-    keys = []
-    for sub, violation in zip(map(_resolve, branches), found):
-        key = sub.get("required", [None])[0]
-        const = sub.get("properties", {}).get(key, {}).get("const")
-        if isinstance(value, dict) and key in value and (
-                const is None or value[key] == const):
+    if not isinstance(value, dict):
+        return f"{reprlib.repr(value)} matches no oneOf branch", []
+    branches = [_resolve(sub) for sub in branches]
+    keys = [sub.get("required", [None])[0] for sub in branches]
+    for sub, key, violation in zip(branches, keys, found):
+        const = sub.get("properties", {}).get(key, {}).get("const", value.get(key))
+        if key in value and value[key] == const:
             return violation
-        keys.append(key)
-    if isinstance(value, dict):
-        return f"needs one of the keys {keys}", []
-    return f"{reprlib.repr(value)} matches no oneOf branch", []
+    return f"needs one of the keys {keys}", []
 
 
 def _validate(schema: dict, doc, what: str):

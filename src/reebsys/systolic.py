@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -177,12 +176,14 @@ def flat_class(d1g, d2g, max_pq: int):
         raise ValidationError("max_pq must be at least 1")
     scale = float(np.max(np.abs(d1g)) + np.max(np.abs(d2g)))
     k = int(np.argmax(np.abs(d1g) + np.abs(d2g)))
-    d1, d2 = Fraction(float(d1g[k])), Fraction(float(d2g[k]))
-    c = Fraction(2e-12 * scale)
+    # D1F, D2F and c there, exactly, as numerators over one power of two
+    ratios = [x.as_integer_ratio()
+              for x in (float(d1g[k]), float(d2g[k]), 2e-12 * scale)]
+    den = max(m for _, m in ratios)
+    d1, d2, c = (n * (den // m) for n, m in ratios)
     if not (d1 > c and d2 > c):
         return None
-    q, p = simplest_fraction(((d2 - c) / (d1 + c)).as_integer_ratio(),
-                             ((d2 + c) / (d1 - c)).as_integer_ratio())
+    q, p = simplest_fraction((d2 - c, d1 + c), (d2 + c, d1 - c))
     tol = 1e-12 * (p + q) * scale
     if max(p, q) <= max_pq and np.max(np.abs(q * d1g - p * d2g)) <= tol:
         return p, q
