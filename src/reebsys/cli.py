@@ -30,9 +30,12 @@ from .errors import (NumericalError, ReebsysError, StatisticalError,
 from .profiles import profile_from_json
 
 THREADS_ENV = "REEBSYS_THREADS"
-# Segment pairs a linking input may ask for: the Gauss sum's time grows
-# with their count, and an orbit's samples are allocated before the sum
-# runs, so the count is checked before any curve is built.
+# Segment pairs a linking input may ask for: the full Gauss sum's time
+# grows with their count (it is the fallback where no coarse copy of the
+# curves is certified), and an orbit's samples are allocated before the
+# sum runs, so the count is checked before any curve is built.  A
+# 2^20 x 16 input at the cap takes about 1.2 s and peaks at about 90 MB,
+# of which linking_number is 0.8 s (1.1 s with full sums).
 LINK_MAX_PAIRS = 1 << 24
 # Largest values of the flags that size an array, checked before a command
 # builds one; the largest benchmark value is in each comment.  --grid is

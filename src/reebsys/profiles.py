@@ -650,7 +650,10 @@ class SplineProfile(ToricProfile):
         # kept as given, so that to_json rebuilds the same knots bit for bit
         self._points = pts[order]
         self._knots = theta
-        self._coef = pchip_table(theta, r)
+        # radii of extreme size over- or underflow the table and the
+        # curvature below; a curvature that is not finite is rejected
+        with np.errstate(all="ignore"):
+            self._coef = pchip_table(theta, r)
         # r^2 over- or underflows for points of extreme size; such tables
         # hold inf, nan or 0, and profile_from_json rejects the profile by
         # its radius squared
@@ -665,9 +668,15 @@ class SplineProfile(ToricProfile):
         # r'' = 2 c2 + 6 c3 s is linear on each interval, so its extremes
         # are the one-sided values at the knots
         _, _, c2, c3 = self._coef
-        curv = np.max(np.maximum(
-            np.abs(2.0 * c2) / r[:-1],
-            np.abs(2.0 * c2 + 6.0 * c3 * np.diff(theta)) / r[1:]))
+        with np.errstate(all="ignore"):
+            curv = np.max(np.maximum(
+                np.abs(2.0 * c2) / r[:-1],
+                np.abs(2.0 * c2 + 6.0 * c3 * np.diff(theta)) / r[1:]))
+        if not np.isfinite(curv):
+            raise ValidationError(
+                f"boundary curvature |r''|/r is not finite with sample radii "
+                f"from {r.min():.3g} to {r.max():.3g}; the samples span too "
+                f"many scales or crowd too close")
         if not curv <= CURVATURE_BOUND:
             raise ValidationError(
                 f"boundary curvature |r''|/r = {curv:.3g} exceeds bound "

@@ -49,6 +49,24 @@ terms go to one np.sum and the tile sums are added in a fixed tile
 order, so the sum does not depend on how the tiles are scheduled.  The
 curves themselves are built, normalized and projected CURVE_CHUNK rows at
 a time.
+
+The linking number does not change under a homotopy that keeps the two
+curves disjoint, so the sum usually runs on coarse copies of the
+projected polylines: every s-th vertex and the last, s a power of two
+(_certified_coarsening).  A copy is used only when each curve moves by at
+most a quarter of a lower bound on the distance between the curves along
+the straight-line homotopy to its copy, so the reported raw sum is the
+Gauss sum of the coarse polygons, an integer up to rounding like the full
+sum, not the full sum's bits.  The full curves are summed when no copy is
+certified or a coarse sum misses the residual tolerance.  The distance
+scans between the curves (the separation check and that lower bound)
+hold blocks of rows in bounding balls and skip the block pairs that
+cannot hold the least distance, with the bits of the full scan
+(_least_cell).
+On the benchmark's lp p=3 cases of 4096 x 512, 1024 x 256 and 2048 x
+1024 segments linking_number takes 5-7, 2-3.5 and 8-10 ms in-process
+(106-131, 14-18 and 111-133 ms with full sums), on a 2-core host with
+numpy 2.4.
 """
 from __future__ import annotations
 
@@ -340,14 +358,20 @@ class ClosedCurve:
     @staticmethod
     def _on_sphere(pts: np.ndarray, chord_bound: float) -> "ClosedCurve":
         """from_points on a float array that it normalizes in place; the
-        norms and gaps are taken CURVE_CHUNK rows at a time."""
+        norms and gaps are taken CURVE_CHUNK rows at a time.  Each row is
+        first divided by the power of two nearest above its largest
+        coordinate, so that its norm neither overflows nor underflows;
+        the division is exact, and so is the norm's change, so the
+        normalized row has the bits it would have without it."""
         if pts.ndim != 2 or pts.shape[1] != 4 or pts.shape[0] < 4:
             raise ValidationError("a closed curve needs at least 4 points in R^4")
         for rows in _row_chunks(len(pts)):
-            norms = np.linalg.norm(pts[rows], axis=1)
+            _, exp = np.frexp(np.max(np.abs(pts[rows]), axis=1))
+            scaled = np.ldexp(pts[rows], -exp[:, None])
+            norms = np.linalg.norm(scaled, axis=1)
             if np.any(norms <= 0):
                 raise ValidationError("curve points must be away from the origin")
-            pts[rows] /= norms[:, None]
+            np.divide(scaled, norms[:, None], out=pts[rows])
         if np.linalg.norm(pts[0] - pts[-1]) > 1e-9:
             raise ValidationError("curve is not closed (first point != last)")
         pts[-1] = pts[0]
@@ -411,11 +435,13 @@ LINK_RESIDUAL_TOL = 0.1
 # A Gauss sum tile is GAUSS_BLOCK segments of the shorter curve by
 # GAUSS_TILE segments of the longer one: 12 arrays of at most
 # (GAUSS_BLOCK + 1) x (GAUSS_TILE + 1) doubles, 3.2 MB, allocated once
-# per sum.  The min-distance scan uses MIN_DIST_BLOCK x MIN_DIST_TILE.
+# per sum.  The distance scans (_least_cell) bound blocks of
+# MIN_DIST_BLOCK rows by balls and scan tiles of MIN_DIST_BLOCK x
+# MIN_DIST_TILE cells, 1 MB of buffers.
 GAUSS_BLOCK = 64
 GAUSS_TILE = 512
-MIN_DIST_BLOCK = 64
-MIN_DIST_TILE = 1024
+MIN_DIST_BLOCK = 16
+MIN_DIST_TILE = 4096
 
 # Candidate projection poles avoid the coordinate circles (where the axis
 # orbits live); the asymmetric ones also miss every torus curve with equal
@@ -558,39 +584,265 @@ def _gauss_tile(p: np.ndarray, q: np.ndarray, work: np.ndarray) -> float:
     return float(np.sum(add(d1, d2, out=d1)))
 
 
-def _min_distance(p1: np.ndarray, p2: np.ndarray) -> float:
-    """Least distance between the rows of p1 and the rows of p2.
+# A bound between two blocks of rows is lowered by _BOUND_SLACK times the
+# size of the terms it is made of, far more than their rounding error, so
+# a block pair it skips holds no cell below the least one scanned.
+_BOUND_SLACK = 1e-12
 
-    Runs over tiles of MIN_DIST_BLOCK rows of the shorter array by
-    MIN_DIST_TILE rows of the longer one, in one pair of buffers.  A
-    shorter array of fewer rows, such as a pole, gets tiles as many times
-    wider, so that every pass still covers MIN_DIST_BLOCK x MIN_DIST_TILE
-    cells.  The squared distances are summed in coordinate order, as a
-    sum over the last axis does; sqrt is monotone and correctly rounded,
-    so one sqrt of the least square is the least of the distances,
-    whatever the tiles.
+
+def _vertices(points: np.ndarray):
+    """The rows of points as a scan side: their count, and a function
+    returning (rows, reach) for a slice (a view) or an index array."""
+    def rows(k):
+        return (points[k] if isinstance(k, slice)
+                else points.take(k, axis=0)), None
+    return len(points), rows
+
+
+def _segments(X: np.ndarray):
+    """The segments of the polyline X as a scan side (_vertices): each
+    row is a segment's midpoint, with half its length as its reach."""
+    def rows(k):
+        if isinstance(k, slice):
+            a, b = X[k], X[k.start + 1:k.stop + 1]
+        else:
+            a, b = X.take(k, axis=0), X.take(k + 1, axis=0)
+        d = b - a
+        return 0.5 * (a + b), 0.5 * np.sqrt((d * d).sum(axis=1))
+    return len(X) - 1, rows
+
+
+def _ball_rows(n: int) -> int:
+    """Rows per block ball on a scan side of n rows: MIN_DIST_BLOCK,
+    doubled until there are at most CURVE_CHUNK balls."""
+    size = MIN_DIST_BLOCK
+    while size * CURVE_CHUNK < n:
+        size *= 2
+    return size
+
+
+def _block_balls(side, size: int):
+    """Centres and radii of balls around each block of size consecutive
+    rows of a scan side, the last block possibly fewer; a row's reach
+    widens its block's ball to hold every point within the reach of the
+    row.  The rows are read CURVE_CHUNK at a time, or a block at a time
+    where blocks are longer."""
+    n, rows = side
+    chunk = max(CURVE_CHUNK // 4, size)
+    centres, radii = [], []
+    for lo in range(0, n, chunk):
+        pts, reach = rows(slice(lo, min(lo + chunk, n)))
+        k = -(-len(pts) // size)
+        pad = k * size - len(pts)
+        if pad:
+            pts = np.concatenate([pts, np.repeat(pts[-1:], pad, axis=0)])
+        blocks = pts.reshape(k, size, -1)
+        c = 0.5 * (blocks.max(axis=1) + blocks.min(axis=1))
+        diff = blocks - c[:, None]
+        r = np.sqrt(np.multiply(diff, diff, out=diff).sum(axis=2))
+        if reach is not None:
+            r += np.concatenate([reach, np.repeat(reach[-1:], pad)]
+                                ).reshape(k, size)
+        centres.append(c)
+        radii.append(r.max(axis=1))
+    return np.concatenate(centres), np.concatenate(radii)
+
+
+def _least_cell(side1, side2, squared: bool, floor: float = -math.inf,
+                ceiling: float = math.inf):
+    """Least cell value of the rows of side1 against those of side2.
+
+    A cell is the squared distance of two rows (squared), or their
+    distance less the sum of their reaches.  The squares are summed in
+    coordinate order, as a sum over the last axis does.
+
+    The scan skips what cannot hold the least cell.  Rows come in blocks
+    of MIN_DIST_BLOCK (more on sides too long for CURVE_CHUNK blocks),
+    each held by a ball (_block_balls), and the balls bound every cell of
+    a block pair from below.  Row blocks of the side with fewer rows go in
+    order of their least bound, and the first one bounded above the least
+    cell found so far ends the scan; within a row block the blocks of the
+    other side go in order of their bound, a tile of them at a time in
+    one pair of buffers, and those bounded above the least cell are
+    skipped.  A side of a single block is scanned whole, without balls.
+    Tiles hold MIN_DIST_BLOCK x MIN_DIST_TILE cells, so a side of fewer
+    rows, such as a pole, gets tiles as many times wider.  Each scanned
+    cell is computed as in a full scan and no skipped one is below the
+    least, so the result is the full scan's, bit for bit.
+
+    Two limits cut the scan short.  It returns early, with a cell below
+    floor, once it finds one.  Block pairs bounded above ceiling (a
+    distance) are skipped too, so when no cell is within the ceiling the
+    result is some value beyond it, possibly inf.
     """
-    if len(p1) > len(p2):
-        p1, p2 = p2, p1
-    rows = min(MIN_DIST_BLOCK, len(p1))
-    tile = MIN_DIST_TILE * (MIN_DIST_BLOCK // rows)
-    cols = min(tile, len(p2))
-    work = np.empty((2, rows * cols))
-    min_sq = math.inf
-    for i in range(0, len(p1), MIN_DIST_BLOCK):
-        a = p1[i:i + MIN_DIST_BLOCK]
-        for j in range(0, len(p2), tile):
-            b = p2[j:j + tile]
-            sq, diff = (w[:len(a) * len(b)].reshape(len(a), len(b))
-                        for w in work)
-            for k in range(p1.shape[1]):
-                np.subtract(a[:, None, k], b[None, :, k], out=diff)
-                if k:
-                    np.add(sq, np.multiply(diff, diff, out=diff), out=sq)
-                else:
-                    np.multiply(diff, diff, out=sq)
-            min_sq = min(min_sq, float(sq.min()))
-    return math.sqrt(min_sq)
+    if side1[0] > side2[0]:
+        side1, side2 = side2, side1
+    (n1, rows1), (n2, rows2) = side1, side2
+    size1, size2 = _ball_rows(n1), _ball_rows(n2)
+    height = min(size1, n1)
+    width = max(size2, MIN_DIST_BLOCK * MIN_DIST_TILE // height)
+    work = []        # one pair of buffers, made when a tile is scanned
+
+    def least_of(a, reach_a, b, reach_b):
+        if not work:
+            work.append(np.empty((2, height * min(width, n2))))
+        cell, diff = (w[:len(a) * len(b)].reshape(len(a), len(b))
+                      for w in work[0])
+        for k in range(a.shape[1]):
+            np.subtract(a[:, None, k], b[None, :, k], out=diff)
+            if k:
+                np.add(cell, np.multiply(diff, diff, out=diff), out=cell)
+            else:
+                np.multiply(diff, diff, out=cell)
+        if not squared:
+            np.sqrt(cell, out=cell)
+            np.subtract(cell, np.add(reach_a[:, None], reach_b[None, :],
+                                     out=diff), out=cell)
+        return float(cell.min())
+
+    least = math.inf
+    if n1 <= size1:
+        # a single row block: scanning a column costs about what building
+        # its ball would
+        a = rows1(slice(0, n1))
+        for lo in range(0, n2, width):
+            least = min(least, least_of(*a, *rows2(slice(
+                lo, min(lo + width, n2)))))
+            if least < floor:
+                break
+        return least
+
+    c1, r1 = _block_balls(side1, size1)
+    c2, r2 = _block_balls(side2, size2)
+    extent1 = np.sqrt((c1 * c1).sum(axis=1)) + r1
+    extent2 = np.sqrt((c2 * c2).sum(axis=1)) + r2
+
+    def bounds(i):
+        """Rows i (a slice) of the bound matrix: no cell of row block i
+        against block j of side2 is below bounds(i)[., j]."""
+        diff = c1[i, None] - c2[None]
+        gap = np.sqrt(np.multiply(diff, diff, out=diff).sum(axis=2))
+        return (gap - (r1[i, None] + r2)
+                - _BOUND_SLACK * (extent1[i, None] + extent2))
+
+    def reach():
+        # the distance no cell of a block pair worth scanning exceeds
+        return min(math.sqrt(least) if squared else least, ceiling)
+
+    step = max(1, CURVE_CHUNK // (4 * len(c2)))
+    nearest = np.concatenate([bounds(slice(i, i + step)).min(axis=1)
+                              for i in range(0, len(c1), step)])
+    in_block = np.arange(size2)
+    for i in np.argsort(nearest, kind="stable"):
+        if nearest[i] > reach():
+            break
+        a = rows1(slice(i * size1, min((i + 1) * size1, n1)))
+        bound = bounds(slice(i, i + 1))[0]
+        order = np.argsort(bound, kind="stable")
+        for g in range(0, len(order), width // size2):
+            group = order[g:g + width // size2]
+            group = group[bound[group] <= reach()]
+            if not len(group):
+                break
+            cols = (group[:, None] * size2 + in_block).ravel()
+            least = min(least, least_of(*a, *rows2(cols[cols < n2])))
+            if least < floor:
+                return least
+    return least
+
+
+def _min_distance(p1: np.ndarray, p2: np.ndarray) -> float:
+    """Least distance between the rows of p1 and the rows of p2: the
+    square root of the least squared distance of a pruned scan
+    (_least_cell), which has the bits of the full scan.  sqrt is monotone
+    and correctly rounded, so it is the least of the distances."""
+    return math.sqrt(_least_cell(_vertices(p1), _vertices(p2), True))
+
+
+def _segment_separation(P: np.ndarray, Q: np.ndarray,
+                        floor: float = -math.inf) -> float:
+    """A lower bound on the distance between the polylines P and Q: the
+    least, over segment pairs, of the distance of their midpoints less
+    their half lengths (no point of a segment is farther than that from
+    its midpoint).  Returns early, with a value below floor, once the
+    bound is known to be below it."""
+    return _least_cell(_segments(P), _segments(Q), False, floor)
+
+
+def _deviation(X: np.ndarray, s: int) -> float:
+    """Largest distance from a vertex of the polyline X to its coarse copy
+    (_coarsened) at the same index parameter: vertex k against the point
+    at weight (k - k0) / (k1 - k0) of the chord from vertex k0 = k - k % s
+    to vertex k1 = min(k0 + s, n).  Both polylines are linear in the
+    index between vertices, so no point of X is farther from its
+    counterpart; inf where the copy would have fewer than 3 segments."""
+    n = len(X) - 1
+    if -(-n // s) < 3:
+        return math.inf
+    worst = 0.0
+    # a quarter of CURVE_CHUNK vertices at a time: each takes its two
+    # chord ends and a handful of temporaries
+    rows = CURVE_CHUNK // 4
+    for lo in range(0, n, rows):
+        k = np.arange(lo, min(lo + rows, n))
+        k0 = k - k % s
+        k1 = np.minimum(k0 + s, n)
+        start = X.take(k0, axis=0)
+        d = X[lo:lo + len(k)] - (start + ((k - k0) / (k1 - k0))[:, None]
+                                 * (X.take(k1, axis=0) - start))
+        worst = max(worst, float(np.max((d * d).sum(axis=1))))
+    return math.sqrt(worst)
+
+
+def _coarsest_step(X: np.ndarray, budget: float):
+    """(s, deviation at s) for a power of two s whose deviation is within
+    budget, found by bisection on the exponent: the deviation at s is
+    within budget and at 2s it is not (or leaves fewer than 3 segments).
+    The deviation grows with s on a smooth curve, so this is about the
+    largest such s."""
+    lo, hi = 0, (len(X) - 2).bit_length() - 1    # 2**hi leaves < 3 segments
+    dev = 0.0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        d = _deviation(X, 2 ** mid)
+        if d <= budget:
+            lo, dev = mid, d
+        else:
+            hi = mid
+    return 2 ** lo, dev
+
+
+def _coarsened(X: np.ndarray, s: int) -> np.ndarray:
+    """Every s-th vertex of the polyline X and its last one."""
+    return X if s == 1 else X[np.r_[0:len(X) - 1:s, len(X) - 1]]
+
+
+def _certified_coarsening(P: np.ndarray, Q: np.ndarray):
+    """Coarse copies of the polylines P and Q with their linking number,
+    or None when neither curve can be coarsened.
+
+    The straight-line homotopy from a polyline to its coarse copy moves no
+    point by more than the copy's deviation.  The two deviations add up to
+    at most half the separation bound of P and Q, so the curves stay
+    disjoint throughout, and the linking number is unchanged.  Each curve
+    first takes the coarsest step within a quarter of the bound; what the
+    two leave of the half then pays for one more halving of the longer
+    copy, or else of the other.
+    """
+    floor = 4.0 * min(_deviation(P, 2), _deviation(Q, 2))
+    if floor == math.inf:
+        return None
+    sep = _segment_separation(P, Q, floor)
+    if not sep >= floor:
+        return None
+    curves = (P, Q)
+    (s1, d1), (s2, d2) = (_coarsest_step(X, 0.25 * sep) for X in curves)
+    steps, devs = [s1, s2], [d1, d2]
+    for k in sorted((0, 1), key=lambda k: -(len(curves[k]) - 1) // steps[k]):
+        if _deviation(curves[k], 2 * steps[k]) + devs[1 - k] <= 0.5 * sep:
+            steps[k] *= 2
+            break
+    return _coarsened(P, steps[0]), _coarsened(Q, steps[1])
 
 
 @dataclass(frozen=True)
@@ -608,11 +860,17 @@ def linking_number(curve1: ClosedCurve, curve2: ClosedCurve) -> LinkResult:
     The pole for stereographic projection is chosen among the eight
     coordinate poles to maximize the distance to both curves; the Gauss
     sum in R^3 is rounded to the nearest integer and |raw - integer| is
-    reported as the residual.  On a residual above the tolerance other
-    poles and spherically subdivided copies of the curves are tried.
+    reported as the residual.  The sum runs on certified coarse copies of
+    the projected curves where there are any (_certified_coarsening), and
+    on the projected curves themselves when there are none or the coarse
+    residual is above the tolerance.  On a residual above the tolerance
+    other poles and spherically subdivided copies of the curves are
+    tried.
     """
     p1, p2 = curve1.points, curve2.points
-    min_dist = _min_distance(p1, p2)
+    # only a distance below the bound is needed, and found bit for bit
+    min_dist = math.sqrt(_least_cell(_vertices(p1), _vertices(p2), True,
+                                     ceiling=LINK_MIN_SEPARATION))
     if min_dist < LINK_MIN_SEPARATION:
         raise ValidationError(
             f"curves come within {min_dist:.3g} of each other "
@@ -635,12 +893,14 @@ def linking_number(curve1: ClosedCurve, curve2: ClosedCurve) -> LinkResult:
                 Q = _stereographic(c2.points, _POLES[i])
             except NumericalError:
                 continue
-            raw = _gauss_linking_sum(P, Q)
-            residual = abs(raw - round(raw))
-            best_residual = min(best_residual, residual)
-            if residual < LINK_RESIDUAL_TOL:
-                return LinkResult(int(round(raw)), float(residual), float(raw),
-                                  i, level)
+            coarse = _certified_coarsening(P, Q)
+            for A, B in ([coarse] if coarse else []) + [(P, Q)]:
+                raw = _gauss_linking_sum(A, B)
+                residual = abs(raw - round(raw))
+                best_residual = min(best_residual, residual)
+                if residual < LINK_RESIDUAL_TOL:
+                    return LinkResult(int(round(raw)), float(residual),
+                                      float(raw), i, level)
     raise NumericalError(
         f"Gauss sum residual {best_residual:.3g} still above "
         f"{LINK_RESIDUAL_TOL:g} after pole changes and curve refinement")

@@ -464,6 +464,53 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "|r''|/r = 5.09e+04" in err[0]
 
+    @pytest.mark.parametrize("index, point, radii", [
+        (5, [1e300, 0.9], "from 0.696 to 1e+300"),
+        (0, [1e-320, 0], "from 1e-320 to 1.08")], ids=["huge", "subnormal"])
+    def test_extreme_sample_point_names_the_scale(self, tmp_path, capsys,
+                                                  index, point, radii):
+        # the table and curvature divisions over- or underflow; under the
+        # suite's warnings-as-errors a numpy warning would exit 1
+        from reebsys.profiles import perturbed_ellipsoid_points
+        pts = perturbed_ellipsoid_points(*SPLINE_ARGS, n=32).tolist()
+        pts[index] = point
+        inp = write_json(tmp_path / "p.json", {"kind": "sampled",
+                                               "points": pts})
+        assert run(["toric-analyze", "--input", inp,
+                    "--output", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == (
+            "validation error: boundary curvature |r''|/r is not finite "
+            f"with sample radii {radii}; the samples span too many scales "
+            "or crowd too close\n")
+
+    @pytest.mark.parametrize("radius", [1.0, 1e200, 1e-200])
+    def test_linking_csv_circle_at_any_radius(self, tmp_path, capsys, radius):
+        # a circle in (x1, y1) links the unit circle in (x2, y2) once; the
+        # norms of its points must not overflow or underflow
+        u = np.linspace(0.0, 2 * PI, 65)
+        zero = np.zeros_like(u)
+        paths = []
+        for name, pts in (
+                ("a", [radius * np.cos(u), radius * np.sin(u), zero, zero]),
+                ("b", [zero, zero, np.cos(u), np.sin(u)])):
+            rows = np.column_stack(pts)
+            rows[-1] = rows[0]
+            path = tmp_path / f"{name}.csv"
+            path.write_text("x1,y1,x2,y2\n" + "".join(
+                ",".join(repr(float(v)) for v in row) + "\n" for row in rows))
+            paths.append(str(path))
+        inp = write_json(tmp_path / "l.json",
+                         {"curves": [{"csv": p} for p in paths]})
+        assert run(["linking", "--input", inp, "--output", tmp_path / "o",
+                    "--quiet"]) == 0
+        assert load_report(tmp_path / "o", "linking")["link"] == 1
+        text = (tmp_path / "a.csv").read_text().splitlines()
+        text[3] = "0.0,0.0,0.0,0.0"
+        (tmp_path / "a.csv").write_text("\n".join(text) + "\n")
+        assert run(["linking", "--input", inp, "--output", tmp_path / "z"]) == 2
+        assert capsys.readouterr().err == (
+            "validation error: curve points must be away from the origin\n")
+
 
 # ---------------------------------------------------------------------------
 # malformed input documents: each breaks its record in records.v1.json at

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import load_perfbench
 from reebsys import topology
+from reebsys.cli import main
 from reebsys.errors import (NumericalError, StatisticalError,
                             ValidationError)
 from reebsys.flows import liouville_sample
@@ -18,10 +21,11 @@ from reebsys.topology import (GAUSS_BLOCK, GAUSS_TILE, MIN_DIST_BLOCK,
                               MIN_DIST_TILE, RATE_BLOCK, _POLES,
                               ClosedCurve, LinkResult, _batch_rates,
                               _best_convergents, _gauss_linking_sum,
-                              _min_distance, _stereographic,
-                              action_linking_verify, axis_disk,
-                              check_statistical, linking_number, page_surface,
-                              signed_sweep_count, toric_orbit_curve)
+                              _min_distance, _segment_separation,
+                              _stereographic, action_linking_verify,
+                              axis_disk, check_statistical, linking_number,
+                              page_surface, signed_sweep_count,
+                              toric_orbit_curve)
 
 PI = math.pi
 
@@ -720,6 +724,237 @@ def test_linking_memory_is_set_by_the_tile():
                 tracemalloc.stop()
         assert max(peaks) < gauss_work + (1 << 20)
         assert abs(peaks[0] - peaks[1]) <= 0.1 * max(peaks)
+
+
+class TestPrunedScans:
+    """The distance scans skip tiles by their bounding balls and keep the
+    bits of the full scan."""
+
+    def test_far_apart_tiles(self):
+        # clusters of points far apart from one another, so that most
+        # block pairs are skipped; the nearest pair sits in one of them
+        rng = np.random.default_rng(5)
+        for width in (3, 4):
+            offsets = 50.0 * rng.standard_normal((40, width))
+            p1 = np.repeat(offsets[:20], 37, axis=0) + rng.standard_normal(
+                (740, width))
+            p2 = np.repeat(offsets[20:], 211, axis=0) + rng.standard_normal(
+                (4220, width))
+            p2[3000] = p1[500] + 1e-3
+            for a, b in ((p1, p2), (p2, p1), (p1, p2[::-1])):
+                assert_same_bits(_min_distance(a, b), loop_min_distance(a, b))
+
+    def test_nearest_pair_in_a_late_tile(self):
+        # 300 blocks whose balls come nearer than the nearest pair's block
+        # but whose points all stay farther: they fill the first tiles,
+        # and the block of the nearest pair is scanned only if its bound
+        # is weighed against the least cell exactly
+        rng = np.random.default_rng(8)
+        p1 = 1e-4 * rng.standard_normal((MIN_DIST_BLOCK + 1, 4))
+        decoys = []
+        for _ in range(300):
+            u = rng.standard_normal(4)
+            u /= np.linalg.norm(u)
+            block = -10.0 * u + rng.standard_normal((MIN_DIST_BLOCK, 4))
+            block[0] = rng.uniform(0.85, 0.9) * u
+            decoys.append(block)
+        near = 0.8 * np.eye(4)[0] + 1e-4 * rng.standard_normal(
+            (MIN_DIST_BLOCK, 4))
+        p2 = np.concatenate(decoys + [near])
+        assert loop_min_distance(p1, p2) < 0.81
+        assert_same_bits(_min_distance(p1, p2), loop_min_distance(p1, p2))
+
+    @pytest.mark.parametrize("n1, n2", [(MIN_DIST_BLOCK + 1, 5000),
+                                        (700, MIN_DIST_TILE + 3)])
+    def test_nothing_to_prune(self, n1, n2):
+        # two clouds in one small ball: every block ball meets every other,
+        # so no tile can be skipped
+        rng = np.random.default_rng(n1)
+        p1 = rng.uniform(-1.0, 1.0, (n1, 4))
+        p2 = rng.uniform(-1.0, 1.0, (n2, 4))
+        assert_same_bits(_min_distance(p1, p2), loop_min_distance(p1, p2))
+
+    @pytest.mark.parametrize("n_orbit, n_axis", [(4096, 512), (300, 16)])
+    def test_separation_matches_the_full_scan(self, n_orbit, n_axis):
+        lp3 = LpProfile(3.0, 1.2, 0.9)
+        t23 = [t for t in enumerate_tori(lp3, 3) if (t.p, t.q) == (2, 3)][0]
+        c1 = toric_orbit_curve(lp3, t23, n_orbit)
+        c2 = toric_orbit_curve(lp3, axis_orbit(lp3, "x"), n_axis)
+        P = _stereographic(c1.points, _POLES[4])
+        Q = _stereographic(c2.points, _POLES[4])
+        sep = full_separation(P, Q)
+        assert sep > 0
+        assert_same_bits(_segment_separation(P, Q), sep)
+        assert_same_bits(_segment_separation(Q, P), sep)
+        # below the floor the scan may stop at the first cell under it
+        assert _segment_separation(P, Q, floor=2 * sep) < 2 * sep
+
+
+def full_separation(P, Q):
+    """Reference: the least over segment pairs of the midpoint distance
+    less the two half lengths, the squares summed in coordinate order."""
+    def midpoints_and_halves(X):
+        d = X[1:] - X[:-1]
+        return 0.5 * (X[:-1] + X[1:]), 0.5 * np.sqrt((d * d).sum(axis=1))
+    (m1, h1), (m2, h2) = midpoints_and_halves(P), midpoints_and_halves(Q)
+    sq = (m1[:, None, 0] - m2[None, :, 0]) ** 2
+    for k in (1, 2):
+        sq = sq + (m1[:, None, k] - m2[None, :, k]) ** 2
+    return float((np.sqrt(sq) - (h1[:, None] + h2[None, :])).min())
+
+
+def index_deviation(X, coarse):
+    """Largest distance from a vertex of X to the coarse polyline at the
+    same index parameter, coarse being X[::s] with its last vertex."""
+    n = len(X) - 1
+    s = next(s for s in (2 ** e for e in range(n.bit_length()))
+             if len(coarse) == len(np.r_[0:n:s, n])
+             and np.array_equal(coarse, X[np.r_[0:n:s, n]]))
+    worst = 0.0
+    for k in range(n + 1):
+        k0 = k - k % s
+        k1 = min(k0 + s, n)
+        w = (k - k0) / (k1 - k0) if k1 > k0 else 0.0
+        worst = max(worst, float(np.linalg.norm(
+            X[k] - (X[k0] + w * (X[k1] - X[k0])))))
+    return worst
+
+
+def certified_sums(monkeypatch, c1, c2):
+    """linking_number(c1, c2) and the polylines each Gauss sum ran on."""
+    calls = []
+
+    def recording(P, Q):
+        calls.append((P, Q))
+        return _gauss_linking_sum(P, Q)
+
+    monkeypatch.setattr(topology, "_gauss_linking_sum", recording)
+    return linking_number(c1, c2), calls
+
+
+def projected(c1, c2, result):
+    """The full polylines of the pole and level a result was found at."""
+    for _ in range(result.subdivisions):
+        c1, c2 = c1.subdivided(), c2.subdivided()
+    pole = _POLES[result.pole_index]
+    return _stereographic(c1.points, pole), _stereographic(c2.points, pole)
+
+
+def assert_certified(P, Q, A, B):
+    """The coarse copies A and B of P and Q keep within the certificate:
+    their deviations add up to at most half the separation bound."""
+    assert len(A) < len(P) or len(B) < len(Q)
+    assert min(len(A), len(B)) >= 4
+    deviation = index_deviation(P, A) + index_deviation(Q, B)
+    assert deviation <= 0.5 * full_separation(P, Q)
+
+
+def near_pair(rng, n1, n2, shift):
+    """Two wobbly (p, q) torus curves of one family, the second with its
+    second angle moved by shift: disjoint, and close for a small shift."""
+    p, q = rng.integers(1, 4, 2)
+    r1, r2 = rng.uniform(0.5, 1.0, 2)
+    f1, f2 = rng.uniform(0.0, 2 * PI, 2)
+    wobble = 0.05 * rng.standard_normal((2, 2, 4))
+    curves = []
+    for n, g in ((n1, f2), (n2, f2 + shift)):
+        u = np.linspace(0.0, 2 * PI, n + 1)[:, None]
+        pts = np.hstack([r1 * np.cos(p * u + f1), r1 * np.sin(p * u + f1),
+                         r2 * np.cos(q * u + g), r2 * np.sin(q * u + g)])
+        for k, (a, b) in enumerate(wobble, start=1):
+            pts += np.cos(k * u) * a + np.sin(k * u) * b
+        pts[-1] = pts[0]
+        curves.append(ClosedCurve.from_points(pts))
+    return curves
+
+
+def clasp(n_large, n_small, eps, s_break):
+    """A great circle of n_large segments and a circle of radius about eps
+    around one of its points, which links it once.  The small circle sits
+    at the middle of the large one's first chord when only every
+    s_break-th vertex is kept, and at a vertex of every finer copy."""
+    t = np.linspace(0.0, 2 * PI, n_large + 1)
+    large = np.column_stack([np.cos(t), np.sin(t), 0 * t, 0 * t])
+    large[-1] = large[0]
+    phi = t[s_break // 2]
+    u = np.linspace(0.0, 2 * PI, n_small + 1)
+    small = np.column_stack([
+        np.full_like(u, math.cos(eps) * math.cos(phi)),
+        np.full_like(u, math.cos(eps) * math.sin(phi)),
+        math.sin(eps) * np.cos(u), math.sin(eps) * np.sin(u)])
+    small[-1] = small[0]
+    return (ClosedCurve.from_points(large, chord_bound=1.0),
+            ClosedCurve.from_points(small, chord_bound=1.0))
+
+
+class TestCertifiedCoarsening:
+    """The Gauss sum runs on coarse copies of the projected curves only
+    where the certificate holds, and gives the full curves' link."""
+
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([(160, 160), (257, 130), (96, 600), (1024, 300),
+                            (2048, 512)]),
+           st.sampled_from([None, 1.0, 0.3, 0.1, 0.03, 3e-3]))
+    def test_random_pairs_link_as_the_full_sum(self, seed, sizes, shift):
+        rng = np.random.default_rng(seed)
+        if shift is None:
+            c1, c2 = (random_closed_curve(rng, n) for n in sizes)
+        else:
+            c1, c2 = near_pair(rng, *sizes, shift)
+        with pytest.MonkeyPatch.context() as mp:
+            try:
+                result, calls = certified_sums(mp, c1, c2)
+            except (ValidationError, NumericalError):
+                return
+        P, Q = projected(c1, c2, result)
+        assert result.link == round(_gauss_linking_sum(P, Q))
+        A, B = calls[-1]
+        if (len(A), len(B)) != (len(P), len(Q)):
+            assert_certified(P, Q, A, B)
+
+    def test_tight_clasp(self, monkeypatch):
+        c1, c2 = clasp(4096, 16, 0.01, 256)
+        result, calls = certified_sums(monkeypatch, c1, c2)
+        assert result.link == 1 and result.subdivisions == 0
+        assert len(calls) == 1
+        P, Q = projected(c1, c2, result)
+        [(A, B)] = calls
+        assert_certified(P, Q, A, B)
+        # coarsened to every 256th vertex the large circle passes outside
+        # the small one: the link changes, far past the certificate
+        n = len(P) - 1
+        too_coarse = P[np.r_[0:n:256, n]]
+        assert round(_gauss_linking_sum(too_coarse, Q)) == 0
+        assert index_deviation(P, too_coarse) > full_separation(P, Q)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_benchmark_linking_ops_match_the_full_sum(tmp_path, monkeypatch,
+                                                   seed):
+    """The dictionary benchmark's linking ops pass its own check, with the
+    pole and subdivision level, the link and (to 1e-12) the raw sum of
+    the full-curve Gauss sum."""
+    workloads = load_perfbench("workloads")
+    checks = load_perfbench("checks")
+    ops = [op for op in workloads.build("dictionary", seed,
+                                        str(tmp_path / "in"))
+           if op["command"] == "linking"]
+    assert len(ops) == 3
+
+    def report(op, out):
+        assert main(op["argv"] + ["--output", str(out), "--quiet"]) == 0
+        with open(out / "linking.json") as fh:
+            return json.load(fh)
+
+    for i, op in enumerate(ops):
+        rep = report(op, tmp_path / f"c{i}")
+        checks.check_linking(op, rep)
+        with monkeypatch.context() as mp:
+            mp.setattr(topology, "_certified_coarsening", lambda P, Q: None)
+            full = report(op, tmp_path / f"f{i}")
+        assert ((rep["link"], rep["pole_index"], rep["subdivisions"])
+                == (full["link"], full["pole_index"], full["subdivisions"]))
+        assert abs(rep["raw"] - full["raw"]) <= 1e-12
 
 
 class TestSurfaces:
