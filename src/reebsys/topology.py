@@ -53,19 +53,20 @@ a time.
 The linking number does not change under a homotopy that keeps the two
 curves disjoint, so the sum usually runs on coarse copies of the
 projected polylines: every s-th vertex and the last, s a power of two
-(_certified_coarsening).  A copy is used only when each curve moves by at
-most a quarter of a lower bound on the distance between the curves along
-the straight-line homotopy to its copy, so the reported raw sum is the
-Gauss sum of the coarse polygons, an integer up to rounding like the full
-sum, not the full sum's bits.  The full curves are summed when no copy is
-certified or a coarse sum misses the residual tolerance.  The distance
-scans between the curves (the separation check and that lower bound)
-hold blocks of rows in bounding balls and skip the block pairs that
-cannot hold the least distance, with the bits of the full scan
-(_least_cell).
+(_certified_coarsening).  Copies are used only when the two curves
+together move by at most half of a lower bound on the distance between
+them along the straight-line homotopies to their copies.  The reported
+raw sum is then the Gauss sum of the coarse polygons, an integer up to
+rounding like the full sum, but not the full sum's bits.  The full curves
+are summed when no copy is certified or a coarse sum misses the residual
+tolerance.  The distance scans between the curves (the separation check
+and that lower bound) hold blocks of rows in bounding balls and skip the
+block pairs that cannot hold the least distance, with the bits of the
+full scan (_least_cell).
+
 On the benchmark's lp p=3 cases of 4096 x 512, 1024 x 256 and 2048 x
-1024 segments linking_number takes 5-7, 2-3.5 and 8-10 ms in-process
-(106-131, 14-18 and 111-133 ms with full sums), on a 2-core host with
+1024 segments linking_number takes 5-9, 2.3-4.5 and 6-10 ms in-process
+(106-145, 14-21 and 111-146 ms with full sums), on a 2-core host with
 numpy 2.4.
 """
 from __future__ import annotations
@@ -435,13 +436,14 @@ LINK_RESIDUAL_TOL = 0.1
 # A Gauss sum tile is GAUSS_BLOCK segments of the shorter curve by
 # GAUSS_TILE segments of the longer one: 12 arrays of at most
 # (GAUSS_BLOCK + 1) x (GAUSS_TILE + 1) doubles, 3.2 MB, allocated once
-# per sum.  The distance scans (_least_cell) bound blocks of
-# MIN_DIST_BLOCK rows by balls and scan tiles of MIN_DIST_BLOCK x
-# MIN_DIST_TILE cells, 1 MB of buffers.
+# per sum.  The distance scans (_least_cell) hold blocks of MIN_DIST_BALL
+# rows in bounding balls and scan tiles of MIN_DIST_BLOCK x MIN_DIST_TILE
+# cells, 1 MB of buffers, whatever their shape.
 GAUSS_BLOCK = 64
 GAUSS_TILE = 512
-MIN_DIST_BLOCK = 16
-MIN_DIST_TILE = 4096
+MIN_DIST_BLOCK = 64
+MIN_DIST_TILE = 1024
+MIN_DIST_BALL = 16
 
 # Candidate projection poles avoid the coordinate circles (where the axis
 # orbits live); the asymmetric ones also miss every torus curve with equal
@@ -613,9 +615,9 @@ def _segments(X: np.ndarray):
 
 
 def _ball_rows(n: int) -> int:
-    """Rows per block ball on a scan side of n rows: MIN_DIST_BLOCK,
+    """Rows per block ball on a scan side of n rows: MIN_DIST_BALL,
     doubled until there are at most CURVE_CHUNK balls."""
-    size = MIN_DIST_BLOCK
+    size = MIN_DIST_BALL
     while size * CURVE_CHUNK < n:
         size *= 2
     return size
@@ -625,8 +627,8 @@ def _block_balls(side, size: int):
     """Centres and radii of balls around each block of size consecutive
     rows of a scan side, the last block possibly fewer; a row's reach
     widens its block's ball to hold every point within the reach of the
-    row.  The rows are read CURVE_CHUNK at a time, or a block at a time
-    where blocks are longer."""
+    row.  The rows are read a quarter of CURVE_CHUNK at a time, or a
+    block at a time where blocks are longer."""
     n, rows = side
     chunk = max(CURVE_CHUNK // 4, size)
     centres, radii = [], []
@@ -657,7 +659,7 @@ def _least_cell(side1, side2, squared: bool, floor: float = -math.inf,
     coordinate order, as a sum over the last axis does.
 
     The scan skips what cannot hold the least cell.  Rows come in blocks
-    of MIN_DIST_BLOCK (more on sides too long for CURVE_CHUNK blocks),
+    of MIN_DIST_BALL (more on sides too long for CURVE_CHUNK blocks),
     each held by a ball (_block_balls), and the balls bound every cell of
     a block pair from below.  Row blocks of the side with fewer rows go in
     order of their least bound, and the first one bounded above the least

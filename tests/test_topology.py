@@ -17,9 +17,9 @@ from reebsys.numerics import wrap_to_pi
 from reebsys.systolic import (axis_orbit, contact_volume, enumerate_tori,
                               pairing_orbit_orbit)
 from reebsys.profiles import EllipsoidProfile, LpProfile, SplineProfile
-from reebsys.topology import (GAUSS_BLOCK, GAUSS_TILE, MIN_DIST_BLOCK,
-                              MIN_DIST_TILE, RATE_BLOCK, _POLES,
-                              ClosedCurve, LinkResult, _batch_rates,
+from reebsys.topology import (GAUSS_BLOCK, GAUSS_TILE, MIN_DIST_BALL,
+                              MIN_DIST_BLOCK, MIN_DIST_TILE, RATE_BLOCK,
+                              _POLES, ClosedCurve, LinkResult, _batch_rates,
                               _best_convergents, _gauss_linking_sum,
                               _min_distance, _segment_separation,
                               _stereographic, action_linking_verify,
@@ -750,22 +750,22 @@ class TestPrunedScans:
         # and the block of the nearest pair is scanned only if its bound
         # is weighed against the least cell exactly
         rng = np.random.default_rng(8)
-        p1 = 1e-4 * rng.standard_normal((MIN_DIST_BLOCK + 1, 4))
+        p1 = 1e-4 * rng.standard_normal((MIN_DIST_BALL + 1, 4))
         decoys = []
         for _ in range(300):
             u = rng.standard_normal(4)
             u /= np.linalg.norm(u)
-            block = -10.0 * u + rng.standard_normal((MIN_DIST_BLOCK, 4))
+            block = -10.0 * u + rng.standard_normal((MIN_DIST_BALL, 4))
             block[0] = rng.uniform(0.85, 0.9) * u
             decoys.append(block)
         near = 0.8 * np.eye(4)[0] + 1e-4 * rng.standard_normal(
-            (MIN_DIST_BLOCK, 4))
+            (MIN_DIST_BALL, 4))
         p2 = np.concatenate(decoys + [near])
         assert loop_min_distance(p1, p2) < 0.81
         assert_same_bits(_min_distance(p1, p2), loop_min_distance(p1, p2))
 
-    @pytest.mark.parametrize("n1, n2", [(MIN_DIST_BLOCK + 1, 5000),
-                                        (700, MIN_DIST_TILE + 3)])
+    @pytest.mark.parametrize("n1, n2", [(MIN_DIST_BALL + 1, 5000),
+                                        (700, 4 * MIN_DIST_TILE + 3)])
     def test_nothing_to_prune(self, n1, n2):
         # two clouds in one small ball: every block ball meets every other,
         # so no tile can be skipped
