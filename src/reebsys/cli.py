@@ -255,7 +255,8 @@ def run_verify_action_linking(args):
             fl.liouville_sample(profile, n, args.seed, lo,
                                 min(lo + rp.CSV_CHUNK_ROWS, n))
             for lo in range(0, n, rp.CSV_CHUNK_ROWS)))
-    # the report and samples stay written for inspection when this raises
+    # the report and samples stay written for inspection when these raise
+    tp.check_resolved(rep)
     tp.check_statistical(rep, args.z_threshold)
 
 

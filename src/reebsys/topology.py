@@ -22,9 +22,15 @@ checks this identity by seeded Monte Carlo and reports a z score.  It
 computes the rates in blocks of RATE_BLOCK samples dealt to the worker
 threads; each worker draws its block's area parameters t from the
 seeded sample stream itself (a rate depends on t alone), finds the
-near-return times with a branch-free continued-fraction kernel that runs
-every lane of the block at full width, and sums its block's rates
-exactly (numerics.exact_partial, an integer superaccumulator).  The
+near-return times with a continued-fraction kernel, and sums its block's
+rates exactly (numerics.exact_partial, an integer superaccumulator).
+The kernel (_best_convergents) steps all the lanes of a block together
+with ufuncs writing into buffers; a lane's answer is written out at the
+step where its expansion first passes q_cap, and once fewer than half
+of the lanes at the current width still run, those are gathered into
+buffers of their own count.  A typical block has 12 steps, but a lane
+ends after about 5 of them (ln q grows like 1.19 per step, Levy), so
+most steps run on a few thousand lanes instead of 2^15.  The
 working memory beyond the rates is bounded by the block size, not the
 sample count.  The mean and the variance are the correctly rounded
 totals of the exact block sums, equal to math.fsum over all the rates,
@@ -76,7 +82,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, StatisticalError, ValidationError
+from .errors import (NumericalError, ResolutionError, StatisticalError,
+                     ValidationError)
 from .numerics import exact_partial, exact_total, wrap_to_pi
 from .profiles import ToricProfile
 from .systolic import AxisOrbit, RationalTorus, axis_orbit, contact_volume
@@ -160,27 +167,47 @@ def _best_convergents(alpha, q_cap):
     alpha and q_cap are arrays.  Returns (p, q, err) with err = |q*alpha - p|;
     lanes with q_cap < 1 come back with q = 0 (no admissible return).
 
-    Every lane runs every step, in buffers written by ufuncs with out=.  A
+    The lanes step together in buffers written by ufuncs with out=.  A
     lane whose remainder falls to 1e-15 or below has ended its expansion:
     the remainder becomes nan, and so does everything computed from it.
-    A convergent is kept where q <= q_cap; q never decreases from one step
-    to the next, so the last one kept is the largest admissible, and the
-    loop ends at the first step that keeps none.
+    A convergent is kept where q <= q_cap.  q never decreases from one
+    step to the next, so a lane that keeps none at a step keeps none
+    after it: its answer is the convergent kept the step before, written
+    out at the block index of the lane at that step, and the loop ends
+    at the first step that keeps none (or after 80 steps).  Lanes that
+    keep nothing go on stepping in place until fewer than half of the
+    current width keep; the lanes that keep are then gathered into
+    buffers of their own count, once per halving, since gathering at
+    every step costs more than it saves.  Every lane does the same
+    arithmetic in the same order at any width, so its answer does not
+    depend on when it was gathered or on the other lanes of its block.
     """
     alpha = np.asarray(alpha, float)
-    q_cap = np.asarray(q_cap, float)
+    cap = np.asarray(q_cap, float)
     n = alpha.shape[0]
-    a0 = np.floor(alpha)
-    p_prev, q_prev = np.ones(n), np.zeros(n)
-    p_cur, q_cur = a0.copy(), np.ones(n)
-    p_next, q_next, a = np.empty(n), np.empty(n), np.empty(n)
-    x = alpha - a0
-    feasible = q_cap >= 1.0
-    best_p = np.where(feasible, p_cur, 0.0)
-    best_q = np.where(feasible, 1.0, 0.0)
-    keep = np.empty(n, bool)
+    p_cur = np.floor(alpha)
+    x = alpha - p_cur
     np.copyto(x, np.nan, where=~(x > 1e-15))
-    # the lanes past q_cap keep running, and their p and q may overflow
+    p_prev, q_prev, q_cur = np.ones(n), np.zeros(n), np.ones(n)
+    best_p, best_q = np.zeros(n), np.zeros(n)
+    live = cap >= 1.0        # the lanes whose last convergent was kept
+    lanes = None             # block indices of the working lanes, or all
+
+    def scratch(width):
+        """Buffers for p_next, q_next, a and keep at a width."""
+        return (np.empty(width), np.empty(width), np.empty(width),
+                np.empty(width, bool))
+
+    def end(mask):
+        """Write out the lanes of mask at the convergent they reached."""
+        ended = np.flatnonzero(mask)
+        at = ended if lanes is None else lanes[ended]
+        best_p[at] = p_cur[ended]
+        best_q[at] = q_cur[ended]
+
+    p_next, q_next, a, keep = scratch(n)
+    # the lanes past q_cap keep running until the next gather, and their
+    # p and q may overflow
     with np.errstate(over="ignore"):
         for _ in range(80):
             np.divide(1.0, x, out=x)
@@ -189,12 +216,23 @@ def _best_convergents(alpha, q_cap):
             np.copyto(x, np.nan, where=np.less_equal(x, 1e-15, out=keep))
             np.add(np.multiply(a, p_cur, out=p_next), p_prev, out=p_next)
             np.add(np.multiply(a, q_cur, out=q_next), q_prev, out=q_next)
-            if not np.less_equal(q_next, q_cap, out=keep).any():
+            np.less_equal(q_next, cap, out=keep)
+            end(np.greater(live, keep, out=live))
+            kept = np.count_nonzero(keep)
+            if kept == 0:
                 break
-            np.copyto(best_p, p_next, where=keep)
-            np.copyto(best_q, q_next, where=keep)
             p_prev, p_cur, p_next = p_cur, p_next, p_prev
             q_prev, q_cur, q_next = q_cur, q_next, q_prev
+            live, keep = keep, live
+            if 2 * kept < live.shape[0]:
+                sel = np.flatnonzero(live)
+                lanes = sel if lanes is None else lanes[sel]
+                x, cap, p_prev, p_cur, q_prev, q_cur = (
+                    v[sel] for v in (x, cap, p_prev, p_cur, q_prev, q_cur))
+                live = np.ones(kept, bool)
+                p_next, q_next, a, keep = scratch(kept)
+        else:
+            end(live)        # the lanes that kept all 80 steps
     err = np.abs(best_q * alpha - best_p)
     return best_p, best_q, err
 
@@ -328,6 +366,7 @@ def action_linking_verify(profile: ToricProfile, surface: SeifertSurfaceSpec,
 
 # Rows per pass when a whole curve is normalized, measured or projected.
 CURVE_CHUNK = 1 << 14
+_SMALLEST_NORMAL = np.finfo(float).smallest_normal
 
 
 def _row_chunks(n: int) -> list:
@@ -367,7 +406,15 @@ class ClosedCurve:
         if pts.ndim != 2 or pts.shape[1] != 4 or pts.shape[0] < 4:
             raise ValidationError("a closed curve needs at least 4 points in R^4")
         for rows in _row_chunks(len(pts)):
-            _, exp = np.frexp(np.max(np.abs(pts[rows]), axis=1))
+            top = np.max(np.abs(pts[rows]), axis=1)
+            # subnormal coordinates keep too few digits to give a direction
+            tiny = np.flatnonzero((top > 0) & (top < _SMALLEST_NORMAL))
+            if tiny.size:
+                raise ValidationError(
+                    f"curve point {rows.start + tiny[0]} has largest "
+                    f"coordinate {top[tiny[0]]:.3g}, below the smallest "
+                    f"normal double {_SMALLEST_NORMAL:.3g}; scale the curve up")
+            _, exp = np.frexp(top)
             scaled = np.ldexp(pts[rows], -exp[:, None])
             norms = np.linalg.norm(scaled, axis=1)
             if np.any(norms <= 0):
@@ -906,6 +953,17 @@ def linking_number(curve1: ClosedCurve, curve2: ClosedCurve) -> LinkResult:
     raise NumericalError(
         f"Gauss sum residual {best_residual:.3g} still above "
         f"{LINK_RESIDUAL_TOL:g} after pole changes and curve refinement")
+
+
+def check_resolved(report: ActionLinkingReport):
+    """Raise ResolutionError when every sample fell back to the
+    horizon-closed loop: the mean is then the fallback estimate alone, and
+    its error is set by the horizon, not by the sample count."""
+    if report.n_fallback == report.n_samples:
+        raise ResolutionError(
+            f"all {report.n_samples} samples fell back: none has a near-return "
+            f"within horizon {report.horizon:g}; raise --horizon")
+    return report
 
 
 def check_statistical(report: ActionLinkingReport, z_threshold: float = 4.0):

@@ -40,6 +40,14 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def load_strict(path):
+    """A report parsed with every non-finite JSON constant rejected."""
+    def reject(name):
+        raise ValueError(f"non-finite constant {name} in a report")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 def load_report(outdir, command):
     with open(os.path.join(outdir, f"{command}.json")) as fh:
         return json.load(fh)
@@ -219,21 +227,40 @@ class TestExitCodes:
         assert rep["z"] == 0 and rep["rhs"] == PI * 1e4
 
     def test_zero_spread_mismatch_writes_null_z(self, tmp_path):
-        # every sample falls back, so lhs = 0 != rhs with zero spread and z
-        # is infinite: the report stays strict JSON and the run exits 4
-        inp = write_json(tmp_path / "p.json",
-                         {"kind": "ellipsoid", "a": 3, "b": 1e-5})
+        # one sample has no spread, so lhs != rhs makes z infinite: the
+        # report stays strict JSON and the run exits 4
+        inp = write_json(tmp_path / "p.json", ROUND)
         out = tmp_path / "out"
         assert run(["verify-action-linking", "--input", inp, "--output", out,
-                    "--samples", 64, "--horizon", 1, "--seed", 1,
-                    "--quiet"]) == 4
+                    "--samples", 1, "--seed", 1, "--quiet"]) == 4
+        rep = load_strict(out / "verify-action-linking.json")
+        assert rep["z"] is None and rep["stderr"] == 0
+        assert rep["n_fallback"] == 0 and rep["lhs"] != rep["rhs"]
 
-        def reject(name):
-            raise ValueError(f"non-finite constant {name} in a report")
-
-        text = (out / "verify-action-linking.json").read_text()
-        rep = json.loads(text, parse_constant=reject)
-        assert rep["z"] is None and rep["lhs"] == 0 and rep["stderr"] == 0
+    @pytest.mark.parametrize("doc, argv", [
+        (ROUND, ["--samples", 1000, "--horizon", 1]),
+        (ROUND, ["--samples", 1000, "--horizon", 2]),
+        (ROUND, ["--samples", 1000, "--horizon", 3]),
+        ({"kind": "ellipsoid", "a": 3, "b": 1e-5},
+         ["--samples", 64, "--horizon", 1, "--seed", 1]),
+    ], ids=["round-h1", "round-h2", "round-h3", "flat-ellipsoid"])
+    def test_all_fallback_is_a_resolution_error(self, tmp_path, capsys, doc,
+                                                argv):
+        # no sample has a near-return within the horizon, so the mean is
+        # the fallback estimate alone, whatever z says (round at horizon 1
+        # used to exit 4, at horizons 2 and 3 exit 0)
+        inp = write_json(tmp_path / "p.json", doc)
+        out = tmp_path / "out"
+        assert run(["verify-action-linking", "--input", inp, "--output", out,
+                    "--quiet"] + argv) == 3
+        horizon = argv[argv.index("--horizon") + 1]
+        n = argv[argv.index("--samples") + 1]
+        assert capsys.readouterr().err == (
+            f"numerical error: all {n} samples fell back: none has a "
+            f"near-return within horizon {horizon}; raise --horizon\n")
+        # the report is still written for inspection
+        rep = load_strict(out / "verify-action-linking.json")
+        assert rep["n_fallback"] == rep["n_samples"] == n
 
     @pytest.mark.parametrize("command", ["diskmap-calabi",
                                          "diskmap-dictionary"])
@@ -483,10 +510,13 @@ class TestExitCodes:
             f"with sample radii {radii}; the samples span too many scales "
             "or crowd too close\n")
 
-    @pytest.mark.parametrize("radius", [1.0, 1e200, 1e-200])
+    @pytest.mark.parametrize("radius", [1.0, 1e200, 1e-200, 1e-310, 5e-324])
     def test_linking_csv_circle_at_any_radius(self, tmp_path, capsys, radius):
         # a circle in (x1, y1) links the unit circle in (x2, y2) once; the
-        # norms of its points must not overflow or underflow
+        # norms of its points must not overflow or underflow.  Below the
+        # smallest normal double its coordinates keep too few digits to
+        # give directions (at 5e-324 they take three values), and the run
+        # exits 2 naming that scale
         u = np.linspace(0.0, 2 * PI, 65)
         zero = np.zeros_like(u)
         paths = []
@@ -501,6 +531,14 @@ class TestExitCodes:
             paths.append(str(path))
         inp = write_json(tmp_path / "l.json",
                          {"curves": [{"csv": p} for p in paths]})
+        if radius < sys.float_info.min:
+            assert run(["linking", "--input", inp,
+                        "--output", tmp_path / "o"]) == 2
+            assert capsys.readouterr().err == (
+                f"validation error: curve point 0 has largest coordinate "
+                f"{radius:.3g}, below the smallest normal double 2.23e-308; "
+                f"scale the curve up\n")
+            return
         assert run(["linking", "--input", inp, "--output", tmp_path / "o",
                     "--quiet"]) == 0
         assert load_report(tmp_path / "o", "linking")["link"] == 1

@@ -28,6 +28,45 @@ def central_diff(f, x, y, h=1e-6):
             (f(x, y + h) - f(x, y - h)) / (2 * h))
 
 
+def two_pass_lp_gradient_theta(prof, theta):
+    """Reference: LpProfile.gradient_theta as it was before it shared one
+    cos/sin evaluation, with r from its own cos and sin."""
+    theta = np.asarray(theta, float)
+    c = np.clip(np.cos(theta), 0.0, None)
+    s = np.clip(np.sin(theta), 0.0, None)
+    r = 1.0 / ((c / prof.a) ** prof.p + (s / prof.b) ** prof.p) ** (1.0 / prof.p)
+    x = r * np.clip(np.cos(theta), 0.0, None)
+    y = r * np.clip(np.sin(theta), 0.0, None)
+    d1 = (x / prof.a) ** (prof.p - 1.0) / prof.a
+    d2 = (y / prof.b) ** (prof.p - 1.0) / prof.b
+    return d1, d2
+
+
+def two_pass_sampled_gradient_theta(prof, theta):
+    """Reference: the sampled gradient as it was before it shared one
+    interval lookup, with r and r' written out from the coefficient
+    table and the knot intervals found by searchsorted."""
+    theta = np.asarray(theta, float)
+    knots = prof.kink_angles()
+    c0, c1, c2, c3 = prof._coef
+    th = np.clip(theta, 0.0, HALF_PI)
+    j = np.clip(np.searchsorted(knots, th, "right") - 1, 0, len(knots) - 2)
+    s = th - knots[j]
+    s2 = s * s
+    r = c0[j] + c1[j] * s + c2[j] * s2 + c3[j] * (s2 * s)
+    dr = c1[j] + 2.0 * c2[j] * s + 3.0 * c3[j] * (s * s)
+    c, s = np.cos(theta), np.sin(theta)
+    d1 = c / r + s * dr / (r * r)
+    d2 = s / r - c * dr / (r * r)
+    return d1, d2
+
+
+def assert_same_gradients(got, want):
+    for g, w in zip(got, want):
+        assert type(g) is type(w)
+        np.testing.assert_array_equal(g, w, strict=True)
+
+
 class TestGradient:
     def test_ellipsoid_gradient_constant(self):
         p = EllipsoidProfile(2.0, 5.0)
@@ -62,6 +101,36 @@ class TestGradient:
             d1b, d2b = p.gradient(2 * x, 2 * y)
             assert np.max(np.abs(d1a - d1b)) < 1e-9
             assert np.max(np.abs(d2a - d2b)) < 1e-9
+
+    @pytest.mark.parametrize("p, a, b", [(1.1, 1.0, 1.0), (2.0, 1.0, 1.0),
+                                         (2.0, 0.7, 1.9), (3.0, 1.2, 0.9),
+                                         (40.0, 1.0, 2.0)])
+    def test_lp_gradient_theta_matches_two_pass(self, p, a, b):
+        prof = LpProfile(p, a, b)
+        rng = np.random.default_rng(23)
+        theta = np.concatenate([[0.0, HALF_PI, 1e-300, HALF_PI - 1e-12],
+                                rng.uniform(0.0, HALF_PI, 4000),
+                                np.linspace(0.0, HALF_PI, 257)])
+        assert_same_gradients(prof.gradient_theta(theta),
+                              two_pass_lp_gradient_theta(prof, theta))
+        for th in (0.0, 0.7, HALF_PI):
+            assert_same_gradients(prof.gradient_theta(th),
+                                  two_pass_lp_gradient_theta(prof, th))
+
+    def test_sampled_gradient_theta_matches_two_pass(self):
+        prof = profile_from_json(
+            load_perfbench("workloads").profiles(1.0)["spline"])
+        knots = prof.kink_angles()
+        rng = np.random.default_rng(29)
+        theta = np.concatenate([[0.0, HALF_PI], knots,
+                                np.nextafter(knots, 0.0),
+                                np.nextafter(knots, HALF_PI),
+                                rng.uniform(0.0, HALF_PI, 4000)])
+        assert_same_gradients(prof.gradient_theta(theta),
+                              two_pass_sampled_gradient_theta(prof, theta))
+        for th in (0.0, float(knots[100]), 0.7, HALF_PI):
+            assert_same_gradients(prof.gradient_theta(th),
+                                  two_pass_sampled_gradient_theta(prof, th))
 
     def test_gradient_at_origin_rejected(self, round_p):
         with pytest.raises(ValidationError):

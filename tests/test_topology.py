@@ -161,6 +161,102 @@ def test_best_convergents_match_dense_loop():
         np.testing.assert_array_equal(g, w)
 
 
+def assert_kernels_agree(alpha, q_cap):
+    got = _best_convergents(alpha, q_cap)
+    for oracle in (dense_best_convergents, parent_best_convergents):
+        for g, w in zip(got, oracle(alpha, q_cap)):
+            np.testing.assert_array_equal(g, w, strict=True)
+
+
+GOLDEN = 0.5 * (1.0 + math.sqrt(5.0))
+
+
+def fibonacci(m):
+    a, b = 1, 1
+    for _ in range(m - 1):
+        a, b = b, a + b
+    return float(a)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, RATE_BLOCK, RATE_BLOCK + 1])
+def test_best_convergents_at_any_width(n):
+    rng = np.random.default_rng(n)
+    alpha = rng.uniform(0.0, 8.0, n)
+    q_cap = 2.0 ** rng.uniform(-2.0, 53.0, n)
+    lanes = [(GOLDEN, 2.0 ** 53), (math.pi, 113.0), (0.75, 2.0 ** 53)]
+    for i, (a, q) in enumerate(lanes[:n]):
+        alpha[i], q_cap[i] = a, q
+    assert_kernels_agree(alpha, q_cap)
+
+
+def test_best_convergents_gather_at_several_widths():
+    # the float expansion of the golden ratio is all ones for 37 steps, so
+    # its step k convergent has q = F(k + 2), and a lane with q_cap = F(m)
+    # keeps steps 0 to m - 2: here the lanes that keep halve about every
+    # second step
+    n = RATE_BLOCK
+    m = 2 + (2.0 * np.log2(n / np.arange(1.0, n + 1))).astype(int)
+    alpha = np.full(n, GOLDEN)
+    q_cap = np.array([fibonacci(k) for k in range(m.max() + 1)])[m]
+    # the widths the kernel runs at: it gathers the lanes that keep a
+    # step once they are fewer than half of the width
+    widths = [n]
+    for kept in np.bincount(m - 1)[::-1].cumsum()[::-1][1:]:
+        if 2 * kept < widths[-1]:
+            widths.append(kept)
+    assert len(widths) >= 10
+    assert_kernels_agree(alpha, q_cap)
+    # the same lanes shuffled, among random ones
+    rng = np.random.default_rng(3)
+    order = rng.permutation(n)
+    alpha = np.concatenate([alpha[order], rng.uniform(0.0, 4.0, 999)])
+    q_cap = np.concatenate([q_cap[order], rng.uniform(0.0, 3000.0, 999)])
+    assert_kernels_agree(alpha, q_cap)
+
+
+@pytest.mark.parametrize("stop", [RATE_BLOCK // 2, RATE_BLOCK // 2 + 1])
+def test_best_convergents_half_the_lanes_stop_at_step_one(stop):
+    # q_cap = 1 keeps the golden ratio's step 0 convergent 2/1 and ends at
+    # step 1; exactly half ending leaves the width as it is, one more
+    # lane ending halves it
+    n = RATE_BLOCK
+    rng = np.random.default_rng(stop)
+    alpha = np.full(n, GOLDEN)
+    q_cap = np.full(n, 2.0 ** 40)
+    q_cap[rng.permutation(n)[:stop]] = 1.0
+    _, q, _ = _best_convergents(alpha, q_cap)
+    assert np.count_nonzero(q == 1.0) == stop
+    assert_kernels_agree(alpha, q_cap)
+
+
+def scalar_denominators(alpha, steps):
+    """q of the first continued-fraction steps of alpha, in floats."""
+    x = alpha - math.floor(alpha)
+    q_prev, q = 0.0, 1.0
+    out = []
+    for _ in range(steps):
+        x = 1.0 / x
+        a = math.floor(x)
+        x -= a
+        q_prev, q = q, a * q + q_prev
+        out.append(q)
+    return out
+
+
+def test_best_convergents_to_the_step_cap():
+    # golden-ratio lanes at q_cap 2^53 keep 57 steps; at q_cap 1e300 every
+    # lane keeps all 80, and the last one kept is the answer
+    n = 1000
+    rng = np.random.default_rng(80)
+    alpha = np.where(rng.random(n) < 0.5, GOLDEN, rng.uniform(0.0, 8.0, n))
+    q_cap = np.where(rng.random(n) < 0.5, 2.0 ** 53, 1e300)
+    assert_kernels_agree(alpha, q_cap)
+    qs = scalar_denominators(GOLDEN, 80)
+    _, q, _ = _best_convergents(np.full(2, GOLDEN), np.array([2.0 ** 53, 1e300]))
+    assert q[0] == qs[56] and qs[57] > 2.0 ** 53
+    assert q[1] == qs[79]
+
+
 class TestCrossings:
     def test_unit_ellipsoid_one_sweep_per_period(self, e11):
         disk = axis_disk(e11, "y", angle=0.3)
