@@ -413,7 +413,8 @@ class ClosedCurve:
                 raise ValidationError(
                     f"curve point {rows.start + tiny[0]} has largest "
                     f"coordinate {top[tiny[0]]:.3g}, below the smallest "
-                    f"normal double {_SMALLEST_NORMAL:.3g}; scale the curve up")
+                    f"normal double {_SMALLEST_NORMAL:.3g}; "
+                    f"scale the curve up")
             _, exp = np.frexp(top)
             scaled = np.ldexp(pts[rows], -exp[:, None])
             norms = np.linalg.norm(scaled, axis=1)
@@ -961,8 +962,8 @@ def check_resolved(report: ActionLinkingReport):
     its error is set by the horizon, not by the sample count."""
     if report.n_fallback == report.n_samples:
         raise ResolutionError(
-            f"all {report.n_samples} samples fell back: none has a near-return "
-            f"within horizon {report.horizon:g}; raise --horizon")
+            f"all {report.n_samples} samples fell back: none has a "
+            f"near-return within horizon {report.horizon:g}; raise --horizon")
     return report
 
 

@@ -247,8 +247,7 @@ class TestExitCodes:
     def test_all_fallback_is_a_resolution_error(self, tmp_path, capsys, doc,
                                                 argv):
         # no sample has a near-return within the horizon, so the mean is
-        # the fallback estimate alone, whatever z says (round at horizon 1
-        # used to exit 4, at horizons 2 and 3 exit 0)
+        # the fallback estimate alone, whatever z says
         inp = write_json(tmp_path / "p.json", doc)
         out = tmp_path / "out"
         assert run(["verify-action-linking", "--input", inp, "--output", out,

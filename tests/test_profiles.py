@@ -34,7 +34,8 @@ def two_pass_lp_gradient_theta(prof, theta):
     theta = np.asarray(theta, float)
     c = np.clip(np.cos(theta), 0.0, None)
     s = np.clip(np.sin(theta), 0.0, None)
-    r = 1.0 / ((c / prof.a) ** prof.p + (s / prof.b) ** prof.p) ** (1.0 / prof.p)
+    u = ((c / prof.a) ** prof.p + (s / prof.b) ** prof.p) ** (1.0 / prof.p)
+    r = 1.0 / u
     x = r * np.clip(np.cos(theta), 0.0, None)
     y = r * np.clip(np.sin(theta), 0.0, None)
     d1 = (x / prof.a) ** (prof.p - 1.0) / prof.a

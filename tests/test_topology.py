@@ -252,7 +252,8 @@ def test_best_convergents_to_the_step_cap():
     q_cap = np.where(rng.random(n) < 0.5, 2.0 ** 53, 1e300)
     assert_kernels_agree(alpha, q_cap)
     qs = scalar_denominators(GOLDEN, 80)
-    _, q, _ = _best_convergents(np.full(2, GOLDEN), np.array([2.0 ** 53, 1e300]))
+    _, q, _ = _best_convergents(np.full(2, GOLDEN),
+                                np.array([2.0 ** 53, 1e300]))
     assert q[0] == qs[56] and qs[57] > 2.0 ** 53
     assert q[1] == qs[79]
 
