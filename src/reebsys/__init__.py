@@ -12,7 +12,7 @@ from .flows import (OrbitSet, approximate_liouville_by_orbits,
                     liouville_sample)
 from .topology import (ClosedCurve, SeifertSurfaceSpec,
                        action_linking_verify, axis_disk, linking_number,
-                       page_surface, toric_orbit_curve)
+                       toric_orbit_curve)
 from .diskmap import (PeriodicPoint, RadialHamiltonian, action, calabi,
                       flow_map, hamiltonian_from_json,
                       mean_action_theorem_check, periodic_points,

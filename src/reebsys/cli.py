@@ -29,7 +29,6 @@ from .errors import (NumericalError, ReebsysError, StatisticalError,
                      ValidationError)
 from .profiles import profile_from_json
 
-THREADS_ENV = "REEBSYS_THREADS"
 # Segment pairs a linking input may ask for: the full Gauss sum's time
 # grows with their count (it is the fallback where no coarse copy of the
 # curves is certified), and an orbit's samples are allocated before the
@@ -59,17 +58,6 @@ MAX_K_MAX = 64
 # benchmark 45 (the well at --k-max 5).  The steep well [0,0,1e4] makes
 # 63676 and its dictionary takes 4.3 s; [0,0,1e6] makes 6.4 million.
 MAX_RESONANCES = 1 << 16
-
-
-def default_threads() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValidationError(f"{THREADS_ENV} must be an integer, got {raw!r}")
-    if n < 1:
-        raise ValidationError(f"{THREADS_ENV} must be positive")
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +102,7 @@ FLAGS = {
     "orientation": dict(type=int, choices=(1, -1)),
     "z-threshold": dict(type=NONNEGATIVE, help="largest |z| (else exit 4)"),
     "return-tol": dict(type=POSITIVE, help="near-return tolerance"),
-    "threads": dict(type=COUNT, help=f"default from ${THREADS_ENV}"),
+    "threads": dict(type=COUNT, help="worker threads"),
     "dump-samples": dict(action="store_true", help="write samples.csv"),
     "n-tori": dict(type=COUNT, help="tori in the orbit set"),
     "k-max": dict(type=COUNT, help="largest period of the periodic points"),
@@ -395,7 +383,7 @@ COMMANDS = {
     "verify-action-linking": (run_verify_action_linking, {
         "samples": 100000, "horizon": 1000.0, "surface": "y",
         "orientation": 1, "z-threshold": 4.0, "return-tol": 0.1,
-        "threads": None, "dump-samples": False}),
+        "threads": 1, "dump-samples": False}),
     "equidistribute": (run_equidistribute, {"n-tori": 64, "max-pq": 12}),
     "diskmap-calabi": (run_diskmap_calabi,
                        {"grid": 64, "k-max": 3, "plot-grid": 128}),
@@ -448,10 +436,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def run(args) -> int:
-    # REEBSYS_THREADS is read, and so validated, for every command that
-    # is not given --threads
-    if getattr(args, "threads", None) is None:
-        args.threads = default_threads()
     grid_limit = MAX_THETA_GRID if args.command == "systole" else MAX_QUAD_N
     limits = {"samples": MAX_SAMPLES, "max_pq": MAX_PQ,
               "plot_grid": MAX_PLOT_GRID, "grid": grid_limit,

@@ -38,7 +38,7 @@ import numpy as np
 from .errors import ValidationError
 from .numerics import _leggauss, bracketed_roots, scan_roots
 from .reports import validate_input
-from .topology import page_surface, signed_sweep_count
+from .topology import signed_sweep_count
 
 TWO_PI = 2.0 * math.pi
 RESONANCE_SCAN_N = 256    # nodes of the rotation-rate scan for resonant circles
@@ -392,15 +392,14 @@ def suspension_dictionary(H, c: float | None = None, k_max: int = 3,
     cal = calabi(H, quad_n)
     vol = math.pi * (cal + c)
     vol_quad = suspension_volume_quadrature(H, c, quad_n)
-    page = page_surface(angle=0.5)
     points = periodic_points(H, k_max)
     periods = suspension_period_integral(
         H, np.array([P.z for P in points]), np.array([P.k for P in points]), c)
     rows = []
     for P, period in zip(points, periods.tolist()):
         resid = abs(period - (P.action_k + P.k * c))
-        crossings = int(signed_sweep_count(0.0, float(P.k), page.angle,
-                                           period=1.0))
+        # crossings of the page {time = 1/2} in k periods of time
+        crossings = int(signed_sweep_count(0.0, float(P.k), 0.5, period=1.0))
         pairing = crossings * vol / (period * math.pi)
         ge = pairing >= 1.0 - epsilon
         bound = cal / (1.0 - epsilon) + epsilon * c / (1.0 - epsilon)

@@ -6,15 +6,17 @@ successive refinements agree.  A vectorized single-panel rule supports the
 cumulative sector-area tables used to invert area parametrizations.  Roots
 are located by a grid scan and refined in one vectorized batch of
 bracketed steps; grid extrema are refined by golden-section search.
-Sums of many doubles are exact and correctly rounded (exact_partial and
-exact_total), values are located among increasing nodes through a
-uniform cell table (IntervalLookup), and the simplest fraction of a range
-comes from the Stern-Brocot descent (simplest_fraction).
+Sums of many doubles are exact and correctly rounded (exact_partial,
+exact_total, and prefix_fsums for running sums), values are located among
+increasing nodes through a uniform cell table (IntervalLookup), and the
+simplest fraction of a range comes from the Stern-Brocot descent
+(simplest_fraction).
 """
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -265,6 +267,25 @@ def exact_total(partials) -> float:
         return math.fsum(special)
     # int / int is correctly rounded, subnormal results included
     return sum(partials) / (1 << EXACT_SUM_SHIFT)
+
+
+def prefix_fsums(values) -> np.ndarray:
+    """[0, fsum(values[:1]), fsum(values[:2]), ...], each correctly
+    rounded, in one pass: the running sum is kept exactly as an integer
+    count of 2**-EXACT_SUM_SHIFT, exact_partial's encoding, and each
+    prefix is rounded by one integer division.  Non-finite values give
+    the plain cumulative sum."""
+    values = np.asarray(values, float)
+    out = np.concatenate([[0.0], np.cumsum(values)])
+    if not math.isfinite(out[-1]):
+        return out
+    m, e = np.frexp(values)
+    counts = map(int.__lshift__, map(int, (m * 2.0 ** 53).tolist()),
+                 (e + EXACT_SUM_SHIFT - 53).tolist())
+    # int / int is correctly rounded, as in exact_total
+    scale = 1 << EXACT_SUM_SHIFT
+    out[1:] = [total / scale for total in accumulate(counts)]
+    return out
 
 
 def simplest_fraction(lo, hi, lo_open=False, hi_open=False):

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .numerics import IntervalLookup
+from .numerics import IntervalLookup, prefix_fsums
 from .reports import validate_input
 
 HALF_PI = math.pi / 2.0
@@ -78,7 +78,15 @@ def _as_quadrant_points(x, y):
 
 
 class ToricProfile:
-    """Base class; concrete kinds supply the boundary radius r(theta)."""
+    """Base class of the profile kinds.
+
+    A kind supplies r(theta) (boundary_radius), the gradient along a ray
+    (gradient_theta), the area A and the maps t <-> theta (quadrant_area,
+    _t_of_theta, and _theta_of_t or the area table and panel maps the
+    Newton inversion steps on), scaled and to_json.  F and its gradient at
+    a point of the plane (value, gradient) follow from r and
+    gradient_theta by homogeneity, for every kind.
+    """
 
     kind = "abstract"
 
@@ -88,9 +96,6 @@ class ToricProfile:
     # -- subclass surface -------------------------------------------------
 
     def boundary_radius(self, theta):
-        raise NotImplementedError
-
-    def boundary_radius_deriv(self, theta):
         raise NotImplementedError
 
     def scaled(self, s: float) -> "ToricProfile":
@@ -282,20 +287,6 @@ class EllipsoidProfile(ToricProfile):
         theta = np.asarray(theta, float)
         return 1.0 / (np.cos(theta) / self.a + np.sin(theta) / self.b)
 
-    def boundary_radius_deriv(self, theta):
-        theta = np.asarray(theta, float)
-        r = self.boundary_radius(theta)
-        return r * r * (np.sin(theta) / self.a - np.cos(theta) / self.b)
-
-    def value(self, x, y):
-        x, y = _as_quadrant_points(x, y)
-        return x / self.a + y / self.b
-
-    def gradient(self, x, y):
-        x, y = _as_quadrant_points(x, y)
-        shape = np.broadcast(x, y).shape
-        return (np.full(shape, 1.0 / self.a), np.full(shape, 1.0 / self.b))
-
     def gradient_theta(self, theta):
         shape = np.asarray(theta, float).shape
         return (np.full(shape, 1.0 / self.a), np.full(shape, 1.0 / self.b))
@@ -356,26 +347,6 @@ class LpProfile(ToricProfile):
 
     def boundary_radius(self, theta):
         return 1.0 / self._unit_value(*self._direction(theta))
-
-    def boundary_radius_deriv(self, theta):
-        p = self.p
-        c, s = self._direction(theta)
-        u = self._unit_value(c, s)
-        du = u ** (1.0 - p) * ((s / self.b) ** (p - 1.0) * c / self.b
-                               - (c / self.a) ** (p - 1.0) * s / self.a)
-        return -du / (u * u)
-
-    def value(self, x, y):
-        x, y = _as_quadrant_points(x, y)
-        return ((x / self.a) ** self.p + (y / self.b) ** self.p) ** (1.0 / self.p)
-
-    def gradient(self, x, y):
-        x, y = _as_quadrant_points(x, y)
-        f = self.value(x, y)
-        scale = f ** (1.0 - self.p)
-        d1 = scale * (x / self.a) ** (self.p - 1.0) / self.a
-        d2 = scale * (y / self.b) ** (self.p - 1.0) / self.b
-        return d1, d2
 
     def gradient_theta(self, theta):
         c, s = self._direction(theta)
@@ -564,32 +535,6 @@ def pchip_table(x, y):
     d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
     tau = (d[:-1] + d[1:] - 2.0 * m) / h
     return np.stack([y[:-1], d[:-1], (m - d[:-1]) / h - tau, tau / h])
-
-
-def prefix_fsums(values) -> np.ndarray:
-    """[0, fsum(values[:1]), fsum(values[:2]), ...], each correctly
-    rounded, in one pass: the running sum is kept exactly as a list of
-    non-overlapping partials (Shewchuk, Discrete Comput. Geom. 18, 1997).
-    Non-finite values give the plain cumulative sum."""
-    values = np.asarray(values, float)
-    out = np.concatenate([[0.0], np.cumsum(values)])
-    if not math.isfinite(out[-1]):
-        return out
-    partials = []
-    for i, x in enumerate(values.tolist(), start=1):
-        k = 0
-        for y in partials:
-            if abs(x) < abs(y):
-                x, y = y, x
-            hi = x + y
-            lo = y - (hi - x)
-            if lo:
-                partials[k] = lo
-                k += 1
-            x = hi
-        partials[k:] = [x]
-        out[i] = math.fsum(partials)
-    return out
 
 
 def area_polynomials(h, coef):

@@ -399,12 +399,14 @@ def systolic_interval(profile: ToricProfile, grid_n: int = 4096,
     tol = 1e-9
     contains_one = (lo - tol <= 1.0 <= hi + tol)
     tori = tuple(enumerate_tori(profile, max_pq_witness, grid_n=grid_n))
-    witnesses = tuple(
-        Witness(ext, slot, float(profile.t_of_theta(th_star)), val,
-                _nearest_torus(tori, float(profile.t_of_theta(th_star))))
-        for ext, slot, th_star, val in (
-            ("lo", "d1", th_m1, m1), ("lo", "d2", th_m2, m2),
-            ("hi", "d1", th_M1, M1), ("hi", "d2", th_M2, M2)))
+    witnesses = []
+    for ext, slot, th_star, val in (("lo", "d1", th_m1, m1),
+                                    ("lo", "d2", th_m2, m2),
+                                    ("hi", "d1", th_M1, M1),
+                                    ("hi", "d2", th_M2, M2)):
+        t_star = float(profile.t_of_theta(th_star))
+        witnesses.append(Witness(ext, slot, t_star, val,
+                                 _nearest_torus(tori, t_star)))
 
     # the torus with the smaller t takes the D1F slot (pairing_orbit_orbit)
     pairing_values = {}
@@ -427,7 +429,7 @@ def systolic_interval(profile: ToricProfile, grid_n: int = 4096,
         enlarged_interval=(float(enlarged_lo), float(enlarged_hi)),
         norm=float(hi - lo),
         contains_one=bool(contains_one),
-        witnesses=witnesses,
+        witnesses=tuple(witnesses),
         tori=tori,
         grid_n=grid_n,
         pairing_values=pairing_values,

@@ -2,9 +2,9 @@
 
 The surfaces handled here are the disks bounded by the two axis orbits,
 {theta1 = const} bounded by the y-axis orbit and {theta2 = const} bounded
-by the x-axis orbit, together with the page {time = const} of a suspension
-(handled by the disk-map module through the same sweep counter).  Their
-contact area equals the period of the boundary orbit, by Stokes.
+by the x-axis orbit.  Their contact area equals the period of the
+boundary orbit, by Stokes.  The disk-map module counts the crossings of
+a suspension's page {time = const} with the same sweep counter.
 
 For the linear toric flow a trajectory crosses an axis disk exactly when
 the corresponding angle sweeps through the disk's angle, so signed counts
@@ -100,10 +100,9 @@ class SeifertSurfaceSpec:
     """An oriented surface adapted to the flow with its contact area.
 
     kind 'axis-disk-y' is {theta1 = angle}, bounded by the y-axis orbit;
-    kind 'axis-disk-x' is {theta2 = angle}, bounded by the x-axis orbit;
-    kind 'page' is a {time = angle} slice of a suspension.  Orientation
-    -1 negates the contact area and every signed crossing, so pairings
-    with the surface are orientation independent.
+    kind 'axis-disk-x' is {theta2 = angle}, bounded by the x-axis orbit.
+    Orientation -1 negates the contact area and every signed crossing, so
+    pairings with the surface are orientation independent.
     """
 
     kind: str
@@ -113,11 +112,8 @@ class SeifertSurfaceSpec:
 
     @property
     def phase_index(self) -> int:
-        if self.kind == "axis-disk-y":
-            return 0            # crossings sweep theta1
-        if self.kind == "axis-disk-x":
-            return 1            # crossings sweep theta2
-        raise ValidationError(f"surface kind {self.kind!r} has no torus phase")
+        """0 where crossings sweep theta1, 1 where they sweep theta2."""
+        return 0 if self.kind == "axis-disk-y" else 1
 
 
 def axis_disk(profile: ToricProfile, axis: str, angle: float = 0.0,
@@ -133,15 +129,6 @@ def axis_disk(profile: ToricProfile, axis: str, angle: float = 0.0,
     kind = "axis-disk-y" if axis == "y" else "axis-disk-x"
     return SeifertSurfaceSpec(kind, float(angle), orientation,
                               orientation * boundary.period)
-
-
-def page_surface(angle: float = 0.0, orientation: int = 1,
-                 contact_area: float = math.pi) -> SeifertSurfaceSpec:
-    """A page {time = angle} of a suspension over the unit disk."""
-    if orientation not in (1, -1):
-        raise ValidationError("orientation must be +1 or -1")
-    return SeifertSurfaceSpec("page", float(angle), orientation,
-                              orientation * contact_area)
 
 
 def signed_sweep_count(phase_a, phase_b, phase_star, period: float = TWO_PI):
@@ -243,28 +230,27 @@ def _batch_rates(profile, samples, surface, horizon, return_tol):
     samples is an (n, 3) array of (t, theta1, theta2).  Returns
     (rates, return_times, fallback_mask).  Samples without an admissible
     near-return fall back to the homologically closed loop at the full
-    horizon, whose rate error is bounded by 2/horizon.
+    horizon, whose rate error is bounded by 2/horizon.  A sample has none
+    where q_cap = w1 * horizon / 2 pi is below 1, at any scale.
     """
     d1, d2 = profile.gradient_theta(profile.theta_of_t(samples[:, 0]))
     w1 = 2.0 * np.asarray(d1, float)
     w2 = 2.0 * np.asarray(d2, float)
 
-    usable = w1 > 1e-12
-    alpha = np.where(usable, w2 / np.where(usable, w1, 1.0), 0.0)
-    q_cap = np.where(usable, w1 * horizon / TWO_PI, 0.0)
-    _, q_c, err = _best_convergents(alpha, q_cap)
-
+    # a lane whose D1F underflows to 0 has q_cap = 0 and falls back; the
+    # divisions by its zeros are never selected
     with np.errstate(divide="ignore", invalid="ignore"):
-        mult = np.where(q_c >= 1, np.floor(q_cap / np.where(q_c >= 1, q_c, 1.0)), 0.0)
-    mult = np.maximum(mult, 1.0)
-    angle_err = TWO_PI * mult * err
-    over_tol = angle_err > return_tol
-    mult = np.where(over_tol, 1.0, mult)
-    angle_err = np.where(over_tol, TWO_PI * err, angle_err)
-    good = usable & (q_c >= 1.0) & (angle_err <= return_tol)
-
-    t_ret = np.where(good, TWO_PI * mult * np.maximum(q_c, 1.0)
-                     / np.where(usable, w1, 1.0), horizon)
+        alpha = w2 / w1
+        q_cap = w1 * horizon / TWO_PI
+        _, q_c, err = _best_convergents(alpha, q_cap)
+        mult = np.where(q_c >= 1, np.floor(q_cap / q_c), 0.0)
+        mult = np.maximum(mult, 1.0)
+        angle_err = TWO_PI * mult * err
+        over_tol = angle_err > return_tol
+        mult = np.where(over_tol, 1.0, mult)
+        angle_err = np.where(over_tol, TWO_PI * err, angle_err)
+        good = (q_c >= 1.0) & (angle_err <= return_tol)
+        t_ret = np.where(good, TWO_PI * mult * q_c / w1, horizon)
 
     idx = surface.phase_index
     omega = (w1, w2)[idx]

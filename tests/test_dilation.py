@@ -1,11 +1,13 @@
 """Dilation covariance of the systolic interval, of the boundary-average
-identity's relative residual and of the lp area map.
+identity's relative residual, of the lp area map and of the verifier.
 
 Dilating a boundary by s scales area parameters by s^2 and partial
 derivatives by 1/s, so pairings and the systolic interval do not change.
 A power-of-two s commutes with every rational operation, so there the
-interval must be the same to the bit.  Warnings are errors here: an
-overflow or underflow on the way must not pass unseen.
+interval must be the same to the bit.  The verifier's rates scale by
+1/s; with the horizon dilated by s too, its fallbacks and z do not
+change.  Warnings are errors here: an overflow or underflow on the way
+must not pass unseen.
 """
 import json
 
@@ -17,6 +19,7 @@ from reebsys.cli import main
 from reebsys.errors import ValidationError
 from reebsys.profiles import HALF_PI, LpProfile, SplineProfile
 from reebsys.systolic import average_identity_residual
+from reebsys.topology import _batch_rates, axis_disk
 
 
 def systole_interval(tmp_path, doc):
@@ -93,3 +96,54 @@ def test_area_range_check_is_relative(scale):
     with pytest.raises(ValidationError, match="out of range"):
         lp.theta_of_t(2.0 * lp.two_area)
     assert lp.theta_of_t(lp.two_area * (1.0 + 1e-10)) == HALF_PI
+
+
+VERIFY_EXPONENTS = [-300, -200, -64, 64, 200, 300]
+
+
+def dilated_profile(name, scale):
+    """The verifier's test profiles, dilated by scale."""
+    if name == "ellipsoid":
+        return {"kind": "ellipsoid", "a": 0.7 * scale, "b": 1.9 * scale}
+    if name == "lp3":
+        return {"kind": "lp", "p": 3.0, "a": 1.2 * scale, "b": 0.9 * scale}
+    points = load_perfbench("workloads").profiles(1.0)["spline"]["points"]
+    return {"kind": "sampled", "points": (np.array(points) * scale).tolist()}
+
+
+def verify_report(tmp_path, doc, horizon):
+    tmp_path.mkdir()
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["verify-action-linking", "--input", str(path),
+                 "--output", str(out), "--samples", "2000",
+                 "--horizon", repr(horizon), "--quiet"]) == 0
+    return json.loads((out / "verify-action-linking.json").read_text())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["ellipsoid", "lp3", "spline"])
+@pytest.mark.parametrize("k", VERIFY_EXPONENTS,
+                         ids=[f"2^{k}" for k in VERIFY_EXPONENTS])
+def test_verifier_is_dilation_invariant(tmp_path, capsys, name, k):
+    # a sample falls back where q_cap = w1 * horizon / 2 pi is below 1,
+    # and q_cap does not change when the profile and horizon are dilated
+    base = verify_report(tmp_path / "base", dilated_profile(name, 1.0), 100.0)
+    got = verify_report(tmp_path / "dilated", dilated_profile(name, 2.0 ** k),
+                        100.0 * 2.0 ** k)
+    assert got["n_fallback"] == base["n_fallback"] < 2000
+    assert got["z"] == pytest.approx(base["z"], rel=1e-12, abs=0.0)
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.filterwarnings("error")
+def test_underflowing_d1_lane_falls_back():
+    # at t = 2A of lp p = 40, D1F = (x/a)^39 / a underflows to exactly 0
+    lp = LpProfile(40.0, 1.0, 1.0)
+    assert lp.gradient_theta(lp.theta_of_t(lp.two_area))[0] == 0.0
+    rows = np.array([[lp.two_area, 0.0, 0.0], [0.5 * lp.two_area, 0.0, 0.0]])
+    rates, t_ret, fallback = _batch_rates(lp, rows, axis_disk(lp, "y"),
+                                          100.0, 0.1)
+    assert fallback.tolist() == [True, False]
+    assert (rates[0], t_ret[0]) == (0.0, 100.0)

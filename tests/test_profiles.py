@@ -14,10 +14,10 @@ from conftest import (SPLINE_ARGS, load_perfbench, random_star_profile,
                       star_profiles)
 from reebsys import profiles
 from reebsys.errors import ValidationError
-from reebsys.numerics import adaptive_gauss, panel_gauss_many
+from reebsys.numerics import adaptive_gauss, panel_gauss_many, prefix_fsums
 from reebsys.profiles import (BETA_CF_MARGIN, EllipsoidProfile, LpProfile,
                               SplineProfile, perturbed_ellipsoid_points,
-                              prefix_fsums, profile_from_json, round_profile,
+                              profile_from_json, round_profile,
                               symmetric_beta_cf)
 
 HALF_PI = math.pi / 2
@@ -26,6 +26,20 @@ HALF_PI = math.pi / 2
 def central_diff(f, x, y, h=1e-6):
     return ((f(x + h, y) - f(x - h, y)) / (2 * h),
             (f(x, y + h) - f(x, y - h)) / (2 * h))
+
+
+def level_function(prof):
+    """F of a profile by a route apart from its boundary_radius: the closed
+    forms x/a + y/b of the ellipsoid and ((x/a)^p + (y/b)^p)^(1/p) of lp,
+    and |P| / r(angle of P) with r from scipy's PCHIP through the knots of
+    a sampled profile."""
+    if isinstance(prof, EllipsoidProfile):
+        return lambda x, y: x / prof.a + y / prof.b
+    if isinstance(prof, LpProfile):
+        return lambda x, y: ((x / prof.a) ** prof.p
+                             + (y / prof.b) ** prof.p) ** (1.0 / prof.p)
+    ref = PchipInterpolator(*polar_knots(prof._points))
+    return lambda x, y: np.hypot(x, y) / ref(np.arctan2(y, x))
 
 
 def two_pass_lp_gradient_theta(prof, theta):
@@ -87,8 +101,11 @@ class TestGradient:
 
     def test_gradient_interior_vs_finite_differences(self, profile_matrix):
         for p in profile_matrix:
+            F = level_function(p)
             for x, y in [(0.4, 0.2), (0.9, 1.1), (0.05, 0.6)]:
-                d1_fd, d2_fd = central_diff(lambda u, v: float(p.value(u, v)), x, y)
+                assert float(p.value(x, y)) == pytest.approx(F(x, y),
+                                                             rel=1e-12)
+                d1_fd, d2_fd = central_diff(lambda u, v: float(F(u, v)), x, y)
                 d1, d2 = p.gradient(x, y)
                 assert float(d1) == pytest.approx(d1_fd, abs=2e-8)
                 assert float(d2) == pytest.approx(d2_fd, abs=2e-8)
@@ -205,7 +222,7 @@ class TestAreaParametrization:
         for p in profile_matrix:
             ts = rng.uniform(0.0, p.two_area, 50)
             x, y, _, _ = p.boundary_arrays(ts)
-            vals = p.value(x, y)
+            vals = level_function(p)(x, y)
             assert np.max(np.abs(np.asarray(vals) - 1.0)) < 1e-10
 
 

@@ -24,8 +24,7 @@ from reebsys.topology import (GAUSS_BLOCK, GAUSS_TILE, MIN_DIST_BALL,
                               _min_distance, _segment_separation,
                               _stereographic, action_linking_verify,
                               axis_disk, check_statistical, linking_number,
-                              page_surface, signed_sweep_count,
-                              toric_orbit_curve)
+                              signed_sweep_count, toric_orbit_curve)
 
 PI = math.pi
 
@@ -1066,9 +1065,3 @@ class TestSurfaces:
         disk = axis_disk(round_p, "y")
         flipped = axis_disk(round_p, "y", orientation=-1)
         assert flipped.contact_area == -disk.contact_area
-
-    def test_page_surface(self):
-        page = page_surface(angle=0.25)
-        assert page.contact_area == pytest.approx(PI)
-        with pytest.raises(ValidationError):
-            page.phase_index
