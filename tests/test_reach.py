@@ -64,8 +64,10 @@ UNREACHED = {
                                  "branch",
     "reports.read_curve_csv": "a csv curve of linking, which no golden "
                               "case reads",
-    "systolic.AxisOrbit.p": "test oracle: an axis orbit's winding pair",
-    "systolic.AxisOrbit.q": "test oracle: an axis orbit's winding pair",
+    "systolic.AxisOrbit.p": "test oracle: the winding pair that "
+                            "test_systolic's pairing_from_definition reads",
+    "systolic.AxisOrbit.q": "test oracle: the winding pair that "
+                            "test_systolic's pairing_from_definition reads",
     "systolic._position": "the orbit position of pairing_orbit_orbit",
     "systolic._superlevel_fraction": "the measure of witness_measure",
     "systolic.average_identity_residual":
