@@ -356,8 +356,3 @@ class IntervalLookup:
                 return j
             j = j + up
 
-
-def wrap_to_pi(theta):
-    """Reduce angles to [-pi, pi)."""
-    two_pi = 2.0 * np.pi
-    return np.mod(np.asarray(theta, float) + np.pi, two_pi) - np.pi

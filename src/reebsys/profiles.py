@@ -27,12 +27,12 @@ turn the integral of r^2 into 2A I_v(1/p, 1/p), a regularized incomplete
 beta function: theta -> t is x y h(v) for v <= 1/2 and 2A - x y h(1 - v)
 above, with (x, y) the boundary point and h the continued fraction of
 I_v(1/p, 1/p) over its leading power, at one fixed depth per profile.
-Both kinds invert t -> theta the same way: a table of (theta_j, t_j,
-dtheta/dt = 1/r^2) (the knots of a sampled profile, 2049 uniform angles
-for lp), one interval lookup per lane, a cubic Hermite start in t and
-bracketed Newton steps on the exact map, until each lane's residual is
-within 1e-14 * 2A.  Each lane is computed independently of the others in
-its batch.  Every interval of a theta or t node table is found by one
+Both kinds invert t -> theta the same way: nodes (theta_j, t_j) (the
+knots of a sampled profile, 2049 uniform angles for lp), one interval
+lookup per lane, a cubic Hermite start in t whose coefficients per
+interval are tabled once with the nodes, and bracketed Newton steps on the
+exact map, until each lane's residual is within 1e-14 * 2A; each lane
+independently of the others in its batch.  Every interval of a theta or t node table is found by one
 numerics.IntervalLookup, a uniform cell table, which gives the index a
 binary search would.
 
@@ -139,8 +139,8 @@ class ToricProfile:
         raise NotImplementedError
 
     def _area_table(self):
-        """(theta_j, t_j, dtheta/dt = 1/r^2 at theta_j), the nodes of the
-        t -> theta inversion; kinds that invert by Newton steps supply it."""
+        """(theta_j, t_j, hermite_rows(theta_j, t_j, 1/r^2)), the t -> theta
+        start table, built once by the kinds that invert by Newton steps."""
         raise NotImplementedError
 
     def _t_lookup(self):
@@ -185,6 +185,22 @@ class ToricProfile:
         """dt/dtheta = r^2 at theta, which lies in interval j."""
         raise NotImplementedError
 
+    def _hermite_start(self, tc):
+        """(j, theta, theta_j, theta_j+1): the table interval of each t in
+        [0, 2A], the cubic Hermite start in it (a gather of the interval's
+        hermite_rows and one Horner step) and the interval's ends."""
+        nodes, tnodes, (h, m0, c2, c3) = self._area_table()
+        j = self._t_lookup()(tc)
+        lo = nodes[j]
+        hi = nodes[j + 1]
+        s = tc - tnodes[j]
+        s /= h[j]
+        th = c3[j]
+        for term in (c2[j], m0[j], lo):
+            th *= s
+            th += term
+        return j, np.clip(th, lo, hi, out=th), lo, hi
+
     def _theta_of_t(self, t):
         """Cubic Hermite start on the area table, Newton where it misses.
 
@@ -195,20 +211,9 @@ class ToricProfile:
         profiles nearly every lane misses after the start (99% on the
         benchmark spline), on lp profiles none does.
         """
-        nodes, tnodes, slope = self._area_table()
-        t_max = tnodes[-1]
+        t_max = self._area_table()[1][-1]
         tc = np.clip(t, 0.0, t_max)
-        j = self._t_lookup()(tc)
-        lo = nodes[j]
-        hi = nodes[j + 1]
-        tlo = tnodes[j]
-        h = tnodes[j + 1] - tlo
-        s = (tc - tlo) / h
-        m0 = h * slope[j]
-        d = hi - lo
-        c2 = 3.0 * d - 2.0 * m0 - h * slope[j + 1]
-        c3 = m0 + h * slope[j + 1] - 2.0 * d
-        th = np.clip(lo + s * (m0 + s * (c2 + s * c3)), lo, hi)
+        j, th, lo, hi = self._hermite_start(tc)
         tol = 1e-14 * t_max
         f = self._panel_area(th, j) - tc
         miss = np.abs(f) > tol
@@ -390,12 +395,12 @@ class LpProfile(ToricProfile):
     # -- p != 2: the incomplete-beta closed form ---------------------------
 
     def _area_table(self):
-        """(theta_j, t_j, 1/r^2) at AREA_TABLE_PANELS + 1 uniform angles,
-        the start table of the inversion."""
+        """The start table at AREA_TABLE_PANELS + 1 uniform angles."""
         if self._table is None:
             theta = np.linspace(0.0, HALF_PI, AREA_TABLE_PANELS + 1)
-            self._table = (theta, self._panel_area(theta, None),
-                           1.0 / self._panel_rate(theta, None))
+            t = self._panel_area(theta, None)
+            self._table = (theta, t, hermite_rows(
+                theta, t, 1.0 / self._panel_rate(theta, None)))
         return self._table
 
     def _ratio(self, theta):
@@ -492,6 +497,17 @@ def symmetric_beta_cf(q: float) -> np.ndarray:
     depth = m + BETA_CF_MARGIN
     return np.array([odd(0)] + [f(k) for k in range(1, depth + 1)
                                 for f in (even, odd)])
+
+
+def hermite_rows(theta, t, slope):
+    """(h, m0, c2, c3) on each interval of increasing nodes (t_j, theta_j)
+    with slopes dtheta/dt: the cubic Hermite interpolant of theta(t) is
+    theta_j + s (m0 + s (c2 + s c3)) there, with s = (t - t_j) / h."""
+    h = np.diff(t)
+    d = np.diff(theta)
+    m0 = h * slope[:-1]
+    m1 = h * slope[1:]
+    return h, m0, 3.0 * d - 2.0 * m0 - m1, m0 + m1 - 2.0 * d
 
 
 def round_profile() -> LpProfile:
@@ -613,7 +629,8 @@ class SplineProfile(ToricProfile):
         with np.errstate(all="ignore"):
             self._area_coef, knot_area = area_polynomials(np.diff(theta),
                                                           self._coef)
-            self._knot_table = (theta, knot_area, 1.0 / (r * r))
+            self._knot_table = (theta, knot_area,
+                                hermite_rows(theta, knot_area, 1.0 / (r * r)))
         # _segments' lookup; the one on the knot areas T_j is built on
         # first use (_t_lookup), after profile_from_json has checked that
         # they are finite
@@ -674,7 +691,7 @@ class SplineProfile(ToricProfile):
     # -- area parametrization from the exact interval polynomials -----------
 
     def _area_table(self):
-        """(theta_j, T_j, dtheta/dt = 1/r^2) at the knots."""
+        """The start table at the knots, with t_j = T_j."""
         return self._knot_table
 
     def _t_of_theta(self, theta):

@@ -19,23 +19,23 @@ the rate (_batch_rates).
 The Liouville-averaged crossing rate with a surface, scaled by the contact
 volume, recovers the contact area of the surface; action_linking_verify
 checks this identity by seeded Monte Carlo and reports a z score.  It
-computes the rates in blocks of RATE_BLOCK samples dealt to the worker
-threads; each worker draws its block's area parameters t from the
-seeded sample stream itself (a rate depends on t alone), finds the
-near-return times with a continued-fraction kernel, and sums its block's
-rates exactly (numerics.exact_partial, an integer superaccumulator).
-The kernel (_best_convergents) steps all the lanes of a block together
-with ufuncs writing into buffers; a lane's answer is written out at the
-step where its expansion first passes q_cap, and once fewer than half
-of the lanes at the current width still run, those are gathered into
-buffers of their own count.  A typical block has 12 steps, but a lane
-ends after about 5 of them (ln q grows like 1.19 per step, Levy), so
-most steps run on a few thousand lanes instead of 2^15.  The
-working memory beyond the rates is bounded by the block size, not the
-sample count.  The mean and the variance are the correctly rounded
-totals of the exact block sums, equal to math.fsum over all the rates,
-and each rate depends on its own sample only, so the report is the same
-for any thread count.
+computes the rates in blocks of RATE_BLOCK samples: the calling thread and
+threads - 1 helpers take block indices from one shared iterator, in this
+pass and in the pass that sums the squared deviations from the mean.  A
+block draws its area parameters t from the seeded sample stream (a rate
+depends on t alone), finds the near-return times with a continued-fraction
+kernel, and sums its rates exactly (numerics.exact_partial).  The kernel
+(_best_convergents) steps all the lanes of a block together with ufuncs
+writing into buffers; a lane's answer is written out at the step where its
+expansion first passes q_cap, and once fewer than half of the lanes at the
+current width still run, those are gathered into buffers of their own
+count.  A typical block has 12 steps, but a lane ends after about 5 of
+them (ln q grows like 1.19 per step, Levy), so most steps run on a few
+thousand lanes instead of 2^15.  The working memory beyond the rates is
+bounded by the block size, not the sample count.  The mean and the
+variance are the correctly rounded totals of the exact block sums, equal
+to math.fsum over all the rates, and each rate depends on its own sample
+only, so the report is the same for any thread count.
 
 Linking numbers of closed curves on the 3-sphere are computed by
 stereographic projection followed by the exact solid-angle (Gauss) sum
@@ -84,7 +84,7 @@ import numpy as np
 
 from .errors import (NumericalError, ResolutionError, StatisticalError,
                      ValidationError)
-from .numerics import exact_partial, exact_total, wrap_to_pi
+from .numerics import exact_partial, exact_total
 from .profiles import ToricProfile
 from .systolic import AxisOrbit, RationalTorus, axis_orbit, contact_volume
 from .flows import RNG_NAME, liouville_sample
@@ -232,10 +232,15 @@ def _batch_rates(profile, samples, surface, horizon, return_tol):
     near-return fall back to the homologically closed loop at the full
     horizon, whose rate error is bounded by 2/horizon.  A sample has none
     where q_cap = w1 * horizon / 2 pi is below 1, at any scale.
+
+    The loop over the return time is closed by the shorter geodesic chord
+    on the torus, so its winding number is the nearest whole number of
+    turns to sweep / 2 pi, np.rint of it.  At an exact half turn the two
+    chords are equally short, and rint takes the even count.
     """
-    d1, d2 = profile.gradient_theta(profile.theta_of_t(samples[:, 0]))
-    w1 = 2.0 * np.asarray(d1, float)
-    w2 = 2.0 * np.asarray(d2, float)
+    w1, w2 = profile.gradient_theta(profile.theta_of_t(samples[:, 0]))
+    w1 *= 2.0
+    w2 *= 2.0
 
     # a lane whose D1F underflows to 0 has q_cap = 0 and falls back; the
     # divisions by its zeros are never selected
@@ -243,25 +248,28 @@ def _batch_rates(profile, samples, surface, horizon, return_tol):
         alpha = w2 / w1
         q_cap = w1 * horizon / TWO_PI
         _, q_c, err = _best_convergents(alpha, q_cap)
-        mult = np.where(q_c >= 1, np.floor(q_cap / q_c), 0.0)
-        mult = np.maximum(mult, 1.0)
-        angle_err = TWO_PI * mult * err
+        good = q_c >= 1.0
+        # 2 pi mult: q_c's multiple within q_cap, or 1 where that misses
+        scale = np.floor(np.divide(q_cap, q_c, out=q_cap), out=q_cap)
+        np.copyto(scale, 1.0, where=~good)
+        scale *= TWO_PI
+        angle_err = np.multiply(scale, err, out=alpha)
         over_tol = angle_err > return_tol
-        mult = np.where(over_tol, 1.0, mult)
-        angle_err = np.where(over_tol, TWO_PI * err, angle_err)
-        good = (q_c >= 1.0) & (angle_err <= return_tol)
-        t_ret = np.where(good, TWO_PI * mult * q_c / w1, horizon)
+        np.copyto(scale, TWO_PI, where=over_tol)
+        np.multiply(scale, err, out=angle_err, where=over_tol)
+        good &= angle_err <= return_tol
+        t_ret = np.divide(np.multiply(scale, q_c, out=q_c), w1, out=q_c)
+        np.copyto(t_ret, horizon, where=~good)
 
-    idx = surface.phase_index
-    omega = (w1, w2)[idx]
-    # the loop closed by the short chord winds an exact integer number of
-    # times, and a closed loop crosses the disk its winding number of times
-    # whatever the disk angle and start phase; rounding makes this exact
-    sweep = omega * t_ret
-    chord = wrap_to_pi(-sweep)
-    counts = np.round((sweep + chord) / TWO_PI)
-    rates = surface.orientation * counts / t_ret
-    return rates, t_ret, ~good
+    # a closed loop crosses the disk its winding number of times whatever
+    # the disk angle and start phase
+    turns = (w1, w2)[surface.phase_index]
+    turns *= t_ret
+    turns /= TWO_PI
+    np.rint(turns, out=turns)
+    turns *= surface.orientation
+    turns /= t_ret
+    return turns, t_ret, ~good
 
 
 @dataclass(frozen=True)
@@ -303,8 +311,25 @@ def action_linking_verify(profile: ToricProfile, surface: SeifertSurfaceSpec,
     vol = contact_volume(profile)
     profile.boundary_arrays(0.0)   # build the profile caches before fan-out
     rates = np.empty(n_samples)
+    n_blocks = -(-n_samples // RATE_BLOCK)
+    helpers = min(max(1, int(threads)), n_blocks) - 1
 
-    def work(lo):
+    def on_workers(task):
+        """[task(lo) for each block start lo], in block order."""
+        results = [None] * n_blocks
+        blocks = iter(range(n_blocks))
+
+        def drain():
+            for i in blocks:
+                results[i] = task(i * RATE_BLOCK)
+
+        futures = [pool.submit(drain) for _ in range(helpers)]
+        drain()
+        for future in futures:
+            future.result()
+        return results
+
+    def rate_block(lo):
         hi = min(lo + RATE_BLOCK, n_samples)
         block, _, fallback = _batch_rates(
             profile, liouville_sample(profile, n_samples, seed, lo, hi,
@@ -313,27 +338,20 @@ def action_linking_verify(profile: ToricProfile, surface: SeifertSurfaceSpec,
         rates[lo:hi] = block
         return exact_partial(block), int(fallback.sum())
 
-    starts = range(0, n_samples, RATE_BLOCK)
-    workers = min(max(1, int(threads)), len(starts))
-    if workers == 1:
-        blocks = list(map(work, starts))
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(work, starts))
-    n_fallback = sum(fallbacks for _, fallbacks in blocks)
+    def square_block(lo):
+        return exact_partial((rates[lo:lo + RATE_BLOCK] - mean) ** 2)
 
-    # the block sums are exact, so their correctly rounded total is the
+    # the block sums are exact, so their correctly rounded totals are the
     # math.fsum of all the rates whatever the blocks and threads
-    mean = exact_total(partial for partial, _ in blocks) / n_samples
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=max(helpers, 1)) as pool:
+        blocks = on_workers(rate_block)
+        mean = exact_total(partial for partial, _ in blocks) / n_samples
+        var = (exact_total(on_workers(square_block)) / (n_samples - 1)
+               if n_samples > 1 else 0.0)
+    n_fallback = sum(fallbacks for _, fallbacks in blocks)
     lhs = vol * mean
     rhs = surface.contact_area
-    if n_samples > 1:
-        var = exact_total(
-            exact_partial((rates[lo:lo + RATE_BLOCK] - mean) ** 2)
-            for lo in starts) / (n_samples - 1)
-    else:
-        var = 0.0
     stderr = vol * math.sqrt(var / n_samples)
     diff = abs(lhs - rhs)
     if stderr == 0.0:

@@ -88,6 +88,14 @@ def load_perfbench(name: str):
         sys.path.pop(0)
 
 
+def wrap_to_pi(theta):
+    """Angles reduced to [-pi, pi): the chord oracle of the verifier tests.
+    The loop of a sweep is closed by the chord wrap_to_pi(-sweep), the
+    shorter way round the circle to a whole number of turns."""
+    two_pi = 2.0 * np.pi
+    return np.mod(np.asarray(theta, float) + np.pi, two_pi) - np.pi
+
+
 coprime_classes = functools.cache(_coprime_classes)
 
 

@@ -10,8 +10,7 @@ from reebsys.errors import NumericalError, ValidationError
 from reebsys.numerics import (PANEL_CHUNK, IntervalLookup, _leggauss,
                               adaptive_gauss, bracketed_roots, exact_partial,
                               exact_total, fixed_gauss, panel_gauss_many,
-                              refine_extremum, scan_roots, simplest_fraction,
-                              wrap_to_pi)
+                              refine_extremum, scan_roots, simplest_fraction)
 from reebsys.profiles import HALF_PI, profile_from_json
 
 
@@ -132,11 +131,6 @@ def test_scan_roots_counts_node_zeros_once():
     # a function vanishing on a stretch has no isolated roots there
     nodes, cells = scan_roots(np.maximum(xs - 0.5, 0.0))
     assert nodes.size == 0 and cells.size == 0
-
-
-def test_wrap_helpers():
-    assert wrap_to_pi(math.pi + 0.1) == pytest.approx(-math.pi + 0.1)
-    assert wrap_to_pi(-0.1) == pytest.approx(-0.1)
 
 
 @pytest.mark.parametrize("doc", [

@@ -389,6 +389,24 @@ def closed_form_profiles():
             LpProfile(2.0, 0.8, 1.3)]
 
 
+def per_lane_hermite_start(profile, tc, slope):
+    """The start of the t -> theta inversion with its cubic Hermite
+    coefficients formed on each lane from the node slopes dtheta/dt, as
+    before they were tabled: (interval, theta)."""
+    nodes, tnodes, _ = profile._area_table()
+    j = profile._t_lookup()(tc)
+    lo = nodes[j]
+    hi = nodes[j + 1]
+    tlo = tnodes[j]
+    h = tnodes[j + 1] - tlo
+    s = (tc - tlo) / h
+    m0 = h * slope[j]
+    d = hi - lo
+    c2 = 3.0 * d - 2.0 * m0 - h * slope[j + 1]
+    c3 = m0 + h * slope[j + 1] - 2.0 * d
+    return j, np.clip(lo + s * (m0 + s * (c2 + s * c3)), lo, hi)
+
+
 class TestInversion:
     def test_round_trip(self, profile_matrix):
         for p in profile_matrix + [LpProfile(2.0, 0.8, 1.3)]:
@@ -413,6 +431,31 @@ class TestInversion:
             t = rng.uniform(0.0, p.two_area, 3000)
             parts = [p.theta_of_t(t[i:i + 700]) for i in range(0, len(t), 700)]
             assert np.array_equal(p.theta_of_t(t), np.concatenate(parts))
+
+    @pytest.mark.parametrize("kind", ["lp1.1", "lp3", "lp40", "spline"])
+    def test_tabled_hermite_start_matches_per_lane_formula(self, kind):
+        # at every table node, one ulp either side, both ends and seeded t
+        if kind == "spline":
+            profile = profile_from_json(
+                load_perfbench("workloads").profiles(1.0)["spline"])
+            r = np.hypot(profile._points[:, 0], profile._points[:, 1])
+            slope = 1.0 / (r * r)
+        else:
+            p = float(kind[2:])
+            profile = LpProfile(p, 1.2, 0.9) if p == 3.0 else LpProfile(p)
+            slope = 1.0 / profile._panel_rate(profile._area_table()[0], None)
+        tnodes = profile._area_table()[1]
+        t = np.concatenate([
+            tnodes, np.nextafter(tnodes, -np.inf), np.nextafter(tnodes, np.inf),
+            [0.0, profile.two_area],
+            np.random.default_rng(9).uniform(0.0, profile.two_area, 10 ** 4)])
+        tc = np.clip(t, 0.0, tnodes[-1])
+        j, th, lo, hi = profile._hermite_start(tc)
+        want_j, want = per_lane_hermite_start(profile, tc, slope)
+        np.testing.assert_array_equal(j, want_j)
+        np.testing.assert_array_equal(th.view(np.int64), want.view(np.int64))
+        np.testing.assert_array_equal(lo, profile._area_table()[0][j])
+        np.testing.assert_array_equal(hi, profile._area_table()[0][j + 1])
 
     def test_skewed_ellipsoid_intercepts_exact(self):
         ic = EllipsoidProfile(1e-4, 1e4).intercepts()

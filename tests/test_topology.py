@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,16 +9,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import load_perfbench
+from conftest import load_perfbench, wrap_to_pi
 from reebsys import topology
 from reebsys.cli import main
 from reebsys.errors import (NumericalError, StatisticalError,
                             ValidationError)
 from reebsys.flows import liouville_sample
-from reebsys.numerics import wrap_to_pi
 from reebsys.systolic import (axis_orbit, contact_volume, enumerate_tori,
                               pairing_orbit_orbit)
-from reebsys.profiles import EllipsoidProfile, LpProfile, SplineProfile
+from reebsys.profiles import (EllipsoidProfile, LpProfile, SplineProfile,
+                              profile_from_json)
 from reebsys.topology import (GAUSS_BLOCK, GAUSS_TILE, MIN_DIST_BALL,
                               MIN_DIST_BLOCK, MIN_DIST_TILE, RATE_BLOCK,
                               _POLES, ClosedCurve, LinkResult, _batch_rates,
@@ -404,6 +406,57 @@ class TestAsymptoticRate:
         assert chord_crossings > 0
 
 
+def test_wrap_helpers():
+    assert wrap_to_pi(math.pi + 0.1) == pytest.approx(-math.pi + 0.1)
+    assert wrap_to_pi(-0.1) == pytest.approx(-0.1)
+
+
+@pytest.mark.parametrize("return_tol", [0.1, 2.0])
+@pytest.mark.parametrize("horizon", [100.0, 1000.0])
+@pytest.mark.parametrize("kind", ["round", "lp3", "spline", "ellipsoid"])
+def test_rint_count_is_the_chord_closed_count(round_p, kind, horizon,
+                                              return_tol):
+    # every lane of a seeded block, fallback lanes included: the count is
+    # the nearest whole number of turns, the count of the sweep closed by
+    # the shorter chord
+    doc = load_perfbench("workloads").profiles(1.0)[kind]
+    profile = round_p if kind == "round" else profile_from_json(doc)
+    rows = liouville_sample(profile, 20 * RATE_BLOCK, 23, 0, RATE_BLOCK,
+                            columns=1)
+    w = 2.0 * np.array(profile.gradient_theta(profile.theta_of_t(rows[:, 0])))
+    fallbacks = 0
+    for axis in ("y", "x"):
+        surface = axis_disk(profile, axis)
+        rates, t_ret, fallback = _batch_rates(profile, rows, surface,
+                                              horizon, return_tol)
+        sweep = w[surface.phase_index] * t_ret
+        chord_closed = np.round((sweep + wrap_to_pi(-sweep)) / (2.0 * PI))
+        np.testing.assert_array_equal(np.rint(sweep / (2.0 * PI)),
+                                      chord_closed)
+        np.testing.assert_array_equal(rates, chord_closed / t_ret)
+        fallbacks += np.count_nonzero(fallback)
+    # round and lp3 fall back on 100 to 22754 of the lanes in every case,
+    # the spline on 13747 at horizon 100 and return_tol 0.1 only, and the
+    # ellipsoid's lanes, all alike, always return
+    assert (fallbacks > 0) == (kind in ("round", "lp3") or (
+        kind == "spline" and (horizon, return_tol) == (100.0, 0.1)))
+
+
+@pytest.mark.parametrize("turns, count", [(1.5, 2.0), (2.5, 2.0)])
+def test_rint_count_at_a_half_turn(turns, count):
+    # w2 = 8 and no return within the horizon (q_cap = turns / 4): the
+    # sample sweeps exactly k + 1/2 turns of theta2, and the count is the
+    # even neighbour (the chord form gave 1 at 1.5 turns, wrap_to_pi's
+    # rounding choosing the chord)
+    profile = EllipsoidProfile(1.0, 0.25)
+    horizon = turns / 8.0 * 2.0 * PI
+    assert 8.0 * horizon / (2.0 * PI) == turns
+    rates, t_ret, fallback = _batch_rates(
+        profile, np.array([[0.1]]), axis_disk(profile, "x"), horizon, 0.1)
+    assert fallback[0] and t_ret[0] == horizon
+    assert rates[0] == count / horizon
+
+
 class TestActionLinkingVerify:
     def test_ellipsoid_exact(self, e12):
         for axis, expected in (("y", 2 * PI), ("x", PI)):
@@ -491,6 +544,49 @@ class TestActionLinkingVerify:
                                   13, threads=threads)
         assert 0 < max(area_points) <= RATE_BLOCK
         assert max(sample_rows) <= RATE_BLOCK and sum(sample_rows) == 2 * n
+
+    def test_worker_loop(self, monkeypatch):
+        # five blocks, the last one short; the caller and the helpers
+        # share one iterator of block indices, so each block is computed
+        # once whatever the thread count, and an error in any block is
+        # raised once every worker has stopped
+        profile = LpProfile(3.0, 1.2, 0.9)
+        surface = axis_disk(profile, "y")
+        n = 4 * RATE_BLOCK + 999
+        first_t = liouville_sample(profile, n, 13, columns=1)[::RATE_BLOCK, 0]
+        block_of = {t: i for i, t in enumerate(first_t.tolist())}
+        batch_rates = topology._batch_rates
+        computed, fail = [], []
+
+        def counting(profile, samples, *args):
+            i = block_of[samples[0, 0]]
+            computed.append(i)
+            if i in fail:
+                raise NumericalError("third block")
+            return batch_rates(profile, samples, *args)
+
+        monkeypatch.setattr(topology, "_batch_rates", counting)
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reps = []
+            for threads in (1, 2, 3, 40):
+                computed.clear()
+                reps.append(action_linking_verify(profile, surface, n, 300.0,
+                                                  13, threads=threads))
+                assert sorted(computed) == list(range(5))
+                assert threading.active_count() == before
+            fail.append(2)
+            for threads in (1, 2, 3):
+                with pytest.raises(NumericalError, match="third block"):
+                    action_linking_verify(profile, surface, n, 300.0, 13,
+                                          threads=threads)
+                assert threading.active_count() == before
+        finally:
+            sys.setswitchinterval(interval)
+        assert reps[0] == reps[1] == reps[2] == reps[3]
+        assert reps[0].n_samples == n
 
     def test_skewed_ellipsoid_zero_variance(self):
         # 1e-4 x 1e4: rhs = pi*b must not pick up cos(pi/2) rounding
