@@ -30,11 +30,11 @@ I_v(1/p, 1/p) over its leading power, at one fixed depth per profile.
 Both kinds invert t -> theta the same way: nodes (theta_j, t_j) (the
 knots of a sampled profile, 2049 uniform angles for lp), one interval
 lookup per lane, a cubic Hermite start in t whose coefficients per
-interval are tabled once with the nodes, and bracketed Newton steps on the
-exact map, until each lane's residual is within 1e-14 * 2A; each lane
-independently of the others in its batch.  Every interval of a theta or t node table is found by one
-numerics.IntervalLookup, a uniform cell table, which gives the index a
-binary search would.
+interval are tabled once with the nodes, and bracketed Newton steps on
+the exact map, until each lane's residual is within 1e-14 * 2A, each lane
+independently of the others in its batch.  Every interval of a theta or t
+node table is found by one numerics.IntervalLookup, a uniform cell table,
+which gives the index a binary search would.
 
 Sampled profiles interpolate r(theta) with an in-house PCHIP table
 (pchip_table): one row each of c0..c3 per knot interval, from which r,
