@@ -165,7 +165,7 @@ def run_toric_analyze(args):
     x, y, d1, d2 = profile.boundary_arrays(ts)
     euler = float(np.max(np.abs(x * d1 + y * d2 - 1.0)))
 
-    h = 1e-5
+    h = 1e-5 * profile.two_area    # t spans [0, 2A] at every scale
     t_in = rng.uniform(0.05 * profile.two_area, 0.95 * profile.two_area, 100)
     xp, yp, _, _ = profile.boundary_arrays(t_in + h)
     xm, ym, _, _ = profile.boundary_arrays(t_in - h)

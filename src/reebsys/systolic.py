@@ -126,10 +126,6 @@ def contact_volume(profile: ToricProfile) -> float:
     return TWO_PI_SQ * profile.quadrant_area()
 
 
-def _position(orbit) -> float:
-    return float(orbit.t)
-
-
 def pairing_orbit_orbit(profile: ToricProfile, orbit1, orbit2) -> float:
     """Pairing of two geometrically distinct orbits from the closed form.
 
@@ -137,7 +133,7 @@ def pairing_orbit_orbit(profile: ToricProfile, orbit1, orbit2) -> float:
     smaller area parameter takes the D1F slot, the other the D2F slot;
     this is the ordering of the two solid tori the dividing torus cuts.
     """
-    t1, t2 = _position(orbit1), _position(orbit2)
+    t1, t2 = float(orbit1.t), float(orbit2.t)
     scale = max(1.0, profile.two_area)
     if abs(t1 - t2) <= 1e-12 * scale:
         raise ValidationError("pairing requires geometrically distinct orbits "
@@ -273,12 +269,6 @@ def enumerate_tori(profile: ToricProfile, max_pq: int,
         period_all[idx].tolist(), continuum[idx].tolist())]
 
 
-def _partials_on_grid(profile: ToricProfile, grid_n: int):
-    theta = np.linspace(0.0, HALF_PI, grid_n)
-    d1g, d2g = profile.gradient_theta(theta)
-    return theta, np.asarray(d1g, float), np.asarray(d2g, float)
-
-
 # nodes of the dense grid behind the enlarged interval, and the stride of
 # the first pass over it
 DENSE_N = 1 << 19
@@ -358,7 +348,8 @@ def systolic_interval(profile: ToricProfile, grid_n: int = 4096,
     if grid_n < 8:
         raise ValidationError("grid_n must be at least 8")
     require_positive_partials(profile, grid_n)
-    theta, d1g, d2g = _partials_on_grid(profile, grid_n)
+    theta = np.linspace(0.0, HALF_PI, grid_n)
+    d1g, d2g = profile.gradient_theta(theta)
     two_a = profile.two_area
 
     # the partials have kinks where r'' jumps; an extremum on a kink can

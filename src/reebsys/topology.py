@@ -41,20 +41,16 @@ Linking numbers of closed curves on the 3-sphere are computed by
 stereographic projection followed by the exact solid-angle (Gauss) sum
 over polyline segment pairs.  The sum runs over fixed tiles of
 GAUSS_BLOCK segments of one curve by GAUSS_TILE segments of the other,
-with the longer curve on the GAUSS_TILE axis, and every tile reuses one
-workspace allocated per call, so the memory is set by the tile and not
-by the curves.  Within a tile the sum works on the grid of vertex
-differences P_j - Q_i, with one component array per coordinate: the four
+with the longer curve on the GAUSS_TILE axis, so the memory is set by the
+tile and not by the curves.  A tile works on the grid of vertex
+differences P_j - Q_i, one plain numpy array per coordinate: the four
 corners of a segment pair are neighbouring grid points, so each vertex
 norm and each dot of neighbouring vertices is computed once and shared
-by the pairs that meet there.  Every term is formed by the same
-floating-point operations, in the same order, as the per-pair formula
-written with np.cross and np.einsum; in particular a 3-term dot is summed
-as (x + z) + y, the order einsum takes on a length-3 axis.  Each tile's
+by the pairs that meet there.  Every term has the bits of the per-pair
+formula written with np.cross and np.einsum (_gauss_tile).  Each tile's
 terms go to one np.sum and the tile sums are added in a fixed tile
-order, so the sum does not depend on how the tiles are scheduled.  The
-curves themselves are built, normalized and projected CURVE_CHUNK rows at
-a time.
+order.  The curves themselves are built, normalized and projected
+CURVE_CHUNK rows at a time.
 
 The linking number does not change under a homotopy that keeps the two
 curves disjoint, so the sum usually runs on coarse copies of the
@@ -87,7 +83,7 @@ from .errors import (NumericalError, ResolutionError, StatisticalError,
 from .numerics import exact_partial, exact_total
 from .profiles import ToricProfile
 from .systolic import AxisOrbit, RationalTorus, axis_orbit, contact_volume
-from .flows import RNG_NAME, liouville_sample
+from .flows import liouville_sample
 
 TWO_PI = 2.0 * math.pi
 # Samples per _batch_rates call in action_linking_verify: the unit dealt
@@ -282,11 +278,7 @@ class ActionLinkingReport:
     z: float
     n_samples: int
     horizon: float
-    seed: int
-    rng: str
     n_fallback: int
-    surface_kind: str
-    orientation: int
 
 
 def action_linking_verify(profile: ToricProfile, surface: SeifertSurfaceSpec,
@@ -359,9 +351,7 @@ def action_linking_verify(profile: ToricProfile, surface: SeifertSurfaceSpec,
     else:
         z = diff / stderr
     return ActionLinkingReport(float(lhs), float(rhs), float(stderr), float(z),
-                               int(n_samples), float(horizon), int(seed),
-                               RNG_NAME, n_fallback, surface.kind,
-                               surface.orientation)
+                               int(n_samples), float(horizon), n_fallback)
 
 
 # ---------------------------------------------------------------------------
@@ -486,13 +476,15 @@ def toric_orbit_curve(profile: ToricProfile, orbit, n: int = 1024,
 LINK_MIN_SEPARATION = 1e-6
 LINK_RESIDUAL_TOL = 0.1
 # A Gauss sum tile is GAUSS_BLOCK segments of the shorter curve by
-# GAUSS_TILE segments of the longer one: 12 arrays of at most
-# (GAUSS_BLOCK + 1) x (GAUSS_TILE + 1) doubles, 3.2 MB, allocated once
-# per sum.  The distance scans (_least_cell) hold blocks of MIN_DIST_BALL
-# rows in bounding balls and scan tiles of MIN_DIST_BLOCK x MIN_DIST_TILE
-# cells, 1 MB of buffers, whatever their shape.
+# GAUSS_TILE segments of the longer one.  Its temporaries hold at most
+# (GAUSS_BLOCK + 1) x (GAUSS_TILE + 1) doubles, 67 KB, below glibc's
+# 128 KiB mmap threshold, so each is served from the heap rather than
+# mapped and unmapped per tile.  The distance scans (_least_cell) hold
+# blocks of MIN_DIST_BALL rows in bounding balls and scan tiles of
+# MIN_DIST_BLOCK x MIN_DIST_TILE cells, 1 MB of buffers, whatever their
+# shape.
 GAUSS_BLOCK = 64
-GAUSS_TILE = 512
+GAUSS_TILE = 128
 MIN_DIST_BLOCK = 64
 MIN_DIST_TILE = 1024
 MIN_DIST_BALL = 16
@@ -540,26 +532,21 @@ def _gauss_linking_sum(P: np.ndarray, Q: np.ndarray) -> float:
     The longer curve goes on the P axis (the curves swap when Q has more
     vertices; the linking integral is symmetric), and the sum runs over
     tiles of GAUSS_BLOCK segments of Q by GAUSS_TILE segments of P, Q
-    block by Q block and, within a block, P tile by P tile.  Every tile is
-    computed by _gauss_tile in one workspace allocated here, so the memory
+    block by Q block and, within a block, P tile by P tile, so the memory
     is set by the tile, not by the curves.  Each tile's terms go to one
-    np.sum and the tile sums are added in that fixed order, so the result
-    is the same for any order the tiles are computed in.
+    np.sum and the tile sums are added in that fixed order.
     """
     if len(Q) > len(P):
         P, Q = Q, P
-    rows = min(GAUSS_BLOCK, len(Q) - 1)
-    cols = min(GAUSS_TILE, len(P) - 1)
-    work = np.empty((12, (rows + 1) * (cols + 1)))
     total = 0.0
     for i in range(0, len(Q) - 1, GAUSS_BLOCK):
         q = Q[i:i + GAUSS_BLOCK + 1]
         for j in range(0, len(P) - 1, GAUSS_TILE):
-            total += _gauss_tile(P[j:j + GAUSS_TILE + 1], q, work)
+            total += _gauss_tile(P[j:j + GAUSS_TILE + 1], q)
     return total / TWO_PI
 
 
-def _gauss_tile(p: np.ndarray, q: np.ndarray, work: np.ndarray) -> float:
+def _gauss_tile(p: np.ndarray, q: np.ndarray) -> float:
     """Sum of the Gauss terms of the segments of p against those of q.
 
     The tile holds the vertex grid D[i, j] = p[j] - q[i] as three
@@ -572,70 +559,36 @@ def _gauss_tile(p: np.ndarray, q: np.ndarray, work: np.ndarray) -> float:
     and np.linalg.norm, operation for operation: norms sum in coordinate
     order, and a 3-term dot sums as (x + z) + y, the order in which
     np.einsum("ijk,ijk->ij") sums a length-3 axis with numpy 2.4 (x + y + z
-    in sequence differs in the last bit and changes linking sums).  Every
-    array is a contiguous prefix of a row of work, filled by ufuncs with
-    out=, so the terms are one contiguous (rows, cols) array whose np.sum
-    adds them as it adds the per-cell formula's.  tests/test_topology.py
-    checks this against the einsum formula bit for bit.
+    in sequence differs in the last bit and changes linking sums).
+    tests/test_topology.py checks this against the einsum formula bit for
+    bit.
     """
-    h, w = len(q) - 1, len(p) - 1
-    mul, add, sub = np.multiply, np.add, np.subtract
+    D = [pk[None, :] - qk[:, None] for pk, qk in zip(p.T, q.T)]
+    norm = np.sqrt(D[0] * D[0] + D[1] * D[1] + D[2] * D[2])
 
-    def buf(k, r, c):
-        return work[k, :r * c].reshape(r, c)
+    def at(rows, cols):
+        return [Dk[rows, cols] for Dk in D]
 
-    D = [buf(k, h + 1, w + 1) for k in range(3)]
-    norm, grid_tmp = buf(3, h + 1, w + 1), buf(4, h + 1, w + 1)
-    vert, horiz = buf(5, h, w + 1), buf(6, h + 1, w)
-    ca, triple, t2, d1, d2 = (buf(k, h, w) for k in range(7, 12))
-    for Dk, pk, qk in zip(D, p.T, q.T):
-        sub(pk[None, :], qk[:, None], out=Dk)
-    mul(D[0], D[0], out=norm)
-    for Dk in D[1:]:
-        add(norm, mul(Dk, Dk, out=grid_tmp), out=norm)
-    np.sqrt(norm, out=norm)
+    def dot(u, v):
+        return (u[0] * v[0] + u[2] * v[2]) + u[1] * v[1]
 
-    def dot3(out, tmp, u, v):
-        mul(u[0], v[0], out=out)
-        add(out, mul(u[2], v[2], out=tmp), out=out)
-        add(out, mul(u[1], v[1], out=tmp), out=out)
-
-    dot3(vert, grid_tmp[:-1], [Dk[:-1] for Dk in D], [Dk[1:] for Dk in D])
-    dot3(horiz, grid_tmp[:, :-1], [Dk[:, :-1] for Dk in D],
-         [Dk[:, 1:] for Dk in D])
-    t1 = buf(4, h, w)           # grid_tmp is free from here on
-    a = [Dk[:-1, :-1] for Dk in D]
-    b = [Dk[1:, :-1] for Dk in D]
-    c = [Dk[1:, 1:] for Dk in D]
-    dot3(ca, t1, c, a)
-
-    def cross_bc(k, out):
-        # component k of b x c in np.cross's operand order
-        i, j = (k + 1) % 3, (k + 2) % 3
-        sub(mul(b[i], c[j], out=out), mul(b[j], c[i], out=t2), out=out)
-        return out
-
-    # p = a . (b x c), summed as (x + z) + y
-    mul(a[0], cross_bc(0, t1), out=triple)
-    add(triple, mul(a[2], cross_bc(2, t1), out=t1), out=triple)
-    add(triple, mul(a[1], cross_bc(1, t1), out=t1), out=triple)
+    head, tail, every = slice(None, -1), slice(1, None), slice(None)
+    vert = dot(at(head, every), at(tail, every))
+    horiz = dot(at(every, head), at(every, tail))
+    a, b, c = at(head, head), at(tail, head), at(tail, tail)
+    # b x c in np.cross's operand order
+    bxc = [b[(k + 1) % 3] * c[(k + 2) % 3] - b[(k + 2) % 3] * c[(k + 1) % 3]
+           for k in range(3)]
     # einsum accumulates into a zeroed output and never returns -0.0;
-    # the sign of a zero p decides arctan2(p, d) = +-pi when d < 0
-    add(triple, 0.0, out=triple)
-    an, bn = norm[:-1, :-1], norm[1:, :-1]
-    cn, dn = norm[1:, 1:], norm[:-1, 1:]
+    # the sign of a zero triple decides arctan2(triple, d) = +-pi when d < 0
+    triple = dot(a, bxc) + 0.0
+    ca = dot(c, a)
+    an, bn, cn, dn = norm[:-1, :-1], norm[1:, :-1], norm[1:, 1:], norm[:-1, 1:]
     ab, dc = vert[:, :-1], vert[:, 1:]
     ad, bc = horiz[:-1], horiz[1:]
-    # d1 = an * bn * cn + ab * cn + bc * an + ca * bn and
-    # d2 = an * dn * cn + ad * cn + dc * an + ca * dn, left to right
-    for d, m, x, y in ((d1, bn, ab, bc), (d2, dn, ad, dc)):
-        mul(an, m, out=d)
-        mul(d, cn, out=d)
-        add(d, mul(x, cn, out=t1), out=d)
-        add(d, mul(y, an, out=t1), out=d)
-        add(d, mul(ca, m, out=t1), out=d)
-        np.arctan2(triple, d, out=d)
-    return float(np.sum(add(d1, d2, out=d1)))
+    d1 = an * bn * cn + ab * cn + bc * an + ca * bn
+    d2 = an * dn * cn + ad * cn + dc * an + ca * dn
+    return float(np.sum(np.arctan2(triple, d1) + np.arctan2(triple, d2)))
 
 
 # A bound between two blocks of rows is lowered by _BOUND_SLACK times the

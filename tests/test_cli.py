@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -13,6 +14,7 @@ from jsonschema import Draft202012Validator
 import reebsys
 from conftest import REGISTRY, SPLINE_ARGS
 from reebsys.cli import COMMANDS, build_parser, main
+from reebsys.diskmap import RadialHamiltonian, suspension_dictionary
 from reebsys.errors import ValidationError
 from reebsys.reports import (RECORDS, load_schema, read_curve_csv,
                              validate_input, validate_report)
@@ -65,6 +67,16 @@ class TestCommands:
         assert rep["volume"] == pytest.approx(PI ** 3 / 2)
         assert rep["checks"]["euler_max_residual"] < 1e-8
         assert (out / "boundary.csv").exists()
+
+    def test_toric_analyze_small_ellipsoid(self, tmp_path):
+        # the finite-difference step is relative to 2A = 1e-4 here: an
+        # absolute step of 1e-5 left [0, 2A] at the top of the t range
+        inp = write_json(tmp_path / "p.json",
+                         {"kind": "ellipsoid", "a": 0.01, "b": 0.01})
+        assert run(["toric-analyze", "--input", inp,
+                    "--output", tmp_path / "o", "--max-pq", 3]) == 0
+        rep = load_report(tmp_path / "o", "toric-analyze")
+        assert rep["checks"]["hamilton_max_residual"] < 1e-6
 
     def test_systole_on_ellipsoid(self, tmp_path):
         inp = write_json(tmp_path / "p.json", E12)
@@ -802,21 +814,33 @@ def loaded_modules(code, roots):
     return out.strip().splitlines()[-1]
 
 
-@pytest.mark.parametrize("script, args", [
+WELL_COEFFS = [3.141592653589793, -6.283185307179586, 3.141592653589793]
+
+
+@pytest.mark.parametrize("script, args, row, rows", [
+    # one row per exponent p
     ("systolic_survey.py", ["--p-min", "1", "--p-max", "3", "--steps", "2",
-                            "--grid", "256"]),
-    ("action_linking_matrix.py", ["--samples", "2000"]),
-    ("suspension_demo.py", ["--coeffs", "3.141592653589793",
-                            "-6.283185307179586", "3.141592653589793"]),
+                            "--grid", "256"], r"\d\.\d{3} ", 2),
+    # one row per profile and disk: four profiles, two disks
+    ("action_linking_matrix.py", ["--samples", "2000"], r"\S+ +[xy] ", 8),
+    # one row per periodic point of the dictionary
+    ("suspension_demo.py", ["--coeffs", *map(repr, WELL_COEFFS),
+                            "--k-max", "2"], r"\d+ +\d\.\d{4} ",
+     len(suspension_dictionary(RadialHamiltonian(WELL_COEFFS), k_max=2,
+                               epsilon=0.1).rows)),
 ])
-def test_experiment_scripts_run(script, args):
-    """The README's experiment scripts run to exit 0, at small sizes."""
+def test_experiment_scripts_run(script, args, row, rows):
+    """The README's experiment scripts run to exit 0 at small sizes and
+    print one table row per case."""
     path = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "scripts", script)
     proc = subprocess.run([sys.executable, "-W", "error", path, *args],
                           env=package_env(), capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+    table = [line for line in proc.stdout.splitlines()
+             if re.match(r" *" + row, line)]
+    assert len(table) == rows, proc.stdout
 
 
 def test_cli_import_loads_no_scipy():

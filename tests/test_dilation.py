@@ -137,6 +137,31 @@ def test_verifier_is_dilation_invariant(tmp_path, capsys, name, k):
     assert capsys.readouterr().err == ""
 
 
+def analyze_tori(tmp_path, doc):
+    tmp_path.mkdir()
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["toric-analyze", "--input", str(path), "--output", str(out),
+                 "--max-pq", "4", "--plot-grid", "8", "--quiet"]) == 0
+    return json.loads((out / "toric-analyze.json").read_text())["tori"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["ellipsoid", "lp3", "spline"])
+@pytest.mark.parametrize("k", VERIFY_EXPONENTS,
+                         ids=[f"2^{k}" for k in VERIFY_EXPONENTS])
+def test_toric_analyze_is_dilation_covariant(tmp_path, capsys, name, k):
+    # area parameters scale by s^2; the finite-difference step of the
+    # checks is relative to 2A, so it stays inside [0, 2A] at every scale
+    base = analyze_tori(tmp_path / "base", dilated_profile(name, 1.0))
+    got = analyze_tori(tmp_path / "dilated", dilated_profile(name, 2.0 ** k))
+    assert [(t["p"], t["q"]) for t in got] == [(t["p"], t["q"]) for t in base]
+    assert [t["t"] for t in got] == pytest.approx(
+        [t["t"] * 2.0 ** (2 * k) for t in base], rel=1e-12, abs=0.0)
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.filterwarnings("error")
 def test_underflowing_d1_lane_falls_back():
     # at t = 2A of lp p = 40, D1F = (x/a)^39 / a underflows to exactly 0

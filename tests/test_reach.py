@@ -68,7 +68,6 @@ UNREACHED = {
                             "test_systolic's pairing_from_definition reads",
     "systolic.AxisOrbit.q": "test oracle: the winding pair that "
                             "test_systolic's pairing_from_definition reads",
-    "systolic._position": "the orbit position of pairing_orbit_orbit",
     "systolic._superlevel_fraction": "the measure of witness_measure",
     "systolic.average_identity_residual":
         "acceptance quantity: the boundary-average identity",

@@ -1119,6 +1119,22 @@ class TestCertifiedCoarsening:
         assert round(_gauss_linking_sum(too_coarse, Q)) == 0
         assert index_deviation(P, too_coarse) > full_separation(P, Q)
 
+    def test_close_pair_takes_the_full_sum(self, monkeypatch):
+        # the golden linking-close-orbit11 case: two (1, 1) round orbits
+        # 3e-3 apart in phase, with no certified copy at any pole, so the
+        # one sum runs on the full polylines, across several P tiles
+        round_ = LpProfile(2.0, 1.0, 1.0)
+        [t11] = [t for t in enumerate_tori(round_, 1) if (t.p, t.q) == (1, 1)]
+        c1 = toric_orbit_curve(round_, t11, 300)
+        c2 = toric_orbit_curve(round_, t11, 150, phase2=3e-3)
+        result, calls = certified_sums(monkeypatch, c1, c2)
+        assert (result.link, result.subdivisions) == (1, 0)
+        P, Q = projected(c1, c2, result)
+        assert topology._certified_coarsening(P, Q) is None
+        assert len(P) - 1 > GAUSS_TILE
+        [(A, B)] = calls
+        assert np.array_equal(A, P) and np.array_equal(B, Q)
+
 
 @pytest.mark.parametrize("seed", range(4))
 def test_benchmark_linking_ops_match_the_full_sum(tmp_path, monkeypatch,
