@@ -40,6 +40,12 @@ LINK = {"curves": [
     {"orbit": {"profile": PROFILES["round"], "p": 2, "q": 3, "samples": 96}},
     {"axis_orbit": {"profile": PROFILES["round"], "axis": "y",
                     "samples": 48}}]}
+# two (1, 1) orbits 3e-3 apart in phase: no coarse copy is certified, so
+# the Gauss sum runs on the full curves
+CLOSE = {"curves": [
+    {"orbit": {"profile": PROFILES["round"], "p": 1, "q": 1, "samples": 300}},
+    {"orbit": {"profile": PROFILES["round"], "p": 1, "q": 1, "samples": 150,
+               "phase2": 3e-3}}]}
 
 DUMPED = ("round", "spline")   # samples.csv is large; two profiles suffice
 
@@ -74,6 +80,7 @@ CASES += [
      ["diskmap-dictionary", "--grid", "32", "--k-max", "2",
       "--suspension-c", "1.0", "--epsilon", "0.1", "--plot-grid", "12"], 0),
     ("linking-orbit23-yaxis", LINK, ["linking", "--export-curves"], 0),
+    ("linking-close-orbit11", CLOSE, ["linking"], 0),
 ]
 
 
