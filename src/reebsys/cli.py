@@ -33,8 +33,8 @@ from .profiles import profile_from_json
 # grows with their count (it is the fallback where no coarse copy of the
 # curves is certified), and an orbit's samples are allocated before the
 # sum runs, so the count is checked before any curve is built.  A
-# 2^20 x 16 input at the cap takes about 1.2 s and peaks at about 90 MB,
-# of which linking_number is 0.8 s (1.1 s with full sums).
+# 2^20 x 16 input at the cap takes about 1.1 s and peaks at about 90 MB,
+# of which linking_number is 0.7-0.8 s (1.9 s with full sums).
 LINK_MAX_PAIRS = 1 << 24
 # Largest values of the flags that size an array, checked before a command
 # builds one; the largest benchmark value is in each comment.  --grid is

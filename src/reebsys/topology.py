@@ -549,19 +549,14 @@ def _gauss_linking_sum(P: np.ndarray, Q: np.ndarray) -> float:
 def _gauss_tile(p: np.ndarray, q: np.ndarray) -> float:
     """Sum of the Gauss terms of the segments of p against those of q.
 
-    The tile holds the vertex grid D[i, j] = p[j] - q[i] as three
-    component arrays; the corners of cell (i, j) are a = D[i, j],
-    b = D[i+1, j], c = D[i+1, j+1] and d = D[i, j+1].  Each vertex norm is
-    taken once, and each dot of neighbouring vertices once and shared by
-    the two cells on either side of it: the vertical dots give ab and dc,
-    the horizontal ones ad and bc, and the diagonal ca is per cell.  The
-    arithmetic is that of the per-cell formula with np.cross, np.einsum
-    and np.linalg.norm, operation for operation: norms sum in coordinate
-    order, and a 3-term dot sums as (x + z) + y, the order in which
-    np.einsum("ijk,ijk->ij") sums a length-3 axis with numpy 2.4 (x + y + z
-    in sequence differs in the last bit and changes linking sums).
-    tests/test_topology.py checks this against the einsum formula bit for
-    bit.
+    D[i, j] = p[j] - q[i] is held as three component arrays, and cell
+    (i, j) has the corners a = D[i, j], b = D[i+1, j], c = D[i+1, j+1]
+    and d = D[i, j+1].  Norms are taken once per vertex and dots once per
+    pair of neighbours (vert gives ab and dc, horiz ad and bc).  Each term
+    is the per-cell np.cross/np.einsum formula operation for operation: a
+    3-term dot sums as (x + z) + y, the order np.einsum("ijk,ijk->ij")
+    takes on a length-3 axis with numpy 2.4 (x + y + z differs in the last
+    bit).  tests/test_topology.py checks the bits.
     """
     D = [pk[None, :] - qk[:, None] for pk, qk in zip(p.T, q.T)]
     norm = np.sqrt(D[0] * D[0] + D[1] * D[1] + D[2] * D[2])

@@ -815,21 +815,26 @@ def loaded_modules(code, roots):
 
 
 WELL_COEFFS = [3.141592653589793, -6.283185307179586, 3.141592653589793]
-
-
-@pytest.mark.parametrize("script, args, row, rows", [
+# script -> (pattern of a table row, rows at the arguments below)
+TABLE_ROWS = {
     # one row per exponent p
-    ("systolic_survey.py", ["--p-min", "1", "--p-max", "3", "--steps", "2",
-                            "--grid", "256"], r"\d\.\d{3} ", 2),
+    "systolic_survey.py": (r"\d\.\d{3} ", 2),
     # one row per profile and disk: four profiles, two disks
-    ("action_linking_matrix.py", ["--samples", "2000"], r"\S+ +[xy] ", 8),
+    "action_linking_matrix.py": (r"\S+ +[xy] ", 8),
     # one row per periodic point of the dictionary
+    "suspension_demo.py": (r"\d+ +\d\.\d{4} ", len(suspension_dictionary(
+        RadialHamiltonian(WELL_COEFFS), k_max=2, epsilon=0.1).rows)),
+}
+
+
+@pytest.mark.parametrize("script, args", [
+    ("systolic_survey.py", ["--p-min", "1", "--p-max", "3", "--steps", "2",
+                            "--grid", "256"]),
+    ("action_linking_matrix.py", ["--samples", "2000"]),
     ("suspension_demo.py", ["--coeffs", *map(repr, WELL_COEFFS),
-                            "--k-max", "2"], r"\d+ +\d\.\d{4} ",
-     len(suspension_dictionary(RadialHamiltonian(WELL_COEFFS), k_max=2,
-                               epsilon=0.1).rows)),
+                            "--k-max", "2"]),
 ])
-def test_experiment_scripts_run(script, args, row, rows):
+def test_experiment_scripts_run(script, args):
     """The README's experiment scripts run to exit 0 at small sizes and
     print one table row per case."""
     path = os.path.join(os.path.dirname(os.path.dirname(
@@ -838,6 +843,7 @@ def test_experiment_scripts_run(script, args, row, rows):
                           env=package_env(), capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+    row, rows = TABLE_ROWS[script]
     table = [line for line in proc.stdout.splitlines()
              if re.match(r" *" + row, line)]
     assert len(table) == rows, proc.stdout

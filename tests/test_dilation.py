@@ -1,5 +1,6 @@
 """Dilation covariance of the systolic interval, of the boundary-average
-identity's relative residual, of the lp area map and of the verifier.
+identity's relative residual, of the lp area map, of the verifier and of
+toric-analyze's tori.
 
 Dilating a boundary by s scales area parameters by s^2 and partial
 derivatives by 1/s, so pairings and the systolic interval do not change.

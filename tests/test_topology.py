@@ -787,9 +787,12 @@ class TestGaussOracle:
             assert_same_bits(_gauss_linking_sum(P, Q), einsum_gauss_sum(P, Q))
             assert_same_bits(_min_distance(P, Q), loop_min_distance(P, Q))
 
-    @pytest.mark.parametrize("p_segments", [GAUSS_TILE - 1, GAUSS_TILE,
-                                            GAUSS_TILE + 1,
-                                            2 * GAUSS_TILE + 3])
+    # sums over four and eight tiles, whose last tile has GAUSS_TILE - 1,
+    # GAUSS_TILE, 1 and 3 segments
+    @pytest.mark.parametrize("p_segments", [4 * GAUSS_TILE - 1,
+                                            4 * GAUSS_TILE,
+                                            4 * GAUSS_TILE + 1,
+                                            8 * GAUSS_TILE + 3])
     @pytest.mark.parametrize("q_segments", [1, GAUSS_BLOCK, GAUSS_BLOCK + 1])
     def test_tile_edges(self, p_segments, q_segments):
         rng = np.random.default_rng(1000 * p_segments + q_segments)
