@@ -270,8 +270,7 @@ def approximate_liouville_by_orbits(profile: ToricProfile, n_tori: int,
     """
     if n_tori < 1:
         raise ValidationError("n_tori must be at least 1")
-    theta = np.linspace(0.0, HALF_PI, TORUS_GRID_N)
-    d1g, d2g = profile.gradient_theta(theta)
+    theta, d1g, d2g = profile.grid_partials(TORUS_GRID_N)
     edges = np.linspace(0.0, profile.two_area, n_tori + 1)
     center = 0.5 * (edges[:-1] + edges[1:])
     flat = flat_class(d1g, d2g, max_pq)

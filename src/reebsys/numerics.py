@@ -25,6 +25,27 @@ from .errors import NumericalError
 # Panels per f call in panel_gauss_many: at order 20 one node block is
 # 20 x 2048 doubles, 320 KB, which fits a per-core L2 cache.
 PANEL_CHUNK = 2048
+# Nodes of a theta grid, or cells of the systole plot grid, that the grid
+# scans of the systole path take at a time (grid_chunks), so that their
+# temporaries do not grow with the grid.  The benchmark's 4096-node grids
+# are one chunk.
+GRID_CHUNK = 1 << 12
+
+
+def grid_chunks(n: int, width: int = 1):
+    """range(n) as consecutive slices of max(1, GRID_CHUNK // width)
+    indices, GRID_CHUNK nodes at a time when an index stands for a row of
+    width nodes."""
+    step = max(1, GRID_CHUNK // width)
+    return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
+
+
+def combine_extremes(parts):
+    """(min, max, min, max, ...) over a union of node sets from those of
+    its parts, one tuple per part.  Minima and maxima combine exactly."""
+    ext = np.array(parts, float)
+    odd = np.arange(ext.shape[1]) % 2 == 1
+    return tuple(np.where(odd, ext.max(axis=0), ext.min(axis=0)).tolist())
 
 
 @lru_cache(maxsize=None)

@@ -44,19 +44,28 @@ bit for bit; the test suite checks that against an external oracle.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .numerics import IntervalLookup, prefix_fsums
+from .numerics import (IntervalLookup, combine_extremes, grid_chunks,
+                       prefix_fsums)
 from .reports import validate_input
 
 HALF_PI = math.pi / 2.0
 AREA_TABLE_PANELS = 2048    # intervals of the lp area table
 BETA_CF_MARGIN = 2          # continued-fraction steps past convergence at v = 1/2
 CURVATURE_BOUND = 1e4       # largest |r''| / r accepted at sampled-boundary knots
+
+
+def grid_theta(k, n: int):
+    """The nodes k of np.linspace(0, pi/2, n) from their indices, bit for
+    bit: k * ((pi/2) / (n - 1)), and pi/2 at k = n - 1."""
+    k = np.asarray(k)
+    return np.where(k == n - 1, HALF_PI, k * (HALF_PI / (n - 1)))
 
 
 @dataclass(frozen=True)
@@ -258,17 +267,31 @@ class ToricProfile:
         _, d2b = self.gradient_theta(HALF_PI)
         return Intercepts(a, b, float(d1a), float(d2b))
 
+    def grid_partials(self, grid_n: int):
+        """theta = np.linspace(0, pi/2, grid_n) and (D1F, D2F) on it,
+        evaluated GRID_CHUNK nodes at a time."""
+        theta = np.linspace(0.0, HALF_PI, grid_n)
+        d1, d2 = np.empty(grid_n), np.empty(grid_n)
+        for s in grid_chunks(grid_n):
+            d1[s], d2[s] = self.gradient_theta(theta[s])
+        return theta, d1, d2
+
     def partials_range(self, grid_n: int = 4096):
         """(min d1, max d1, min d2, max d2) over a dense boundary grid, the
         kink angles and the midpoint between each two kinks, so that a dip
-        between knots closer than a grid cell is seen too."""
-        theta = np.linspace(0.0, HALF_PI, grid_n)
+        between knots closer than a grid cell is seen too.  The grid is
+        evaluated GRID_CHUNK nodes at a time."""
+        thetas = (grid_theta(np.arange(s.start, s.stop), grid_n)
+                  for s in grid_chunks(grid_n))
         kinks = self.kink_angles()
         if kinks.size:
-            theta = np.concatenate([theta, kinks,
-                                    0.5 * (kinks[:-1] + kinks[1:])])
-        d1, d2 = self.gradient_theta(theta)
-        return float(d1.min()), float(d1.max()), float(d2.min()), float(d2.max())
+            thetas = itertools.chain(thetas, [np.concatenate(
+                [kinks, 0.5 * (kinks[:-1] + kinks[1:])])])
+        parts = []
+        for theta in thetas:
+            d1, d2 = self.gradient_theta(theta)
+            parts.append((d1.min(), d1.max(), d2.min(), d2.max()))
+        return combine_extremes(parts)
 
     def has_positive_partials(self, grid_n: int = 4096, tol: float = 1e-10) -> bool:
         m1, _, m2, _ = self.partials_range(grid_n)

@@ -28,6 +28,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import ValidationError
+from .numerics import grid_chunks
 
 REPORT_VERSION = 1
 
@@ -305,18 +306,22 @@ def emit_plot_data(outdir: str, profile, n: int):
     """Write the two systole plot CSVs and return their paths:
     systolic_grid.csv, the (t, t_hat, g) table on an n x n grid, and
     pairing_profile.csv, the pairings against the two axis disks at n
-    interior points of the curve."""
+    interior points of the curve.
+
+    The grid table is written one block of rows at a time (about
+    numerics.GRID_CHUNK cells, grid_chunks), g = 2A * outer(d1[rows], d2)
+    per block, so no n x n array is built."""
     ts = np.linspace(0.0, profile.two_area, n)
     _, _, d1, d2 = profile.boundary_arrays(ts)
     area2 = 2.0 * profile.quadrant_area()
-    g = area2 * np.outer(d1, d2)
     # row i*n + j is (ts[i], ts[j], g[i, j]): the axis values are
     # formatted once and repeated as text
     labels = np.array([repr(t) for t in ts.tolist()], dtype=object)
     grid = os.path.join(outdir, "systolic_grid.csv")
-    write_csv(grid, ("t", "t_hat", "g"),
-              (np.repeat(labels, n), np.tile(labels, n), g.ravel()))
-    del g, labels                   # free the n x n table before the next
+    atomic_write(grid, _csv_bytes(("t", "t_hat", "g"), (
+        (np.repeat(labels[rows], n), np.tile(labels, rows.stop - rows.start),
+         (area2 * np.outer(d1[rows], d2)).ravel())
+        for rows in grid_chunks(n, n))))
 
     ts = np.linspace(0.0, profile.two_area, n + 2)[1:-1]
     _, _, d1, d2 = profile.boundary_arrays(ts)

@@ -26,9 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import (adaptive_gauss, bracketed_roots, refine_extremum,
-                       scan_roots, simplest_fraction)
-from .profiles import HALF_PI, ToricProfile
+from .numerics import (adaptive_gauss, bracketed_roots, combine_extremes,
+                       grid_chunks, refine_extremum, scan_roots,
+                       simplest_fraction)
+from .profiles import HALF_PI, ToricProfile, grid_theta
 
 TWO_PI_SQ = 2.0 * math.pi * math.pi
 # tolerance of average_identity_residual's quadratures, relative to the
@@ -134,8 +135,7 @@ def pairing_orbit_orbit(profile: ToricProfile, orbit1, orbit2) -> float:
     this is the ordering of the two solid tori the dividing torus cuts.
     """
     t1, t2 = float(orbit1.t), float(orbit2.t)
-    scale = max(1.0, profile.two_area)
-    if abs(t1 - t2) <= 1e-12 * scale:
+    if abs(t1 - t2) <= 1e-12 * profile.two_area:
         raise ValidationError("pairing requires geometrically distinct orbits "
                               f"(both at area parameter {t1:.12g})")
     t_lo, t_hi = min(t1, t2), max(t1, t2)
@@ -186,6 +186,15 @@ def flat_class(d1g, d2g, max_pq: int):
     return None
 
 
+def _crossings(d1g, d2g, cell, p, q):
+    """The lanes i where h = q*D1F - p*D2F changes sign strictly across
+    grid cell[i], and h at both ends of those cells."""
+    h_lo = q * d1g[cell] - p * d2g[cell]
+    h_hi = q * d1g[cell + 1] - p * d2g[cell + 1]
+    i = np.flatnonzero(h_lo * h_hi < 0)
+    return i, h_lo[i], h_hi[i]
+
+
 def torus_roots(profile: ToricProfile, theta, d1g, d2g, cell, p, q):
     """The (p[i], q[i])-tori in grid cells [theta[cell[i]],
     theta[cell[i] + 1]], as (i, t, period) of the lanes i where
@@ -195,17 +204,15 @@ def torus_roots(profile: ToricProfile, theta, d1g, d2g, cell, p, q):
     together by bracketed_roots, whose lanes do not depend on each
     other, so a root has the same bits in any batch.
     """
-    h_lo = q * d1g[cell] - p * d2g[cell]
-    h_hi = q * d1g[cell + 1] - p * d2g[cell + 1]
-    i = np.flatnonzero(h_lo * h_hi < 0)
+    i, h_lo, h_hi = _crossings(d1g, d2g, cell, p, q)
     p, q, cell = p[i], q[i], cell[i]
 
     def h(th, pk, qk):
         d1, d2 = profile.gradient_theta(th)
         return qk * d1 - pk * d2
 
-    roots = bracketed_roots(h, theta[cell], theta[cell + 1], h_lo[i],
-                            h_hi[i], args=(p, q))
+    roots = bracketed_roots(h, theta[cell], theta[cell + 1], h_lo, h_hi,
+                            args=(p, q))
     d1r, _ = profile.gradient_theta(roots)
     return i, profile.t_of_theta(roots), math.pi * p / d1r
 
@@ -216,44 +223,66 @@ def enumerate_tori(profile: ToricProfile, max_pq: int,
     """All rational tori with coprime 1 <= p, q and max(p, q) <= max_pq.
 
     A (p, q)-torus sits where h = q*D1F - p*D2F vanishes on the boundary.
-    All classes are found in one pass over a theta grid: the gradient is
-    evaluated once, and a cell can hold a root of class (p, q) only if
-    the class direction atan2(q, p) lies between the gradient angles
-    atan2(D2F, D1F) at its ends.  The Euler identity x*D1F + y*D2F = 1
-    keeps that angle in (-pi/2, pi), where the order of angles is the
-    sign of h, so one searchsorted of the grid angles in the sorted class
-    directions (widened by one class on each side against rounding)
-    shortlists the candidates.  The cells where h changes sign strictly
-    are kept, and all their roots are refined at once (torus_roots).
-    Several roots per class may exist for non-convex profiles.
+    All classes are found in one pass over a theta grid of grid_n nodes
+    (tori_on_grid).
 
     When h vanishes identically for a class (flat_class: constant-
     gradient profiles with a commensurable direction), the family is a
     continuum and continuum_samples equally spaced representatives are
     returned with continuum=True.  Tori are sorted by (max(p, q), p, t).
     """
-    theta = np.linspace(0.0, HALF_PI, grid_n)
-    d1g, d2g = profile.gradient_theta(theta)
+    return tori_on_grid(profile, max_pq, profile.grid_partials(grid_n),
+                        continuum_samples)
+
+
+def tori_on_grid(profile: ToricProfile, max_pq: int, grid,
+                 continuum_samples: int = 65):
+    """enumerate_tori on grid = (theta, D1F, D2F), a theta grid with the
+    gradient evaluated on it.
+
+    A cell can hold a root of class (p, q) only if the class direction
+    atan2(q, p) lies between the gradient angles atan2(D2F, D1F) at its
+    ends.  The Euler identity x*D1F + y*D2F = 1 keeps that angle in
+    (-pi/2, pi), where the order of angles is the sign of h, so one
+    searchsorted of the grid angles in the sorted class directions
+    (widened by one class on each side against rounding) shortlists the
+    candidates.  The shortlist and its strict sign test are built
+    GRID_CHUNK cells at a time, so only the (cell, class) pairs where h
+    changes sign strictly outlive a chunk; all their roots are then
+    refined at once (torus_roots), in the order of the cells.  Several
+    roots per class may exist for non-convex profiles.
+    """
+    theta, d1g, d2g = grid
     p, q = _coprime_classes(max_pq)
     pq = flat_class(d1g, d2g, max_pq)
     flat = np.flatnonzero((p == pq[0]) & (q == pq[1])) if pq else []
 
     directions = np.arctan2(q, p)
     order = np.argsort(directions)
-    angle = np.arctan2(d2g, d1g)
-    lo = np.minimum(angle[:-1], angle[1:])
-    hi = np.maximum(angle[:-1], angle[1:])
-    first = np.maximum(np.searchsorted(directions[order], lo) - 1, 0)
-    stop = np.minimum(np.searchsorted(directions[order], hi, side="right") + 1,
-                      len(order))
-    counts = stop - first
-    cell = np.repeat(np.arange(grid_n - 1), counts)
-    offset = np.arange(len(cell)) - np.repeat(np.cumsum(counts) - counts, counts)
-    cls = order[first[cell] + offset]
-    shaped = ~np.isin(cls, flat)
-    cls, cell = cls[shaped], cell[shaped]
-    i, t, period = torus_roots(profile, theta, d1g, d2g, cell, p[cls], q[cls])
-    rp, rq = p[cls[i]], q[cls[i]]
+    cells, classes = [], []
+    for s in grid_chunks(len(theta) - 1):
+        angle = np.arctan2(d2g[s.start:s.stop + 1], d1g[s.start:s.stop + 1])
+        lo = np.minimum(angle[:-1], angle[1:])
+        hi = np.maximum(angle[:-1], angle[1:])
+        first = np.maximum(np.searchsorted(directions[order], lo) - 1, 0)
+        stop = np.minimum(
+            np.searchsorted(directions[order], hi, side="right") + 1,
+            len(order))
+        counts = stop - first
+        local = np.repeat(np.arange(len(counts)), counts)
+        offset = (np.arange(len(local))
+                  - np.repeat(np.cumsum(counts) - counts, counts))
+        cls = order[first[local] + offset]
+        cell = local + s.start
+        shaped = ~np.isin(cls, flat)
+        cls, cell = cls[shaped], cell[shaped]
+        i, _, _ = _crossings(d1g, d2g, cell, p[cls], q[cls])
+        cells.append(cell[i])
+        classes.append(cls[i])
+    cls = np.concatenate(classes)
+    _, t, period = torus_roots(profile, theta, d1g, d2g,
+                               np.concatenate(cells), p[cls], q[cls])
+    rp, rq = p[cls], q[cls]
 
     n_rep = continuum_samples
     ts = np.linspace(0.0, profile.two_area, n_rep + 2)[1:-1]
@@ -288,17 +317,18 @@ def _dense_extremes(profile: ToricProfile, n: int):
 
     The first pass takes every DENSE_STRIDE-th node and the last.  Every
     node within one stride of a strided local minimum or maximum of D1F,
-    D2F or D1F*D2F, or of a kink angle, is then evaluated in one call.
-    Strided nodes equal to both neighbours (a plateau, such as a constant
-    gradient) open no window.  The result equals the scan of all n nodes
-    when each extreme lies in a basin wider than two strides, or within a
-    kink window: the strided minimum of such a basin is one of the two
-    strided nodes around the dense one.
+    D2F or D1F*D2F, or of a kink angle, is then evaluated, GRID_CHUNK
+    nodes at a time.  A node is computed from its index (grid_theta), so
+    the n-node grid is never built.  Strided nodes equal to both
+    neighbours (a plateau, such as a constant gradient) open no window.
+    The result equals the scan of all n nodes when each extreme lies in a
+    basin wider than two strides, or within a kink window: the strided
+    minimum of such a basin is one of the two strided nodes around the
+    dense one.
     """
-    dense = np.linspace(0.0, HALF_PI, n)
     last = n - 1
     strided = np.r_[np.arange(0, last, DENSE_STRIDE), last]
-    d1s, d2s = profile.gradient_theta(dense[strided])
+    d1s, d2s = profile.gradient_theta(grid_theta(strided, n))
     centres = [np.rint(profile.kink_angles() * (last / HALF_PI)).astype(int)]
     for f in (d1s, d2s, d1s * d2s):
         for g in (f, -f):
@@ -312,8 +342,11 @@ def _dense_extremes(profile: ToricProfile, n: int):
     nodes = np.clip(np.sort(np.concatenate(centres))[:, None] + offsets,
                     0, last).ravel()
     window = nodes[nodes > np.maximum.accumulate(np.r_[-1, nodes[:-1]])]
-    d1w, d2w = profile.gradient_theta(dense[window])
-    return _extremes(np.concatenate([d1s, d1w]), np.concatenate([d2s, d2w]))
+    parts = [_extremes(d1s, d2s)]
+    for s in grid_chunks(len(window)):
+        parts.append(_extremes(*profile.gradient_theta(
+            grid_theta(window[s], n))))
+    return combine_extremes(parts)
 
 
 def _nearest_torus(tori, t):
@@ -348,8 +381,8 @@ def systolic_interval(profile: ToricProfile, grid_n: int = 4096,
     if grid_n < 8:
         raise ValidationError("grid_n must be at least 8")
     require_positive_partials(profile, grid_n)
-    theta = np.linspace(0.0, HALF_PI, grid_n)
-    d1g, d2g = profile.gradient_theta(theta)
+    grid = profile.grid_partials(grid_n)
+    theta, d1g, d2g = grid
     two_a = profile.two_area
 
     # the partials have kinks where r'' jumps; an extremum on a kink can
@@ -382,14 +415,15 @@ def systolic_interval(profile: ToricProfile, grid_n: int = 4096,
     # is the grid above; below, _dense_extremes finds the extremes of all
     # its nodes from a strided pass and windows (its docstring says when).
     m1d, M1d, m2d, M2d, m12d, M12d = (
-        _extremes(d1g, d2g) if grid_n >= DENSE_N
-        else _dense_extremes(profile, DENSE_N))
+        combine_extremes([_extremes(d1g[s], d2g[s])
+                          for s in grid_chunks(grid_n)])
+        if grid_n >= DENSE_N else _dense_extremes(profile, DENSE_N))
     enlarged_lo = two_a * min(m1d * m2d, m12d)
     enlarged_hi = two_a * max(M1d * M2d, M12d)
 
     tol = 1e-9
     contains_one = (lo - tol <= 1.0 <= hi + tol)
-    tori = tuple(enumerate_tori(profile, max_pq_witness, grid_n=grid_n))
+    tori = tuple(tori_on_grid(profile, max_pq_witness, grid))
     witnesses = []
     for ext, slot, th_star, val in (("lo", "d1", th_m1, m1),
                                     ("lo", "d2", th_m2, m2),
@@ -404,7 +438,7 @@ def systolic_interval(profile: ToricProfile, grid_n: int = 4096,
     reps = ([T for T in tori if not T.continuum] or list(tori))[:40]
     ts = np.array([T.t for T in reps])
     i, j = np.triu_indices(len(reps), 1)
-    distinct = np.abs(ts[i] - ts[j]) > 1e-9 * max(1.0, two_a)
+    distinct = np.abs(ts[i] - ts[j]) > 1e-9 * two_a
     i, j = i[distinct], j[distinct]
     if len(i):
         _, _, d1, d2 = profile.boundary_arrays(ts)

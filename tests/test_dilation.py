@@ -19,18 +19,29 @@ from conftest import load_perfbench
 from reebsys.cli import main
 from reebsys.errors import ValidationError
 from reebsys.profiles import HALF_PI, LpProfile, SplineProfile
-from reebsys.systolic import average_identity_residual
+from reebsys.systolic import (average_identity_residual, axis_orbit,
+                              pairing_orbit_orbit)
 from reebsys.topology import _batch_rates, axis_disk
 
 
 def systole_interval(tmp_path, doc):
+    """The interval and the pairing values of a systole report."""
     tmp_path.mkdir()
     path = tmp_path / "p.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "out"
     assert main(["systole", "--input", str(path), "--output", str(out),
                  "--grid", "256", "--quiet"]) == 0
-    return json.loads((out / "systole.json").read_text())["interval"]
+    report = json.loads((out / "systole.json").read_text())
+    return report["interval"], report["pairing_values"]
+
+
+def assert_same_pairings(got, base):
+    """The same number of distinct pairs, min and max within 1e-12."""
+    assert base is not None and got is not None
+    assert got["count"] == base["count"]
+    for key in ("min", "max"):
+        assert got[key] == pytest.approx(base[key], rel=1e-12, abs=0.0)
 
 
 @pytest.mark.filterwarnings("error")
@@ -40,11 +51,12 @@ def systole_interval(tmp_path, doc):
 def test_benchmark_spline_interval_is_dilation_invariant(tmp_path, capsys,
                                                          scale, rel):
     doc = load_perfbench("workloads").profiles(1.0)["spline"]
-    base = systole_interval(tmp_path / "base", doc)
+    base, base_pairs = systole_interval(tmp_path / "base", doc)
     points = (np.array(doc["points"]) * scale).tolist()
-    got = systole_interval(tmp_path / "dilated",
-                           {"kind": "sampled", "points": points})
+    got, pairs = systole_interval(tmp_path / "dilated",
+                                  {"kind": "sampled", "points": points})
     assert got == pytest.approx(base, rel=rel, abs=0.0)
+    assert_same_pairings(pairs, base_pairs)
     assert capsys.readouterr().err == ""
 
 
@@ -82,12 +94,14 @@ def test_lp_round_trip_is_dilation_invariant(p, scale):
 def test_lp_interval_is_dilation_invariant(tmp_path, capsys, p, scale):
     # D1F and D2F come from pow in gradient_theta, whose rounding moves
     # with the scale: 4.1e-14 at 1e+-80, 1.0e-14 at 2^+-64
-    base = systole_interval(tmp_path / "base",
-                            {"kind": "lp", "p": p, "a": 1.2, "b": 0.9})
-    got = systole_interval(tmp_path / "dilated",
-                           {"kind": "lp", "p": p, "a": 1.2 * scale,
-                            "b": 0.9 * scale})
+    base, base_pairs = systole_interval(
+        tmp_path / "base", {"kind": "lp", "p": p, "a": 1.2, "b": 0.9})
+    got, pairs = systole_interval(tmp_path / "dilated",
+                                  {"kind": "lp", "p": p, "a": 1.2 * scale,
+                                   "b": 0.9 * scale})
     assert got == pytest.approx(base, rel=1e-13, abs=0.0)
+    # tori closer than 1e-9 * 2A count as one at every scale
+    assert_same_pairings(pairs, base_pairs)
     assert capsys.readouterr().err == ""
 
 
@@ -173,3 +187,17 @@ def test_underflowing_d1_lane_falls_back():
                                           100.0, 0.1)
     assert fallback.tolist() == [True, False]
     assert (rates[0], t_ret[0]) == (0.0, 100.0)
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -64, 1.0, 2.0 ** 64],
+                         ids=["2^-64", "1", "2^64"])
+def test_axis_pairing_is_dilation_invariant(scale):
+    # the axis orbits are 2A apart in t: distinct at every scale
+    lp = LpProfile(3.0, 1.2, 0.9)
+    base = pairing_orbit_orbit(lp, axis_orbit(lp, "x"), axis_orbit(lp, "y"))
+    dilated = lp.scaled(scale)
+    x, y = axis_orbit(dilated, "x"), axis_orbit(dilated, "y")
+    assert pairing_orbit_orbit(dilated, x, y) == pytest.approx(
+        base, rel=1e-12, abs=0.0)
+    with pytest.raises(ValidationError, match="distinct"):
+        pairing_orbit_orbit(dilated, y, y)
