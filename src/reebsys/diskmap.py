@@ -81,8 +81,9 @@ class RadialHamiltonian:
         return -2.0 * self.h_prime(s)
 
     def boundary_rotation_number(self) -> float:
-        """Rotation angle of the time-one map on the boundary circle."""
-        return float(self.rotation_rate(1.0))
+        """Rotation angle of the time-one map on the boundary circle; + 0.0
+        makes it +0.0, not -0.0, where h'(1) = 0."""
+        return float(self.rotation_rate(1.0)) + 0.0
 
     def boundary_flags(self):
         s = np.linspace(0.9, 1.0, 64)

@@ -317,6 +317,17 @@ class TestMeanActionCheck:
         assert chk.boundary_rotation == pytest.approx(0.0)
         assert chk.hypothesis_cal_lt_half_rotation is False
 
+    def test_readme_well_rotates_by_positive_zero(self):
+        # h'(1) = 0: the rotation rate -2 h'(1) is -0.0, the report's
+        # boundary rotation +0.0
+        well = hamiltonian_from_json({"kind": "radial", "h": {
+            "type": "poly", "coeffs": [PI, -2 * PI, PI]}})
+        chk = mean_action_theorem_check(well, 0.1, k_max=2)
+        for rotation in (well.boundary_rotation_number(),
+                         chk.boundary_rotation):
+            assert rotation == 0.0 and math.copysign(1.0, rotation) == 1.0
+        assert math.copysign(1.0, well.rotation_rate(1.0)) == -1.0
+
     def test_full_turn_every_point_witnesses(self):
         chk = mean_action_theorem_check(full_turn(), 0.01, k_max=2)
         assert chk.found_low and chk.found_high
