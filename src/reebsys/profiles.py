@@ -44,7 +44,6 @@ bit for bit; the test suite checks that against an external oracle.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -281,16 +280,16 @@ class ToricProfile:
         kink angles and the midpoint between each two kinks, so that a dip
         between knots closer than a grid cell is seen too.  The grid is
         evaluated GRID_CHUNK nodes at a time."""
-        thetas = (grid_theta(np.arange(s.start, s.stop), grid_n)
-                  for s in grid_chunks(grid_n))
+        def extremes(theta):
+            d1, d2 = self.gradient_theta(theta)
+            return d1.min(), d1.max(), d2.min(), d2.max()
+
+        parts = [extremes(grid_theta(np.arange(s.start, s.stop), grid_n))
+                 for s in grid_chunks(grid_n)]
         kinks = self.kink_angles()
         if kinks.size:
-            thetas = itertools.chain(thetas, [np.concatenate(
-                [kinks, 0.5 * (kinks[:-1] + kinks[1:])])])
-        parts = []
-        for theta in thetas:
-            d1, d2 = self.gradient_theta(theta)
-            parts.append((d1.min(), d1.max(), d2.min(), d2.max()))
+            parts.append(extremes(np.concatenate(
+                [kinks, 0.5 * (kinks[:-1] + kinks[1:])])))
         return combine_extremes(parts)
 
     def has_positive_partials(self, grid_n: int = 4096, tol: float = 1e-10) -> bool:
