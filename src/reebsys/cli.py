@@ -42,8 +42,14 @@ LINK_MAX_PAIRS = 1 << 24
 # whose nodes and calabi_eta_residual's points grow as its square.
 MAX_SAMPLES = 10 ** 7        # Monte Carlo samples; benchmark 10^6
 MAX_PQ = 512                 # max_pq^2 coprime classes; benchmark 128
-MAX_PLOT_GRID = 1024         # plot_grid^2 systolic_grid.csv rows; benchmark 128
-MAX_THETA_GRID = 1 << 20     # systole --grid; benchmark 4096
+# plot_grid^2 systolic_grid.csv rows; benchmark 128.  They are written in
+# blocks of about numerics.GRID_CHUNK cells: at the cap a fresh systole
+# process takes about 0.8 s, writes 60 MB and peaks at about 33 MB.
+MAX_PLOT_GRID = 1024
+# systole --grid; benchmark 4096.  Its scans take numerics.GRID_CHUNK
+# nodes at a time, so only the grid and its two partials grow with it: at
+# the cap a fresh process takes 0.19-0.36 s and peaks at about 72 MB.
+MAX_THETA_GRID = 1 << 20
 MAX_QUAD_N = 1024            # diskmap --grid; benchmark 256 (diskmap-calabi)
 # equidistribute --n-tori; benchmark 64.  At the cap with --max-pq 512,
 # in-process: round exits 3 after 0.05 s, the benchmark ellipsoid exits 0

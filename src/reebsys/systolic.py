@@ -133,6 +133,8 @@ def pairing_orbit_orbit(profile: ToricProfile, orbit1, orbit2) -> float:
     Orbits are RationalTorus or AxisOrbit values.  The orbit with the
     smaller area parameter takes the D1F slot, the other the D2F slot;
     this is the ordering of the two solid tori the dividing torus cuts.
+    Orbits whose t differ by at most 1e-12 * 2A, at any scale, are not
+    distinct.
     """
     t1, t2 = float(orbit1.t), float(orbit2.t)
     if abs(t1 - t2) <= 1e-12 * profile.two_area:
@@ -372,11 +374,19 @@ def systolic_interval(profile: ToricProfile, grid_n: int = 4096,
     of every node when each extreme lies in a basin wider than two
     strides or within a kink window.
 
+    Every grid is scanned numerics.GRID_CHUNK nodes at a time, with the
+    bits of a whole-grid scan: the partials on the grid_n-node grid are
+    evaluated once (ToricProfile.grid_partials) and serve the extrema,
+    the torus search (tori_on_grid) and, from DENSE_N nodes on, the
+    enlarged interval, so only the grid and its two partials grow with
+    grid_n.
+
     pairing_values summarizes the pairings of the first 40 non-continuum
     tori with max(p, q) <= max_pq_witness (continuum representatives when
-    there are none) over their geometrically distinct pairs: D1F and D2F
-    are evaluated once at every torus, and each pair takes the closed form
-    of pairing_orbit_orbit from those arrays.
+    there are none) over their geometrically distinct pairs, those whose
+    t differ by more than 1e-9 * 2A: D1F and D2F are evaluated once at
+    every torus, and each pair takes the closed form of
+    pairing_orbit_orbit from those arrays.
     """
     if grid_n < 8:
         raise ValidationError("grid_n must be at least 8")
