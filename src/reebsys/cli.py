@@ -203,21 +203,7 @@ def run_systole(args):
     profile = profile_from_json(load_input(args.input))
     rep = sy.systolic_interval(profile, grid_n=args.grid,
                                max_pq_witness=args.max_pq)
-    witnesses = []
-    for w in rep.witnesses:
-        witnesses.append({"extremum": w.extremum, "slot": w.slot, "t": w.t,
-                          "value": w.value,
-                          "p": w.torus.p if w.torus else None,
-                          "q": w.torus.q if w.torus else None,
-                          "period": w.torus.period if w.torus else None})
-    report = {**meta(args), "profile": profile.to_json(),
-              "volume": rep.volume,
-              "interval": list(rep.interval),
-              "enlarged_interval": list(rep.enlarged_interval),
-              "norm": rep.norm, "contains_one": rep.contains_one,
-              "grid_n": rep.grid_n, "witnesses": witnesses,
-              "tori": rep.tori,
-              "pairing_values": rep.pairing_values or None}
+    report = {**meta(args), "profile": profile.to_json(), **vars(rep)}
     finish(args, report,
            f"interval=[{rep.interval[0]:.9g}, {rep.interval[1]:.9g}] "
            f"norm={rep.norm:.3g} contains_one={rep.contains_one}")
@@ -247,8 +233,8 @@ def run_verify_action_linking(args):
         n = args.samples
         rp.write_samples_csv(os.path.join(args.output, "samples.csv"), (
             fl.liouville_sample(profile, n, args.seed, lo,
-                                min(lo + rp.CSV_CHUNK_ROWS, n))
-            for lo in range(0, n, rp.CSV_CHUNK_ROWS)))
+                                min(lo + tp.RATE_BLOCK, n))
+            for lo in range(0, n, tp.RATE_BLOCK)))
     # the report and samples stay written for inspection when these raise
     tp.check_resolved(rep)
     tp.check_statistical(rep, args.z_threshold)

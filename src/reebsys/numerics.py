@@ -41,9 +41,12 @@ def grid_chunks(n: int, width: int = 1):
 
 
 def combine_extremes(parts):
-    """(min, max, min, max, ...) over a union of node sets from those of
-    its parts, one tuple per part.  Minima and maxima combine exactly."""
-    ext = np.array(parts, float)
+    """(min, max) of each array of a part in turn, (min, max, min, max,
+    ...), over a union of node sets given as parts, one tuple of arrays
+    per part.  Minima and maxima combine exactly, and each part is reduced
+    before the next is drawn, so parts may come one chunk at a time."""
+    ext = np.array([[f(a) for a in part for f in (np.min, np.max)]
+                    for part in parts], float)
     odd = np.arange(ext.shape[1]) % 2 == 1
     return tuple(np.where(odd, ext.max(axis=0), ext.min(axis=0)).tolist())
 

@@ -275,26 +275,30 @@ class ToricProfile:
             d1[s], d2[s] = self.gradient_theta(theta[s])
         return theta, d1, d2
 
-    def partials_range(self, grid_n: int = 4096):
-        """(min d1, max d1, min d2, max d2) over a dense boundary grid, the
-        kink angles and the midpoint between each two kinks, so that a dip
-        between knots closer than a grid cell is seen too.  The grid is
-        evaluated GRID_CHUNK nodes at a time."""
-        def extremes(theta):
-            d1, d2 = self.gradient_theta(theta)
-            return d1.min(), d1.max(), d2.min(), d2.max()
-
-        parts = [extremes(grid_theta(np.arange(s.start, s.stop), grid_n))
-                 for s in grid_chunks(grid_n)]
+    def partials_range(self, grid):
+        """(min d1, max d1, min d2, max d2) over grid = grid_partials(n),
+        the kink angles and the midpoint between each two kinks, so that a
+        dip between knots closer than a grid cell is seen too.  The grid's
+        partials are not evaluated again.  With nonnegative partials the
+        four bound the diagonal D1F * D2F too, after rounding as well
+        (systolic module docstring)."""
+        parts = [grid[1:]]
         kinks = self.kink_angles()
         if kinks.size:
-            parts.append(extremes(np.concatenate(
+            parts.append(self.gradient_theta(np.concatenate(
                 [kinks, 0.5 * (kinks[:-1] + kinks[1:])])))
         return combine_extremes(parts)
 
-    def has_positive_partials(self, grid_n: int = 4096, tol: float = 1e-10) -> bool:
-        m1, _, m2, _ = self.partials_range(grid_n)
-        return m1 >= -tol and m2 >= -tol
+    def has_positive_partials(self, grid_n: int = 4096) -> bool:
+        return positive_partials(
+            *self.partials_range(self.grid_partials(grid_n)))
+
+
+def positive_partials(m1, M1, m2, M2) -> bool:
+    """Whether partials over [m1, M1] and [m2, M2] (partials_range) are
+    nonnegative up to rounding, relative to the partials, so at any size:
+    max(M1, M2) >= 1/max(a, b) > 0 by the Euler identity."""
+    return min(m1, m2) >= -1e-10 * max(M1, M2)
 
 
 class EllipsoidProfile(ToricProfile):

@@ -71,9 +71,6 @@ def write_report(path: str, doc: dict):
     atomic_write(path, (render_report(doc),))
 
 
-CSV_CHUNK_ROWS = 1 << 15      # rows formatted and written at a time
-
-
 def _csv_bytes(header, blocks):
     """The header line, then the rows of each block of equal-length
     columns.  A numpy column is converted with tolist(); a list column
@@ -93,8 +90,8 @@ def _csv_bytes(header, blocks):
 
 
 def write_csv(path: str, header, columns):
-    """Write equal-length columns under a header line, atomically,
-    CSV_CHUNK_ROWS rows at a time.
+    """Write equal-length columns under a header line, atomically, about
+    numerics.GRID_CHUNK cells at a time (grid_chunks).
 
     Cells are not quoted: no value may hold a comma, a quote or a
     newline.
@@ -103,8 +100,8 @@ def write_csv(path: str, header, columns):
     if any(len(col) != n for col in columns):
         raise ValueError("CSV columns must have equal lengths")
     atomic_write(path, _csv_bytes(header, (
-        [col[lo:lo + CSV_CHUNK_ROWS] for col in columns]
-        for lo in range(0, n, CSV_CHUNK_ROWS))))
+        [col[rows] for col in columns]
+        for rows in grid_chunks(n, len(columns)))))
 
 
 def write_samples_csv(path: str, blocks):

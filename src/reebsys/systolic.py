@@ -16,12 +16,17 @@ at t = 2A).  The systolic interval is the closure of pairing values over
 distinct orbit pairs; on toric boundaries it is the range of the separable
 function g(t, t^) = 2A * D1F(C(t)) * D2F(C(t^)) over the parameter square,
 and adding the diagonal values (the limit of pairings of nearby orbits,
-the "enlarged" interval) does not change it.
+the "enlarged" interval) does not change it: with nonnegative partials,
+D1F(t) * D2F(t) lies between min D1F * min D2F and max D1F * max D2F, and
+since rounding is monotone its rounded product lies between the rounded
+products of those extremes too, so the diagonal need not be scanned for
+either end, bit for bit.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -29,7 +34,7 @@ from .errors import ValidationError
 from .numerics import (adaptive_gauss, bracketed_roots, combine_extremes,
                        grid_chunks, refine_extremum, scan_roots,
                        simplest_fraction)
-from .profiles import HALF_PI, ToricProfile, grid_theta
+from .profiles import HALF_PI, ToricProfile, grid_theta, positive_partials
 
 TWO_PI_SQ = 2.0 * math.pi * math.pi
 # tolerance of average_identity_residual's quadratures, relative to the
@@ -89,13 +94,16 @@ def axis_orbit(profile: ToricProfile, axis: str) -> AxisOrbit:
 
 @dataclass(frozen=True)
 class Witness:
-    """An extremal parameter value with the nearest enumerated torus."""
+    """An extremal parameter value with the class and period of the
+    nearest enumerated torus (None when there is no torus)."""
 
     extremum: str          # 'lo' or 'hi'
     slot: str              # 'd1' or 'd2'
     t: float
     value: float           # the extremal partial-derivative value
-    torus: RationalTorus | None
+    p: int | None
+    q: int | None
+    period: float | None
 
 
 @dataclass(frozen=True)
@@ -108,14 +116,15 @@ class SystolicReport:
     witnesses: tuple
     tori: tuple
     grid_n: int
-    pairing_values: dict = field(default_factory=dict)
+    pairing_values: dict | None   # None when no two tori are distinct
 
 
-def require_positive_partials(profile: ToricProfile, grid_n: int = 4096):
+def require_positive_partials(profile: ToricProfile, grid):
     """Systolic formulas assume D1F, D2F >= 0 along the boundary; refuse
-    profiles violating that and report where."""
-    m1, M1, m2, M2 = profile.partials_range(grid_n)
-    if m1 < -1e-10 or m2 < -1e-10:
+    profiles violating that (profiles.positive_partials on grid =
+    profile.grid_partials(n)) and report where."""
+    m1, M1, m2, M2 = profile.partials_range(grid)
+    if not positive_partials(m1, M1, m2, M2):
         raise ValidationError(
             "profile has negative partial derivatives along the boundary "
             f"(min D1F = {m1:.3g}, min D2F = {m2:.3g}); systolic invariants "
@@ -220,21 +229,20 @@ def torus_roots(profile: ToricProfile, theta, d1g, d2g, cell, p, q):
 
 
 def enumerate_tori(profile: ToricProfile, max_pq: int,
-                   grid_n: int = TORUS_GRID_N,
                    continuum_samples: int = 65):
     """All rational tori with coprime 1 <= p, q and max(p, q) <= max_pq.
 
     A (p, q)-torus sits where h = q*D1F - p*D2F vanishes on the boundary.
-    All classes are found in one pass over a theta grid of grid_n nodes
-    (tori_on_grid).
+    All classes are found in one pass over a theta grid of TORUS_GRID_N
+    nodes (tori_on_grid).
 
     When h vanishes identically for a class (flat_class: constant-
     gradient profiles with a commensurable direction), the family is a
     continuum and continuum_samples equally spaced representatives are
     returned with continuum=True.  Tori are sorted by (max(p, q), p, t).
     """
-    return tori_on_grid(profile, max_pq, profile.grid_partials(grid_n),
-                        continuum_samples)
+    return tori_on_grid(profile, max_pq,
+                        profile.grid_partials(TORUS_GRID_N), continuum_samples)
 
 
 def tori_on_grid(profile: ToricProfile, max_pq: int, grid,
@@ -306,33 +314,27 @@ DENSE_N = 1 << 19
 DENSE_STRIDE = 64
 
 
-def _extremes(d1, d2):
-    """(min, max) of D1F, D2F and of the diagonal D1F*D2F, six floats."""
-    diag = d1 * d2
-    return (float(d1.min()), float(d1.max()), float(d2.min()),
-            float(d2.max()), float(diag.min()), float(diag.max()))
-
-
 def _dense_extremes(profile: ToricProfile, n: int):
-    """_extremes over the nodes of np.linspace(0, pi/2, n), from a strided
-    pass and windows instead of all n nodes.
+    """(min, max) of D1F and of D2F over the nodes of np.linspace(0, pi/2,
+    n), from a strided pass and windows instead of all n nodes.
 
     The first pass takes every DENSE_STRIDE-th node and the last.  Every
-    node within one stride of a strided local minimum or maximum of D1F,
-    D2F or D1F*D2F, or of a kink angle, is then evaluated, GRID_CHUNK
-    nodes at a time.  A node is computed from its index (grid_theta), so
-    the n-node grid is never built.  Strided nodes equal to both
-    neighbours (a plateau, such as a constant gradient) open no window.
-    The result equals the scan of all n nodes when each extreme lies in a
-    basin wider than two strides, or within a kink window: the strided
-    minimum of such a basin is one of the two strided nodes around the
-    dense one.
+    node within one stride of a strided local minimum or maximum of D1F
+    or D2F, or of a kink angle, is then evaluated, GRID_CHUNK nodes at a
+    time.  A node is computed from its index (grid_theta), so the n-node
+    grid is never built.  Strided nodes equal to both neighbours (a
+    plateau, such as a constant gradient) open no window.  The result
+    equals the scan of all n nodes when each extreme lies in a basin
+    wider than two strides, or within a kink window: the strided minimum
+    of such a basin is one of the two strided nodes around the dense one.
+    The diagonal D1F*D2F needs no windows: rounded, it lies between the
+    rounded products of these extremes (module docstring).
     """
     last = n - 1
     strided = np.r_[np.arange(0, last, DENSE_STRIDE), last]
     d1s, d2s = profile.gradient_theta(grid_theta(strided, n))
     centres = [np.rint(profile.kink_angles() * (last / HALF_PI)).astype(int)]
-    for f in (d1s, d2s, d1s * d2s):
+    for f in (d1s, d2s):
         for g in (f, -f):
             left = np.r_[np.inf, g[:-1]]
             right = np.r_[g[1:], np.inf]
@@ -344,17 +346,9 @@ def _dense_extremes(profile: ToricProfile, n: int):
     nodes = np.clip(np.sort(np.concatenate(centres))[:, None] + offsets,
                     0, last).ravel()
     window = nodes[nodes > np.maximum.accumulate(np.r_[-1, nodes[:-1]])]
-    parts = [_extremes(d1s, d2s)]
-    for s in grid_chunks(len(window)):
-        parts.append(_extremes(*profile.gradient_theta(
-            grid_theta(window[s], n))))
-    return combine_extremes(parts)
-
-
-def _nearest_torus(tori, t):
-    if not tori:
-        return None
-    return min(tori, key=lambda T: abs(T.t - t))
+    return combine_extremes(chain([(d1s, d2s)], (
+        profile.gradient_theta(grid_theta(window[s], n))
+        for s in grid_chunks(len(window)))))
 
 
 def systolic_interval(profile: ToricProfile, grid_n: int = 4096,
@@ -365,21 +359,22 @@ def systolic_interval(profile: ToricProfile, grid_n: int = 4096,
     factors, so its extrema over the parameter square are products of 1D
     extrema; those are located by a grid scan refined by golden-section
     search, and compared with the values at the profile's kink angles
-    (spline knots).  The enlarged interval is recomputed independently,
-    with the diagonal values g(t, t) included, from the extremes of D1F,
-    D2F and D1F*D2F over the nodes of a dense grid of max(grid_n, DENSE_N)
-    angles, and reported separately.  Below DENSE_N those extremes come
-    from every DENSE_STRIDE-th node plus the nodes within one stride of
-    each strided local extremum and of each kink angle; they equal a scan
-    of every node when each extreme lies in a basin wider than two
-    strides or within a kink window.
+    (spline knots).  The enlarged interval, with the diagonal values
+    g(t, t), is recomputed independently from the extremes of D1F and D2F
+    over the nodes of a dense grid of max(grid_n, DENSE_N) angles, and
+    reported separately: d1 * d2 at a node lies between m1 * m2 and
+    M1 * M2, and rounding is monotone, so the rounded diagonal cannot
+    widen either rounded end.  Below DENSE_N the extremes come from every
+    DENSE_STRIDE-th node plus the nodes within one stride of each strided
+    local extremum and of each kink angle; they equal a scan of every
+    node when each extreme lies in a basin wider than two strides or
+    within a kink window.
 
-    Every grid is scanned numerics.GRID_CHUNK nodes at a time, with the
-    bits of a whole-grid scan: the partials on the grid_n-node grid are
-    evaluated once (ToricProfile.grid_partials) and serve the extrema,
-    the torus search (tori_on_grid) and, from DENSE_N nodes on, the
-    enlarged interval, so only the grid and its two partials grow with
-    grid_n.
+    The partials on the grid_n-node grid are evaluated once
+    (ToricProfile.grid_partials, GRID_CHUNK nodes at a time) and serve
+    the positivity check, the extrema, the torus search (tori_on_grid)
+    and, from DENSE_N nodes on, the enlarged interval, so only the grid
+    and its two partials grow with grid_n.
 
     pairing_values summarizes the pairings of the first 40 non-continuum
     tori with max(p, q) <= max_pq_witness (continuum representatives when
@@ -390,8 +385,8 @@ def systolic_interval(profile: ToricProfile, grid_n: int = 4096,
     """
     if grid_n < 8:
         raise ValidationError("grid_n must be at least 8")
-    require_positive_partials(profile, grid_n)
     grid = profile.grid_partials(grid_n)
+    require_positive_partials(profile, grid)
     theta, d1g, d2g = grid
     two_a = profile.two_area
 
@@ -419,17 +414,15 @@ def systolic_interval(profile: ToricProfile, grid_n: int = 4096,
     hi = two_a * M1 * M2
 
     # independent route: the factor extremes over a dense grid of
-    # max(grid_n, DENSE_N) nodes, with the diagonal products included.
+    # max(grid_n, DENSE_N) nodes, whose products bound the diagonal's.
     # Kinks of spline-backed partials make grid extrema first-order
     # accurate, hence the much finer grid here.  From DENSE_N nodes on it
     # is the grid above; below, _dense_extremes finds the extremes of all
     # its nodes from a strided pass and windows (its docstring says when).
-    m1d, M1d, m2d, M2d, m12d, M12d = (
-        combine_extremes([_extremes(d1g[s], d2g[s])
-                          for s in grid_chunks(grid_n)])
-        if grid_n >= DENSE_N else _dense_extremes(profile, DENSE_N))
-    enlarged_lo = two_a * min(m1d * m2d, m12d)
-    enlarged_hi = two_a * max(M1d * M2d, M12d)
+    m1d, M1d, m2d, M2d = (combine_extremes([(d1g, d2g)]) if grid_n >= DENSE_N
+                          else _dense_extremes(profile, DENSE_N))
+    enlarged_lo = two_a * (m1d * m2d)
+    enlarged_hi = two_a * (M1d * M2d)
 
     tol = 1e-9
     contains_one = (lo - tol <= 1.0 <= hi + tol)
@@ -440,11 +433,12 @@ def systolic_interval(profile: ToricProfile, grid_n: int = 4096,
                                     ("hi", "d1", th_M1, M1),
                                     ("hi", "d2", th_M2, M2)):
         t_star = float(profile.t_of_theta(th_star))
-        witnesses.append(Witness(ext, slot, t_star, val,
-                                 _nearest_torus(tori, t_star)))
+        near = min(tori, key=lambda T: abs(T.t - t_star), default=None)
+        witnesses.append(Witness(ext, slot, t_star, val, *(
+            (near.p, near.q, near.period) if near else (None, None, None))))
 
     # the torus with the smaller t takes the D1F slot (pairing_orbit_orbit)
-    pairing_values = {}
+    pairing_values = None
     reps = ([T for T in tori if not T.continuum] or list(tori))[:40]
     ts = np.array([T.t for T in reps])
     i, j = np.triu_indices(len(reps), 1)
@@ -535,7 +529,7 @@ def witness_measure(profile: ToricProfile, axis: str, epsilon: float) -> Witness
     """
     if not (0.0 < epsilon < 1.0):
         raise ValidationError("epsilon must lie in (0, 1)")
-    require_positive_partials(profile)
+    require_positive_partials(profile, profile.grid_partials(4096))
     two_a = profile.two_area
     ic = profile.intercepts()
     if axis == "y":

@@ -18,7 +18,8 @@ import pytest
 from conftest import load_perfbench
 from reebsys.cli import main
 from reebsys.errors import ValidationError
-from reebsys.profiles import HALF_PI, LpProfile, SplineProfile
+from reebsys.profiles import (HALF_PI, LpProfile, SplineProfile,
+                              perturbed_ellipsoid_points)
 from reebsys.systolic import (average_identity_residual, axis_orbit,
                               pairing_orbit_orbit)
 from reebsys.topology import _batch_rates, axis_disk
@@ -34,6 +35,21 @@ def systole_interval(tmp_path, doc):
                  "--grid", "256", "--quiet"]) == 0
     report = json.loads((out / "systole.json").read_text())
     return report["interval"], report["pairing_values"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [-300, -64, 0, 40, 64, 300])
+def test_negative_partials_are_refused_at_every_scale(tmp_path, capsys, k):
+    # min D2F is -0.565 at scale 1; the positivity bound scales with the
+    # partials, so the dilated profile is refused at every scale too
+    points = perturbed_ellipsoid_points(0.7, 2.3, (0.35,), 256) * 2.0 ** k
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"kind": "sampled",
+                                "points": points.tolist()}))
+    assert main(["systole", "--input", str(path), "--output",
+                 str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "negative partial" in err
 
 
 def assert_same_pairings(got, base):

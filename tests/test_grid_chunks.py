@@ -1,12 +1,14 @@
-"""The systole path's theta-grid scans in chunks of numerics.GRID_CHUNK
-nodes: the same bits at any chunk size, and working memory set by the
-chunk instead of the grid.
+"""The systole path's theta-grid scans, and the CSV writers, in chunks of
+numerics.GRID_CHUNK nodes or cells: the same bits at any chunk size, and
+working memory set by the chunk instead of the grid.
 
 Chunked minima and maxima combine exactly, argmins keep np.argmin's first
 index and a gradient lane does not depend on its batch, so a chunk of 7
 nodes, which splits every grid off its cell boundaries, and one larger
 than any grid, which takes it whole, must both give the default's bits.
 """
+import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -15,10 +17,17 @@ import pytest
 
 from conftest import random_star_profile
 from reebsys import numerics
+from reebsys.cli import main
+from reebsys.diskmap import hamiltonian_from_json, periodic_points
 from reebsys.profiles import HALF_PI, LpProfile, grid_theta
-from reebsys.reports import emit_plot_data
-from reebsys.systolic import (DENSE_N, _dense_extremes, enumerate_tori,
-                              systolic_interval)
+from reebsys.reports import (emit_plot_data, write_action_spectrum,
+                             write_curve_csv)
+from reebsys.systolic import (DENSE_N, RationalTorus, _dense_extremes,
+                              enumerate_tori, systolic_interval)
+from reebsys.topology import toric_orbit_curve
+
+WELL = {"kind": "radial", "h": {"type": "poly",
+                                "coeffs": [math.pi, -2 * math.pi, math.pi]}}
 
 
 @pytest.fixture(scope="module")
@@ -37,8 +46,30 @@ def scans(profile, tmp_path):
         plots += [Path(path).read_bytes()
                   for path in emit_plot_data(str(out), profile, n)]
     return (systolic_interval(profile, grid_n=256, max_pq_witness=6),
-            enumerate_tori(profile, 12), profile.partials_range(4096),
-            _dense_extremes(profile, DENSE_N), plots)
+            enumerate_tori(profile, 12),
+            profile.partials_range(profile.grid_partials(4096)),
+            _dense_extremes(profile, DENSE_N), plots,
+            csv_files(profile, tmp_path))
+
+
+def csv_files(profile, tmp_path):
+    """The bytes of write_csv's files: toric-analyze's boundary.csv, an
+    orbit curve (write_curve_csv) and action_spectrum.csv.  At a 7-cell
+    chunk their 5, 4 and 3 columns take 1, 1 and 2 rows per block."""
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(profile.to_json()))
+    out = tmp_path / "analyze"
+    assert main(["toric-analyze", "--input", str(path), "--output",
+                 str(out), "--max-pq", "2", "--plot-grid", "24",
+                 "--quiet"]) == 0
+    torus = RationalTorus(2, 3, 0.4 * profile.two_area, 1.0)
+    curve = str(tmp_path / "curve.csv")
+    write_curve_csv(curve, toric_orbit_curve(profile, torus, n=33).points)
+    H = hamiltonian_from_json(WELL)
+    spectrum = write_action_spectrum(str(tmp_path), H,
+                                     periodic_points(H, 4), 20)
+    return [Path(p).read_bytes()
+            for p in (out / "boundary.csv", curve, spectrum)]
 
 
 @pytest.mark.parametrize("chunk", [7, 1 << 22])

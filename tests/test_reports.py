@@ -15,18 +15,18 @@ from jsonschema import Draft202012Validator
 
 from conftest import REGISTRY
 from reebsys import diskmap as dm
-from reebsys import reports
+from reebsys import numerics, reports
 from reebsys.cli import COMMANDS, main
 from reebsys.errors import ValidationError
 from reebsys.flows import liouville_sample
 from reebsys.profiles import profile_from_json
-from reebsys.reports import (CSV_CHUNK_ROWS, RECORD_REF, RECORDS,
-                             emit_plot_data, jsonable, load_schema,
-                             read_curve_csv, render_report, validate_report,
-                             write_action_spectrum, write_csv, write_curve_csv,
-                             write_report, write_samples_csv)
+from reebsys.reports import (RECORD_REF, RECORDS, emit_plot_data, jsonable,
+                             load_schema, read_curve_csv, render_report,
+                             validate_report, write_action_spectrum,
+                             write_csv, write_curve_csv, write_report,
+                             write_samples_csv)
 from reebsys.systolic import enumerate_tori
-from reebsys.topology import toric_orbit_curve
+from reebsys.topology import RATE_BLOCK, toric_orbit_curve
 
 WELL = {"kind": "radial", "h": {"type": "poly",
                                 "coeffs": [math.pi, -2 * math.pi, math.pi]}}
@@ -150,9 +150,10 @@ def test_write_csv_edge_floats_match_row_writer(tmp_path):
 
 @pytest.mark.parametrize("n", [4, 5, 6, 11])
 def test_write_csv_blocks_match_row_writer(tmp_path, monkeypatch, n):
-    # blocks of 5 rows: one short block, one full, one full and one row,
-    # and three blocks; every kind of cell crosses the block edges
-    monkeypatch.setattr(reports, "CSV_CHUNK_ROWS", 5)
+    # blocks of 25 cells, 5 rows of the 5 columns: one short block, one
+    # full, one full and one row, and three blocks; every kind of cell
+    # crosses the block edges
+    monkeypatch.setattr(numerics, "GRID_CHUNK", 25)
     x = np.linspace(-1.0, 2.0, n) / 3.0
     header = ("x", "k", "empty", "label", "i")
     labels = [f"{k}%s%%d%" for k in range(n)]
@@ -236,13 +237,14 @@ def test_action_spectrum_matches_row_writer(tmp_path):
 
 
 def test_samples_and_curve_csv_match_row_writer(tmp_path, spline_p, round_p):
-    # one full chunk and a partial one, drawn block by block
-    n = CSV_CHUNK_ROWS + 3
+    # one full block and a partial one, drawn block by block as
+    # --dump-samples draws them
+    n = RATE_BLOCK + 3
     samples = liouville_sample(spline_p, n, 11)
     path = str(tmp_path / "samples.csv")
     write_samples_csv(path, (liouville_sample(spline_p, n, 11, lo,
-                                              min(lo + CSV_CHUNK_ROWS, n))
-                             for lo in range(0, n, CSV_CHUNK_ROWS)))
+                                              min(lo + RATE_BLOCK, n))
+                             for lo in range(0, n, RATE_BLOCK)))
     assert read_bytes(path) == rows_csv(
         ("t", "theta1", "theta2"),
         ((float(r[0]), float(r[1]), float(r[2])) for r in samples))

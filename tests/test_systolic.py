@@ -275,7 +275,7 @@ class TestInterval:
     def test_vanishing_norm_characterizes_constant_partials(self, profile_matrix):
         for p in profile_matrix:
             rep = systolic_interval(p, grid_n=1024)
-            m1, M1, m2, M2 = p.partials_range()
+            m1, M1, m2, M2 = p.partials_range(p.grid_partials(4096))
             constant = max(M1 - m1, M2 - m2) < 1e-7
             if rep.norm < 1e-9:
                 assert constant
@@ -312,7 +312,7 @@ class TestInterval:
                     for a, b in itertools.combinations(reps, 2)
                     if abs(a.t - b.t) > 1e-9 * max(1.0, p.two_area)]
             if not vals:
-                assert rep.pairing_values == {}
+                assert rep.pairing_values is None
                 continue
             assert rep.pairing_values["count"] == len(vals)
             assert rep.pairing_values["min"] == pytest.approx(min(vals),
@@ -459,12 +459,12 @@ class TestDenseExtremes:
             self, profile_matrix, n):
         for profile in profile_matrix + benchmark_profiles((1, 2, 3)):
             assert _dense_extremes(profile, n) == \
-                full_dense_extremes(profile, n)
+                full_dense_extremes(profile, n)[:4]
 
     def test_random_stars_match_full_scan(self, seeded_stars):
         for profile in seeded_stars:
             assert _dense_extremes(profile, DENSE_N) == \
-                full_dense_extremes(profile, DENSE_N)
+                full_dense_extremes(profile, DENSE_N)[:4]
 
     def test_narrow_extreme_is_found_from_its_knots(self):
         # a unit circle whose r rises by 2e-8 at the middle of five knots
@@ -477,7 +477,7 @@ class TestDenseExtremes:
         profile = SplineProfile(np.c_[r * np.cos(theta), r * np.sin(theta)])
         extremes = full_dense_extremes(profile, DENSE_N)
         assert extremes[1] > 1.0 and extremes[2] == 0.0
-        assert _dense_extremes(profile, DENSE_N) == extremes
+        assert _dense_extremes(profile, DENSE_N) == extremes[:4]
 
     # from DENSE_N nodes on, the --grid grid is the dense grid
     @pytest.mark.parametrize("grid_n", [64, 256, 4096, DENSE_N + 7])
@@ -497,18 +497,34 @@ class TestDenseExtremes:
         # points to gradient_theta; on the ellipsoids, so would windows
         # around every node of a constant gradient
         for profile in profile_matrix:
-            cls = type(profile)
-            gradient_theta = cls.gradient_theta
-            points = []
+            points = gradient_points(monkeypatch, profile)
+            assert 0 < points < 1 << 17
 
-            def counting(self, theta):
-                points.append(np.size(theta))
-                return gradient_theta(self, theta)
+    def test_dense_grid_is_evaluated_once(self, profile_matrix, monkeypatch):
+        # from DENSE_N nodes on, the --grid partials serve the positivity
+        # check, the extrema, the tori and the enlarged interval; a second
+        # pass over the grid would pass about 2 grid_n points
+        grid_n = DENSE_N + 7
+        for profile in profile_matrix:
+            points = gradient_points(monkeypatch, profile, grid_n=grid_n)
+            assert grid_n <= points < grid_n + (1 << 14)
 
-            monkeypatch.setattr(cls, "gradient_theta", counting)
-            systolic_interval(profile)
-            monkeypatch.undo()
-            assert 0 < sum(points) < 1 << 17
+
+def gradient_points(monkeypatch, profile, **kwargs):
+    """The points systolic_interval(profile, **kwargs) passes to the
+    profile's gradient_theta."""
+    cls = type(profile)
+    gradient_theta = cls.gradient_theta
+    points = []
+
+    def counting(self, theta):
+        points.append(np.size(theta))
+        return gradient_theta(self, theta)
+
+    monkeypatch.setattr(cls, "gradient_theta", counting)
+    systolic_interval(profile, **kwargs)
+    monkeypatch.undo()
+    return sum(points)
 
 
 def test_only_sampled_profiles_have_kinks(profile_matrix):
