@@ -37,39 +37,23 @@ variance are the correctly rounded totals of the exact block sums, equal
 to math.fsum over all the rates, and each rate depends on its own sample
 only, so the report is the same for any thread count.
 
-Linking numbers of closed curves on the 3-sphere are computed by
-stereographic projection followed by the exact solid-angle (Gauss) sum
-over polyline segment pairs.  The sum runs over fixed tiles of
-GAUSS_BLOCK segments of one curve by GAUSS_TILE segments of the other,
-with the longer curve on the GAUSS_TILE axis, so the memory is set by the
-tile and not by the curves.  A tile works on the grid of vertex
-differences P_j - Q_i, one plain numpy array per coordinate: the four
-corners of a segment pair are neighbouring grid points, so each vertex
-norm and each dot of neighbouring vertices is computed once and shared
-by the pairs that meet there.  Every term has the bits of the per-pair
-formula written with np.cross and np.einsum (_gauss_tile).  Each tile's
-terms go to one np.sum and the tile sums are added in a fixed tile
-order.  The curves themselves are built, normalized and projected
+Linking numbers of closed curves on the 3-sphere are half the signed
+count of the crossings of their stereographic projections seen along a
+coordinate axis (Rolfsen, Knots and Links, 5.D): each crossing counts +1
+or -1 by its orientation and by which curve is on top, and the total is
+even.  The segment pairs to test come from a top-down walk over box
+pyramids (_box_walk): boxes of runs of BOX_ROWS consecutive segments, of
+pairs of those, and so on up to one box per curve, dropping the box pairs
+that cannot hold a crossing.  Each test is the sign of a short sum of
+products, sure outside a rounding band (_BAND); an unsure test or an odd
+total moves to the next axis, pole or subdivision level.  The same walk
+over boxes of vertices finds the pairs of the two curves within
+LINK_MIN_SEPARATION.  Curves are built, normalized and projected
 CURVE_CHUNK rows at a time.
 
-The linking number does not change under a homotopy that keeps the two
-curves disjoint, so the sum usually runs on coarse copies of the
-projected polylines: every s-th vertex and the last, s a power of two
-(_certified_coarsening).  Copies are used only when the two curves
-together move by at most half of a lower bound on the distance between
-them along the straight-line homotopies to their copies.  The reported
-raw sum is then the Gauss sum of the coarse polygons, an integer up to
-rounding like the full sum, but not the full sum's bits.  The full curves
-are summed when no copy is certified or a coarse sum misses the residual
-tolerance.  The distance scans between the curves (the separation check
-and that lower bound) hold blocks of rows in bounding balls and skip the
-block pairs that cannot hold the least distance, with the bits of the
-full scan (_least_cell).
-
 On the benchmark's lp p=3 cases of 4096 x 512, 1024 x 256 and 2048 x
-1024 segments linking_number takes 5-9, 2.3-4.5 and 6-10 ms in-process
-(106-145, 14-21 and 111-146 ms with full sums), on a 2-core host with
-numpy 2.4.
+1024 segments linking_number takes 1.5, 1.0 and 1.4 ms in-process, on a
+2-core host with numpy 2.4.
 """
 from __future__ import annotations
 
@@ -355,7 +339,7 @@ def action_linking_verify(profile: ToricProfile, surface: SeifertSurfaceSpec,
 
 
 # ---------------------------------------------------------------------------
-# closed curves on the 3-sphere and Gauss linking
+# closed curves on the 3-sphere and their linking
 
 
 # Rows per pass when a whole curve is normalized, measured or projected.
@@ -364,14 +348,8 @@ _SMALLEST_NORMAL = np.finfo(float).smallest_normal
 
 
 def _row_chunks(n: int) -> list:
-    """Slices of CURVE_CHUNK rows covering range(n), in order.  A lone last
-    row joins the slice before it: a one-row matrix-vector product takes
-    numpy's dot path, which can differ from the gemv result in the last
-    bit."""
-    edges = list(range(0, n, CURVE_CHUNK)) + [n]
-    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
-        del edges[-2]
-    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+    """Slices of CURVE_CHUNK rows covering range(n), in order."""
+    return [slice(a, min(a + CURVE_CHUNK, n)) for a in range(0, n, CURVE_CHUNK)]
 
 
 @dataclass(frozen=True)
@@ -470,24 +448,23 @@ def toric_orbit_curve(profile: ToricProfile, orbit, n: int = 1024,
     return ClosedCurve._on_sphere(pts, chord_bound=1.0)
 
 
-# Curves closer than LINK_MIN_SEPARATION have no linking number; a Gauss
-# sum farther than LINK_RESIDUAL_TOL from an integer is retried with other
-# poles and subdivided curves.
+# Curves closer than LINK_MIN_SEPARATION have no linking number.
 LINK_MIN_SEPARATION = 1e-6
-LINK_RESIDUAL_TOL = 0.1
-# A Gauss sum tile is GAUSS_BLOCK segments of the shorter curve by
-# GAUSS_TILE segments of the longer one.  Its temporaries hold at most
-# (GAUSS_BLOCK + 1) x (GAUSS_TILE + 1) doubles, 67 KB, below glibc's
-# 128 KiB mmap threshold, so each is served from the heap rather than
-# mapped and unmapped per tile.  The distance scans (_least_cell) hold
-# blocks of MIN_DIST_BALL rows in bounding balls and scan tiles of
-# MIN_DIST_BLOCK x MIN_DIST_TILE cells, 1 MB of buffers, whatever their
-# shape.
+# The Gauss sum, the tests' reference for linking_number, runs on tiles of
+# GAUSS_BLOCK x GAUSS_TILE segments, whose 67 KB temporaries glibc serves
+# from the heap (below its 128 KiB mmap threshold).
 GAUSS_BLOCK = 64
 GAUSS_TILE = 128
-MIN_DIST_BLOCK = 64
-MIN_DIST_TILE = 1024
-MIN_DIST_BALL = 16
+# The bottom level of a box pyramid (_pyramid) boxes runs of BOX_ROWS
+# consecutive rows; below it the walk reads single rows from the curve.
+BOX_ROWS = 16
+# A sign test is sure when its value is beyond _BAND times the sum of the
+# magnitudes of its terms.  Each tested value sums products of differences
+# of input coordinates, with at most 9 roundings of relative size 2^-53 on
+# any term's path, so its error is below 1e-15 times that sum (Higham,
+# Accuracy and Stability of Numerical Algorithms, ch. 3); 2^-40 = 9.1e-13
+# leaves a margin of 900, and a sure sign is the exact polygons' sign.
+_BAND = 2.0 ** -40
 
 # Candidate projection poles avoid the coordinate circles (where the axis
 # orbits live); the asymmetric ones also miss every torus curve with equal
@@ -505,7 +482,8 @@ def _stereographic(points: np.ndarray, pole: np.ndarray) -> np.ndarray:
     The pole is moved by a rotation (a Householder reflection composed
     with a coordinate flip), keeping the map orientation-preserving so
     linking signs survive the projection.  The points are projected
-    CURVE_CHUNK rows at a time.
+    CURVE_CHUNK rows at a time, each row by elementwise operations, so its
+    bits do not depend on the rows projected with it.
     """
     w = pole - np.array([0.0, 0.0, 0.0, 1.0])
     nw = np.dot(w, w)
@@ -513,7 +491,8 @@ def _stereographic(points: np.ndarray, pole: np.ndarray) -> np.ndarray:
     for rows in _row_chunks(len(points)):
         rotated = points[rows]
         if nw >= 1e-15:
-            rotated = rotated - 2.0 * np.outer(rotated @ w, w) / nw
+            dot = sum(rotated[:, k] * w[k] for k in range(4))
+            rotated = rotated - 2.0 * np.outer(dot, w) / nw
             rotated[:, 0] = -rotated[:, 0]
         denom = 1.0 - rotated[:, 3]
         if np.any(np.abs(denom) < 1e-9):
@@ -586,265 +565,196 @@ def _gauss_tile(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.sum(np.arctan2(triple, d1) + np.arctan2(triple, d2)))
 
 
-# A bound between two blocks of rows is lowered by _BOUND_SLACK times the
-# size of the terms it is made of, far more than their rounding error, so
-# a block pair it skips holds no cell below the least one scanned.
-_BOUND_SLACK = 1e-12
+def _pyramid(rows_of, n: int, step: int):
+    """The box pyramid of a curve of n vertices, as (rows_of, rows, step,
+    levels); rows_of(k) returns the vertices k, a slice or index array.
 
-
-def _vertices(points: np.ndarray):
-    """The rows of points as a scan side: their count, and a function
-    returning (rows, reach) for a slice (a view) or an index array."""
-    def rows(k):
-        return (points[k] if isinstance(k, slice)
-                else points.take(k, axis=0)), None
-    return len(points), rows
-
-
-def _segments(X: np.ndarray):
-    """The segments of the polyline X as a scan side (_vertices): each
-    row is a segment's midpoint, with half its length as its reach."""
-    def rows(k):
-        if isinstance(k, slice):
-            a, b = X[k], X[k.start + 1:k.stop + 1]
-        else:
-            a, b = X.take(k, axis=0), X.take(k + 1, axis=0)
-        d = b - a
-        return 0.5 * (a + b), 0.5 * np.sqrt((d * d).sum(axis=1))
-    return len(X) - 1, rows
-
-
-def _ball_rows(n: int) -> int:
-    """Rows per block ball on a scan side of n rows: MIN_DIST_BALL,
-    doubled until there are at most CURVE_CHUNK balls."""
-    size = MIN_DIST_BALL
-    while size * CURVE_CHUNK < n:
-        size *= 2
-    return size
-
-
-def _block_balls(side, size: int):
-    """Centres and radii of balls around each block of size consecutive
-    rows of a scan side, the last block possibly fewer; a row's reach
-    widens its block's ball to hold every point within the reach of the
-    row.  The rows are read a quarter of CURVE_CHUNK at a time, or a
-    block at a time where blocks are longer."""
-    n, rows = side
-    chunk = max(CURVE_CHUNK // 4, size)
-    centres, radii = [], []
-    for lo in range(0, n, chunk):
-        pts, reach = rows(slice(lo, min(lo + chunk, n)))
-        k = -(-len(pts) // size)
-        pad = k * size - len(pts)
-        if pad:
-            pts = np.concatenate([pts, np.repeat(pts[-1:], pad, axis=0)])
-        blocks = pts.reshape(k, size, -1)
-        c = 0.5 * (blocks.max(axis=1) + blocks.min(axis=1))
-        diff = blocks - c[:, None]
-        r = np.sqrt(np.multiply(diff, diff, out=diff).sum(axis=2))
-        if reach is not None:
-            r += np.concatenate([reach, np.repeat(reach[-1:], pad)]
-                                ).reshape(k, size)
-        centres.append(c)
-        radii.append(r.max(axis=1))
-    return np.concatenate(centres), np.concatenate(radii)
-
-
-def _least_cell(side1, side2, squared: bool, floor: float = -math.inf,
-                ceiling: float = math.inf):
-    """Least cell value of the rows of side1 against those of side2.
-
-    A cell is the squared distance of two rows (squared), or their
-    distance less the sum of their reaches.  The squares are summed in
-    coordinate order, as a sum over the last axis does.
-
-    The scan skips what cannot hold the least cell.  Rows come in blocks
-    of MIN_DIST_BALL (more on sides too long for CURVE_CHUNK blocks),
-    each held by a ball (_block_balls), and the balls bound every cell of
-    a block pair from below.  Row blocks of the side with fewer rows go in
-    order of their least bound, and the first one bounded above the least
-    cell found so far ends the scan; within a row block the blocks of the
-    other side go in order of their bound, a tile of them at a time in
-    one pair of buffers, and those bounded above the least cell are
-    skipped.  A side of a single block is scanned whole, without balls.
-    Tiles hold MIN_DIST_BLOCK x MIN_DIST_TILE cells, so a side of fewer
-    rows, such as a pole, gets tiles as many times wider.  Each scanned
-    cell is computed as in a full scan and no skipped one is below the
-    least, so the result is the full scan's, bit for bit.
-
-    Two limits cut the scan short.  It returns early, with a cell below
-    floor, once it finds one.  Block pairs bounded above ceiling (a
-    distance) are skipped too, so when no cell is within the ceiling the
-    result is some value beyond it, possibly inf.
+    The rows are the vertices (step 0) or the segments (step 1, vertex k
+    to k + 1, whose box holds both).  Level 0 boxes runs of BOX_ROWS rows,
+    read CURVE_CHUNK rows at a time, and level k + 1 boxes the pairs 2i,
+    2i + 1 of level k (an odd last box alone), up to one box.  A level is
+    (lo, hi, size), size the mean longest side of its boxes.
     """
-    if side1[0] > side2[0]:
-        side1, side2 = side2, side1
-    (n1, rows1), (n2, rows2) = side1, side2
-    size1, size2 = _ball_rows(n1), _ball_rows(n2)
-    height = min(size1, n1)
-    width = max(size2, MIN_DIST_BLOCK * MIN_DIST_TILE // height)
-    work = []        # one pair of buffers, made when a tile is scanned
+    rows = n - step
+    lo, hi = [], []
+    for start in range(0, rows, CURVE_CHUNK):
+        X = rows_of(slice(start, min(start + CURVE_CHUNK + step, n)))
+        starts = np.arange(0, len(X) - step, BOX_ROWS)
+        for boxes, extreme in ((lo, np.minimum), (hi, np.maximum)):
+            box = extreme.reduceat(X, starts)
+            if step:        # the vertex that ends each run but the last
+                extreme(box[:-1], X[starts[1:]], out=box[:-1])
+            boxes.append(box)
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    levels = [(lo, hi, float((hi - lo).max(axis=1).mean()))]
+    while len(lo) > 1:
+        even = len(lo) // 2 * 2
+        lo = np.concatenate([np.minimum(lo[:even:2], lo[1:even:2]), lo[even:]])
+        hi = np.concatenate([np.maximum(hi[:even:2], hi[1:even:2]), hi[even:]])
+        levels.append((lo, hi, float((hi - lo).max(axis=1).mean())))
+    return rows_of, rows, step, levels
 
-    def least_of(a, reach_a, b, reach_b):
-        if not work:
-            work.append(np.empty((2, height * min(width, n2))))
-        cell, diff = (w[:len(a) * len(b)].reshape(len(a), len(b))
-                      for w in work[0])
-        for k in range(a.shape[1]):
-            np.subtract(a[:, None, k], b[None, :, k], out=diff)
-            if k:
-                np.add(cell, np.multiply(diff, diff, out=diff), out=cell)
+
+def _box_walk(side1, side2, keep):
+    """Batches (ends1, ends2) of the row pairs of two pyramids (_pyramid)
+    that keep passes on every pair of boxes holding them: for each side,
+    the rows' first and last vertices (a vertex twice).
+
+    From the two top boxes, each step splits the boxes of the side whose
+    boxes are larger into their children, down to single rows read by
+    rows_of, and keeps the pairs that keep(lo1, hi1, ends1, lo2, hi2,
+    ends2) passes; ends is None for a side above single rows.  A batch
+    holds at most CURVE_CHUNK pairs; the rest wait on a stack.
+    """
+    sides = (side1, side2)
+    top = np.zeros(1, np.intp)
+    stack = [[(len(side1[3]) - 1, top), (len(side2[3]) - 1, top)]]
+    step = CURVE_CHUNK // BOX_ROWS
+    while stack:
+        at = stack.pop()
+        (k1, _), (k2, _) = at
+        s = 0 if k2 < 0 or (k1 >= 0 and side1[3][k1][2]
+                             >= side2[3][k2][2]) else 1
+        (k, idx), (k_other, other) = at[s], at[1 - s]
+        f, n = ((2, len(sides[s][3][k - 1][0])) if k
+                else (BOX_ROWS, sides[s][1]))
+        child = (idx[:, None] * f + np.arange(f)).ravel()
+        inside = child < n
+        at[s], at[1 - s] = ((k - 1, child[inside]),
+                            (k_other, np.repeat(other, f)[inside]))
+        (k1, i), (k2, j) = at
+        (lo1, hi1, ends1), (lo2, hi2, ends2) = (
+            _boxes(side, *state) for side, state in zip(sides, at))
+        kept = np.flatnonzero(keep(lo1, hi1, ends1, lo2, hi2, ends2))
+        for lo in range(0, len(kept), step):
+            pick = kept[lo:lo + step]
+            if k1 < 0 and k2 < 0:
+                yield ([x.take(pick, axis=0) for x in ends1],
+                       [x.take(pick, axis=0) for x in ends2])
             else:
-                np.multiply(diff, diff, out=cell)
-        if not squared:
-            np.sqrt(cell, out=cell)
-            np.subtract(cell, np.add(reach_a[:, None], reach_b[None, :],
-                                     out=diff), out=cell)
-        return float(cell.min())
+                stack.append([(k1, i[pick]), (k2, j[pick])])
+
+
+def _boxes(side, k, idx):
+    """(lo, hi, ends) of boxes idx of a pyramid's level k (_box_walk)."""
+    if k >= 0:
+        lo, hi, _ = side[3][k]
+        return lo.take(idx, axis=0), hi.take(idx, axis=0), None
+    rows_of, _, step, _ = side
+    if not step:
+        a = rows_of(idx)
+        return a, a, (a, a)
+    a, b = np.split(rows_of(np.concatenate([idx, idx + 1])), 2)
+    return np.minimum(a, b), np.maximum(a, b), (a, b)
+
+
+def _cross(p, q, x, y):
+    """The (x, y) cross products of the rows of p and q, and the sums of
+    their two terms' magnitudes (_BAND)."""
+    s, t = p[:, x] * q[:, y], p[:, y] * q[:, x]
+    return s - t, np.abs(s) + np.abs(t)
+
+
+def _meets_line(ends, lo, hi, x, y):
+    """False where the (x, y) box lo..hi lies surely on one side of the
+    line through the segment ends.  The cross product at a corner
+    (cx, cy) is dx (cy - ay) - dy (cx - ax), a term in cy less a term in
+    cx, so its extremes over the corners come from those of the terms."""
+    a, b = ends
+    dx, dy = b[:, x] - a[:, x], b[:, y] - a[:, y]
+    ty = [dx * (lo[:, y] - a[:, y]), dx * (hi[:, y] - a[:, y])]
+    tx = [dy * (lo[:, x] - a[:, x]), dy * (hi[:, x] - a[:, x])]
+    band = _BAND * (np.maximum(*map(np.abs, ty))
+                    + np.maximum(*map(np.abs, tx)))
+    return ((np.minimum(*ty) - np.maximum(*tx) <= band)
+            & (np.maximum(*ty) - np.minimum(*tx) >= -band))
+
+
+def _crossing_total(side1, side2, axes):
+    """Signed count of the crossings of two pyramids' polylines (_pyramid)
+    seen along axis z, (x, y, z) = axes a cyclic order; None if unsure.
+
+    Segments a0 -> a1 and b0 -> b1 cross when b0 and b1 lie strictly on
+    opposite sides of a's line in the (x, y) plane, and a0 and a1 of b's:
+    both crossing parameters are in (0, 1).  A crossing counts the sign of
+    h D, h the height of a over b there and D = r x v, r = a1 - a0 and
+    v = b1 - b0.  With w = b0 - a0, o1 = r x w and o3 = w x v, that is
+    o3 r_z + o1 v_z - w_z D, with no division.  A pair is unsure where a
+    test is and no sure test rules it out.
+    """
+    x, y, z = axes
+
+    def keep(lo1, hi1, ends1, lo2, hi2, ends2):
+        kept = ((lo1[:, x] <= hi2[:, x]) & (lo2[:, x] <= hi1[:, x])
+                & (lo1[:, y] <= hi2[:, y]) & (lo2[:, y] <= hi1[:, y]))
+        # a single segment against a box: the box must meet its line (two
+        # single segments go to the crossing test)
+        if ends2 is None and ends1 is not None:
+            kept &= _meets_line(ends1, lo2, hi2, x, y)
+        if ends1 is None and ends2 is not None:
+            kept &= _meets_line(ends2, lo1, hi1, x, y)
+        return kept
+
+    total = 0
+    for (a0, a1), (b0, b1) in _box_walk(side1, side2, keep):
+        r, v, w = a1 - a0, b1 - b0, b0 - a0
+        o1, m1 = _cross(r, w, x, y)           # b0 against a's line
+        o2, m2 = _cross(r, b1 - a0, x, y)     # b1 against a's line
+        o3, m3 = _cross(w, v, x, y)           # a0 against b's line
+        o4, m4 = _cross(b0 - a1, v, x, y)     # a1 against b's line
+        s1, s2, s3, s4 = (np.abs(o) > _BAND * m for o, m in
+                          ((o1, m1), (o2, m2), (o3, m3), (o4, m4)))
+        apart = ((s1 & s2 & ((o1 > 0) == (o2 > 0)))
+                 | (s3 & s4 & ((o3 > 0) == (o4 > 0))))
+        h = o3 * r[:, z] + o1 * v[:, z] - w[:, z] * (o2 - o1)
+        size = (m3 * np.abs(r[:, z]) + m1 * np.abs(v[:, z])
+                + np.abs(w[:, z]) * (m1 + m2))
+        if not np.all(apart | (s1 & s2 & s3 & s4
+                               & (np.abs(h) > _BAND * size))):
+            return None
+        total += int(np.sign(h[~apart]).sum())
+    return total
+
+
+def _close_distance(p1: np.ndarray, p2: np.ndarray) -> float:
+    """Least distance between a row of p1 and one of p2 if some pair is
+    within LINK_MIN_SEPARATION, else inf.  The box walk keeps the box pairs
+    whose gap (rounded by a few ulps, far inside _BAND) is within the
+    bound; their distances are taken as a full scan takes them, squares
+    summed over the last axis, so the least one has its bits."""
+    bound = LINK_MIN_SEPARATION ** 2 * (1.0 + _BAND)
+
+    def keep(lo1, hi1, ends1, lo2, hi2, ends2):
+        gap = np.maximum(np.maximum(lo2 - hi1, lo1 - hi2), 0.0)
+        return (gap * gap).sum(axis=1) <= bound
 
     least = math.inf
-    if n1 <= size1:
-        # a single row block: scanning a column costs about what building
-        # its ball would
-        a = rows1(slice(0, n1))
-        for lo in range(0, n2, width):
-            least = min(least, least_of(*a, *rows2(slice(
-                lo, min(lo + width, n2)))))
-            if least < floor:
-                break
-        return least
-
-    c1, r1 = _block_balls(side1, size1)
-    c2, r2 = _block_balls(side2, size2)
-    extent1 = np.sqrt((c1 * c1).sum(axis=1)) + r1
-    extent2 = np.sqrt((c2 * c2).sum(axis=1)) + r2
-
-    def bounds(i):
-        """Rows i (a slice) of the bound matrix: no cell of row block i
-        against block j of side2 is below bounds(i)[., j]."""
-        diff = c1[i, None] - c2[None]
-        gap = np.sqrt(np.multiply(diff, diff, out=diff).sum(axis=2))
-        return (gap - (r1[i, None] + r2)
-                - _BOUND_SLACK * (extent1[i, None] + extent2))
-
-    def reach():
-        # the distance no cell of a block pair worth scanning exceeds
-        return min(math.sqrt(least) if squared else least, ceiling)
-
-    step = max(1, CURVE_CHUNK // (4 * len(c2)))
-    nearest = np.concatenate([bounds(slice(i, i + step)).min(axis=1)
-                              for i in range(0, len(c1), step)])
-    in_block = np.arange(size2)
-    for i in np.argsort(nearest, kind="stable"):
-        if nearest[i] > reach():
-            break
-        a = rows1(slice(i * size1, min((i + 1) * size1, n1)))
-        bound = bounds(slice(i, i + 1))[0]
-        order = np.argsort(bound, kind="stable")
-        for g in range(0, len(order), width // size2):
-            group = order[g:g + width // size2]
-            group = group[bound[group] <= reach()]
-            if not len(group):
-                break
-            cols = (group[:, None] * size2 + in_block).ravel()
-            least = min(least, least_of(*a, *rows2(cols[cols < n2])))
-            if least < floor:
-                return least
+    sides = (_pyramid(p.__getitem__, len(p), 0) for p in (p1, p2))
+    for (a, _), (b, _) in _box_walk(*sides, keep):
+        least = min(least, float(np.sqrt(((a - b) ** 2).sum(axis=1)).min()))
     return least
 
 
-def _min_distance(p1: np.ndarray, p2: np.ndarray) -> float:
-    """Least distance between the rows of p1 and the rows of p2: the
-    square root of the least squared distance of a pruned scan
-    (_least_cell), which has the bits of the full scan.  sqrt is monotone
-    and correctly rounded, so it is the least of the distances."""
-    return math.sqrt(_least_cell(_vertices(p1), _vertices(p2), True))
+def _pole_distances(points: np.ndarray) -> np.ndarray:
+    """Least distance from the rows of points to each pole, CURVE_CHUNK
+    rows at a time, the squares summed in coordinate order."""
+    least = np.full(len(_POLES), math.inf)
+    for rows in _row_chunks(len(points)):
+        for i, pole in enumerate(_POLES):
+            sq = sum((points[rows, k] - c) ** 2 for k, c in enumerate(pole))
+            least[i] = min(least[i], sq.min())
+    return np.sqrt(least)
 
 
-def _segment_separation(P: np.ndarray, Q: np.ndarray,
-                        floor: float = -math.inf) -> float:
-    """A lower bound on the distance between the polylines P and Q: the
-    least, over segment pairs, of the distance of their midpoints less
-    their half lengths (no point of a segment is farther than that from
-    its midpoint).  Returns early, with a value below floor, once the
-    bound is known to be below it."""
-    return _least_cell(_segments(P), _segments(Q), False, floor)
-
-
-def _deviation(X: np.ndarray, s: int) -> float:
-    """Largest distance from a vertex of the polyline X to its coarse copy
-    (_coarsened) at the same index parameter: vertex k against the point
-    at weight (k - k0) / (k1 - k0) of the chord from vertex k0 = k - k % s
-    to vertex k1 = min(k0 + s, n).  Both polylines are linear in the
-    index between vertices, so no point of X is farther from its
-    counterpart; inf where the copy would have fewer than 3 segments."""
-    n = len(X) - 1
-    if -(-n // s) < 3:
-        return math.inf
-    worst = 0.0
-    # a quarter of CURVE_CHUNK vertices at a time: each takes its two
-    # chord ends and a handful of temporaries
-    rows = CURVE_CHUNK // 4
-    for lo in range(0, n, rows):
-        k = np.arange(lo, min(lo + rows, n))
-        k0 = k - k % s
-        k1 = np.minimum(k0 + s, n)
-        start = X.take(k0, axis=0)
-        d = X[lo:lo + len(k)] - (start + ((k - k0) / (k1 - k0))[:, None]
-                                 * (X.take(k1, axis=0) - start))
-        worst = max(worst, float(np.max((d * d).sum(axis=1))))
-    return math.sqrt(worst)
-
-
-def _coarsest_step(X: np.ndarray, budget: float):
-    """(s, deviation at s) for a power of two s whose deviation is within
-    budget, found by bisection on the exponent: the deviation at s is
-    within budget and at 2s it is not (or leaves fewer than 3 segments).
-    The deviation grows with s on a smooth curve, so this is about the
-    largest such s."""
-    lo, hi = 0, (len(X) - 2).bit_length() - 1    # 2**hi leaves < 3 segments
-    dev = 0.0
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        d = _deviation(X, 2 ** mid)
-        if d <= budget:
-            lo, dev = mid, d
-        else:
-            hi = mid
-    return 2 ** lo, dev
-
-
-def _coarsened(X: np.ndarray, s: int) -> np.ndarray:
-    """Every s-th vertex of the polyline X and its last one."""
-    return X if s == 1 else X[np.r_[0:len(X) - 1:s, len(X) - 1]]
-
-
-def _certified_coarsening(P: np.ndarray, Q: np.ndarray):
-    """Coarse copies of the polylines P and Q with their linking number,
-    or None when neither curve can be coarsened.
-
-    The straight-line homotopy from a polyline to its coarse copy moves no
-    point by more than the copy's deviation.  The two deviations add up to
-    at most half the separation bound of P and Q, so the curves stay
-    disjoint throughout, and the linking number is unchanged.  Each curve
-    first takes the coarsest step within a quarter of the bound; what the
-    two leave of the half then pays for one more halving of the longer
-    copy, or else of the other.
-    """
-    floor = 4.0 * min(_deviation(P, 2), _deviation(Q, 2))
-    if floor == math.inf:
-        return None
-    sep = _segment_separation(P, Q, floor)
-    if not sep >= floor:
-        return None
-    curves = (P, Q)
-    (s1, d1), (s2, d2) = (_coarsest_step(X, 0.25 * sep) for X in curves)
-    steps, devs = [s1, s2], [d1, d2]
-    for k in sorted((0, 1), key=lambda k: -(len(curves[k]) - 1) // steps[k]):
-        if _deviation(curves[k], 2 * steps[k]) + devs[1 - k] <= 0.5 * sep:
-            steps[k] *= 2
-            break
-    return _coarsened(P, steps[0]), _coarsened(Q, steps[1])
+def _projected(points: np.ndarray, pole: np.ndarray):
+    """rows_of (_pyramid) of the stereographic projection of points; the
+    distinct rows of an index array are projected once each."""
+    def rows_of(k):
+        if isinstance(k, slice):
+            return _stereographic(points[k], pole)
+        rows, back = np.unique(k, return_inverse=True)
+        return _stereographic(points.take(rows, axis=0), pole)[back]
+    return rows_of
 
 
 @dataclass(frozen=True)
@@ -859,53 +769,41 @@ class LinkResult:
 def linking_number(curve1: ClosedCurve, curve2: ClosedCurve) -> LinkResult:
     """Linking number of two disjoint closed curves on the 3-sphere.
 
-    The pole for stereographic projection is chosen among the eight
-    coordinate poles to maximize the distance to both curves; the Gauss
-    sum in R^3 is rounded to the nearest integer and |raw - integer| is
-    reported as the residual.  The sum runs on certified coarse copies of
-    the projected curves where there are any (_certified_coarsening), and
-    on the projected curves themselves when there are none or the coarse
-    residual is above the tolerance.  On a residual above the tolerance
-    other poles and spherically subdivided copies of the curves are
-    tried.
+    The projection pole is the one of the eight coordinate poles farthest
+    from both curves, and the link is half the signed crossing count of
+    the projected curves seen along x3 (_crossing_total).  An unsure test
+    or an odd count moves to x1, then x2, then the next pole by distance,
+    then spherically subdivided copies of the curves.  raw is the count
+    over 2, exactly the link, so the residual |raw - link| is 0.
     """
     p1, p2 = curve1.points, curve2.points
-    # only a distance below the bound is needed, and found bit for bit
-    min_dist = math.sqrt(_least_cell(_vertices(p1), _vertices(p2), True,
-                                     ceiling=LINK_MIN_SEPARATION))
+    min_dist = _close_distance(p1, p2)
     if min_dist < LINK_MIN_SEPARATION:
         raise ValidationError(
             f"curves come within {min_dist:.3g} of each other "
             f"(bound {LINK_MIN_SEPARATION:g}); linking is undefined")
 
-    scores = []
-    for i, pole in enumerate(_POLES):
-        d = min(_min_distance(p1, pole[None]), _min_distance(p2, pole[None]))
-        scores.append((d, i))
-    order = [i for _, i in sorted(scores, reverse=True)]
+    scores = np.minimum(_pole_distances(p1), _pole_distances(p2))
+    order = [i for _, i in sorted(zip(scores.tolist(), range(len(_POLES))),
+                                  reverse=True)]
 
     c1, c2 = curve1, curve2
-    best_residual = math.inf
     for level in range(3):
         if level:
             c1, c2 = c1.subdivided(), c2.subdivided()
         for i in order:
             try:
-                P = _stereographic(c1.points, _POLES[i])
-                Q = _stereographic(c2.points, _POLES[i])
+                sides = [_pyramid(_projected(c.points, _POLES[i]),
+                                  len(c.points), 1) for c in (c1, c2)]
             except NumericalError:
                 continue
-            coarse = _certified_coarsening(P, Q)
-            for A, B in ([coarse] if coarse else []) + [(P, Q)]:
-                raw = _gauss_linking_sum(A, B)
-                residual = abs(raw - round(raw))
-                best_residual = min(best_residual, residual)
-                if residual < LINK_RESIDUAL_TOL:
-                    return LinkResult(int(round(raw)), float(residual),
-                                      float(raw), i, level)
+            for axes in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+                total = _crossing_total(*sides, axes)
+                if total is not None and total % 2 == 0:
+                    return LinkResult(total // 2, 0.0, total / 2, i, level)
     raise NumericalError(
-        f"Gauss sum residual {best_residual:.3g} still above "
-        f"{LINK_RESIDUAL_TOL:g} after pole changes and curve refinement")
+        "crossing count unsure or odd along every axis, at every pole and "
+        "subdivision level")
 
 
 def check_resolved(report: ActionLinkingReport):

@@ -76,7 +76,10 @@ UNREACHED = {
     "topology.ClosedCurve.from_points": "a csv curve of linking, which no "
                                         "golden case reads",
     "topology.ClosedCurve.subdivided":
-        "fallback path: a Gauss sum residual above the tolerance",
+        "fallback path: no sure, even crossing count at level 0",
+    "topology._gauss_linking_sum":
+        "test oracle of linking_number, and a " + TRACE,
+    "topology._gauss_tile": "test oracle: the tile sum of _gauss_linking_sum",
 }
 
 

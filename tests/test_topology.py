@@ -19,11 +19,11 @@ from reebsys.systolic import (axis_orbit, contact_volume, enumerate_tori,
                               pairing_orbit_orbit)
 from reebsys.profiles import (EllipsoidProfile, LpProfile, SplineProfile,
                               profile_from_json)
-from reebsys.topology import (GAUSS_BLOCK, GAUSS_TILE, MIN_DIST_BALL,
-                              MIN_DIST_BLOCK, MIN_DIST_TILE, RATE_BLOCK,
-                              _POLES, ClosedCurve, LinkResult, _batch_rates,
-                              _best_convergents, _gauss_linking_sum,
-                              _min_distance, _segment_separation,
+from reebsys.topology import (BOX_ROWS, GAUSS_BLOCK, GAUSS_TILE,
+                              LINK_MIN_SEPARATION, RATE_BLOCK, _POLES,
+                              ClosedCurve, _batch_rates, _best_convergents,
+                              _close_distance, _crossing_total,
+                              _gauss_linking_sum, _pole_distances,
                               _stereographic, action_linking_verify,
                               axis_disk, check_statistical, linking_number,
                               signed_sweep_count, toric_orbit_curve)
@@ -728,18 +728,18 @@ def loop_min_distance(p1, p2):
 
 
 def one_tile_width_min_distance(p1, p2):
-    """The min-distance scan before short sides got wider tiles: always
-    MIN_DIST_BLOCK x MIN_DIST_TILE tiles, so a pole made 1 x 1024 ones."""
+    """Reference: the least distance over 64 x 1024 tiles, the squares
+    summed in coordinate order, as the pole scores once were scanned."""
     if len(p1) > len(p2):
         p1, p2 = p2, p1
-    rows = min(MIN_DIST_BLOCK, len(p1))
-    cols = min(MIN_DIST_TILE, len(p2))
+    rows = min(64, len(p1))
+    cols = min(1024, len(p2))
     work = np.empty((2, rows * cols))
     min_sq = math.inf
-    for i in range(0, len(p1), MIN_DIST_BLOCK):
-        a = p1[i:i + MIN_DIST_BLOCK]
-        for j in range(0, len(p2), MIN_DIST_TILE):
-            b = p2[j:j + MIN_DIST_TILE]
+    for i in range(0, len(p1), 64):
+        a = p1[i:i + 64]
+        for j in range(0, len(p2), 1024):
+            b = p2[j:j + 1024]
             sq, diff = (w[:len(a) * len(b)].reshape(len(a), len(b))
                         for w in work)
             for k in range(p1.shape[1]):
@@ -757,8 +757,8 @@ def assert_same_bits(x, y):
 
 
 class TestGaussOracle:
-    """The vertex-grid Gauss sum and the min-distance scan repeat the
-    per-pair reference arithmetic bit for bit."""
+    """The vertex-grid Gauss sum, the reference for linking_number,
+    repeats the per-pair reference arithmetic bit for bit."""
 
     def test_lp3_orbit_and_axis_curves(self):
         lp3 = LpProfile(3.0, 1.2, 0.9)
@@ -766,8 +766,6 @@ class TestGaussOracle:
         orbit = toric_orbit_curve(lp3, t23, 300)
         for axis, n in (("x", 130), ("y", 64)):
             c1, c2 = orbit, toric_orbit_curve(lp3, axis_orbit(lp3, axis), n)
-            assert_same_bits(_min_distance(c1.points, c2.points),
-                             loop_min_distance(c1.points, c2.points))
             for level in range(2):
                 for pole in _POLES[[0, 4]]:
                     P = _stereographic(c1.points, pole)
@@ -785,7 +783,6 @@ class TestGaussOracle:
             P = np.cumsum(rng.standard_normal((97, 3)), axis=0)
             Q = np.cumsum(rng.standard_normal((q_segments + 1, 3)), axis=0)
             assert_same_bits(_gauss_linking_sum(P, Q), einsum_gauss_sum(P, Q))
-            assert_same_bits(_min_distance(P, Q), loop_min_distance(P, Q))
 
     # sums over four and eight tiles, whose last tile has GAUSS_TILE - 1,
     # GAUSS_TILE, 1 and 3 segments
@@ -800,7 +797,6 @@ class TestGaussOracle:
         Q = np.cumsum(rng.standard_normal((q_segments + 1, 3)), axis=0)
         for a, b in ((P, Q), (Q, P)):
             assert_same_bits(_gauss_linking_sum(a, b), einsum_gauss_sum(a, b))
-            assert_same_bits(_min_distance(a, b), loop_min_distance(a, b))
 
     def test_integer_grid_polylines(self):
         # exact zeros: a coplanar pair has p = a . (b x c) = 0, and its sign
@@ -814,11 +810,10 @@ class TestGaussOracle:
 
 
 class TestPoleScores:
-    """Pole scores run one-row scans over wider tiles, with the bits of
-    the one-tile-width scan."""
+    """The pole scores, one chunked scan of a curve per pole, have the bits
+    of the tiled scan and of the full one."""
 
-    @pytest.mark.parametrize("n_orbit, n_axis", [(MIN_DIST_TILE - 1, 16),
-                                                 (5000, 3 * MIN_DIST_BLOCK),
+    @pytest.mark.parametrize("n_orbit, n_axis", [(1023, 16), (5000, 192),
                                                  (70000, 40)])
     def test_scores_and_pole_match_one_tile_width_scan(self, monkeypatch,
                                                        n_orbit, n_axis):
@@ -827,18 +822,16 @@ class TestPoleScores:
         c1 = toric_orbit_curve(lp3, t23, n_orbit)
         c2 = toric_orbit_curve(lp3, axis_orbit(lp3, "x"), n_axis)
         for curve in (c1, c2):
-            for pole in _POLES:
-                for args in ((curve.points, pole[None]),
-                             (pole[None], curve.points)):
-                    assert_same_bits(_min_distance(*args),
-                                     one_tile_width_min_distance(*args))
-        for rows in (2, 17, MIN_DIST_BLOCK - 1):
-            assert_same_bits(
-                _min_distance(c1.points, c2.points[:rows]),
-                one_tile_width_min_distance(c1.points, c2.points[:rows]))
+            scores = _pole_distances(curve.points)
+            for score, pole in zip(scores, _POLES):
+                assert_same_bits(score, one_tile_width_min_distance(
+                    curve.points, pole[None]))
+                assert_same_bits(score,
+                                 loop_min_distance(curve.points, pole[None]))
         result = linking_number(c1, c2)
-        monkeypatch.setattr(topology, "_min_distance",
-                            one_tile_width_min_distance)
+        monkeypatch.setattr(topology, "_pole_distances", lambda points: [
+            one_tile_width_min_distance(points, pole[None])
+            for pole in _POLES])
         assert linking_number(c1, c2) == result
 
 
@@ -866,18 +859,12 @@ def linking_outcome(c1, c2):
 
 
 class TestLinkingSymmetry:
-    """Lk(c1, c2) = Lk(c2, c1): the Gauss linking integral is symmetric.
-    With equal segment counts no swap happens, so the two orders sum over
-    transposed vertex grids."""
+    """Lk(c1, c2) = Lk(c2, c1): the two orders count the same crossings,
+    walking the segment pairs with the curves' roles swapped."""
 
     @staticmethod
     def assert_symmetric(c1, c2):
-        r12, r21 = linking_outcome(c1, c2), linking_outcome(c2, c1)
-        if isinstance(r12, LinkResult):
-            assert r12.link == r21.link
-            assert abs(r12.raw - r21.raw) <= 1e-12
-        else:
-            assert r12 is r21
+        assert linking_outcome(c1, c2) == linking_outcome(c2, c1)
 
     @pytest.mark.parametrize("n_orbit, n_axis", [(300, 130), (256, 256),
                                                  (64, 700)])
@@ -907,7 +894,7 @@ def test_linking_memory_is_set_by_the_tile():
     long = np.cumsum(rng.standard_normal((131073, 4)), axis=0)
     short = np.cumsum(rng.standard_normal((17, 4)), axis=0)
     gauss_work = 12 * (GAUSS_BLOCK + 1) * (GAUSS_TILE + 1) * 8
-    for f, width in ((_gauss_linking_sum, 3), (_min_distance, 4)):
+    for f, width in ((_gauss_linking_sum, 3), (_close_distance, 4)):
         a, b = long[:, :width], short[:, :width]
         peaks = []
         for args in ((a, b), (b, a)):
@@ -921,127 +908,134 @@ def test_linking_memory_is_set_by_the_tile():
         assert abs(peaks[0] - peaks[1]) <= 0.1 * max(peaks)
 
 
+def close_copy(p1, p2, k, offset):
+    """p2 with row k moved to offset from row k of p1."""
+    p2 = p2.copy()
+    p2[k] = p1[k] + offset
+    return p2
+
+
 class TestPrunedScans:
-    """The distance scans skip tiles by their bounding balls and keep the
-    bits of the full scan."""
+    """The separation walk skips the box pairs farther apart than
+    LINK_MIN_SEPARATION and gives the least distance below it with the
+    bits of the full scan, or inf where no pair is that close."""
 
     def test_far_apart_tiles(self):
         # clusters of points far apart from one another, so that most
-        # block pairs are skipped; the nearest pair sits in one of them
+        # box pairs are skipped; the nearest pair sits in one of them
         rng = np.random.default_rng(5)
-        for width in (3, 4):
-            offsets = 50.0 * rng.standard_normal((40, width))
-            p1 = np.repeat(offsets[:20], 37, axis=0) + rng.standard_normal(
-                (740, width))
-            p2 = np.repeat(offsets[20:], 211, axis=0) + rng.standard_normal(
-                (4220, width))
-            p2[3000] = p1[500] + 1e-3
-            for a, b in ((p1, p2), (p2, p1), (p1, p2[::-1])):
-                assert_same_bits(_min_distance(a, b), loop_min_distance(a, b))
+        offsets = 50.0 * rng.standard_normal((40, 4))
+        p1 = np.repeat(offsets[:20], 37, axis=0) + rng.standard_normal(
+            (740, 4))
+        p2 = np.repeat(offsets[20:], 211, axis=0) + rng.standard_normal(
+            (4220, 4))
+        assert _close_distance(p1, p2) == math.inf
+        p2[3000] = p1[500] + 3e-7
+        for a, b in ((p1, p2), (p2, p1), (p1, p2[::-1])):
+            assert loop_min_distance(a, b) < LINK_MIN_SEPARATION
+            assert_same_bits(_close_distance(a, b), loop_min_distance(a, b))
 
     def test_nearest_pair_in_a_late_tile(self):
-        # 300 blocks whose balls come nearer than the nearest pair's block
-        # but whose points all stay farther: they fill the first tiles,
-        # and the block of the nearest pair is scanned only if its bound
-        # is weighed against the least cell exactly
+        # 300 runs of BOX_ROWS points whose boxes hold the cloud p1 but
+        # whose points all stay 2e-6 away or more: they survive every box
+        # test, and only the exact distances find the one pair within the
+        # bound, in the last run
         rng = np.random.default_rng(8)
-        p1 = 1e-4 * rng.standard_normal((MIN_DIST_BALL + 1, 4))
+        p1 = 1e-7 * rng.standard_normal((BOX_ROWS + 1, 4))
         decoys = []
         for _ in range(300):
-            u = rng.standard_normal(4)
-            u /= np.linalg.norm(u)
-            block = -10.0 * u + rng.standard_normal((MIN_DIST_BALL, 4))
-            block[0] = rng.uniform(0.85, 0.9) * u
-            decoys.append(block)
-        near = 0.8 * np.eye(4)[0] + 1e-4 * rng.standard_normal(
-            (MIN_DIST_BALL, 4))
+            u = rng.standard_normal((BOX_ROWS, 4))
+            u /= np.linalg.norm(u, axis=1)[:, None]
+            decoys.append(rng.uniform(2e-6, 1.0, (BOX_ROWS, 1)) * u)
+        near = 3e-7 * np.eye(4)[0] + 1e-8 * rng.standard_normal(
+            (BOX_ROWS, 4))
         p2 = np.concatenate(decoys + [near])
-        assert loop_min_distance(p1, p2) < 0.81
-        assert_same_bits(_min_distance(p1, p2), loop_min_distance(p1, p2))
+        assert loop_min_distance(p1, p2[:-BOX_ROWS]) > LINK_MIN_SEPARATION
+        assert loop_min_distance(p1, p2) < LINK_MIN_SEPARATION
+        assert_same_bits(_close_distance(p1, p2), loop_min_distance(p1, p2))
 
-    @pytest.mark.parametrize("n1, n2", [(MIN_DIST_BALL + 1, 5000),
-                                        (700, 4 * MIN_DIST_TILE + 3)])
+    @pytest.mark.parametrize("n1, n2", [(BOX_ROWS + 1, 5000), (700, 4099)])
     def test_nothing_to_prune(self, n1, n2):
-        # two clouds in one small ball: every block ball meets every other,
-        # so no tile can be skipped
+        # two clouds in one ball as wide as the bound: every box pair
+        # is within it, so no pair can be skipped
         rng = np.random.default_rng(n1)
-        p1 = rng.uniform(-1.0, 1.0, (n1, 4))
-        p2 = rng.uniform(-1.0, 1.0, (n2, 4))
-        assert_same_bits(_min_distance(p1, p2), loop_min_distance(p1, p2))
+        p1 = rng.uniform(-2e-7, 2e-7, (n1, 4))
+        p2 = rng.uniform(-2e-7, 2e-7, (n2, 4))
+        assert_same_bits(_close_distance(p1, p2), loop_min_distance(p1, p2))
 
     @pytest.mark.parametrize("n_orbit, n_axis", [(4096, 512), (300, 16)])
     def test_separation_matches_the_full_scan(self, n_orbit, n_axis):
+        # the benchmark's curves are far apart; with one vertex of the axis
+        # orbit moved to within 1e-7 of the orbit, the distance is found
         lp3 = LpProfile(3.0, 1.2, 0.9)
         t23 = [t for t in enumerate_tori(lp3, 3) if (t.p, t.q) == (2, 3)][0]
-        c1 = toric_orbit_curve(lp3, t23, n_orbit)
-        c2 = toric_orbit_curve(lp3, axis_orbit(lp3, "x"), n_axis)
-        P = _stereographic(c1.points, _POLES[4])
-        Q = _stereographic(c2.points, _POLES[4])
-        sep = full_separation(P, Q)
-        assert sep > 0
-        assert_same_bits(_segment_separation(P, Q), sep)
-        assert_same_bits(_segment_separation(Q, P), sep)
-        # below the floor the scan may stop at the first cell under it
-        assert _segment_separation(P, Q, floor=2 * sep) < 2 * sep
+        p1 = toric_orbit_curve(lp3, t23, n_orbit).points
+        p2 = toric_orbit_curve(lp3, axis_orbit(lp3, "x"), n_axis).points
+        assert loop_min_distance(p1, p2) > LINK_MIN_SEPARATION
+        assert _close_distance(p1, p2) == math.inf
+        p2 = close_copy(p1, p2, n_axis // 2, np.full(4, 5e-8))
+        for a, b in ((p1, p2), (p2, p1)):
+            assert_same_bits(_close_distance(a, b), loop_min_distance(a, b))
 
 
-def full_separation(P, Q):
-    """Reference: the least over segment pairs of the midpoint distance
-    less the two half lengths, the squares summed in coordinate order."""
-    def midpoints_and_halves(X):
-        d = X[1:] - X[:-1]
-        return 0.5 * (X[:-1] + X[1:]), 0.5 * np.sqrt((d * d).sum(axis=1))
-    (m1, h1), (m2, h2) = midpoints_and_halves(P), midpoints_and_halves(Q)
-    sq = (m1[:, None, 0] - m2[None, :, 0]) ** 2
-    for k in (1, 2):
-        sq = sq + (m1[:, None, k] - m2[None, :, k]) ** 2
-    return float((np.sqrt(sq) - (h1[:, None] + h2[None, :])).min())
+@pytest.mark.parametrize("seed", range(4))
+def test_pairs_within_the_bound_are_refused(seed):
+    # vertex k of one curve is 1e-7 in phase from vertex k of the other
+    if seed:
+        c1, c2 = near_pair(np.random.default_rng(seed), 512, 512, 1e-7)
+    else:
+        round_ = LpProfile(2.0, 1.0, 1.0)
+        [t11] = [t for t in enumerate_tori(round_, 1)
+                 if (t.p, t.q) == (1, 1)]
+        c1, c2 = (toric_orbit_curve(round_, t11, 300, phase2=phase)
+                  for phase in (0.0, 1e-7))
+    for a, b in ((c1, c2), (c2, c1)):
+        least = loop_min_distance(a.points, b.points)
+        assert least < LINK_MIN_SEPARATION
+        assert_same_bits(_close_distance(a.points, b.points), least)
+        with pytest.raises(ValidationError,
+                           match=f"curves come within {least:.3g} of each "):
+            linking_number(a, b)
 
 
-def index_deviation(X, coarse):
-    """Largest distance from a vertex of X to the coarse polyline at the
-    same index parameter, coarse being X[::s] with its last vertex."""
-    n = len(X) - 1
-    s = next(s for s in (2 ** e for e in range(n.bit_length()))
-             if len(coarse) == len(np.r_[0:n:s, n])
-             and np.array_equal(coarse, X[np.r_[0:n:s, n]]))
-    worst = 0.0
-    for k in range(n + 1):
-        k0 = k - k % s
-        k1 = min(k0 + s, n)
-        w = (k - k0) / (k1 - k0) if k1 > k0 else 0.0
-        worst = max(worst, float(np.linalg.norm(
-            X[k] - (X[k0] + w * (X[k1] - X[k0])))))
-    return worst
+def gauss_linking(c1, c2):
+    """Reference (link, pole_index, subdivisions): the poles in the order
+    of their tiled distance scores, and the first projection whose full
+    Gauss sum is within 0.1 of an integer, at the first subdivision level
+    that has one."""
+    scores = [(min(one_tile_width_min_distance(c.points, pole[None])
+                   for c in (c1, c2)), i) for i, pole in enumerate(_POLES)]
+    order = [i for _, i in sorted(scores, reverse=True)]
+    for level in range(3):
+        if level:
+            c1, c2 = c1.subdivided(), c2.subdivided()
+        for i in order:
+            try:
+                P, Q = (_stereographic(c.points, _POLES[i]) for c in (c1, c2))
+            except NumericalError:
+                continue
+            raw = _gauss_linking_sum(P, Q)
+            if abs(raw - round(raw)) < 0.1:
+                return round(raw), i, level
+    return None
 
 
-def certified_sums(monkeypatch, c1, c2):
-    """linking_number(c1, c2) and the polylines each Gauss sum ran on."""
-    calls = []
-
-    def recording(P, Q):
-        calls.append((P, Q))
-        return _gauss_linking_sum(P, Q)
-
-    monkeypatch.setattr(topology, "_gauss_linking_sum", recording)
-    return linking_number(c1, c2), calls
-
-
-def projected(c1, c2, result):
-    """The full polylines of the pole and level a result was found at."""
-    for _ in range(result.subdivisions):
-        c1, c2 = c1.subdivided(), c2.subdivided()
-    pole = _POLES[result.pole_index]
-    return _stereographic(c1.points, pole), _stereographic(c2.points, pole)
-
-
-def assert_certified(P, Q, A, B):
-    """The coarse copies A and B of P and Q keep within the certificate:
-    their deviations add up to at most half the separation bound."""
-    assert len(A) < len(P) or len(B) < len(Q)
-    assert min(len(A), len(B)) >= 4
-    deviation = index_deviation(P, A) + index_deviation(Q, B)
-    assert deviation <= 0.5 * full_separation(P, Q)
+def assert_links_as_the_oracle(c1, c2):
+    """linking_number in both orders gives the reference's link, pole and
+    level, with raw the link and residual 0, or refuses a pair within the
+    separation bound."""
+    if loop_min_distance(c1.points, c2.points) < LINK_MIN_SEPARATION:
+        for a, b in ((c1, c2), (c2, c1)):
+            with pytest.raises(ValidationError, match="come within"):
+                linking_number(a, b)
+        return None
+    expected = gauss_linking(c1, c2)
+    for a, b in ((c1, c2), (c2, c1)):
+        result = linking_number(a, b)
+        assert (result.link, result.pole_index,
+                result.subdivisions) == expected
+        assert (result.raw, result.residual) == (result.link, 0.0)
+    return expected
 
 
 def near_pair(rng, n1, n2, shift):
@@ -1082,9 +1076,10 @@ def clasp(n_large, n_small, eps, s_break):
             ClosedCurve.from_points(small, chord_bound=1.0))
 
 
-class TestCertifiedCoarsening:
-    """The Gauss sum runs on coarse copies of the projected curves only
-    where the certificate holds, and gives the full curves' link."""
+class TestCrossingOracle:
+    """Half the signed crossing count gives the full Gauss sum's link, at
+    the pole and subdivision level where the Gauss sum is first within
+    0.1 of an integer."""
 
     @given(st.integers(0, 2 ** 32 - 1),
            st.sampled_from([(160, 160), (257, 130), (96, 600), (1024, 300),
@@ -1096,76 +1091,120 @@ class TestCertifiedCoarsening:
             c1, c2 = (random_closed_curve(rng, n) for n in sizes)
         else:
             c1, c2 = near_pair(rng, *sizes, shift)
-        with pytest.MonkeyPatch.context() as mp:
-            try:
-                result, calls = certified_sums(mp, c1, c2)
-            except (ValidationError, NumericalError):
-                return
-        P, Q = projected(c1, c2, result)
-        assert result.link == round(_gauss_linking_sum(P, Q))
-        A, B = calls[-1]
-        if (len(A), len(B)) != (len(P), len(Q)):
-            assert_certified(P, Q, A, B)
+        assert_links_as_the_oracle(c1, c2)
 
-    def test_tight_clasp(self, monkeypatch):
-        c1, c2 = clasp(4096, 16, 0.01, 256)
-        result, calls = certified_sums(monkeypatch, c1, c2)
-        assert result.link == 1 and result.subdivisions == 0
-        assert len(calls) == 1
-        P, Q = projected(c1, c2, result)
-        [(A, B)] = calls
-        assert_certified(P, Q, A, B)
-        # coarsened to every 256th vertex the large circle passes outside
-        # the small one: the link changes, far past the certificate
-        n = len(P) - 1
-        too_coarse = P[np.r_[0:n:256, n]]
-        assert round(_gauss_linking_sum(too_coarse, Q)) == 0
-        assert index_deviation(P, too_coarse) > full_separation(P, Q)
+    def test_tight_clasp(self):
+        # a circle of radius 0.01 around a great circle of 4096 segments
+        assert assert_links_as_the_oracle(*clasp(4096, 16, 0.01, 256)) == \
+            (1, 7, 0)
 
-    def test_close_pair_takes_the_full_sum(self, monkeypatch):
-        # the golden linking-close-orbit11 case: two (1, 1) round orbits
-        # 3e-3 apart in phase, with no certified copy at any pole, so the
-        # one sum runs on the full polylines, across several P tiles
+    @pytest.mark.parametrize("n1, n2", [(300, 150), (2048, 2048)])
+    def test_close_pair_links_as_the_full_sum(self, n1, n2):
+        # two (1, 1) round orbits 3e-3 apart in phase, whose projections
+        # run side by side: the first is the golden linking-close-orbit11
         round_ = LpProfile(2.0, 1.0, 1.0)
         [t11] = [t for t in enumerate_tori(round_, 1) if (t.p, t.q) == (1, 1)]
-        c1 = toric_orbit_curve(round_, t11, 300)
-        c2 = toric_orbit_curve(round_, t11, 150, phase2=3e-3)
-        result, calls = certified_sums(monkeypatch, c1, c2)
-        assert (result.link, result.subdivisions) == (1, 0)
-        P, Q = projected(c1, c2, result)
-        assert topology._certified_coarsening(P, Q) is None
-        assert len(P) - 1 > GAUSS_TILE
-        [(A, B)] = calls
-        assert np.array_equal(A, P) and np.array_equal(B, Q)
+        c1 = toric_orbit_curve(round_, t11, n1)
+        c2 = toric_orbit_curve(round_, t11, n2, phase2=3e-3)
+        assert assert_links_as_the_oracle(c1, c2) == (1, 4, 0)
+
+    def test_golden_cases(self, tmp_path, monkeypatch):
+        from test_golden import CASES, run_case
+        curves = recorded_curves(monkeypatch)
+        for case in CASES:
+            if case[0].startswith("linking-"):
+                (tmp_path / case[0]).mkdir()
+                report = json.loads(run_case(case, str(tmp_path / case[0]))[
+                    "linking.json"])
+                expected = assert_links_as_the_oracle(*curves.pop())
+                assert (report["link"], report["pole_index"],
+                        report["subdivisions"]) == expected == (
+                            report["link"], 4, 0)
+
+    def test_vertex_on_segment_takes_the_next_axis(self, monkeypatch):
+        # a square in the plane x3 = 0 and a loop through it, one of whose
+        # vertices lies straight above an edge of the square: seen along
+        # x3 that vertex is on the edge, so the count is unsure, and x1
+        # gives the link
+        P = np.array([[-1, -1, 0], [1, -1, 0], [1, 1, 0], [-1, 1, 0],
+                      [-1, -1, 0]], float)
+        Q = np.array([[0.2, 0.1, -1], [-0.1, 0.3, 1], [1, 0, 1],
+                      [3, 0.5, 1], [3, 0.5, -1], [0.2, 0.1, -1]])
+        link = round(_gauss_linking_sum(P, Q))
+        assert abs(link) == 1
+        sides = [topology._pyramid(X.__getitem__, len(X), 1) for X in (P, Q)]
+        assert _crossing_total(*sides, (0, 1, 2)) is None
+        assert _crossing_total(*sides, (1, 2, 0)) == 2 * link
+        calls = []
+
+        def recording(side1, side2, axes):
+            calls.append(axes)
+            return crossing_total(side1, side2, axes)
+
+        crossing_total = _crossing_total
+        monkeypatch.setattr(topology, "_crossing_total", recording)
+        # project the square and the loop on the sphere to P and Q
+        monkeypatch.setattr(topology, "_projected", lambda points, pole: (
+            P if len(points) == len(P) else Q).__getitem__)
+        square = ClosedCurve.from_points(np.column_stack(
+            [P, np.ones(5)]), chord_bound=2.0)
+        loop = ClosedCurve.from_points(np.column_stack(
+            [Q, np.ones(6)]), chord_bound=2.0)
+        result = linking_number(square, loop)
+        assert result.link == link and result.subdivisions == 0
+        assert calls == [(0, 1, 2), (1, 2, 0)]
+
+    def test_every_projection_unsure_exits_3(self, tmp_path, monkeypatch,
+                                             capsys):
+        monkeypatch.setattr(topology, "_crossing_total", lambda *a: None)
+        from test_golden import CASES
+        [(_, doc, argv, _)] = [c for c in CASES
+                               if c[0] == "linking-close-orbit11"]
+        inp = tmp_path / "in.json"
+        inp.write_text(json.dumps(doc))
+        assert main(argv + ["--input", str(inp), "--output",
+                            str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("numerical error: crossing count unsure")
+
+
+def recorded_curves(monkeypatch):
+    """The curve pairs that linking_number is called with from now on."""
+    curves = []
+    linking = topology.linking_number
+
+    def recording(c1, c2):
+        curves.append((c1, c2))
+        return linking(c1, c2)
+
+    monkeypatch.setattr(topology, "linking_number", recording)
+    return curves
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_benchmark_linking_ops_match_the_full_sum(tmp_path, monkeypatch,
                                                    seed):
     """The dictionary benchmark's linking ops pass its own check, with the
-    pole and subdivision level, the link and (to 1e-12) the raw sum of
-    the full-curve Gauss sum."""
+    link, pole and subdivision level of the full Gauss sum, in both
+    orders."""
     workloads = load_perfbench("workloads")
     checks = load_perfbench("checks")
     ops = [op for op in workloads.build("dictionary", seed,
                                         str(tmp_path / "in"))
            if op["command"] == "linking"]
     assert len(ops) == 3
-
-    def report(op, out):
+    curves = recorded_curves(monkeypatch)
+    for i, op in enumerate(ops):
+        out = tmp_path / f"c{i}"
         assert main(op["argv"] + ["--output", str(out), "--quiet"]) == 0
         with open(out / "linking.json") as fh:
-            return json.load(fh)
-
-    for i, op in enumerate(ops):
-        rep = report(op, tmp_path / f"c{i}")
+            rep = json.load(fh)
         checks.check_linking(op, rep)
-        with monkeypatch.context() as mp:
-            mp.setattr(topology, "_certified_coarsening", lambda P, Q: None)
-            full = report(op, tmp_path / f"f{i}")
-        assert ((rep["link"], rep["pole_index"], rep["subdivisions"])
-                == (full["link"], full["pole_index"], full["subdivisions"]))
-        assert abs(rep["raw"] - full["raw"]) <= 1e-12
+        [(c1, c2)] = curves
+        assert assert_links_as_the_oracle(c1, c2) == (
+            rep["link"], rep["pole_index"], rep["subdivisions"])
+        curves.clear()
 
 
 class TestSurfaces:
