@@ -29,12 +29,12 @@ from .errors import (NumericalError, ReebsysError, StatisticalError,
                      ValidationError)
 from .profiles import profile_from_json
 
-# Segment pairs a linking input may ask for: the full Gauss sum's time
-# grows with their count (it is the fallback where no coarse copy of the
-# curves is certified), and an orbit's samples are allocated before the
-# sum runs, so the count is checked before any curve is built.  A
-# 2^20 x 16 input at the cap takes about 1.1 s and peaks at about 90 MB,
-# of which linking_number is 0.7-0.8 s (1.9 s with full sums).
+# Segment pairs a linking input may ask for, checked before any curve is
+# built, as an orbit's samples are allocated first.  The crossing count
+# tests only the segment pairs its box walk keeps, and never holds a
+# projected curve whole: a 2^20 x 16 input at the cap takes about 0.4 s
+# and peaks at about 89 MB (building the curves), of which
+# linking_number is 0.15-0.18 s.
 LINK_MAX_PAIRS = 1 << 24
 # Largest values of the flags that size an array, checked before a command
 # builds one; the largest benchmark value is in each comment.  --grid is

@@ -1121,14 +1121,17 @@ class TestCrossingOracle:
                         report["subdivisions"]) == expected == (
                             report["link"], 4, 0)
 
-    def test_vertex_on_segment_takes_the_next_axis(self, monkeypatch):
+    # the vertex on the edge, and 1e-14 off it: inside the rounding band
+    @pytest.mark.parametrize("offset", [0.0, 1e-14])
+    def test_vertex_on_segment_takes_the_next_axis(self, monkeypatch,
+                                                   offset):
         # a square in the plane x3 = 0 and a loop through it, one of whose
         # vertices lies straight above an edge of the square: seen along
         # x3 that vertex is on the edge, so the count is unsure, and x1
         # gives the link
-        P = np.array([[-1, -1, 0], [1, -1, 0], [1, 1, 0], [-1, 1, 0],
-                      [-1, -1, 0]], float)
-        Q = np.array([[0.2, 0.1, -1], [-0.1, 0.3, 1], [1, 0, 1],
+        P = np.array([[0, -1, 0], [1, 0, 0], [0, 1, 0], [-1, 0, 0],
+                      [0, -1, 0]], float)
+        Q = np.array([[0.2, 0.1, -1], [-0.1, 0.3, 1], [0.5, 0.5 + offset, 1],
                       [3, 0.5, 1], [3, 0.5, -1], [0.2, 0.1, -1]])
         link = round(_gauss_linking_sum(P, Q))
         assert abs(link) == 1
