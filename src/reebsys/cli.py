@@ -32,9 +32,9 @@ from .profiles import profile_from_json
 # Segment pairs a linking input may ask for, checked before any curve is
 # built, as an orbit's samples are allocated first.  The crossing count
 # tests only the segment pairs its box walk keeps, and never holds a
-# projected curve whole: a 2^20 x 16 input at the cap takes about 0.4 s
+# projected curve whole: a 2^20 x 16 input at the cap takes 0.4-0.5 s
 # and peaks at about 89 MB (building the curves), of which
-# linking_number is 0.15-0.18 s.
+# linking_number is 0.16-0.22 s.
 LINK_MAX_PAIRS = 1 << 24
 # Largest values of the flags that size an array, checked before a command
 # builds one; the largest benchmark value is in each comment.  --grid is

@@ -53,7 +53,7 @@ CURVE_CHUNK rows at a time, and a projected curve is read by rows, never
 held whole.
 
 On the benchmark's lp p=3 cases of 4096 x 512, 1024 x 256 and 2048 x
-1024 segments linking_number takes 2.0-3.6, 1.4-2.6 and 1.8-2.6 ms
+1024 segments linking_number takes 2.0-3.5, 1.4-2.5 and 2.1-3.2 ms
 in-process, on a 2-core host with numpy 2.4.
 """
 from __future__ import annotations
@@ -350,7 +350,8 @@ _SMALLEST_NORMAL = np.finfo(float).smallest_normal
 
 def _row_chunks(n: int) -> list:
     """Slices of CURVE_CHUNK rows covering range(n), in order."""
-    return [slice(a, min(a + CURVE_CHUNK, n)) for a in range(0, n, CURVE_CHUNK)]
+    return [slice(a, min(a + CURVE_CHUNK, n))
+            for a in range(0, n, CURVE_CHUNK)]
 
 
 @dataclass(frozen=True)
@@ -583,7 +584,7 @@ def _pyramid(rows_of, n: int, step: int):
         starts = np.arange(0, len(X) - step, BOX_ROWS)
         for boxes, extreme in ((lo, np.minimum), (hi, np.maximum)):
             box = extreme.reduceat(X, starts)
-            if step:        # the vertex that ends each run but the last
+            if step:    # a run's end vertex (the last run's range has it)
                 extreme(box[:-1], X[starts[1:]], out=box[:-1])
             boxes.append(box)
     lo, hi = np.concatenate(lo), np.concatenate(hi)

@@ -908,13 +908,6 @@ def test_linking_memory_is_set_by_the_tile():
         assert abs(peaks[0] - peaks[1]) <= 0.1 * max(peaks)
 
 
-def close_copy(p1, p2, k, offset):
-    """p2 with row k moved to offset from row k of p1."""
-    p2 = p2.copy()
-    p2[k] = p1[k] + offset
-    return p2
-
-
 class TestPrunedScans:
     """The separation walk skips the box pairs farther apart than
     LINK_MIN_SEPARATION and gives the least distance below it with the
@@ -973,7 +966,8 @@ class TestPrunedScans:
         p2 = toric_orbit_curve(lp3, axis_orbit(lp3, "x"), n_axis).points
         assert loop_min_distance(p1, p2) > LINK_MIN_SEPARATION
         assert _close_distance(p1, p2) == math.inf
-        p2 = close_copy(p1, p2, n_axis // 2, np.full(4, 5e-8))
+        p2 = p2.copy()
+        p2[n_axis // 2] = p1[n_axis // 2] + 5e-8
         for a, b in ((p1, p2), (p2, p1)):
             assert_same_bits(_close_distance(a, b), loop_min_distance(a, b))
 
